@@ -467,16 +467,18 @@ def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
     rows of ``x``. Ties route to the lowest row, matching max_over_axis.
     """
     data = x.data
+    vals = np.maximum.reduceat(data, starts[:-1], axis=0)
+    out = Tensor(vals, x.requires_grad)
+    if _ACTIVE_TAPE is None or not x.requires_grad:
+        return out  # no backward will run, so skip the argmax routing
     n_rows, n_cols = data.shape
     n_seg = len(starts) - 1
     cols = np.arange(n_cols)
-    vals = np.maximum.reduceat(data, starts[:-1], axis=0)
     seg_of_row = np.repeat(np.arange(n_seg), np.diff(starts))
     # Lowest row attaining each segment max (the tie rule of max_over_axis).
     at_max = data == vals[seg_of_row]
     candidates = np.where(at_max, np.arange(n_rows)[:, None], n_rows)
     args = np.minimum.reduceat(candidates, starts[:-1], axis=0)
-    out = Tensor(vals, x.requires_grad)
 
     def backward(g):
         buf = np.zeros_like(x.data)

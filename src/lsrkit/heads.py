@@ -9,9 +9,13 @@ sparse vectors:
         log(1 + ReLU(h_j . e_i + b_i)), pooled over positions by
         entrywise max (single-token mode uses the one available state).
 
-The public head functions return a SparseVector; training uses the
-*_batch_activations functions, which keep the dense pre-sparsification
-activations inside the gradient graph.
+The *_batch_activations functions are the one encode path: they score a
+packed batch with one matmul per head (the MLM logits are a single
+[rows, d] @ [d, |V|] product) and keep the dense pre-sparsification
+activations inside the gradient graph. Training calls them directly and
+SparseEncoder.encode calls them on a batch of one. The per-position
+mlp_head and mlm_head functions are the reference implementations the
+head laws and tests compare against; they return a SparseVector.
 """
 
 from __future__ import annotations
@@ -229,10 +233,15 @@ def parse_vector_line(line: str, lineno: int = 0) -> tuple[str, SparseVector]:
             t, w = int(term), float(weight)
         except ValueError:
             raise FormatError(f"line {lineno}: bad entry {chunk!r}") from None
+        if t < 0:
+            raise FormatError(f"line {lineno}: negative term id {t}")
         if t in entries:
             raise FormatError(f"line {lineno}: duplicate term {t}")
         entries[t] = w
-    return name, SparseVector(entries)
+    try:
+        return name, SparseVector(entries)
+    except ContractError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
 
 
 def write_vectors(path, items) -> None:

@@ -266,10 +266,17 @@ def load_index(path) -> InvertedIndex:
         reader.offset = blob_start + offset
         doc_ids = np.empty(length, dtype=np.int64)
         prev = 0
-        for i in range(length):
-            delta = reader.varint()
-            prev = delta if i == 0 else prev + delta
-            doc_ids[i] = prev
+        try:
+            for i in range(length):
+                delta = reader.varint()
+                prev = delta if i == 0 else prev + delta
+                doc_ids[i] = prev
+        except OverflowError:
+            raise FormatError(f"term {term}: doc id overflows 64 bits") from None
+        if length and (doc_ids[-1] >= doc_count or (np.diff(doc_ids) <= 0).any()):
+            raise FormatError(
+                f"term {term}: doc ids must ascend strictly and stay below {doc_count}"
+            )
         if impact_format == IMPACTS_U8:
             lo, scale = struct.unpack("<ff", reader.take(8))
             codes = np.frombuffer(reader.take(length), dtype=np.uint8)
@@ -289,7 +296,11 @@ def load_index(path) -> InvertedIndex:
     doc_names = []
     for _ in range(doc_count):
         n = reader.varint()
-        doc_names.append(reader.take(n).decode("utf-8"))
+        start = reader.offset
+        try:
+            doc_names.append(reader.take(n).decode("utf-8"))
+        except UnicodeDecodeError:
+            raise FormatError(f"doc name at offset {start} is not UTF-8") from None
     if reader.offset != len(raw):
         raise FormatError(f"trailing bytes after offset {reader.offset}")
     return InvertedIndex(doc_names, postings)

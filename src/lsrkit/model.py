@@ -25,13 +25,13 @@ from .heads import (
     SparseHead,
     SparseVector,
     mlm_batch_activations,
-    mlm_head,
     mlp_batch_activations,
-    mlp_head,
 )
+from .heads import mlm_head, mlp_head  # noqa: F401  perfbench's tracer patches these names here
 
 CHECKPOINT_MAGIC = b"LSRC"
 CHECKPOINT_VERSION = 1
+_INT_FIELDS = ("num_layers", "d_model", "num_heads", "vocab_size", "max_seq_len", "seed")
 
 
 class SparseEncoder:
@@ -40,11 +40,11 @@ class SparseEncoder:
     def __init__(self, backbone: Backbone, head: SparseHead):
         if head.vocab_size != backbone.config.vocab_size:
             raise ContractError("head and backbone vocabulary sizes differ")
-        if (
-            head.kind == HeadKind.MLP
-            and backbone.config.variant == Variant.ENCDEC_SINGLETOKEN
-        ):
+        single_state = backbone.config.variant == Variant.ENCDEC_SINGLETOKEN
+        if head.kind == HeadKind.MLP and single_state:
             raise ContractError("MLP head requires token-aligned states")
+        if head.kind == HeadKind.MLM_SINGLETOKEN and not single_state:
+            raise ContractError("single-token MLM head requires one state per sequence")
         self.backbone = backbone
         self.head = head
 
@@ -70,10 +70,7 @@ class SparseEncoder:
 
     def encode(self, tokens) -> SparseVector:
         """Encode one token sequence into its sparse representation."""
-        states = self.backbone.encode(tokens)
-        if self.head.kind == HeadKind.MLP:
-            return mlp_head(states, tokens, self.head)
-        return mlm_head(states, self.backbone.tok_emb, self.head)
+        return SparseVector.from_dense(self.batch_activations([tokens]).data[0])
 
     def batch_activations(self, sequences) -> Tensor:
         """Dense [B, |V|] activations for a batch; differentiable under a tape."""
@@ -115,6 +112,8 @@ class SparseEncoder:
             raw = fh.read()
         if raw[:4] != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic at offset 0: {raw[:4]!r}")
+        if len(raw) < 12:
+            raise FormatError(f"checkpoint truncated at offset {len(raw)}")
         version, header_len = struct.unpack_from("<II", raw, 4)
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
@@ -122,37 +121,50 @@ class SparseEncoder:
             header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"unreadable checkpoint header: {exc}") from None
-        config = BackboneConfig(
-            variant=Variant(header["backbone"]["variant"]),
-            num_layers=header["backbone"]["num_layers"],
-            d_model=header["backbone"]["d_model"],
-            num_heads=header["backbone"]["num_heads"],
-            vocab_size=header["backbone"]["vocab_size"],
-            max_seq_len=header["backbone"]["max_seq_len"],
-            seed=header["backbone"]["seed"],
-        )
-        model = cls.build(
-            config, HeadKind(header["head"]["kind"]), header["head"]["pooling"]
-        )
+        try:
+            model, records, digest = cls._from_header(header, len(raw) - 12 - header_len)
+        except (KeyError, TypeError, ValueError, ContractError) as exc:
+            raise FormatError(f"bad checkpoint header: {type(exc).__name__}: {exc}") from None
         offset = 12 + header_len
-        params = dict(model.parameters())
-        if [a["name"] for a in header["arrays"]] != [n for n, _ in model.parameters()]:
+        params = model.parameters()
+        if [name for name, _ in records] != [name for name, _ in params]:
             raise FormatError("checkpoint parameter list does not match model")
-        for rec in header["arrays"]:
-            shape = tuple(rec["shape"])
-            tensor = params[rec["name"]]
+        for (name, shape), (_, tensor) in zip(records, params):
             if tensor.data.shape != shape:
                 raise FormatError(
-                    f"array {rec['name']}: stored shape {shape}, "
-                    f"expected {tensor.data.shape}"
+                    f"array {name}: stored shape {shape}, expected {tensor.data.shape}"
                 )
-            nbytes = int(np.prod(shape)) * 8
+            nbytes = tensor.data.size * 8
             if offset + nbytes > len(raw):
                 raise FormatError(f"checkpoint truncated at offset {offset}")
             tensor.data = np.frombuffer(
-                raw, dtype="<f8", count=int(np.prod(shape)), offset=offset
+                raw, dtype="<f8", count=tensor.data.size, offset=offset
             ).reshape(shape).copy()
             offset += nbytes
         if offset != len(raw):
             raise FormatError(f"trailing bytes after offset {offset}")
-        return model, header["vocab_digest"]
+        return model, digest
+
+    @classmethod
+    def _from_header(cls, header: dict, payload: int):
+        """Model, [(array name, shape)] and vocabulary digest named by a header.
+
+        Raises KeyError, TypeError, ValueError or ContractError on a missing
+        field, a mistyped value or an unknown variant, head kind or pooling.
+        """
+        backbone, head = header["backbone"], header["head"]
+        ints = {key: backbone[key] for key in _INT_FIELDS}
+        bad = [key for key, value in ints.items() if type(value) is not int]
+        if bad:
+            raise TypeError(f"backbone fields {bad} must be integers")
+        if not isinstance(header["vocab_digest"], str):
+            raise TypeError("vocab_digest must be a string")
+        records = [(rec["name"], tuple(rec["shape"])) for rec in header["arrays"]]
+        config = BackboneConfig(variant=Variant(backbone["variant"]), **ints)
+        # Embedding tables plus one d x d matrix per layer: a lower bound on
+        # the model's bytes, checked before building allocates them.
+        d = config.d_model
+        if (config.vocab_size + config.max_seq_len + config.num_layers * d) * d * 8 > payload:
+            raise ValueError(f"backbone sizes need more than the {payload} payload bytes")
+        model = cls.build(config, HeadKind(head["kind"]), head["pooling"])
+        return model, records, header["vocab_digest"]

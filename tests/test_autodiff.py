@@ -324,6 +324,21 @@ class TestInvariants:
                 tape.backward(ad.sum_all(ad.mul(vals, Tensor(g_in))))
             assert math.isclose(x.grad.sum(), g_in.sum(), rel_tol=1e-12)
 
+    def test_segment_max_outside_tape_matches_taped_and_records_nothing(self):
+        rng = np.random.default_rng(7)
+        # small integers, so every segment has ties for the argmax rule
+        x = Tensor(rng.integers(-3, 4, size=(9, 6)).astype(float), requires_grad=True)
+        starts = np.array([0, 4, 5, 9])
+        untaped = ad.segment_max(x, starts)
+        with Tape() as tape:
+            taped = ad.segment_max(x, starts)
+            assert len(tape) == 1
+            frozen = ad.segment_max(Tensor(x.data), starts)
+            assert len(tape) == 1
+        np.testing.assert_array_equal(untaped.data, taped.data)
+        np.testing.assert_array_equal(frozen.data, taped.data)
+        assert untaped.requires_grad and x.grad is None
+
     def test_tape_replay_is_bitwise_deterministic(self):
         def run():
             rng = np.random.default_rng(5)

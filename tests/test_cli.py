@@ -3,12 +3,14 @@
 import configparser
 import hashlib
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from test_model import drop_field, rewrite_header
 from lsrkit.cli import main
 from lsrkit.heads import read_vectors
 from lsrkit.model import SparseEncoder
@@ -146,6 +148,16 @@ class TestEncodeCommand:
             "encode", "--checkpoint", str(pipeline["checkpoint"]), "--vocab", str(other_vocab),
             "--input", str(DATA / "corpus.tsv"), "--output", str(tmp_path / "x.vec"), "--role", "doc",
         ]) == 4
+
+    def test_bad_checkpoint_header_exits_5(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        shutil.copyfile(pipeline["checkpoint"], bad)
+        rewrite_header(bad, drop_field("backbone", "seed"))
+        assert main([
+            "encode", "--checkpoint", str(bad), "--vocab", str(DATA / "vocab.txt"),
+            "--input", str(DATA / "corpus.tsv"), "--output", str(tmp_path / "x.vec"), "--role", "doc",
+        ]) == 5
+        assert "seed" in capsys.readouterr().err
 
 
 class TestSearchCommand:

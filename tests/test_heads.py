@@ -240,3 +240,10 @@ class TestVectorFiles:
     def test_malformed_entry_reports_line(self):
         with pytest.raises(FormatError, match="3"):
             parse_vector_line("q1\t5:notafloat", lineno=3)
+
+    @pytest.mark.parametrize(
+        "line", ["d1\t-3:0.5", "d1\t3:-0.5", "d1\t3:nan", "d1\t3:inf"]
+    )
+    def test_bad_term_or_weight_is_format_error(self, line):
+        with pytest.raises(FormatError, match="line 4"):
+            parse_vector_line(line, lineno=4)

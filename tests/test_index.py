@@ -7,6 +7,7 @@ from lsrkit.errors import ContractError, FormatError
 from lsrkit.heads import SparseVector
 from lsrkit.index import (
     InvertedIndex,
+    Posting,
     brute_force_search,
     build_index,
     flops_metric,
@@ -232,3 +233,29 @@ class TestIndexFile:
             span = posting.impacts.max() - posting.impacts.min()
             tol = max(span / 255.0, 1e-6)
             np.testing.assert_allclose(approx, posting.impacts, atol=tol * 1.01)
+
+    @pytest.mark.parametrize(
+        "doc_ids,pattern",
+        [
+            ([0, 0], "ascend"),  # a zero delta: doc d1 listed twice
+            ([0, 2], "below 2"),  # only docs 0 and 1 exist
+            ([0, 2**64], "overflows"),
+        ],
+    )
+    def test_bad_posting_doc_ids_rejected(self, tmp_path, doc_ids, pattern):
+        # save_index writes whatever deltas the postings imply, unchecked
+        impacts = np.ones(len(doc_ids), dtype=np.float32)
+        index = InvertedIndex(["d1", "d2"], {0: Posting(doc_ids, impacts)})
+        path = tmp_path / "bad.lsrx"
+        save_index(index, path)
+        with pytest.raises(FormatError, match=pattern):
+            load_index(path)
+
+    def test_non_utf8_doc_name_rejected(self, tmp_path):
+        path = tmp_path / "bad.lsrx"
+        save_index(build_index(TWO_DOC_FIXTURE), path)
+        raw = path.read_bytes()
+        assert raw.endswith(b"\x02d2")
+        path.write_bytes(raw[:-1] + b"\xff")
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_index(path)
