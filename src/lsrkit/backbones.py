@@ -257,16 +257,10 @@ class Backbone:
         pos = np.concatenate([np.arange(n) for n in lengths])
         variant = self.config.variant
 
+        memory = self._run_encoder(ids, seg, pos) if self._has_encoder else None
         if variant == Variant.ENCODER_ONLY:
-            states = self._run_encoder(ids, seg, pos)
-            return states, starts
+            return memory, starts
 
-        if variant == Variant.DECODER_MULTITOKENS:
-            d_ids, d_seg, d_pos, keep = self._decoder_inputs(seqs, lengths)
-            x = self._run_decoder(d_ids, d_seg, d_pos, memory=None, memory_seg=None)
-            return ad.gather_rows(x, keep), starts
-
-        memory = self._run_encoder(ids, seg, pos)
         if variant == Variant.ENCDEC_SINGLETOKEN:
             b = len(seqs)
             d_ids = np.full(b, START_ID, dtype=np.intp)

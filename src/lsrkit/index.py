@@ -1,9 +1,10 @@
 """Inverted index over sparse vectors with exact top-k dot-product search.
 
 Postings keep ascending internal doc ids (assigned in input order) and
-32-bit float impacts. Search is document-at-a-time over the query's
-posting lists with a bounded min-heap; no pruning, so results match the
-brute-force oracle exactly. Ties break by ascending doc id everywhere.
+32-bit float impacts. Search is term-at-a-time: each query term adds its
+posting list into one float64 score array, in ascending term-id order;
+no pruning, so results match the brute-force oracle exactly. Ties break
+by ascending doc id everywhere.
 
 On-disk format (little-endian):
   magic b"LSRX" | u32 version | u8 impact format (0 = f32, 1 = u8 linear)
@@ -11,11 +12,15 @@ On-disk format (little-endian):
   | term_count * (u32 term id, u64 offset, u32 length)  -- offsets into blob
   | postings blob: per term, varint-delta doc ids then impacts
   | doc_count * (varint length, utf-8 doc name)
+
+load_index raises FormatError unless term ids ascend strictly, each posting
+list starts where the previous one ended, doc ids ascend strictly below
+doc_count and every impact is a finite positive float32: the conditions
+under which search matches the oracle.
 """
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass
 
@@ -28,6 +33,7 @@ INDEX_MAGIC = b"LSRX"
 INDEX_VERSION = 1
 IMPACTS_F32 = 0
 IMPACTS_U8 = 1
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -87,48 +93,25 @@ def build_index(docs) -> InvertedIndex:
 
 
 def top_k_search(index: InvertedIndex, query: SparseVector, k: int) -> list[tuple[str, float]]:
-    """Exact top-k documents by dot product, document-at-a-time.
+    """Exact top-k documents by dot product, term-at-a-time.
 
     Returns (doc name, score) pairs with scores non-increasing and ties
     in ascending doc-id order.
     """
     if k < 0:
         raise ContractError("k must be >= 0")
-    if k == 0 or not query.entries:
-        return []
-    lists = []
+    scores = np.zeros(index.doc_count)
+    touched = np.zeros(index.doc_count, dtype=bool)
+    # Ascending term ids, so each doc's sum runs in term-id order as in the
+    # oracle; doc ids within a list are unique, so += adds each impact once.
     for term in sorted(query.entries):
         posting = index.postings.get(term)
         if posting is not None:
-            lists.append((query.entries[term], posting.doc_ids, posting.impacts))
-    if not lists:
-        return []
-
-    # Frontier of (current doc id, list ordinal); list ordinal ascends with
-    # term id, so per-document contributions accumulate in term-id order.
-    frontier = [(int(ids[0]), ord_) for ord_, (_, ids, _) in enumerate(lists)]
-    heapq.heapify(frontier)
-    cursors = [0] * len(lists)
-    # Bounded min-heap of the best k; the root is the current worst under
-    # the (score desc, doc id asc) ranking, i.e. min (score, -doc_id).
-    best: list[tuple[float, int]] = []
-    while frontier:
-        doc = frontier[0][0]
-        score = 0.0
-        while frontier and frontier[0][0] == doc:
-            _, ord_ = heapq.heappop(frontier)
-            qw, ids, impacts = lists[ord_]
-            score += qw * float(impacts[cursors[ord_]])
-            cursors[ord_] += 1
-            if cursors[ord_] < len(ids):
-                heapq.heappush(frontier, (int(ids[cursors[ord_]]), ord_))
-        key = (score, -doc)
-        if len(best) < k:
-            heapq.heappush(best, key)
-        elif key > best[0]:
-            heapq.heapreplace(best, key)
-    ranked = sorted(best, key=lambda sd: (-sd[0], -sd[1]))
-    return [(index.doc_names[-neg_id], score) for score, neg_id in ranked]
+            scores[posting.doc_ids] += query.entries[term] * posting.impacts.astype(np.float64)
+            touched[posting.doc_ids] = True
+    docs = np.flatnonzero(touched)
+    top = docs[np.lexsort((docs, -scores[docs]))[:k]]
+    return [(index.doc_names[d], float(scores[d])) for d in top]
 
 
 def brute_force_search(docs, query: SparseVector, k: int) -> list[tuple[str, float]]:
@@ -157,6 +140,8 @@ def flops_metric(queries: list[SparseVector], index: InvertedIndex) -> float:
 
 
 def _write_varint(buf: bytearray, value: int) -> None:
+    if value < 0:
+        raise ContractError(f"cannot write negative varint {value}; doc ids must ascend")
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -256,14 +241,26 @@ def load_index(path) -> InvertedIndex:
         raise FormatError(f"unsupported index version {version}")
     if impact_format not in (IMPACTS_F32, IMPACTS_U8):
         raise FormatError(f"unknown impact format {impact_format}")
-    dictionary = []
-    for _ in range(term_count):
-        dictionary.append(struct.unpack("<IQI", reader.take(16)))
+    dictionary = [struct.unpack("<IQI", reader.take(16)) for _ in range(term_count)]
+    terms = [term for term, _, _ in dictionary]
+    if any(a >= b for a, b in zip(terms, terms[1:])):
+        raise FormatError("term ids must ascend strictly")
     blob_start = reader.offset
+    # Each posting takes at least one varint byte plus its impact code.
+    header_bytes, bytes_per_posting = (8, 2) if impact_format == IMPACTS_U8 else (0, 5)
     postings: dict[int, Posting] = {}
     total = 0
     for term, offset, length in dictionary:
-        reader.offset = blob_start + offset
+        if blob_start + offset != reader.offset:
+            raise FormatError(
+                f"term {term}: postings start at blob offset {offset}, "
+                f"not where the previous list ended ({reader.offset - blob_start})"
+            )
+        if header_bytes + bytes_per_posting * length > len(raw) - reader.offset:
+            raise FormatError(
+                f"term {term}: {length} postings cannot fit in the "
+                f"{len(raw) - reader.offset} bytes left at offset {reader.offset}"
+            )
         doc_ids = np.empty(length, dtype=np.int64)
         prev = 0
         try:
@@ -279,6 +276,11 @@ def load_index(path) -> InvertedIndex:
             )
         if impact_format == IMPACTS_U8:
             lo, scale = struct.unpack("<ff", reader.take(8))
+            if not (lo >= 0.0 and scale >= 0.0 and lo + 255.0 * scale <= F32_MAX):
+                raise FormatError(
+                    f"term {term}: 8-bit lo {lo} and scale {scale} must be >= 0 "
+                    "and decode to finite float32 impacts"
+                )
             codes = np.frombuffer(reader.take(length), dtype=np.uint8)
             impacts = (lo + codes.astype(np.float32) * np.float32(scale)).astype(
                 np.float32
@@ -287,6 +289,8 @@ def load_index(path) -> InvertedIndex:
             impacts = np.frombuffer(reader.take(4 * length), dtype="<f4").astype(
                 np.float32
             )
+        if not (np.isfinite(impacts) & (impacts > 0.0)).all():
+            raise FormatError(f"term {term}: impacts must be finite and > 0")
         postings[term] = Posting(doc_ids, impacts)
         total += length
     if total != posting_count:

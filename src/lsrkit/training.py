@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ContractError, DegenerateDistributionError, FormatError, NumericError
+from .errors import ContractError, DegenerateDistributionError, FormatError, NumericError, ShapeError
 from .heads import SparseVector
 from .model import SparseEncoder
 from .text import Vocabulary, tokenize
@@ -133,8 +133,8 @@ def flops_regularizer(batch_vectors, vocab_size: int | None = None) -> Tensor:
     """Sum over vocabulary of the squared batch-mean activation.
 
     Accepts a dense [B, |V|] activation tensor (the differentiable training
-    path), or a sequence of per-example vectors: 1-D tensors, arrays, or
-    SparseVectors (the latter need ``vocab_size``).
+    path), or a sequence of per-example vectors: 1-D tensors (taken by
+    value), arrays, or SparseVectors (the latter need ``vocab_size``).
     """
     if isinstance(batch_vectors, Tensor):
         if batch_vectors.data.ndim != 2 or batch_vectors.data.shape[0] == 0:
@@ -143,27 +143,23 @@ def flops_regularizer(batch_vectors, vocab_size: int | None = None) -> Tensor:
             ad.sum_over_axis(batch_vectors, 0), 1.0 / batch_vectors.data.shape[0]
         )
         return ad.sum_all(ad.mul(mean, mean))
-    rows = list(batch_vectors)
-    if not rows:
-        raise ContractError("batch must contain at least one vector")
-    converted: list[Tensor] = []
-    for row in rows:
+    rows = []
+    for row in batch_vectors:
         if isinstance(row, SparseVector):
             if vocab_size is None:
                 raise ContractError("vocab_size required for SparseVector input")
             dense = np.zeros(vocab_size)
-            for t, w in row.entries.items():
-                dense[t] = w
-            converted.append(Tensor(dense))
+            dense[list(row.entries)] = list(row.entries.values())
+            row = dense
         elif isinstance(row, Tensor):
-            converted.append(row)
-        else:
-            converted.append(Tensor(np.asarray(row, dtype=np.float64)))
-    acc = converted[0]
-    for row in converted[1:]:
-        acc = ad.add(acc, row)
-    mean = ad.scale(acc, 1.0 / len(converted))
-    return ad.sum_all(ad.mul(mean, mean))
+            row = row.data
+        rows.append(np.asarray(row, dtype=np.float64))
+    if not rows:
+        raise ContractError("batch must contain at least one vector")
+    shapes = {row.shape for row in rows}
+    if len(shapes) > 1:
+        raise ShapeError(f"batch rows differ in shape: {sorted(shapes)}")
+    return flops_regularizer(Tensor(np.stack(rows)))
 
 
 def lambda_schedule(step: int, ramp_steps: int, lambda_max: float) -> float:

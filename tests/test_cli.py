@@ -13,6 +13,7 @@ import pytest
 from test_model import drop_field, rewrite_header
 from lsrkit.cli import main
 from lsrkit.heads import read_vectors
+from lsrkit.index import load_index, save_index
 from lsrkit.model import SparseEncoder
 from lsrkit.text import Vocabulary, read_tsv_texts, tokenize
 
@@ -181,6 +182,17 @@ class TestSearchCommand:
             "search", "--index", str(bad), "--queries", str(pipeline["queries_vec"]),
             "--output", str(tmp_path / "r.txt"),
         ]) == 5
+
+    def test_nan_impact_exits_5(self, pipeline, tmp_path, capsys):
+        index = load_index(pipeline["index"])
+        next(iter(index.postings.values())).impacts[0] = np.nan
+        bad = tmp_path / "nan.lsrx"
+        save_index(index, bad)
+        assert main([
+            "search", "--index", str(bad), "--queries", str(pipeline["queries_vec"]),
+            "--output", str(tmp_path / "r.txt"),
+        ]) == 5
+        assert "finite" in capsys.readouterr().err
 
 
 class TestEvalCommand:

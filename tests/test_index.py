@@ -1,7 +1,11 @@
 """Inverted index tests: construction invariants, oracle equivalence, I/O."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsrkit.errors import ContractError, FormatError
 from lsrkit.heads import SparseVector
@@ -37,6 +41,42 @@ def random_query(rng, vocab_size, max_terms=6):
     n_terms = int(rng.integers(1, max_terms + 1))
     terms = rng.choice(vocab_size, size=n_terms, replace=False)
     return SparseVector({int(t): grid_weight(rng) for t in terms})
+
+
+def assert_posting_invariants(index):
+    """What top_k_search relies on: each list ascends strictly within the
+    doc range, and every impact is a finite, positive float32."""
+    assert list(index.postings) == sorted(set(index.postings))
+    for posting in index.postings.values():
+        assert posting.doc_ids.dtype == np.int64
+        assert posting.impacts.dtype == np.float32
+        assert len(posting.doc_ids) == len(posting.impacts)
+        assert (np.diff(posting.doc_ids) > 0).all()
+        assert ((posting.doc_ids >= 0) & (posting.doc_ids < index.doc_count)).all()
+        assert (np.isfinite(posting.impacts) & (posting.impacts > 0.0)).all()
+
+
+def docs_of(index):
+    """The (name, SparseVector) pairs an index holds, for the brute-force oracle."""
+    entries = [{} for _ in index.doc_names]
+    for term, posting in index.postings.items():
+        for doc_id, impact in zip(posting.doc_ids, posting.impacts):
+            entries[doc_id][term] = float(impact)
+    return [(name, SparseVector(e)) for name, e in zip(index.doc_names, entries)]
+
+
+# Any positive float32, plus a few fixed values that make ties common.
+WEIGHTS = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, width=32),
+)
+
+HEADER_BYTES = 25  # magic, then "<IBIIQ"
+ENTRY_BYTES = 16  # one "<IQI" dictionary entry
+
+
+def entry_offset(i):
+    return HEADER_BYTES + ENTRY_BYTES * i
 
 
 TWO_DOC_FIXTURE = [
@@ -95,6 +135,17 @@ class TestTopKSearch:
             query = random_query(rng, 30)
             k = int(rng.integers(1, 15))
             assert top_k_search(index, query, k) == brute_force_search(docs, query, k)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        vectors=st.lists(st.dictionaries(st.integers(0, 15), WEIGHTS, max_size=8), max_size=25),
+        query=st.dictionaries(st.integers(0, 15), WEIGHTS, max_size=8),
+        k=st.integers(0, 30),
+    )
+    def test_matches_brute_force_on_float32_weights(self, vectors, query, k):
+        docs = [(f"d{i}", SparseVector(v)) for i, v in enumerate(vectors)]
+        query = SparseVector(query)
+        assert top_k_search(build_index(docs), query, k) == brute_force_search(docs, query, k)
 
     def test_equal_score_tie_broken_by_doc_id(self):
         docs = [
@@ -259,3 +310,111 @@ class TestIndexFile:
         path.write_bytes(raw[:-1] + b"\xff")
         with pytest.raises(FormatError, match="UTF-8"):
             load_index(path)
+
+    def test_descending_doc_ids_cannot_be_saved(self, tmp_path):
+        impacts = np.ones(2, dtype=np.float32)
+        index = InvertedIndex(["d1", "d2"], {0: Posting(np.array([1, 0]), impacts)})
+        with pytest.raises(ContractError, match="negative"):
+            save_index(index, tmp_path / "bad.lsrx")
+
+
+class TestIndexFileGuarantees:
+    """load_index guarantees what top_k_search assumes, or raises FormatError."""
+
+    @staticmethod
+    def saved(tmp_path, index, quantize8=False):
+        path = tmp_path / "idx.lsrx"
+        save_index(index, path, quantize8=quantize8)
+        return path, bytearray(path.read_bytes())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_impact_rejected(self, tmp_path, value):
+        impacts = np.array([1.0, value], dtype=np.float32)
+        index = InvertedIndex(["d1", "d2"], {0: Posting(np.array([0, 1]), impacts)})
+        path, _ = self.saved(tmp_path, index)
+        with pytest.raises(FormatError, match="finite and > 0"):
+            load_index(path)
+
+    @pytest.mark.parametrize("second_term", [0, 5])  # a duplicate, then a descent
+    def test_term_ids_must_ascend_strictly(self, tmp_path, second_term):
+        index = build_index([("d1", SparseVector({0: 1.0, 1: 1.0, 2: 1.0}))])
+        path, raw = self.saved(tmp_path, index)
+        struct.pack_into("<I", raw, entry_offset(1), second_term)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="term ids must ascend strictly"):
+            load_index(path)
+
+    @pytest.mark.parametrize("shift", [-5, 1])  # an overlap, then a gap
+    def test_posting_list_must_start_where_the_previous_ended(self, tmp_path, shift):
+        index = build_index([("d1", SparseVector({0: 1.0, 1: 2.0}))])
+        path, raw = self.saved(tmp_path, index)
+        (offset,) = struct.unpack_from("<Q", raw, entry_offset(1) + 4)
+        assert offset == 5  # one varint byte and one f32 impact
+        struct.pack_into("<Q", raw, entry_offset(1) + 4, offset + shift)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="where the previous list ended"):
+            load_index(path)
+
+    @pytest.mark.parametrize("quantize8", [False, True])
+    def test_length_past_the_end_rejected_before_allocating(self, tmp_path, quantize8):
+        path, raw = self.saved(tmp_path, build_index(TWO_DOC_FIXTURE), quantize8)
+        struct.pack_into("<I", raw, entry_offset(0) + 12, 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="cannot fit"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("lo", np.nan), ("lo", np.inf), ("lo", -1.0),
+         ("scale", np.nan), ("scale", np.inf), ("scale", -0.5),
+         ("scale", 3e38)],  # finite, but code 255 decodes to inf
+    )
+    def test_bad_8bit_lo_or_scale_rejected(self, tmp_path, field, value):
+        index = build_index([("d1", SparseVector({0: 1.0})), ("d2", SparseVector({0: 2.0}))])
+        path, raw = self.saved(tmp_path, index, quantize8=True)
+        # the blob follows one dictionary entry; lo and scale follow 2 varint bytes
+        at = entry_offset(1) + 2 + (4 if field == "scale" else 0)
+        struct.pack_into("<f", raw, at, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="8-bit lo"):
+            load_index(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "idx.lsrx"
+
+
+@pytest.fixture(scope="module")
+def saved_files(fuzz_path):
+    """f32 and 8-bit files of one small random index, keyed by quantize8."""
+    index = build_index(random_corpus(np.random.default_rng(27), 12, 10))
+    files = {}
+    for quantize8 in (False, True):
+        save_index(index, fuzz_path, quantize8=quantize8)
+        files[quantize8] = fuzz_path.read_bytes()
+    return files
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(quantize8=st.booleans(), truncate=st.booleans(), data=st.data())
+def test_mutated_index_file_is_rejected_or_sound(
+    fuzz_path, saved_files, quantize8, truncate, data
+):
+    """A flipped or truncated file raises FormatError, or it loads an index
+    that keeps the posting invariants and searches like the oracle."""
+    raw = bytearray(saved_files[quantize8])
+    if truncate:
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="keep")]
+    else:
+        flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255))
+        for position, mask in data.draw(st.lists(flips, min_size=1, max_size=3), label="flips"):
+            raw[position] ^= mask
+    fuzz_path.write_bytes(bytes(raw))
+    try:
+        index = load_index(fuzz_path)
+    except FormatError:
+        return
+    assert_posting_invariants(index)
+    query = SparseVector({term: 1.0 for term in index.postings})
+    assert top_k_search(index, query, 10) == brute_force_search(docs_of(index), query, 10)

@@ -8,7 +8,7 @@ import pytest
 
 from lsrkit.autodiff import Tape, Tensor, finite_difference_check
 from lsrkit.backbones import BackboneConfig, Variant
-from lsrkit.errors import ContractError, DegenerateDistributionError, FormatError
+from lsrkit.errors import ContractError, DegenerateDistributionError, FormatError, ShapeError
 from lsrkit.heads import HeadKind, SparseVector
 from lsrkit.model import SparseEncoder
 from lsrkit.text import Vocabulary
@@ -126,6 +126,10 @@ class TestFlopsRegularizer:
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
             flops_regularizer([])
+
+    def test_rows_of_different_widths_rejected(self):
+        with pytest.raises(ShapeError):
+            flops_regularizer([[1.0, 2.0, 3.0], [1.0, 2.0]])
 
 
 class TestLambdaSchedule:
