@@ -114,6 +114,11 @@ class Tape:
                 backward(g)
 
 
+def recording() -> bool:
+    """Whether a :class:`Tape` is active, so operations may record backward rules."""
+    return _ACTIVE_TAPE is not None
+
+
 def _record(out: Tensor, backward: Callable[[np.ndarray], None]) -> Tensor:
     tape = _ACTIVE_TAPE
     if tape is not None and out.requires_grad:
@@ -469,7 +474,7 @@ def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
     data = x.data
     vals = np.maximum.reduceat(data, starts[:-1], axis=0)
     out = Tensor(vals, x.requires_grad)
-    if _ACTIVE_TAPE is None or not x.requires_grad:
+    if not recording() or not x.requires_grad:
         return out  # no backward will run, so skip the argmax routing
     n_rows, n_cols = data.shape
     n_seg = len(starts) - 1

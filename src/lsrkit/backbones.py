@@ -9,8 +9,11 @@ expose:
   encdec_singletoken    encoder memory + a 1-token decoder, single state
   encdec_multitokens    encoder memory + causal decoder over [<s>, t_1..t_n]
 
-Batches are packed: sequences are concatenated row-wise and kept apart by
-block-diagonal additive masks, so every operation stays rank-2.
+Batches are packed: sequences are concatenated row-wise, and an
+AttentionLayout records which rows belong to which sequence. Under a
+recording Tape, attention keeps sequences apart with one block-diagonal
+additive mask per run, so every taped operation stays rank-2. With no tape,
+attention runs per sequence over stacked heads and builds no N x N array.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +84,49 @@ def _normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.normal(0.0, 0.02, size=shape)
 
 
+@dataclass(frozen=True)
+class AttentionLayout:
+    """Which key rows each query row of a packed batch may attend to.
+
+    Sequence s owns query rows ``q_starts[s]:q_starts[s + 1]`` and key/value
+    rows ``kv_starts[s]:kv_starts[s + 1]``; a causal layout (self-attention,
+    so both offsets are equal) also hides each row's later positions.
+    """
+
+    q_starts: np.ndarray
+    kv_starts: np.ndarray
+    causal: bool = False
+
+    def __post_init__(self):
+        if ad.recording():
+            # Build the taped mask now, before the blocks allocate their
+            # activations. Built lazily inside the first attention call,
+            # taped train steps measured about 4% slower.
+            self.mask
+
+    def segments(self):
+        """(q0, q1, kv0, kv1) row bounds of each sequence, as Python ints."""
+        return zip(
+            self.q_starts[:-1].tolist(), self.q_starts[1:].tolist(),
+            self.kv_starts[:-1].tolist(), self.kv_starts[1:].tolist(),
+        )
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Dense [Nq, Nkv] additive block-diagonal mask, built once per layout."""
+        rows = np.arange(self.q_starts[-1])
+        # Segment ids, offset by one alike for queries and keys.
+        seg_q = np.searchsorted(self.q_starts, rows, side="right")
+        seg_kv = seg_q
+        if self.kv_starts is not self.q_starts:
+            seg_kv = np.searchsorted(self.kv_starts, np.arange(self.kv_starts[-1]), side="right")
+        allowed = seg_q[:, None] == seg_kv[None, :]
+        if self.causal:
+            # Within one sequence, row j precedes row i exactly when j <= i.
+            allowed &= rows[None, :] <= rows[:, None]
+        return np.where(allowed, 0.0, ad.MASK_NEG)
+
+
 class MultiHeadAttention:
     """Projected multi-head attention; q and k/v may come from different stacks."""
 
@@ -95,11 +142,14 @@ class MultiHeadAttention:
         self.bv = reg.add(f"{prefix}.bv", np.zeros(d_model))
         self.bo = reg.add(f"{prefix}.bo", np.zeros(d_model))
 
-    def __call__(self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None) -> Tensor:
+    def __call__(self, q: Tensor, k: Tensor, v: Tensor, layout: AttentionLayout) -> Tensor:
         qp = ad.add(ad.matmul(q, self.wq), self.bq)
         kp = ad.add(ad.matmul(k, self.wk), self.bk)
         vp = ad.add(ad.matmul(v, self.wv), self.bv)
         inv_sqrt = 1.0 / math.sqrt(self.d_head)
+        if not ad.recording():
+            ctx = Tensor(self._segment_context(qp.data, kp.data, vp.data, layout, inv_sqrt))
+            return ad.add(ad.matmul(ctx, self.wo), self.bo)
         heads = []
         for h in range(self.num_heads):
             lo, hi = h * self.d_head, (h + 1) * self.d_head
@@ -107,10 +157,32 @@ class MultiHeadAttention:
             kh = ad.slice_cols(kp, lo, hi)
             vh = ad.slice_cols(vp, lo, hi)
             scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_sqrt)
-            weights = ad.softmax_rows(scores, mask)
+            weights = ad.softmax_rows(scores, layout.mask)
             heads.append(ad.matmul(weights, vh))
         ctx = heads[0] if len(heads) == 1 else ad.concat_cols(heads)
         return ad.add(ad.matmul(ctx, self.wo), self.bo)
+
+    def _segment_context(self, qp, kp, vp, layout: AttentionLayout, inv_sqrt: float):
+        """Untaped attention context [Nq, d], one sequence at a time.
+
+        Heads are stacked as [H, L, d_head] for one np.matmul per product.
+        On a single sequence this gives the taped path's bits: masked
+        scores become 0 after exp either way.
+        """
+        h, dh = self.num_heads, self.d_head
+        ctx = np.empty_like(qp)
+        for q0, q1, k0, k1 in layout.segments():
+            qh = qp[q0:q1].reshape(q1 - q0, h, dh).transpose(1, 0, 2)
+            kh = kp[k0:k1].reshape(k1 - k0, h, dh).transpose(1, 2, 0)
+            vh = vp[k0:k1].reshape(k1 - k0, h, dh).transpose(1, 0, 2)
+            scores = np.matmul(qh, kh) * inv_sqrt
+            if layout.causal:
+                scores = np.where(np.tri(q1 - q0, dtype=bool), scores, -np.inf)
+            scores -= scores.max(axis=2, keepdims=True)
+            weights = np.exp(scores)
+            weights /= weights.sum(axis=2, keepdims=True)
+            ctx[q0:q1] = np.matmul(weights, vh).transpose(1, 0, 2).reshape(q1 - q0, h * dh)
+        return ctx
 
 
 class _LayerNorm:
@@ -150,25 +222,14 @@ class _Block:
         self.ln2 = _LayerNorm(d_model, reg, f"{prefix}.ln2")
         self.ffn = _FeedForward(d_model, rng, reg, f"{prefix}.ffn")
 
-    def __call__(self, x, self_mask, memory=None, cross_mask=None):
+    def __call__(self, x, self_layout, memory=None, cross_layout=None):
         a = self.ln1(x)
-        x = ad.add(x, self.attn(a, a, a, self_mask))
+        x = ad.add(x, self.attn(a, a, a, self_layout))
         if self.cross_attn is not None:
             c = self.ln_cross(x)
-            x = ad.add(x, self.cross_attn(c, memory, memory, cross_mask))
+            x = ad.add(x, self.cross_attn(c, memory, memory, cross_layout))
         f = self.ln2(x)
         return ad.add(x, self.ffn(f))
-
-
-def _self_mask(seg: np.ndarray, pos: np.ndarray, causal: bool) -> np.ndarray:
-    allowed = seg[:, None] == seg[None, :]
-    if causal:
-        allowed &= pos[None, :] <= pos[:, None]
-    return np.where(allowed, 0.0, ad.MASK_NEG)
-
-
-def _cross_mask(seg_q: np.ndarray, seg_kv: np.ndarray) -> np.ndarray:
-    return np.where(seg_q[:, None] == seg_kv[None, :], 0.0, ad.MASK_NEG)
 
 
 class Backbone:
@@ -253,54 +314,53 @@ class Backbone:
         lengths = np.array([len(s) for s in seqs], dtype=np.intp)
         starts = np.concatenate([[0], np.cumsum(lengths)])
         ids = np.concatenate(seqs)
-        seg = np.repeat(np.arange(len(seqs)), lengths)
         pos = np.concatenate([np.arange(n) for n in lengths])
         variant = self.config.variant
 
-        memory = self._run_encoder(ids, seg, pos) if self._has_encoder else None
+        memory = self._run_encoder(ids, pos, starts) if self._has_encoder else None
         if variant == Variant.ENCODER_ONLY:
             return memory, starts
 
         if variant == Variant.ENCDEC_SINGLETOKEN:
             b = len(seqs)
             d_ids = np.full(b, START_ID, dtype=np.intp)
-            d_seg = np.arange(b, dtype=np.intp)
             d_pos = np.zeros(b, dtype=np.intp)
-            x = self._run_decoder(d_ids, d_seg, d_pos, memory=memory, memory_seg=seg)
-            return x, np.arange(b + 1, dtype=np.intp)
+            d_starts = np.arange(b + 1, dtype=np.intp)
+            x = self._run_decoder(d_ids, d_pos, d_starts, memory=memory, memory_starts=starts)
+            return x, d_starts
 
-        d_ids, d_seg, d_pos, keep = self._decoder_inputs(seqs, lengths)
-        x = self._run_decoder(d_ids, d_seg, d_pos, memory=memory, memory_seg=seg)
+        d_ids, d_pos, d_starts, keep = self._decoder_inputs(seqs, lengths, starts)
+        x = self._run_decoder(d_ids, d_pos, d_starts, memory=memory, memory_starts=starts)
         return ad.gather_rows(x, keep), starts
 
     @staticmethod
-    def _decoder_inputs(seqs, lengths):
+    def _decoder_inputs(seqs, lengths, starts):
         """Prepend <s> to each sequence; ``keep`` indexes the token-aligned rows."""
         d_ids = np.concatenate([np.concatenate([[START_ID], s]) for s in seqs])
-        d_seg = np.repeat(np.arange(len(seqs)), lengths + 1)
         d_pos = np.concatenate([np.arange(n + 1) for n in lengths])
+        d_starts = starts + np.arange(len(starts))
         keep = np.flatnonzero(d_pos > 0)
-        return d_ids, d_seg, d_pos, keep
+        return d_ids, d_pos, d_starts, keep
 
-    def _run_encoder(self, ids, seg, pos) -> Tensor:
+    def _run_encoder(self, ids, pos, starts) -> Tensor:
         x = ad.add(
             ad.embedding_lookup(self.tok_emb, ids),
             ad.embedding_lookup(self.enc_pos, pos),
         )
-        mask = _self_mask(seg, pos, causal=False)
+        layout = AttentionLayout(starts, starts)
         for block in self.enc_blocks:
-            x = block(x, mask)
+            x = block(x, layout)
         return self.enc_ln(x)
 
-    def _run_decoder(self, ids, seg, pos, memory, memory_seg) -> Tensor:
+    def _run_decoder(self, ids, pos, starts, memory, memory_starts) -> Tensor:
         x = ad.add(
             ad.embedding_lookup(self.tok_emb, ids),
             ad.embedding_lookup(self.dec_pos, pos),
         )
-        self_mask = _self_mask(seg, pos, causal=True)
+        self_layout = AttentionLayout(starts, starts, causal=True)
         cross = None
         if memory is not None:
-            cross = _cross_mask(seg, memory_seg)
+            cross = AttentionLayout(starts, memory_starts)
         for block in self.dec_blocks:
-            x = block(x, self_mask, memory=memory, cross_mask=cross)
+            x = block(x, self_layout, memory=memory, cross_layout=cross)
         return self.dec_ln(x)

@@ -13,7 +13,10 @@ The *_batch_activations functions are the one encode path: they score a
 packed batch with one matmul per head (the MLM logits are a single
 [rows, d] @ [d, |V|] product) and keep the dense pre-sparsification
 activations inside the gradient graph. Training calls them directly and
-SparseEncoder.encode calls them on a batch of one. The per-position
+SparseEncoder.encode calls them on a batch of one. With no tape recording,
+the max-pooled MLM head pools the raw logits per sequence first and applies
+bias, ReLU and log1p to the [B, |V|] maxima only; the map is monotone, so
+the bits equal activating every position first. The per-position
 mlp_head and mlm_head functions are the reference implementations the
 head laws and tests compare against; they return a SparseVector.
 """
@@ -206,12 +209,27 @@ def mlp_batch_activations(
 
 
 def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: SparseHead) -> Tensor:
-    """Dense [B, |V|] MLM activations for a packed batch (gradients flow)."""
+    """Dense [B, |V|] MLM activations for a packed batch (gradients flow).
+
+    With no tape and max pooling, the raw logits are max-pooled first and
+    only the [B, |V|] maxima pass through bias, ReLU and log1p. Rounding and
+    the activation are monotone, so the bits are those of activating first.
+    """
+    one_state = len(starts) - 1 == states.data.shape[0]
+    sum_pooled = cfg.pooling == "sum" and cfg.kind == HeadKind.MLM_MULTITOKENS
+    if not ad.recording() and not sum_pooled:
+        logits = states.data @ emb.data.T
+        if not one_state:
+            # One max per sequence: exact like reduceat, and ~7x faster on
+            # [N, |V|] rows.
+            bounds = zip(starts[:-1].tolist(), starts[1:].tolist())
+            logits = np.array([logits[a:b].max(axis=0) for a, b in bounds])
+        return Tensor(np.log1p(np.maximum(logits + cfg.b_vocab.data, 0.0)))
     logits = ad.add(ad.matmul(states, ad.transpose(emb)), cfg.b_vocab)
     acts = ad.log1p(ad.relu(logits))
-    if len(starts) - 1 == states.data.shape[0]:
+    if one_state:
         return acts  # one state per sequence; pooling is the identity
-    if cfg.pooling == "sum" and cfg.kind == HeadKind.MLM_MULTITOKENS:
+    if sum_pooled:
         return ad.segment_sum(acts, starts)
     return ad.segment_max(acts, starts)
 
@@ -233,8 +251,8 @@ def parse_vector_line(line: str, lineno: int = 0) -> tuple[str, SparseVector]:
             t, w = int(term), float(weight)
         except ValueError:
             raise FormatError(f"line {lineno}: bad entry {chunk!r}") from None
-        if t < 0:
-            raise FormatError(f"line {lineno}: negative term id {t}")
+        if not 0 <= t < 2**32:  # index files store term ids as u32
+            raise FormatError(f"line {lineno}: term id {t} outside [0, 2**32)")
         if t in entries:
             raise FormatError(f"line {lineno}: duplicate term {t}")
         entries[t] = w

@@ -183,6 +183,8 @@ def save_index(index: InvertedIndex, path, quantize8: bool = False) -> None:
     blob = bytearray()
     dictionary = []
     for term in sorted(index.postings):
+        if not 0 <= term < 2**32:
+            raise ContractError(f"term id {term} does not fit the index's u32 term field")
         posting = index.postings[term]
         offset = len(blob)
         prev = 0

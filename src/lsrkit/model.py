@@ -140,6 +140,8 @@ class SparseEncoder:
             tensor.data = np.frombuffer(
                 raw, dtype="<f8", count=tensor.data.size, offset=offset
             ).reshape(shape).copy()
+            if not np.isfinite(tensor.data).all():
+                raise FormatError(f"array {name} holds a non-finite value")
             offset += nbytes
         if offset != len(raw):
             raise FormatError(f"trailing bytes after offset {offset}")

@@ -324,6 +324,15 @@ class TestInvariants:
                 tape.backward(ad.sum_all(ad.mul(vals, Tensor(g_in))))
             assert math.isclose(x.grad.sum(), g_in.sum(), rel_tol=1e-12)
 
+    def test_recording_follows_the_active_tape(self):
+        assert not ad.recording()
+        with Tape():
+            assert ad.recording()
+            with Tape():
+                assert ad.recording()
+            assert ad.recording()
+        assert not ad.recording()
+
     def test_segment_max_outside_tape_matches_taped_and_records_nothing(self):
         rng = np.random.default_rng(7)
         # small integers, so every segment has ties for the argmax rule

@@ -5,7 +5,14 @@ import pytest
 
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tape, Tensor
-from lsrkit.backbones import Backbone, BackboneConfig, MultiHeadAttention, ParamRegistry, Variant
+from lsrkit.backbones import (
+    AttentionLayout,
+    Backbone,
+    BackboneConfig,
+    MultiHeadAttention,
+    ParamRegistry,
+    Variant,
+)
 from lsrkit.errors import ContractError, EmptyInputError, SequenceLengthError, VocabError
 from lsrkit.heads import HeadKind
 from lsrkit.model import SparseEncoder
@@ -31,6 +38,12 @@ class TestConfigValidation:
             small_config(Variant.ENCODER_ONLY, vocab_size=3)
 
 
+def layout(rows, kv_rows=None, causal=False):
+    """Attention layout of one sequence with ``rows`` queries."""
+    kv_rows = rows if kv_rows is None else kv_rows
+    return AttentionLayout(np.array([0, rows]), np.array([0, kv_rows]), causal)
+
+
 class TestAttention:
     def _identity_attention(self, d):
         reg = ParamRegistry()
@@ -40,26 +53,42 @@ class TestAttention:
             w.data = eye.copy()
         return attn
 
+    @staticmethod
+    def _both_paths(attn, q, kv, layout):
+        """Outputs of the untaped per-sequence path and the taped masked path."""
+        untaped = attn(q, kv, kv, layout)
+        with Tape():
+            taped = attn(q, kv, kv, layout)
+        return untaped.data, taped.data
+
     def test_single_position_returns_value_row(self):
         attn = self._identity_attention(2)
         q = Tensor([[0.3, -0.4]])
         kv = Tensor([[1.5, 2.5]])
-        out = attn(q, kv, kv, None)
-        np.testing.assert_allclose(out.data, [[1.5, 2.5]], atol=1e-12)
+        for out in self._both_paths(attn, q, kv, layout(1)):
+            np.testing.assert_allclose(out, [[1.5, 2.5]], atol=1e-12)
 
     def test_hand_case_bidirectional(self):
         attn = self._identity_attention(1)
         x = Tensor([[0.0], [1.0]])
-        out = attn(x, x, x, None)
-        # row 0: softmax(0, 0) . v = 0.5
-        np.testing.assert_allclose(out.data[0], [0.5], atol=1e-12)
+        for out in self._both_paths(attn, x, x, layout(2)):
+            # row 0: softmax(0, 0) . v = 0.5
+            np.testing.assert_allclose(out[0], [0.5], atol=1e-12)
 
     def test_causal_first_position_sees_only_itself(self):
         attn = self._identity_attention(1)
         x = Tensor([[0.7], [9.0]])
-        causal = np.array([[0.0, ad.MASK_NEG], [0.0, 0.0]])
-        out = attn(x, x, x, causal)
-        np.testing.assert_allclose(out.data[0], [0.7], atol=1e-12)
+        for out in self._both_paths(attn, x, x, layout(2, causal=True)):
+            np.testing.assert_allclose(out[0], [0.7], atol=1e-12)
+
+    def test_layout_mask_is_block_diagonal_and_causal(self):
+        starts = np.array([0, 2, 3])
+        causal = AttentionLayout(starts, starts, causal=True).mask == 0.0
+        np.testing.assert_array_equal(
+            causal, [[True, False, False], [True, True, False], [False, False, True]]
+        )
+        cross = AttentionLayout(np.array([0, 1, 2]), starts).mask == 0.0
+        np.testing.assert_array_equal(cross, [[True, True, False], [False, False, True]])
 
 
 class TestShapeContracts:
@@ -206,6 +235,32 @@ class TestBatchPacking:
             single = backbone.encode(seq).data
             block = packed.data[starts[i] : starts[i + 1]]
             np.testing.assert_allclose(block, single, rtol=1e-10, atol=1e-12)
+
+
+class TestTapedAndUntapedPaths:
+    """Untaped attention runs per sequence; taped attention is block-masked."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_single_sequence_bits_equal(self, variant):
+        backbone = Backbone(small_config(variant))
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 7, 12):
+            seq = random_tokens(rng, n)
+            untaped, _ = backbone.encode_batch([seq])
+            with Tape():
+                taped, _ = backbone.encode_batch([seq])
+            np.testing.assert_array_equal(untaped.data, taped.data)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_packed_states_close(self, variant):
+        backbone = Backbone(small_config(variant))
+        rng = np.random.default_rng(13)
+        seqs = [random_tokens(rng, int(rng.integers(1, 13))) for _ in range(6)]
+        untaped, starts = backbone.encode_batch(seqs)
+        with Tape():
+            taped, taped_starts = backbone.encode_batch(seqs)
+        np.testing.assert_array_equal(starts, taped_starts)
+        np.testing.assert_allclose(untaped.data, taped.data, rtol=1e-10, atol=1e-12)
 
 
 class TestGradientFlow:

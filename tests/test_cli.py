@@ -161,6 +161,16 @@ class TestEncodeCommand:
         assert "seed" in capsys.readouterr().err
 
 
+class TestIndexCommand:
+    def test_term_id_past_u32_exits_5_without_output(self, tmp_path, capsys):
+        vectors = tmp_path / "docs.vec"
+        vectors.write_text("d\t4294967296:1.0\n")
+        out = tmp_path / "index.lsrx"
+        assert main(["index", "--vectors", str(vectors), "--output", str(out)]) == 5
+        assert "4294967296" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSearchCommand:
     def test_golden_run_reproduced_byte_for_byte(self, pipeline):
         assert pipeline["run"].read_bytes() == (DATA / "golden_run.txt").read_bytes()

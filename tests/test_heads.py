@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lsrkit.autodiff import Tensor
+from lsrkit.autodiff import Tape, Tensor
 from lsrkit.errors import ContractError, FormatError, ShapeError
 from lsrkit.heads import (
     HeadKind,
@@ -211,6 +211,24 @@ class TestBatchActivations:
             single = mlp_head(block, seq, cfg)
             np.testing.assert_allclose(batch.data[i], _dense(single), rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("kind", [HeadKind.MLM_MULTITOKENS, HeadKind.MLM_SINGLETOKEN])
+    def test_untaped_pool_first_matches_taped_bits(self, kind):
+        rng = np.random.default_rng(31)
+        emb = Tensor(np.abs(rng.normal(size=(V, D))), requires_grad=True)
+        data = rng.normal(size=(7, D))
+        data[2:4] = -np.abs(data[2:4])  # every logit of these rows is negative
+        cfg = mlm_cfg(kind, bias=-np.abs(rng.normal(0.0, 0.2, size=V)))
+        multi = kind == HeadKind.MLM_MULTITOKENS
+        starts = np.array([0, 2, 4, 7]) if multi else np.arange(8)
+        states = Tensor(data, requires_grad=True)
+        untaped = mlm_batch_activations(states, starts, emb, cfg)
+        with Tape():
+            taped = mlm_batch_activations(states, starts, emb, cfg)
+        np.testing.assert_array_equal(untaped.data, taped.data)
+        dead = untaped.data[1] if multi else untaped.data[2:4]
+        assert not dead.any()
+        assert untaped.data.any()
+
 
 def _dense(vec: SparseVector, size: int = V) -> np.ndarray:
     out = np.zeros(size)
@@ -242,7 +260,8 @@ class TestVectorFiles:
             parse_vector_line("q1\t5:notafloat", lineno=3)
 
     @pytest.mark.parametrize(
-        "line", ["d1\t-3:0.5", "d1\t3:-0.5", "d1\t3:nan", "d1\t3:inf"]
+        "line",
+        ["d1\t-3:0.5", "d1\t3:-0.5", "d1\t3:nan", "d1\t3:inf", "d1\t4294967296:1.0"],
     )
     def test_bad_term_or_weight_is_format_error(self, line):
         with pytest.raises(FormatError, match="line 4"):

@@ -317,6 +317,13 @@ class TestIndexFile:
         with pytest.raises(ContractError, match="negative"):
             save_index(index, tmp_path / "bad.lsrx")
 
+    def test_term_id_past_u32_cannot_be_saved(self, tmp_path):
+        path = tmp_path / "bad.lsrx"
+        index = build_index([("d1", SparseVector({2**32: 1.0}))])
+        with pytest.raises(ContractError, match="u32"):
+            save_index(index, path)
+        assert not path.exists()
+
 
 class TestIndexFileGuarantees:
     """load_index guarantees what top_k_search assumes, or raises FormatError."""

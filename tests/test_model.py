@@ -6,7 +6,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lsrkit.autodiff import Tape
 from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.errors import ContractError, FormatError
 from lsrkit.heads import HeadKind, mlm_head, mlp_head
@@ -48,6 +51,18 @@ def rewrite_header(path, mutate):
     header = mutate(header) or header
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + length :])
+
+
+def array_offset(path, name):
+    """Byte offset of a parameter array's first float64 in a checkpoint."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<I", raw, 8)
+    offset = 12 + length
+    for record in json.loads(raw[12:offset])["arrays"]:
+        if record["name"] == name:
+            return offset
+        offset += 8 * int(np.prod(record["shape"]))
+    raise KeyError(name)
 
 
 def set_field(section, key, value):
@@ -130,6 +145,27 @@ class TestComposition:
             np.testing.assert_allclose(acts.data[i], dense(single), rtol=1e-12, atol=1e-14)
 
 
+    @pytest.mark.parametrize("variant,head", VALID_PAIRS)
+    def test_untaped_activations_track_taped(self, variant, head):
+        """The untaped per-sequence path gives the taped bits on one sequence
+        and stays within 1e-10 of them on a packed batch."""
+        model = build(variant, head)
+        if head == HeadKind.MLP:
+            model.head.b.data[:] = 1.0
+        else:
+            model.head.b_vocab.data = np.random.default_rng(2).normal(0.0, 0.05, 16)
+        seqs = [(4, 5, 6, 5, 9, 10, 11, 12), (7, 8), (9,), (13, 4, 15)]
+        for seq in seqs:
+            untaped = model.batch_activations([seq])
+            with Tape():
+                taped = model.batch_activations([seq])
+            np.testing.assert_array_equal(untaped.data, taped.data)
+        untaped = model.batch_activations(seqs)
+        with Tape():
+            taped = model.batch_activations(seqs)
+        np.testing.assert_allclose(untaped.data, taped.data, rtol=1e-10, atol=1e-12)
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("head", [HeadKind.MLP, HeadKind.MLM_MULTITOKENS])
@@ -195,9 +231,53 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="truncated"):
             SparseEncoder.load(path)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("head.b_vocab", np.nan), ("backbone.tok_emb", np.inf), ("backbone.enc_pos", -np.inf)],
+    )
+    def test_non_finite_parameter_rejected(self, tmp_path, name, value):
+        path = tmp_path / "model.ckpt"
+        build().save(path)
+        raw = bytearray(path.read_bytes())
+        offset = array_offset(path, name)
+        raw[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"{name} holds a non-finite"):
+            SparseEncoder.load(path)
+
     def test_loaded_model_encodes_identically(self, tmp_path):
         model = build(seed=5)
         path = tmp_path / "model.ckpt"
         model.save(path)
         loaded, _ = SparseEncoder.load(path)
         assert loaded.encode([4, 9, 5]) == model.encode([4, 9, 5])
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    """Path for mutated files, and the bytes of one small saved checkpoint."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    build(seed=4).save(path, vocab_digest="abc")
+    return path, path.read_bytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(truncate=st.booleans(), data=st.data())
+def test_mutated_checkpoint_is_rejected_or_finite(fuzz_checkpoint, truncate, data):
+    """A flipped or truncated checkpoint raises FormatError, or it loads a
+    model whose parameters are all finite."""
+    path, original = fuzz_checkpoint
+    raw = bytearray(original)
+    if truncate:
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="keep")]
+    else:
+        flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255))
+        for position, mask in data.draw(st.lists(flips, min_size=1, max_size=3), label="flips"):
+            raw[position] ^= mask
+    path.write_bytes(bytes(raw))
+    try:
+        model, _ = SparseEncoder.load(path)
+    except FormatError:
+        return
+    for name, tensor in model.parameters():
+        assert np.isfinite(tensor.data).all(), name
