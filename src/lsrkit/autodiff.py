@@ -157,6 +157,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of a rank-2 input, recorded as one tape entry.
+
+    Forward and backward do the arithmetic of ``add(matmul(x, w), b)``.
+    """
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
+        raise ShapeError(f"linear shape mismatch: {xd.shape} x {wd.shape} + {b.data.shape}")
+    out = Tensor(xd @ wd + b.data, x.requires_grad or w.requires_grad or b.requires_grad)
+
+    def backward(g):
+        if b.requires_grad:
+            _accum_owned(b, g.sum(axis=0))
+        if x.requires_grad:
+            _accum_owned(x, g @ wd.T)
+        if w.requires_grad:
+            _accum_owned(w, xd.T @ g)
+
+    return _record(out, backward)
+
+
 def add(a: Tensor, b) -> Tensor:
     """Elementwise sum; supports same shapes, a trailing-axis bias, or a scalar."""
     if not isinstance(b, Tensor):
@@ -286,6 +307,69 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _record(out, backward)
 
 
+def attention(
+    qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int, mask: np.ndarray, scale: float
+) -> Tensor:
+    """Masked multi-head attention context [Nq, d], recorded as one tape entry.
+
+    ``qp`` is [Nq, d] and ``kp``/``vp`` are [Nkv, d]; head h owns columns
+    ``h*d_head:(h+1)*d_head``. ``mask`` is a constant [Nq, Nkv] array of 0
+    and :data:`MASK_NEG` shared by every head; a row with every position
+    dropped is an error. Forward and backward do, per head, the arithmetic
+    of ``softmax_rows(scale(qh @ kh.T), mask) @ vh``, with heads stacked as
+    C-ordered [H, N, d_head] arrays for one np.matmul per product: each
+    head's operands keep the layout of a copied column slice, so numpy picks
+    the same BLAS calls and the bits equal that per-head composition.
+    """
+    if (
+        qp.data.ndim != 2 or kp.data.ndim != 2 or vp.data.shape != kp.data.shape
+        or kp.data.shape[1] != qp.data.shape[1]
+    ):
+        raise ShapeError(
+            f"attention shapes: q {qp.data.shape}, k {kp.data.shape}, v {vp.data.shape}"
+        )
+    (nq, d), nkv = qp.data.shape, kp.data.shape[0]
+    if num_heads < 1 or d % num_heads:
+        raise ShapeError(f"width {d} does not split into {num_heads} heads")
+    if mask.shape != (nq, nkv):
+        raise ShapeError(f"mask shape {mask.shape} != scores shape {(nq, nkv)}")
+    if float(mask.max(axis=1).min()) <= MASK_NEG:
+        raise DegenerateMaskError("softmax row has all positions masked")
+    scale = float(scale)
+    dh = d // num_heads
+
+    def split(a):  # [N, d] -> [H, N, d_head]
+        return np.ascontiguousarray(a.reshape(len(a), num_heads, dh).transpose(1, 0, 2))
+
+    def merge(a):  # [H, N, d_head] -> [N, d] in C order, as bias-gradient row sums need
+        return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], d)
+
+    q, k, v = split(qp.data), split(kp.data), split(vp.data)
+    z = np.matmul(q, k.transpose(0, 2, 1)) * scale
+    z += mask
+    z -= z.max(axis=2, keepdims=True)
+    p = np.exp(z, out=z)
+    p /= p.sum(axis=2, keepdims=True)
+    out = Tensor(merge(np.matmul(p, v)), qp.requires_grad or kp.requires_grad or vp.requires_grad)
+
+    def backward(g):
+        g = split(g)
+        if vp.requires_grad:
+            _accum_owned(vp, merge(np.matmul(p.transpose(0, 2, 1), g)))
+        if not (qp.requires_grad or kp.requires_grad):
+            return
+        dp = np.matmul(g, v.transpose(0, 2, 1))
+        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True))
+        ds *= scale
+        if kp.requires_grad:
+            # (q.T @ ds).T: the product the per-head graph computes for k
+            _accum_owned(kp, merge(np.matmul(q.transpose(0, 2, 1), ds).transpose(0, 2, 1)))
+        if qp.requires_grad:
+            _accum_owned(qp, merge(np.matmul(ds, k)))
+
+    return _record(out, backward)
+
+
 def max_over_axis(x: Tensor, axis: int) -> tuple[Tensor, np.ndarray]:
     """Maxima along one axis plus the argmax indices used for routing.
 
@@ -354,32 +438,6 @@ def reshape(x: Tensor, shape) -> Tensor:
 
     def backward(g):
         _accum(x, g.reshape(x.data.shape))
-
-    return _record(out, backward)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(np.ascontiguousarray(x.data[:, start:stop]), x.requires_grad)
-
-    def backward(g):
-        buf = np.zeros_like(x.data)
-        buf[:, start:stop] = g
-        _accum_owned(x, buf)
-
-    return _record(out, backward)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    out = Tensor(
-        np.concatenate([p.data for p in parts], axis=1),
-        any(p.requires_grad for p in parts),
-    )
-    splits = np.cumsum([p.data.shape[1] for p in parts])[:-1]
-
-    def backward(g):
-        for p, piece in zip(parts, np.split(g, splits, axis=1)):
-            if p.requires_grad:
-                _accum(p, piece)
 
     return _record(out, backward)
 

@@ -11,9 +11,12 @@ expose:
 
 Batches are packed: sequences are concatenated row-wise, and an
 AttentionLayout records which rows belong to which sequence. Under a
-recording Tape, attention keeps sequences apart with one block-diagonal
-additive mask per run, so every taped operation stays rank-2. With no tape,
-attention runs per sequence over stacked heads and builds no N x N array.
+recording Tape, attention keeps sequences apart with one dense block-diagonal
+additive mask per layout, and each attention call records five tape entries:
+three ``linear`` projections, one fused ``attention`` op over heads stacked
+as [H, N, d_head] (its hand-written backward gives the bits of the per-head
+rank-2 composition) and the output ``linear``. With no tape, attention runs
+per sequence over stacked heads and builds no N x N array.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ class BackboneConfig:
             raise ContractError(f"vocab_size must be >= {NUM_SPECIALS}")
         if min(self.num_layers, self.d_model, self.num_heads, self.max_seq_len) < 1:
             raise ContractError("num_layers, d_model, num_heads, max_seq_len must be >= 1")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
 
 
 class ParamRegistry:
@@ -143,24 +148,15 @@ class MultiHeadAttention:
         self.bo = reg.add(f"{prefix}.bo", np.zeros(d_model))
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor, layout: AttentionLayout) -> Tensor:
-        qp = ad.add(ad.matmul(q, self.wq), self.bq)
-        kp = ad.add(ad.matmul(k, self.wk), self.bk)
-        vp = ad.add(ad.matmul(v, self.wv), self.bv)
+        qp = ad.linear(q, self.wq, self.bq)
+        kp = ad.linear(k, self.wk, self.bk)
+        vp = ad.linear(v, self.wv, self.bv)
         inv_sqrt = 1.0 / math.sqrt(self.d_head)
-        if not ad.recording():
+        if ad.recording():
+            ctx = ad.attention(qp, kp, vp, self.num_heads, layout.mask, inv_sqrt)
+        else:
             ctx = Tensor(self._segment_context(qp.data, kp.data, vp.data, layout, inv_sqrt))
-            return ad.add(ad.matmul(ctx, self.wo), self.bo)
-        heads = []
-        for h in range(self.num_heads):
-            lo, hi = h * self.d_head, (h + 1) * self.d_head
-            qh = ad.slice_cols(qp, lo, hi)
-            kh = ad.slice_cols(kp, lo, hi)
-            vh = ad.slice_cols(vp, lo, hi)
-            scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_sqrt)
-            weights = ad.softmax_rows(scores, layout.mask)
-            heads.append(ad.matmul(weights, vh))
-        ctx = heads[0] if len(heads) == 1 else ad.concat_cols(heads)
-        return ad.add(ad.matmul(ctx, self.wo), self.bo)
+        return ad.linear(ctx, self.wo, self.bo)
 
     def _segment_context(self, qp, kp, vp, layout: AttentionLayout, inv_sqrt: float):
         """Untaped attention context [Nq, d], one sequence at a time.
@@ -203,8 +199,8 @@ class _FeedForward:
         self.b2 = reg.add(f"{prefix}.b2", np.zeros(d_model))
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = ad.relu(ad.add(ad.matmul(x, self.w1), self.b1))
-        return ad.add(ad.matmul(h, self.w2), self.b2)
+        h = ad.relu(ad.linear(x, self.w1, self.b1))
+        return ad.linear(h, self.w2, self.b2)
 
 
 class _Block:

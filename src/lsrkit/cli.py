@@ -15,7 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import evaluation, text
-from .backbones import BackboneConfig, Variant
+from .autodiff import Tensor
+from .backbones import AttentionLayout, BackboneConfig, Variant
 from .errors import (
     CompatibilityError,
     ContractError,
@@ -53,6 +54,10 @@ def _require(section, key: str, cast=str):
         return cast(section[key])
     except ValueError:
         raise ContractError(f"bad value for config key [{section.name}] {key}") from None
+
+
+def _optional(section, key: str, cast, default):
+    return _require(section, key, cast) if key in section else default
 
 
 def _load_train_config(path):
@@ -99,11 +104,13 @@ def _load_train_config(path):
         lambda_d=_require(trn, "lambda_d", float),
         lambda_ramp_steps=_require(trn, "lambda_ramp_steps", int),
         seed=_require(trn, "seed", int),
-        beta1=trn.getfloat("beta1", 0.9),
-        beta2=trn.getfloat("beta2", 0.999),
-        eps=trn.getfloat("eps", 1e-8),
-        log_every=trn.getint("log_every", 100),
+        beta1=_optional(trn, "beta1", float, 0.9),
+        beta2=_optional(trn, "beta2", float, 0.999),
+        eps=_optional(trn, "eps", float, 1e-8),
+        log_every=_optional(trn, "log_every", int, 100),
     )
+    if train_cfg.total_steps < 1:
+        raise ContractError("[train] total_steps must be >= 1")
     paths = {
         "triplets": _require(data, "triplets"),
         "checkpoint": _require(data, "checkpoint"),
@@ -201,53 +208,138 @@ def _cmd_flops(args) -> int:
     return 0
 
 
-def _gradcheck_cases(seed: int):
-    rng = np.random.default_rng(seed)
+def _gradcheck_cases(rng: np.random.Generator):
+    """(name, scalar-valued fn, input) for every differentiable operation."""
 
     def away_from_kink(shape):
         x = rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
-        return ad.Tensor(x, requires_grad=True)
+        return Tensor(x, requires_grad=True)
 
-    b = ad.Tensor(rng.normal(size=(3, 2)))
-    w = ad.Tensor(rng.normal(size=(4,)))
-    w34 = ad.Tensor(rng.normal(size=(3, 4)))
-    gain = ad.Tensor(np.ones(4))
-    bias = ad.Tensor(np.zeros(4))
+    def normal(shape, requires_grad=False):
+        return Tensor(rng.normal(size=shape), requires_grad=requires_grad)
+
+    d = rng.normal(size=(3, 4))
+    w34, w4, w45 = normal((3, 4)), normal(4), normal((4, 5))
+    w23, w24, b = normal((2, 3)), normal((2, 4)), normal((4, 5))
+    gain = Tensor(rng.uniform(0.5, 1.5, size=4))
+    bias = normal(4)
+    x34, w35, b5 = normal((3, 4)), normal((3, 5)), normal(5)
+
+    def linear_loss(x, w, b):
+        return ad.sum_all(ad.mul(ad.linear(x, w, b), w35))
+
+    ids = np.array([0, 2, 2, 1])
+    starts = np.array([0, 2, 5])
     cases = [
-        ("matmul", lambda x: ad.sum_all(ad.matmul(x, b)), away_from_kink((2, 3))),
-        ("relu", lambda x: ad.sum_all(ad.relu(x)), away_from_kink((5,))),
+        ("matmul", lambda x: ad.sum_all(ad.matmul(x, b)), away_from_kink((3, 4))),
+        ("linear_x", lambda x: linear_loss(x, w45, b5), away_from_kink((3, 4))),
+        ("linear_w", lambda x: linear_loss(x34, x, b5), away_from_kink((4, 5))),
+        ("linear_b", lambda x: linear_loss(x34, w45, x), away_from_kink(5)),
+        ("add", lambda x: ad.sum_all(ad.mul(ad.add(x, w34), w34)), away_from_kink((3, 4))),
+        ("add_bias", lambda x: ad.sum_all(ad.mul(ad.add(x, w4), w34)), away_from_kink((3, 4))),
+        ("sub", lambda x: ad.sum_all(ad.mul(ad.sub(x, w34), w34)), away_from_kink((3, 4))),
+        ("mul", lambda x: ad.sum_all(ad.mul(x, w34)), away_from_kink((3, 4))),
+        ("scale", lambda x: ad.sum_all(ad.scale(x, 2.5)), away_from_kink((3, 4))),
+        ("relu", lambda x: ad.sum_all(ad.relu(x)), away_from_kink((3, 4))),
         (
             "log1p",
             lambda x: ad.sum_all(ad.log1p(x)),
-            ad.Tensor(rng.uniform(-0.5, 2.0, size=(6,)), requires_grad=True),
+            Tensor(rng.uniform(-0.5, 2.0, size=(3, 4)), requires_grad=True),
         ),
         (
             "softmax_rows",
             lambda x: ad.sum_all(ad.mul(ad.softmax_rows(x), w34)),
-            ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+            normal((3, 4), requires_grad=True),
         ),
         (
             "max_over_axis",
-            lambda x: ad.sum_all(ad.mul(ad.max_over_axis(x, 0)[0], w)),
-            ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-        ),
-        (
-            "layer_norm",
-            lambda x: ad.sum_all(ad.mul(ad.layer_norm(x, gain, bias), w34)),
-            ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+            lambda x: ad.sum_all(ad.mul(ad.max_over_axis(x, 0)[0], w4)),
+            normal((3, 4), requires_grad=True),
         ),
         (
             "embedding_lookup",
-            lambda x: ad.sum_all(ad.embedding_lookup(x, np.array([0, 2, 2, 1]))),
-            ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+            lambda x: ad.sum_all(ad.mul(ad.embedding_lookup(x, ids), w45)),
+            away_from_kink((3, 5)),
+        ),
+        (
+            "gather_rows",
+            lambda x: ad.sum_all(ad.mul(ad.gather_rows(x, ids), Tensor(d[:1].repeat(4, 0)))),
+            away_from_kink((3, 4)),
+        ),
+        (
+            "transpose",
+            lambda x: ad.sum_all(ad.mul(ad.transpose(x), Tensor(d.T.copy()))),
+            away_from_kink((3, 4)),
+        ),
+        (
+            "reshape",
+            lambda x: ad.sum_all(ad.mul(ad.reshape(x, (2, 6)), Tensor(d.reshape(2, 6)))),
+            away_from_kink((3, 4)),
+        ),
+        (
+            "concat_rows",
+            lambda x: ad.sum_all(ad.mul(ad.concat_rows([x, x]), Tensor(np.vstack([d, d])))),
+            away_from_kink((3, 4)),
+        ),
+        ("sum_all", lambda x: ad.sum_all(ad.mul(ad.sum_all(x), 1.5)), away_from_kink((3, 4))),
+        (
+            "sum_over_axis",
+            lambda x: ad.sum_all(ad.mul(ad.sum_over_axis(x, 1), Tensor(d[:, 0].copy()))),
+            away_from_kink((3, 4)),
+        ),
+        (
+            "layer_norm_x",
+            lambda x: ad.sum_all(ad.mul(ad.layer_norm(x, gain, bias), w34)),
+            normal((3, 4), requires_grad=True),
+        ),
+        (
+            "layer_norm_gain",
+            lambda g: ad.sum_all(ad.mul(ad.layer_norm(w34, g, bias), w34)),
+            Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True),
+        ),
+        (
+            "scatter_add_pairs",
+            lambda x: ad.sum_all(
+                ad.mul(ad.scatter_add_pairs(x, np.array([0, 1, 1, 0]), ids, (2, 3)), w23)
+            ),
+            away_from_kink(4),
+        ),
+        (
+            "segment_max",
+            lambda x: ad.sum_all(ad.mul(ad.segment_max(x, starts), w24)),
+            normal((5, 4), requires_grad=True),
+        ),
+        (
+            "segment_sum",
+            lambda x: ad.sum_all(ad.mul(ad.segment_sum(x, starts), w24)),
+            away_from_kink((5, 4)),
         ),
     ]
+
+    def attention_cases(name, layout):
+        """Gradients w.r.t. q, k and v of 2-head attention over one layout."""
+        nq, nkv = int(layout.q_starts[-1]), int(layout.kv_starts[-1])
+        q, k, v, w_ctx = normal((nq, 4)), normal((nkv, 4)), normal((nkv, 4)), normal((nq, 4))
+
+        def loss(q, k, v):
+            return ad.sum_all(ad.mul(ad.attention(q, k, v, 2, layout.mask, 0.7), w_ctx))
+
+        return [
+            (f"attention_{name}_q", lambda x: loss(x, k, v), normal((nq, 4), requires_grad=True)),
+            (f"attention_{name}_k", lambda x: loss(q, x, v), normal((nkv, 4), requires_grad=True)),
+            (f"attention_{name}_v", lambda x: loss(q, k, x), normal((nkv, 4), requires_grad=True)),
+        ]
+
+    two_seqs = np.array([0, 2, 5])
+    cases += attention_cases("packed", AttentionLayout(two_seqs, two_seqs))
+    cases += attention_cases("causal", AttentionLayout(two_seqs, two_seqs, causal=True))
+    cases += attention_cases("cross", AttentionLayout(np.array([0, 1, 3]), two_seqs))
     return cases
 
 
 def _cmd_gradcheck(args) -> int:
     failed = False
-    for name, fn, x in _gradcheck_cases(args.seed):
+    for name, fn, x in _gradcheck_cases(np.random.default_rng(args.seed)):
         err = ad.finite_difference_check(fn, x, eps=1e-6)
         status = "ok" if err < 1e-5 else "FAIL"
         failed = failed or err >= 1e-5

@@ -137,7 +137,7 @@ def mlp_head(h: Tensor, tokens, cfg: SparseHead) -> SparseVector:
         raise ShapeError(
             f"hidden states {h.data.shape} do not align with {tokens.shape[0]} tokens"
         )
-    scores = ad.log1p(ad.relu(ad.add(ad.matmul(h, cfg.w), cfg.b)))
+    scores = ad.log1p(ad.relu(ad.linear(h, cfg.w, cfg.b)))
     weights: dict[int, float] = {}
     for j, t in enumerate(tokens):
         s = float(scores.data[j, 0])
@@ -147,7 +147,7 @@ def mlp_head(h: Tensor, tokens, cfg: SparseHead) -> SparseVector:
 
 
 def _mlm_position_activations(h_row: Tensor, emb: Tensor, cfg: SparseHead) -> np.ndarray:
-    logits = ad.add(ad.matmul(h_row, ad.transpose(emb)), cfg.b_vocab)
+    logits = ad.linear(h_row, ad.transpose(emb), cfg.b_vocab)
     return ad.log1p(ad.relu(logits)).data[0]
 
 
@@ -200,7 +200,7 @@ def mlp_batch_activations(
     """Dense [B, |V|] MLP activations for a packed batch (gradients flow)."""
     if states.data.shape[0] != token_ids.shape[0]:
         raise ContractError("MLP head requires token-aligned hidden states")
-    scores = ad.log1p(ad.relu(ad.add(ad.matmul(states, cfg.w), cfg.b)))
+    scores = ad.log1p(ad.relu(ad.linear(states, cfg.w, cfg.b)))
     num_seqs = len(starts) - 1
     rows = np.repeat(np.arange(num_seqs), np.diff(starts))
     return ad.scatter_add_pairs(
@@ -225,7 +225,7 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
             bounds = zip(starts[:-1].tolist(), starts[1:].tolist())
             logits = np.array([logits[a:b].max(axis=0) for a, b in bounds])
         return Tensor(np.log1p(np.maximum(logits + cfg.b_vocab.data, 0.0)))
-    logits = ad.add(ad.matmul(states, ad.transpose(emb)), cfg.b_vocab)
+    logits = ad.linear(states, ad.transpose(emb), cfg.b_vocab)
     acts = ad.log1p(ad.relu(logits))
     if one_state:
         return acts  # one state per sequence; pooling is the identity

@@ -29,6 +29,19 @@ from .heads import (
 )
 from .heads import mlm_head, mlp_head  # noqa: F401  perfbench's tracer patches these names here
 
+
+class _NoDraws:
+    """Random-generator stand-in for building a model that a checkpoint fills.
+
+    Each ``normal`` draw is a read-only zero view of the requested shape, so
+    building samples and allocates nothing for the arrays the file replaces.
+    """
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.broadcast_to(0.0, size)
+
+
 CHECKPOINT_MAGIC = b"LSRC"
 CHECKPOINT_VERSION = 1
 _INT_FIELDS = ("num_layers", "d_model", "num_heads", "vocab_size", "max_seq_len", "seed")
@@ -168,5 +181,8 @@ class SparseEncoder:
         d = config.d_model
         if (config.vocab_size + config.max_seq_len + config.num_layers * d) * d * 8 > payload:
             raise ValueError(f"backbone sizes need more than the {payload} payload bytes")
-        model = cls.build(config, HeadKind(head["kind"]), head["pooling"])
+        sparse_head = SparseHead(
+            HeadKind(head["kind"]), d, config.vocab_size, rng=_NoDraws, pooling=head["pooling"]
+        )
+        model = cls(Backbone(config, rng=_NoDraws), sparse_head)
         return model, records, header["vocab_digest"]

@@ -70,6 +70,10 @@ class TrainConfig:
     log_every: int = 100
 
     def __post_init__(self):
+        if self.total_steps < 0:
+            raise ContractError("total_steps must be >= 0")
+        if self.log_every < 1:
+            raise ContractError("log_every must be >= 1")
         if self.warmup_steps > self.total_steps:
             raise ContractError("warmup_steps must be <= total_steps")
         if self.lambda_q < 0.0 or self.lambda_d < 0.0:

@@ -7,6 +7,8 @@ import pytest
 
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tape, Tensor, finite_difference_check
+from lsrkit.backbones import AttentionLayout
+from lsrkit.cli import _gradcheck_cases as _op_cases  # acceptance imports _op_cases from here
 from lsrkit.errors import (
     DegenerateMaskError,
     DomainError,
@@ -17,13 +19,6 @@ from lsrkit.errors import (
 
 GRADCHECK_TOL = 1e-5
 EPS = 1e-6
-
-
-def rand_tensor(rng, shape, low=0.2, high=1.5):
-    """Random values bounded away from the relu kink at 0."""
-    mag = rng.uniform(low, high, size=shape)
-    sign = rng.choice([-1.0, 1.0], size=shape)
-    return Tensor(mag * sign, requires_grad=True)
 
 
 class TestForwardFixtures:
@@ -204,98 +199,6 @@ class TestFiniteDifferenceOracle:
         assert err < GRADCHECK_TOL
 
 
-def _op_cases(rng):
-    """(name, scalar-valued fn, input) for every differentiable operation."""
-    d = rng.normal(size=(3, 4))
-    w34 = Tensor(rng.normal(size=(3, 4)))
-    w4 = Tensor(rng.normal(size=4))
-    w8 = Tensor(rng.normal(size=(3, 8)))
-    b = Tensor(rng.normal(size=(4, 5)))
-    w45 = Tensor(rng.normal(size=(4, 5)))
-    w23 = Tensor(rng.normal(size=(2, 3)))
-    w24 = Tensor(rng.normal(size=(2, 4)))
-    gain = Tensor(rng.uniform(0.5, 1.5, size=4))
-    bias = Tensor(rng.normal(size=4))
-    ids = np.array([0, 2, 2, 1])
-    starts = np.array([0, 2, 5])
-    return [
-        ("matmul", lambda x: ad.sum_all(ad.matmul(x, b)), rand_tensor(rng, (3, 4))),
-        ("add", lambda x: ad.sum_all(ad.mul(ad.add(x, w34), w34)), rand_tensor(rng, (3, 4))),
-        ("add_bias", lambda x: ad.sum_all(ad.mul(ad.add(x, w4), w34)), rand_tensor(rng, (3, 4))),
-        ("sub", lambda x: ad.sum_all(ad.mul(ad.sub(x, w34), w34)), rand_tensor(rng, (3, 4))),
-        ("mul", lambda x: ad.sum_all(ad.mul(x, w34)), rand_tensor(rng, (3, 4))),
-        ("scale", lambda x: ad.sum_all(ad.scale(x, 2.5)), rand_tensor(rng, (3, 4))),
-        ("relu", lambda x: ad.sum_all(ad.relu(x)), rand_tensor(rng, (3, 4))),
-        (
-            "log1p",
-            lambda x: ad.sum_all(ad.log1p(x)),
-            Tensor(rng.uniform(-0.5, 2.0, size=(3, 4)), requires_grad=True),
-        ),
-        (
-            "softmax_rows",
-            lambda x: ad.sum_all(ad.mul(ad.softmax_rows(x), w34)),
-            Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-        ),
-        (
-            "max_over_axis",
-            lambda x: ad.sum_all(ad.mul(ad.max_over_axis(x, 0)[0], w4)),
-            Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-        ),
-        (
-            "embedding_lookup",
-            lambda x: ad.sum_all(ad.mul(ad.embedding_lookup(x, ids), w45)),
-            rand_tensor(rng, (3, 5)),
-        ),
-        ("gather_rows", lambda x: ad.sum_all(ad.mul(ad.gather_rows(x, ids), Tensor(d[:1].repeat(4, 0)))), rand_tensor(rng, (3, 4))),
-        ("transpose", lambda x: ad.sum_all(ad.mul(ad.transpose(x), Tensor(d.T.copy()))), rand_tensor(rng, (3, 4))),
-        ("reshape", lambda x: ad.sum_all(ad.mul(ad.reshape(x, (2, 6)), Tensor(d.reshape(2, 6)))), rand_tensor(rng, (3, 4))),
-        ("slice_cols", lambda x: ad.sum_all(ad.mul(ad.slice_cols(x, 1, 3), Tensor(d[:, 1:3].copy()))), rand_tensor(rng, (3, 4))),
-        (
-            "concat_cols",
-            lambda x: ad.sum_all(ad.mul(ad.concat_cols([x, x]), w8)),
-            rand_tensor(rng, (3, 4)),
-        ),
-        (
-            "concat_rows",
-            lambda x: ad.sum_all(ad.mul(ad.concat_rows([x, x]), Tensor(np.vstack([d, d])))),
-            rand_tensor(rng, (3, 4)),
-        ),
-        ("sum_all", lambda x: ad.sum_all(ad.mul(ad.sum_all(x), 1.5)), rand_tensor(rng, (3, 4))),
-        (
-            "sum_over_axis",
-            lambda x: ad.sum_all(ad.mul(ad.sum_over_axis(x, 1), Tensor(d[:, 0].copy()))),
-            rand_tensor(rng, (3, 4)),
-        ),
-        (
-            "layer_norm_x",
-            lambda x: ad.sum_all(ad.mul(ad.layer_norm(x, gain, bias), w34)),
-            Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-        ),
-        (
-            "layer_norm_gain",
-            lambda g: ad.sum_all(ad.mul(ad.layer_norm(w34, g, bias), w34)),
-            Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True),
-        ),
-        (
-            "scatter_add_pairs",
-            lambda x: ad.sum_all(
-                ad.mul(ad.scatter_add_pairs(x, np.array([0, 1, 1, 0]), ids, (2, 3)), w23)
-            ),
-            rand_tensor(rng, (4,)),
-        ),
-        (
-            "segment_max",
-            lambda x: ad.sum_all(ad.mul(ad.segment_max(x, starts), w24)),
-            Tensor(rng.normal(size=(5, 4)), requires_grad=True),
-        ),
-        (
-            "segment_sum",
-            lambda x: ad.sum_all(ad.mul(ad.segment_sum(x, starts), w24)),
-            rand_tensor(rng, (5, 4)),
-        ),
-    ]
-
-
 class TestGradientSuite:
     def test_every_op_at_seeded_points(self):
         for point in range(10):
@@ -303,6 +206,91 @@ class TestGradientSuite:
             for name, fn, x in _op_cases(rng):
                 err = finite_difference_check(fn, x, eps=EPS)
                 assert err < GRADCHECK_TOL, f"{name} seed {point}: rel err {err:.2e}"
+
+
+def _per_head_attention(q, k, v, num_heads, mask, scale, g):
+    """Reference for ``attention``: one head at a time with rank-2 taped ops.
+
+    Returns the context and the q, k, v gradients for output gradient g,
+    each with the heads' columns side by side.
+    """
+    dh = q.shape[1] // num_heads
+    results = [[], [], [], []]
+    for lo in range(0, q.shape[1], dh):
+        qh, kh, vh = (Tensor(a[:, lo:lo + dh].copy(), requires_grad=True) for a in (q, k, v))
+        with Tape() as tape:
+            weights = ad.softmax_rows(ad.scale(ad.matmul(qh, ad.transpose(kh)), scale), mask)
+            out = ad.matmul(weights, vh)
+            tape.backward(ad.sum_all(ad.mul(out, Tensor(g[:, lo:lo + dh].copy()))))
+        for acc, part in zip(results, (out.data, qh.grad, kh.grad, vh.grad)):
+            acc.append(part)
+    return [np.concatenate(parts, axis=1) for parts in results]
+
+
+# Long enough that with d_head 1 numpy's matmul takes other paths for
+# strided head views than for copied column slices.
+_TWO_SEQS = np.array([0, 13, 30])
+_LAYOUTS = {
+    "packed": AttentionLayout(_TWO_SEQS, _TWO_SEQS),
+    "causal": AttentionLayout(_TWO_SEQS, _TWO_SEQS, causal=True),
+    "cross": AttentionLayout(np.array([0, 7, 22]), np.array([0, 20, 36])),
+}
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("num_heads", [1, 2, 8])
+    @pytest.mark.parametrize("name", sorted(_LAYOUTS))
+    def test_attention_equals_per_head_composition_bitwise(self, name, num_heads):
+        layout = _LAYOUTS[name]
+        nq, nkv = layout.q_starts[-1], layout.kv_starts[-1]
+        rng = np.random.default_rng(num_heads)
+        for _ in range(5):
+            q, k, v = rng.normal(size=(nq, 8)), rng.normal(size=(nkv, 8)), rng.normal(size=(nkv, 8))
+            g = rng.normal(size=(nq, 8))
+            scale = 1.0 / math.sqrt(8 // num_heads)
+            ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            with Tape() as tape:
+                out = ad.attention(*ts, num_heads, layout.mask, scale)
+                tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+            expected = _per_head_attention(q, k, v, num_heads, layout.mask, scale, g)
+            for got, want in zip([out.data] + [t.grad for t in ts], expected):
+                np.testing.assert_array_equal(got, want)
+                # bias gradients sum these over rows, in another order if not C-ordered
+                assert got.flags.c_contiguous
+
+    def test_attention_fully_masked_row(self):
+        x = Tensor(np.ones((2, 4)))
+        mask = np.zeros((2, 2))
+        mask[1] = ad.MASK_NEG
+        with pytest.raises(DegenerateMaskError):
+            ad.attention(x, x, x, 2, mask, 1.0)
+
+    def test_attention_shape_contracts(self):
+        x = Tensor(np.ones((2, 4)))
+        with pytest.raises(ShapeError):
+            ad.attention(x, x, x, 3, np.zeros((2, 2)), 1.0)
+        with pytest.raises(ShapeError):
+            ad.attention(x, x, x, 2, np.zeros((2, 3)), 1.0)
+        with pytest.raises(ShapeError):
+            ad.attention(x, Tensor(np.ones((2, 2))), x, 2, np.zeros((2, 2)), 1.0)
+
+    def test_linear_equals_matmul_plus_bias_bitwise(self):
+        rng = np.random.default_rng(8)
+        x, w, b, g = (rng.normal(size=s) for s in ((7, 5), (5, 3), (3,), (7, 3)))
+        results = []
+        for fused in (True, False):
+            ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+            with Tape() as tape:
+                out = ad.linear(*ts) if fused else ad.add(ad.matmul(ts[0], ts[1]), ts[2])
+                assert len(tape) == (1 if fused else 2)
+                tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+            results.append([out.data] + [t.grad for t in ts])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def test_linear_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
 
 
 class TestInvariants:

@@ -37,6 +37,11 @@ class TestConfigValidation:
         with pytest.raises(ContractError):
             small_config(Variant.ENCODER_ONLY, vocab_size=3)
 
+    def test_negative_seed_rejected(self):
+        # checked here: a model loaded from a checkpoint never seeds an RNG
+        with pytest.raises(ContractError, match="seed"):
+            small_config(Variant.ENCODER_ONLY, seed=-1)
+
 
 def layout(rows, kv_rows=None, causal=False):
     """Attention layout of one sequence with ``rows`` queries."""
@@ -80,6 +85,14 @@ class TestAttention:
         x = Tensor([[0.7], [9.0]])
         for out in self._both_paths(attn, x, x, layout(2, causal=True)):
             np.testing.assert_allclose(out[0], [0.7], atol=1e-12)
+
+    def test_taped_call_records_five_entries(self):
+        reg = ParamRegistry()
+        attn = MultiHeadAttention(8, 2, np.random.default_rng(0), reg, "attn")
+        x = Tensor(np.random.default_rng(1).normal(size=(5, 8)))
+        with Tape() as tape:
+            attn(x, x, x, AttentionLayout(np.array([0, 2, 5]), np.array([0, 2, 5])))
+        assert len(tape) == 5  # q, k, v projections, attention, output projection
 
     def test_layout_mask_is_block_diagonal_and_causal(self):
         starts = np.array([0, 2, 3])

@@ -88,6 +88,25 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config)]) == 2
         assert "variant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "log_every"])
+    def test_malformed_optional_key_exits_2_and_names_it(self, tmp_path, capsys, key):
+        config = write_config(tmp_path, set=[("train", key, "abc")])
+        assert main(["train", "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_zero_log_every_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, set=[("train", "log_every", "0")])
+        assert main(["train", "--config", str(config)]) == 2
+        assert "log_every" in capsys.readouterr().err
+
+    def test_zero_total_steps_exits_2(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, set=[("train", "total_steps", "0"), ("train", "warmup_steps", "0")]
+        )
+        assert main(["train", "--config", str(config)]) == 2
+        assert "total_steps" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt.bin").exists()
+
     def test_repeated_seed_identical_checkpoint_digest(self, tmp_path, pipeline):
         config = write_config(tmp_path)
         assert main(["train", "--config", str(config)]) == 0

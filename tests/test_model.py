@@ -245,6 +245,18 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"{name} holds a non-finite"):
             SparseEncoder.load(path)
 
+    def test_load_builds_without_drawing_parameters(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        build(seed=6).save(path)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("load drew parameters that the file overwrites")
+
+        monkeypatch.setattr(SparseEncoder, "build", no_build)
+        monkeypatch.setattr(np.random, "default_rng", no_build)
+        loaded, _ = SparseEncoder.load(path)
+        assert all(t.data.flags.writeable for _, t in loaded.parameters())
+
     def test_loaded_model_encodes_identically(self, tmp_path):
         model = build(seed=5)
         path = tmp_path / "model.ckpt"

@@ -298,6 +298,11 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             train(tiny_model(), [], cfg)
 
+    @pytest.mark.parametrize("bad", [{"total_steps": -1}, {"log_every": 0}])
+    def test_negative_steps_and_zero_log_interval_rejected(self, bad):
+        with pytest.raises(ContractError):
+            TrainConfig(**{"total_steps": 1, "learning_rate": 1e-3, **bad})
+
 
 class TestTripletFile:
     def test_parse_and_tokenize(self, tmp_path):
