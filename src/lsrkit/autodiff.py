@@ -8,6 +8,8 @@ with no active tape they run as plain numpy forward passes.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,30 +47,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar; scalars and same/broadcastable shapes only.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 class Tape:
@@ -178,16 +158,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(out, backward)
 
 
-def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum; supports same shapes, a trailing-axis bias, or a scalar."""
-    if not isinstance(b, Tensor):
-        out = Tensor(a.data + float(b), a.requires_grad)
-
-        def backward_c(g):
-            _accum(a, g)
-
-        return _record(out, backward_c)
-
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of same shapes or of a rank-2 tensor and a trailing-axis bias."""
     if a.data.shape == b.data.shape:
         out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
 
@@ -213,10 +185,8 @@ def add(a: Tensor, b) -> Tensor:
     raise ShapeError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
 
 
-def sub(a: Tensor, b) -> Tensor:
-    """Elementwise difference; same shapes or a scalar subtrahend."""
-    if not isinstance(b, Tensor):
-        return add(a, -float(b))
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise difference of same shapes."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"sub shape mismatch: {a.data.shape} - {b.data.shape}")
     out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
@@ -307,19 +277,68 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _record(out, backward)
 
 
+@dataclass(frozen=True)
+class AttentionLayout:
+    """Which key rows each query row of a packed batch may attend to.
+
+    Sequence s owns query rows ``q_starts[s]:q_starts[s + 1]`` and key/value
+    rows ``kv_starts[s]:kv_starts[s + 1]``; a causal layout (self-attention,
+    so both offsets are equal) also hides each row's later positions.
+    """
+
+    q_starts: np.ndarray
+    kv_starts: np.ndarray
+    causal: bool = False
+
+    def __post_init__(self):
+        if recording():
+            # Build the taped mask now, before the blocks allocate their
+            # activations. Built lazily inside the first attention call,
+            # taped train steps measured about 4% slower.
+            self.mask
+
+    def segments(self):
+        """(q0, q1, kv0, kv1) row bounds of each sequence, as Python ints."""
+        return zip(
+            self.q_starts[:-1].tolist(), self.q_starts[1:].tolist(),
+            self.kv_starts[:-1].tolist(), self.kv_starts[1:].tolist(),
+        )
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Dense [Nq, Nkv] additive block-diagonal mask, built once per layout."""
+        rows = np.arange(self.q_starts[-1])
+        # Segment ids, offset by one alike for queries and keys.
+        seg_q = np.searchsorted(self.q_starts, rows, side="right")
+        seg_kv = seg_q
+        if self.kv_starts is not self.q_starts:
+            seg_kv = np.searchsorted(self.kv_starts, np.arange(self.kv_starts[-1]), side="right")
+        allowed = seg_q[:, None] == seg_kv[None, :]
+        if self.causal:
+            # Within one sequence, row j precedes row i exactly when j <= i.
+            allowed &= rows[None, :] <= rows[:, None]
+        return np.where(allowed, 0.0, MASK_NEG)
+
+
 def attention(
-    qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int, mask: np.ndarray, scale: float
+    qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int, layout: AttentionLayout, scale: float
 ) -> Tensor:
-    """Masked multi-head attention context [Nq, d], recorded as one tape entry.
+    """Multi-head attention context [Nq, d] of a packed batch.
 
     ``qp`` is [Nq, d] and ``kp``/``vp`` are [Nkv, d]; head h owns columns
-    ``h*d_head:(h+1)*d_head``. ``mask`` is a constant [Nq, Nkv] array of 0
-    and :data:`MASK_NEG` shared by every head; a row with every position
-    dropped is an error. Forward and backward do, per head, the arithmetic
-    of ``softmax_rows(scale(qh @ kh.T), mask) @ vh``, with heads stacked as
-    C-ordered [H, N, d_head] arrays for one np.matmul per product: each
-    head's operands keep the layout of a copied column slice, so numpy picks
-    the same BLAS calls and the bits equal that per-head composition.
+    ``h*d_head:(h+1)*d_head``, and ``layout`` says which key rows each query
+    row sees. A query row that sees no key row is an error. Per head this is
+    the arithmetic of ``softmax_rows(scale(qh @ kh.T), mask) @ vh``, with
+    heads stacked as C-ordered [H, N, d_head] arrays for one np.matmul per
+    product: each head's operands keep the layout of a copied column slice,
+    so numpy picks the same BLAS calls and the bits equal that per-head
+    composition.
+
+    Under a tape it runs once over the whole batch with ``layout.mask`` and
+    records one entry with a hand-written backward. With no tape it runs once
+    per sequence, masking only causal segments, and builds no N x N array;
+    masked scores become 0 after exp either way, so on one sequence both
+    paths give the same bits.
     """
     if (
         qp.data.ndim != 2 or kp.data.ndim != 2 or vp.data.shape != kp.data.shape
@@ -331,12 +350,17 @@ def attention(
     (nq, d), nkv = qp.data.shape, kp.data.shape[0]
     if num_heads < 1 or d % num_heads:
         raise ShapeError(f"width {d} does not split into {num_heads} heads")
-    if mask.shape != (nq, nkv):
-        raise ShapeError(f"mask shape {mask.shape} != scores shape {(nq, nkv)}")
-    if float(mask.max(axis=1).min()) <= MASK_NEG:
+    q_starts, kv_starts = layout.q_starts, layout.kv_starts
+    if len(q_starts) != len(kv_starts) or (q_starts[-1], kv_starts[-1]) != (nq, nkv):
+        raise ShapeError(
+            f"layout offsets {q_starts.tolist()} x {kv_starts.tolist()} "
+            f"do not cover scores shape {(nq, nkv)}"
+        )
+    if np.any((np.diff(q_starts) > 0) & (np.diff(kv_starts) == 0)):
         raise DegenerateMaskError("softmax row has all positions masked")
     scale = float(scale)
     dh = d // num_heads
+    requires_grad = qp.requires_grad or kp.requires_grad or vp.requires_grad
 
     def split(a):  # [N, d] -> [H, N, d_head]
         return np.ascontiguousarray(a.reshape(len(a), num_heads, dh).transpose(1, 0, 2))
@@ -344,13 +368,26 @@ def attention(
     def merge(a):  # [H, N, d_head] -> [N, d] in C order, as bias-gradient row sums need
         return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], d)
 
+    def weights(q, k, mask):  # softmax over keys of the scaled, masked scores
+        z = np.matmul(q, k.transpose(0, 2, 1)) * scale
+        if mask is not None:
+            z += mask
+        z -= z.max(axis=2, keepdims=True)
+        p = np.exp(z, out=z)
+        p /= p.sum(axis=2, keepdims=True)
+        return p
+
+    if not recording():
+        ctx = np.empty((nq, d))
+        for q0, q1, k0, k1 in layout.segments():
+            mask = np.where(np.tri(q1 - q0, dtype=bool), 0.0, MASK_NEG) if layout.causal else None
+            p = weights(split(qp.data[q0:q1]), split(kp.data[k0:k1]), mask)
+            ctx[q0:q1] = merge(np.matmul(p, split(vp.data[k0:k1])))
+        return Tensor(ctx, requires_grad)
+
     q, k, v = split(qp.data), split(kp.data), split(vp.data)
-    z = np.matmul(q, k.transpose(0, 2, 1)) * scale
-    z += mask
-    z -= z.max(axis=2, keepdims=True)
-    p = np.exp(z, out=z)
-    p /= p.sum(axis=2, keepdims=True)
-    out = Tensor(merge(np.matmul(p, v)), qp.requires_grad or kp.requires_grad or vp.requires_grad)
+    p = weights(q, k, layout.mask)
+    out = Tensor(merge(np.matmul(p, v)), requires_grad)
 
     def backward(g):
         g = split(g)
@@ -368,26 +405,6 @@ def attention(
             _accum_owned(qp, merge(np.matmul(ds, k)))
 
     return _record(out, backward)
-
-
-def max_over_axis(x: Tensor, axis: int) -> tuple[Tensor, np.ndarray]:
-    """Maxima along one axis plus the argmax indices used for routing.
-
-    Ties route to the lowest index; the backward pass sends each output
-    gradient only to its recorded argmax position.
-    """
-    if not 0 <= axis < x.data.ndim:
-        raise ShapeError(f"axis {axis} out of range for shape {x.data.shape}")
-    args = np.argmax(x.data, axis=axis)
-    vals = np.take_along_axis(x.data, np.expand_dims(args, axis), axis).squeeze(axis)
-    out = Tensor(vals, x.requires_grad)
-
-    def backward(g):
-        buf = np.zeros_like(x.data)
-        np.put_along_axis(buf, np.expand_dims(args, axis), np.expand_dims(g, axis), axis)
-        _accum_owned(x, buf)
-
-    return _record(out, backward), args
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -526,11 +543,15 @@ def scatter_add_pairs(values: Tensor, rows, cols, shape: tuple[int, int]) -> Ten
 def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
     """Column-wise maxima over contiguous row segments.
 
-    ``starts`` has S+1 monotone offsets delimiting S segments covering all
-    rows of ``x``. Ties route to the lowest row, matching max_over_axis.
+    ``starts`` has S+1 monotone offsets delimiting S non-empty segments
+    covering all rows of ``x``. The backward pass sends each output
+    gradient to the lowest row of its segment that attains the maximum.
     """
     data = x.data
-    vals = np.maximum.reduceat(data, starts[:-1], axis=0)
+    bounds = starts.tolist()
+    # One max per segment: exact like np.maximum.reduceat, and several
+    # times faster on [N, |V|] rows.
+    vals = np.stack([data[a:b].max(axis=0) for a, b in zip(bounds[:-1], bounds[1:])])
     out = Tensor(vals, x.requires_grad)
     if not recording() or not x.requires_grad:
         return out  # no backward will run, so skip the argmax routing
@@ -538,7 +559,7 @@ def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
     n_seg = len(starts) - 1
     cols = np.arange(n_cols)
     seg_of_row = np.repeat(np.arange(n_seg), np.diff(starts))
-    # Lowest row attaining each segment max (the tie rule of max_over_axis).
+    # Lowest row attaining each segment max.
     at_max = data == vals[seg_of_row]
     candidates = np.where(at_max, np.arange(n_rows)[:, None], n_rows)
     args = np.minimum.reduceat(candidates, starts[:-1], axis=0)

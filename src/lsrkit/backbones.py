@@ -10,13 +10,11 @@ expose:
   encdec_multitokens    encoder memory + causal decoder over [<s>, t_1..t_n]
 
 Batches are packed: sequences are concatenated row-wise, and an
-AttentionLayout records which rows belong to which sequence. Under a
-recording Tape, attention keeps sequences apart with one dense block-diagonal
-additive mask per layout, and each attention call records five tape entries:
-three ``linear`` projections, one fused ``attention`` op over heads stacked
-as [H, N, d_head] (its hand-written backward gives the bits of the per-head
-rank-2 composition) and the output ``linear``. With no tape, attention runs
-per sequence over stacked heads and builds no N x N array.
+``autodiff.AttentionLayout`` records which rows belong to which sequence.
+Each attention call is three ``linear`` projections, one ``autodiff.attention``
+over the layout and the output ``linear``; under a recording Tape that is
+five tape entries. ``attention`` keeps sequences apart with the layout's
+dense block-diagonal mask under a tape and runs per sequence without one.
 """
 
 from __future__ import annotations
@@ -24,12 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import AttentionLayout, Tensor
 from .errors import (
     ContractError,
     EmptyInputError,
@@ -89,49 +86,6 @@ def _normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.normal(0.0, 0.02, size=shape)
 
 
-@dataclass(frozen=True)
-class AttentionLayout:
-    """Which key rows each query row of a packed batch may attend to.
-
-    Sequence s owns query rows ``q_starts[s]:q_starts[s + 1]`` and key/value
-    rows ``kv_starts[s]:kv_starts[s + 1]``; a causal layout (self-attention,
-    so both offsets are equal) also hides each row's later positions.
-    """
-
-    q_starts: np.ndarray
-    kv_starts: np.ndarray
-    causal: bool = False
-
-    def __post_init__(self):
-        if ad.recording():
-            # Build the taped mask now, before the blocks allocate their
-            # activations. Built lazily inside the first attention call,
-            # taped train steps measured about 4% slower.
-            self.mask
-
-    def segments(self):
-        """(q0, q1, kv0, kv1) row bounds of each sequence, as Python ints."""
-        return zip(
-            self.q_starts[:-1].tolist(), self.q_starts[1:].tolist(),
-            self.kv_starts[:-1].tolist(), self.kv_starts[1:].tolist(),
-        )
-
-    @cached_property
-    def mask(self) -> np.ndarray:
-        """Dense [Nq, Nkv] additive block-diagonal mask, built once per layout."""
-        rows = np.arange(self.q_starts[-1])
-        # Segment ids, offset by one alike for queries and keys.
-        seg_q = np.searchsorted(self.q_starts, rows, side="right")
-        seg_kv = seg_q
-        if self.kv_starts is not self.q_starts:
-            seg_kv = np.searchsorted(self.kv_starts, np.arange(self.kv_starts[-1]), side="right")
-        allowed = seg_q[:, None] == seg_kv[None, :]
-        if self.causal:
-            # Within one sequence, row j precedes row i exactly when j <= i.
-            allowed &= rows[None, :] <= rows[:, None]
-        return np.where(allowed, 0.0, ad.MASK_NEG)
-
-
 class MultiHeadAttention:
     """Projected multi-head attention; q and k/v may come from different stacks."""
 
@@ -151,34 +105,8 @@ class MultiHeadAttention:
         qp = ad.linear(q, self.wq, self.bq)
         kp = ad.linear(k, self.wk, self.bk)
         vp = ad.linear(v, self.wv, self.bv)
-        inv_sqrt = 1.0 / math.sqrt(self.d_head)
-        if ad.recording():
-            ctx = ad.attention(qp, kp, vp, self.num_heads, layout.mask, inv_sqrt)
-        else:
-            ctx = Tensor(self._segment_context(qp.data, kp.data, vp.data, layout, inv_sqrt))
+        ctx = ad.attention(qp, kp, vp, self.num_heads, layout, 1.0 / math.sqrt(self.d_head))
         return ad.linear(ctx, self.wo, self.bo)
-
-    def _segment_context(self, qp, kp, vp, layout: AttentionLayout, inv_sqrt: float):
-        """Untaped attention context [Nq, d], one sequence at a time.
-
-        Heads are stacked as [H, L, d_head] for one np.matmul per product.
-        On a single sequence this gives the taped path's bits: masked
-        scores become 0 after exp either way.
-        """
-        h, dh = self.num_heads, self.d_head
-        ctx = np.empty_like(qp)
-        for q0, q1, k0, k1 in layout.segments():
-            qh = qp[q0:q1].reshape(q1 - q0, h, dh).transpose(1, 0, 2)
-            kh = kp[k0:k1].reshape(k1 - k0, h, dh).transpose(1, 2, 0)
-            vh = vp[k0:k1].reshape(k1 - k0, h, dh).transpose(1, 0, 2)
-            scores = np.matmul(qh, kh) * inv_sqrt
-            if layout.causal:
-                scores = np.where(np.tri(q1 - q0, dtype=bool), scores, -np.inf)
-            scores -= scores.max(axis=2, keepdims=True)
-            weights = np.exp(scores)
-            weights /= weights.sum(axis=2, keepdims=True)
-            ctx[q0:q1] = np.matmul(weights, vh).transpose(1, 0, 2).reshape(q1 - q0, h * dh)
-        return ctx
 
 
 class _LayerNorm:

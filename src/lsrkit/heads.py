@@ -220,10 +220,7 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
     if not ad.recording() and not sum_pooled:
         logits = states.data @ emb.data.T
         if not one_state:
-            # One max per sequence: exact like reduceat, and ~7x faster on
-            # [N, |V|] rows.
-            bounds = zip(starts[:-1].tolist(), starts[1:].tolist())
-            logits = np.array([logits[a:b].max(axis=0) for a, b in bounds])
+            logits = ad.segment_max(Tensor(logits), starts).data
         return Tensor(np.log1p(np.maximum(logits + cfg.b_vocab.data, 0.0)))
     logits = ad.linear(states, ad.transpose(emb), cfg.b_vocab)
     acts = ad.log1p(ad.relu(logits))

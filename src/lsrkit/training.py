@@ -46,13 +46,6 @@ class ScoreStats:
         if self.std < 0.0:
             raise ContractError("std must be >= 0")
 
-    @classmethod
-    def from_scores(cls, scores) -> "ScoreStats":
-        arr = np.asarray(scores, dtype=np.float64)
-        if arr.size < 2:
-            raise ContractError("need at least 2 scores to estimate stats")
-        return cls(mean=float(arr.mean()), std=float(arr.std()))
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -80,6 +73,12 @@ class TrainConfig:
             raise ContractError("lambda weights must be >= 0")
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ContractError(f"{name} must be in [0, 1)")
+        for name in ("learning_rate", "eps"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ContractError(f"{name} must be finite and > 0")
 
 
 @dataclass
@@ -229,10 +228,6 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(t.data) for _, t in params]
         self._v = [np.zeros_like(t.data) for _, t in params]
-
-    @property
-    def current_lr(self) -> float:
-        return warmup_lr(max(self.t, 1), self.warmup_steps, self.learning_rate)
 
     def step(self) -> float:
         self.t += 1

@@ -1,13 +1,13 @@
 """Tensor-core tests: forward fixtures, gradient oracles, tape semantics."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
 from lsrkit import autodiff as ad
-from lsrkit.autodiff import Tape, Tensor, finite_difference_check
-from lsrkit.backbones import AttentionLayout
+from lsrkit.autodiff import AttentionLayout, Tape, Tensor, finite_difference_check
 from lsrkit.cli import _gradcheck_cases as _op_cases  # acceptance imports _op_cases from here
 from lsrkit.errors import (
     DegenerateMaskError,
@@ -74,26 +74,21 @@ class TestForwardFixtures:
         with pytest.raises(DegenerateMaskError):
             ad.softmax_rows(Tensor([[1.0, 2.0]]), mask)
 
-    def test_max_over_axis_hand_case(self):
-        vals, args = ad.max_over_axis(Tensor([[1.0, 5.0], [3.0, 2.0]]), axis=0)
-        np.testing.assert_array_equal(vals.data, [3.0, 5.0])
-        np.testing.assert_array_equal(args, [1, 0])
+    def test_segment_max_hand_case(self):
+        out = ad.segment_max(Tensor([[1.0, 5.0], [3.0, 2.0], [4.0, 0.0]]), np.array([0, 2, 3]))
+        np.testing.assert_array_equal(out.data, [[3.0, 5.0], [4.0, 0.0]])
 
-    def test_max_over_axis_single_row_identity(self):
-        vals, _ = ad.max_over_axis(Tensor([[1.0, 7.0, -2.0]]), axis=0)
-        np.testing.assert_array_equal(vals.data, [1.0, 7.0, -2.0])
+    def test_segment_max_single_row_identity(self):
+        out = ad.segment_max(Tensor([[1.0, 7.0, -2.0]]), np.array([0, 1]))
+        np.testing.assert_array_equal(out.data, [[1.0, 7.0, -2.0]])
 
-    def test_max_over_axis_tie_routes_to_lowest_index(self):
-        x = Tensor([[2.0], [2.0]], requires_grad=True)
+    def test_segment_max_tie_routes_to_lowest_row(self):
+        x = Tensor([[2.0], [2.0], [1.0], [1.0]], requires_grad=True)
         with Tape() as tape:
-            vals, args = ad.max_over_axis(x, axis=0)
+            vals = ad.segment_max(x, np.array([0, 2, 4]))
             tape.backward(ad.sum_all(vals))
-        np.testing.assert_array_equal(args, [0])
-        np.testing.assert_array_equal(x.grad, [[1.0], [0.0]])
-
-    def test_max_over_axis_bad_axis(self):
-        with pytest.raises(ShapeError):
-            ad.max_over_axis(Tensor([[1.0]]), axis=2)
+        np.testing.assert_array_equal(vals.data, [[2.0], [1.0]])
+        np.testing.assert_array_equal(x.grad, [[1.0], [0.0], [1.0], [0.0]])
 
     def test_embedding_lookup_first_row(self):
         table = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -250,7 +245,7 @@ class TestFusedOps:
             scale = 1.0 / math.sqrt(8 // num_heads)
             ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
             with Tape() as tape:
-                out = ad.attention(*ts, num_heads, layout.mask, scale)
+                out = ad.attention(*ts, num_heads, layout, scale)
                 tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
             expected = _per_head_attention(q, k, v, num_heads, layout.mask, scale, g)
             for got, want in zip([out.data] + [t.grad for t in ts], expected):
@@ -259,20 +254,29 @@ class TestFusedOps:
                 assert got.flags.c_contiguous
 
     def test_attention_fully_masked_row(self):
+        # the second sequence has a query row but no key rows
         x = Tensor(np.ones((2, 4)))
-        mask = np.zeros((2, 2))
-        mask[1] = ad.MASK_NEG
-        with pytest.raises(DegenerateMaskError):
-            ad.attention(x, x, x, 2, mask, 1.0)
+        layout = AttentionLayout(np.array([0, 1, 2]), np.array([0, 2, 2]))
+        for taped in (False, True):
+            with Tape() if taped else contextlib.nullcontext():
+                with pytest.raises(DegenerateMaskError):
+                    ad.attention(x, x, x, 2, layout, 1.0)
 
     def test_attention_shape_contracts(self):
         x = Tensor(np.ones((2, 4)))
-        with pytest.raises(ShapeError):
-            ad.attention(x, x, x, 3, np.zeros((2, 2)), 1.0)
-        with pytest.raises(ShapeError):
-            ad.attention(x, x, x, 2, np.zeros((2, 3)), 1.0)
-        with pytest.raises(ShapeError):
-            ad.attention(x, Tensor(np.ones((2, 2))), x, 2, np.zeros((2, 2)), 1.0)
+        one_seq = AttentionLayout(np.array([0, 2]), np.array([0, 2]))
+        for taped in (False, True):
+            with Tape() if taped else contextlib.nullcontext():
+                with pytest.raises(ShapeError):
+                    ad.attention(x, x, x, 3, one_seq, 1.0)
+                with pytest.raises(ShapeError):  # offsets total 3 key rows, not 2
+                    ad.attention(x, x, x, 2, AttentionLayout(np.array([0, 2]), np.array([0, 3])), 1.0)
+                with pytest.raises(ShapeError):  # offsets total 1 query row, not 2
+                    ad.attention(x, x, x, 2, AttentionLayout(np.array([0, 1]), np.array([0, 2])), 1.0)
+                with pytest.raises(ShapeError):  # 2 query sequences, 1 key sequence
+                    ad.attention(x, x, x, 2, AttentionLayout(np.array([0, 1, 2]), np.array([0, 2])), 1.0)
+                with pytest.raises(ShapeError):
+                    ad.attention(x, Tensor(np.ones((2, 2))), x, 2, one_seq, 1.0)
 
     def test_linear_equals_matmul_plus_bias_bitwise(self):
         rng = np.random.default_rng(8)
@@ -308,8 +312,8 @@ class TestInvariants:
             x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
             g_in = rng.uniform(0.5, 1.5, size=6)
             with Tape() as tape:
-                vals, _ = ad.max_over_axis(x, axis=0)
-                tape.backward(ad.sum_all(ad.mul(vals, Tensor(g_in))))
+                vals = ad.segment_max(x, np.array([0, 4]))
+                tape.backward(ad.sum_all(ad.mul(vals, Tensor(g_in[None, :]))))
             assert math.isclose(x.grad.sum(), g_in.sum(), rel_tol=1e-12)
 
     def test_recording_follows_the_active_tape(self):

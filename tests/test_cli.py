@@ -94,6 +94,17 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value", [("beta1", "1.0"), ("beta2", "-0.5"), ("eps", "0"), ("learning_rate", "nan")]
+    )
+    def test_out_of_range_optimizer_key_exits_2_and_names_it(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, set=[
+            ("train", key, value), ("train", "total_steps", "3"), ("train", "warmup_steps", "0"),
+        ])
+        assert main(["train", "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "ckpt.bin").exists()
+
     def test_zero_log_every_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, set=[("train", "log_every", "0")])
         assert main(["train", "--config", str(config)]) == 2
