@@ -380,6 +380,8 @@ def attention(
     if not recording():
         ctx = np.empty((nq, d))
         for q0, q1, k0, k1 in layout.segments():
+            if q0 == q1:
+                continue  # no query rows, so nothing to attend from
             mask = np.where(np.tri(q1 - q0, dtype=bool), 0.0, MASK_NEG) if layout.causal else None
             p = weights(split(qp.data[q0:q1]), split(kp.data[k0:k1]), mask)
             ctx[q0:q1] = merge(np.matmul(p, split(vp.data[k0:k1])))

@@ -31,7 +31,6 @@ from .errors import (
     ContractError,
     EmptyInputError,
     SequenceLengthError,
-    ShapeError,
     VocabError,
 )
 from .text import NUM_SPECIALS, START_ID

@@ -24,9 +24,6 @@ from .errors import (
     FormatError,
     LsrError,
     NumericError,
-    SequenceLengthError,
-    ShapeError,
-    VocabError,
 )
 from .heads import HeadKind, read_vectors, write_vectors
 from .index import build_index, flops_metric, load_index, save_index, top_k_search
@@ -209,126 +206,76 @@ def _cmd_flops(args) -> int:
 
 
 def _gradcheck_cases(rng: np.random.Generator):
-    """(name, scalar-valued fn, input) for every differentiable operation."""
+    """(name, scalar-valued fn, input) for every differentiable operation.
 
-    def away_from_kink(shape):
-        x = rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
-        return Tensor(x, requires_grad=True)
+    Each table row is (name, op of the checked input with its other
+    arguments fixed, input shape, input domain); every loss is
+    ``sum_all(mul(op(x), w))`` with ``w`` a fixed random array of the op's
+    output shape.
+    """
 
-    def normal(shape, requires_grad=False):
-        return Tensor(rng.normal(size=shape), requires_grad=requires_grad)
+    def off_kink(shape):  # |x| in [0.2, 1.5], away from relu's kink at 0
+        return rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
 
-    d = rng.normal(size=(3, 4))
-    w34, w4, w45 = normal((3, 4)), normal(4), normal((4, 5))
-    w23, w24, b = normal((2, 3)), normal((2, 4)), normal((4, 5))
-    gain = Tensor(rng.uniform(0.5, 1.5, size=4))
-    bias = normal(4)
-    x34, w35, b5 = normal((3, 4)), normal((3, 5)), normal(5)
+    def normal(shape):
+        return rng.normal(size=shape)
 
-    def linear_loss(x, w, b):
-        return ad.sum_all(ad.mul(ad.linear(x, w, b), w35))
+    def uniform(low, high):
+        return lambda shape: rng.uniform(low, high, size=shape)
 
-    ids = np.array([0, 2, 2, 1])
-    starts = np.array([0, 2, 5])
-    cases = [
-        ("matmul", lambda x: ad.sum_all(ad.matmul(x, b)), away_from_kink((3, 4))),
-        ("linear_x", lambda x: linear_loss(x, w45, b5), away_from_kink((3, 4))),
-        ("linear_w", lambda x: linear_loss(x34, x, b5), away_from_kink((4, 5))),
-        ("linear_b", lambda x: linear_loss(x34, w45, x), away_from_kink(5)),
-        ("add", lambda x: ad.sum_all(ad.mul(ad.add(x, w34), w34)), away_from_kink((3, 4))),
-        ("add_bias", lambda x: ad.sum_all(ad.mul(ad.add(x, w4), w34)), away_from_kink((3, 4))),
-        ("sub", lambda x: ad.sum_all(ad.mul(ad.sub(x, w34), w34)), away_from_kink((3, 4))),
-        ("mul", lambda x: ad.sum_all(ad.mul(x, w34)), away_from_kink((3, 4))),
-        ("scale", lambda x: ad.sum_all(ad.scale(x, 2.5)), away_from_kink((3, 4))),
-        ("relu", lambda x: ad.sum_all(ad.relu(x)), away_from_kink((3, 4))),
-        (
-            "log1p",
-            lambda x: ad.sum_all(ad.log1p(x)),
-            Tensor(rng.uniform(-0.5, 2.0, size=(3, 4)), requires_grad=True),
-        ),
-        (
-            "softmax_rows",
-            lambda x: ad.sum_all(ad.mul(ad.softmax_rows(x), w34)),
-            normal((3, 4), requires_grad=True),
-        ),
-        (
-            "embedding_lookup",
-            lambda x: ad.sum_all(ad.mul(ad.embedding_lookup(x, ids), w45)),
-            away_from_kink((3, 5)),
-        ),
-        (
-            "gather_rows",
-            lambda x: ad.sum_all(ad.mul(ad.gather_rows(x, ids), Tensor(d[:1].repeat(4, 0)))),
-            away_from_kink((3, 4)),
-        ),
-        (
-            "transpose",
-            lambda x: ad.sum_all(ad.mul(ad.transpose(x), Tensor(d.T.copy()))),
-            away_from_kink((3, 4)),
-        ),
-        (
-            "reshape",
-            lambda x: ad.sum_all(ad.mul(ad.reshape(x, (2, 6)), Tensor(d.reshape(2, 6)))),
-            away_from_kink((3, 4)),
-        ),
-        (
-            "concat_rows",
-            lambda x: ad.sum_all(ad.mul(ad.concat_rows([x, x]), Tensor(np.vstack([d, d])))),
-            away_from_kink((3, 4)),
-        ),
-        ("sum_all", lambda x: ad.sum_all(ad.mul(ad.sum_all(x), 1.5)), away_from_kink((3, 4))),
-        (
-            "sum_over_axis",
-            lambda x: ad.sum_all(ad.mul(ad.sum_over_axis(x, 1), Tensor(d[:, 0].copy()))),
-            away_from_kink((3, 4)),
-        ),
-        (
-            "layer_norm_x",
-            lambda x: ad.sum_all(ad.mul(ad.layer_norm(x, gain, bias), w34)),
-            normal((3, 4), requires_grad=True),
-        ),
-        (
-            "layer_norm_gain",
-            lambda g: ad.sum_all(ad.mul(ad.layer_norm(w34, g, bias), w34)),
-            Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True),
-        ),
+    x34, w34, w45, w4, b5, bias = (Tensor(normal(s)) for s in ((3, 4), (3, 4), (4, 5), 4, 5, 4))
+    gain = Tensor(uniform(0.5, 1.5)(4))
+    ids, starts = np.array([0, 2, 2, 1]), np.array([0, 2, 5])
+    table = [
+        ("matmul", lambda x: ad.matmul(x, w45), (3, 4), off_kink),
+        ("linear_x", lambda x: ad.linear(x, w45, b5), (3, 4), off_kink),
+        ("linear_w", lambda x: ad.linear(x34, x, b5), (4, 5), off_kink),
+        ("linear_b", lambda x: ad.linear(x34, w45, x), 5, off_kink),
+        ("add", lambda x: ad.add(x, w34), (3, 4), off_kink),
+        ("add_bias", lambda x: ad.add(x, w4), (3, 4), off_kink),
+        ("sub", lambda x: ad.sub(x, w34), (3, 4), off_kink),
+        ("mul", lambda x: ad.mul(x, w34), (3, 4), off_kink),
+        ("scale", lambda x: ad.scale(x, 2.5), (3, 4), off_kink),
+        ("relu", ad.relu, (3, 4), off_kink),
+        ("log1p", ad.log1p, (3, 4), uniform(-0.5, 2.0)),
+        ("softmax_rows", ad.softmax_rows, (3, 4), normal),
+        ("embedding_lookup", lambda x: ad.embedding_lookup(x, ids), (3, 5), off_kink),
+        ("gather_rows", lambda x: ad.gather_rows(x, ids), (3, 4), off_kink),
+        ("transpose", ad.transpose, (3, 4), off_kink),
+        ("reshape", lambda x: ad.reshape(x, (2, 6)), (3, 4), off_kink),
+        ("concat_rows", lambda x: ad.concat_rows([x, x]), (3, 4), off_kink),
+        ("sum_all", ad.sum_all, (3, 4), off_kink),
+        ("sum_over_axis", lambda x: ad.sum_over_axis(x, 1), (3, 4), off_kink),
+        ("layer_norm_x", lambda x: ad.layer_norm(x, gain, bias), (3, 4), normal),
+        ("layer_norm_gain", lambda x: ad.layer_norm(w34, x, bias), 4, uniform(0.5, 1.5)),
         (
             "scatter_add_pairs",
-            lambda x: ad.sum_all(
-                ad.mul(ad.scatter_add_pairs(x, np.array([0, 1, 1, 0]), ids, (2, 3)), w23)
-            ),
-            away_from_kink(4),
+            lambda x: ad.scatter_add_pairs(x, [0, 1, 1, 0], ids, (2, 3)), 4, off_kink,
         ),
-        (
-            "segment_max",
-            lambda x: ad.sum_all(ad.mul(ad.segment_max(x, starts), w24)),
-            normal((5, 4), requires_grad=True),
-        ),
-        (
-            "segment_sum",
-            lambda x: ad.sum_all(ad.mul(ad.segment_sum(x, starts), w24)),
-            away_from_kink((5, 4)),
-        ),
+        ("segment_max", lambda x: ad.segment_max(x, starts), (5, 4), normal),
+        ("segment_sum", lambda x: ad.segment_sum(x, starts), (5, 4), off_kink),
     ]
 
-    def attention_cases(name, layout):
-        """Gradients w.r.t. q, k and v of 2-head attention over one layout."""
+    def attend(layout, qkv, i):  # 2-head attention with x in place of qkv[i]
+        return lambda x: ad.attention(*qkv[:i], x, *qkv[i + 1 :], 2, layout, 0.7)
+
+    for name, layout in [
+        ("packed", AttentionLayout(starts, starts)),
+        ("causal", AttentionLayout(starts, starts, causal=True)),
+        ("cross", AttentionLayout(np.array([0, 1, 3]), starts)),
+    ]:
         nq, nkv = int(layout.q_starts[-1]), int(layout.kv_starts[-1])
-        q, k, v, w_ctx = normal((nq, 4)), normal((nkv, 4)), normal((nkv, 4)), normal((nq, 4))
+        qkv = [Tensor(normal(shape)) for shape in ((nq, 4), (nkv, 4), (nkv, 4))]
+        for i, part in enumerate("qkv"):
+            table.append((f"attention_{name}_{part}", attend(layout, qkv, i), qkv[i].shape, normal))
 
-        def loss(q, k, v):
-            return ad.sum_all(ad.mul(ad.attention(q, k, v, 2, layout, 0.7), w_ctx))
+    def weighted_sum(op, w):
+        return lambda x: ad.sum_all(ad.mul(op(x), w))
 
-        return [
-            (f"attention_{name}_q", lambda x: loss(x, k, v), normal((nq, 4), requires_grad=True)),
-            (f"attention_{name}_k", lambda x: loss(q, x, v), normal((nkv, 4), requires_grad=True)),
-            (f"attention_{name}_v", lambda x: loss(q, k, x), normal((nkv, 4), requires_grad=True)),
-        ]
-
-    two_seqs = np.array([0, 2, 5])
-    cases += attention_cases("packed", AttentionLayout(two_seqs, two_seqs))
-    cases += attention_cases("causal", AttentionLayout(two_seqs, two_seqs, causal=True))
-    cases += attention_cases("cross", AttentionLayout(np.array([0, 1, 3]), two_seqs))
+    cases = []
+    for name, op, shape, domain in table:
+        x = Tensor(domain(shape), requires_grad=True)
+        cases.append((name, weighted_sum(op, Tensor(normal(op(x).shape))), x))
     return cases
 
 
@@ -405,16 +352,6 @@ _EXIT_CODES = [
     (FormatError, EXIT_FORMAT),
     (CompatibilityError, EXIT_COMPAT),
     (NumericError, EXIT_NUMERIC),
-    (
-        (
-            ContractError,
-            VocabError,
-            EmptyInputError,
-            SequenceLengthError,
-            ShapeError,
-        ),
-        EXIT_USAGE,
-    ),
 ]
 
 
@@ -423,16 +360,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LsrError as exc:
-        for types, code in _EXIT_CODES:
-            if isinstance(exc, types):
-                print(f"lsrkit {args.command}: {exc}", file=sys.stderr)
-                return code
+    except (LsrError, OSError) as exc:
         print(f"lsrkit {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"lsrkit {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), EXIT_USAGE)
 
 
 def entry() -> None:

@@ -11,12 +11,13 @@ round trip is bit-exact and mismatches fail loudly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
+import typing
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .backbones import Backbone, BackboneConfig, Variant
 from .errors import ContractError, FormatError
@@ -44,7 +45,7 @@ class _NoDraws:
 
 CHECKPOINT_MAGIC = b"LSRC"
 CHECKPOINT_VERSION = 1
-_INT_FIELDS = ("num_layers", "d_model", "num_heads", "vocab_size", "max_seq_len", "seed")
+_INT_FIELDS = tuple(k for k, t in typing.get_type_hints(BackboneConfig).items() if t is int)
 
 
 class SparseEncoder:
@@ -97,15 +98,7 @@ class SparseEncoder:
         arrays = [(name, t.data) for name, t in self.parameters()]
         header = {
             "format_version": CHECKPOINT_VERSION,
-            "backbone": {
-                "variant": self.backbone.config.variant.value,
-                "num_layers": self.backbone.config.num_layers,
-                "d_model": self.backbone.config.d_model,
-                "num_heads": self.backbone.config.num_heads,
-                "vocab_size": self.backbone.config.vocab_size,
-                "max_seq_len": self.backbone.config.max_seq_len,
-                "seed": self.backbone.config.seed,
-            },
+            "backbone": dataclasses.asdict(self.backbone.config),
             "head": {"kind": self.head.kind.value, "pooling": self.head.pooling},
             "vocab_digest": vocab_digest,
             "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],

@@ -1,6 +1,7 @@
 """Tensor-core tests: forward fixtures, gradient oracles, tape semantics."""
 
 import contextlib
+import inspect
 import math
 
 import numpy as np
@@ -202,6 +203,18 @@ class TestGradientSuite:
                 err = finite_difference_check(fn, x, eps=EPS)
                 assert err < GRADCHECK_TOL, f"{name} seed {point}: rel err {err:.2e}"
 
+    def test_every_taped_op_has_a_case(self):
+        names = [name for name, _, _ in _op_cases(np.random.default_rng(0))]
+        taped = [
+            name
+            for name, fn in inspect.getmembers(ad, inspect.isfunction)
+            if fn.__module__ == ad.__name__ and "_record(" in inspect.getsource(fn)
+            and not name.startswith("_")
+        ]
+        assert {"linear", "attention", "segment_max"} <= set(taped)
+        missing = [op for op in taped if not any(n == op or n.startswith(op + "_") for n in names)]
+        assert not missing, f"ops without a gradcheck case: {missing}"
+
 
 def _per_head_attention(q, k, v, num_heads, mask, scale, g):
     """Reference for ``attention``: one head at a time with rank-2 taped ops.
@@ -261,6 +274,16 @@ class TestFusedOps:
             with Tape() if taped else contextlib.nullcontext():
                 with pytest.raises(DegenerateMaskError):
                     ad.attention(x, x, x, 2, layout, 1.0)
+
+    def test_attention_empty_sequence_same_with_and_without_tape(self):
+        # the first sequence has no query rows and no key rows
+        layout = AttentionLayout(np.array([0, 0, 2]), np.array([0, 0, 2]))
+        x = Tensor(np.random.default_rng(3).normal(size=(2, 4)))
+        contexts = []
+        for taped in (False, True):
+            with Tape() if taped else contextlib.nullcontext():
+                contexts.append(ad.attention(x, x, x, 2, layout, 0.5).data)
+        np.testing.assert_array_equal(*contexts)
 
     def test_attention_shape_contracts(self):
         x = Tensor(np.ones((2, 4)))

@@ -2,6 +2,7 @@
 
 import configparser
 import hashlib
+import inspect
 import pathlib
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from test_model import drop_field, rewrite_header
+from lsrkit import cli, errors
 from lsrkit.cli import main
 from lsrkit.heads import read_vectors
 from lsrkit.index import load_index, save_index
@@ -279,6 +281,24 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+
+LSR_ERRORS = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.LsrError) and cls is not errors.LsrError
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", LSR_ERRORS + [OSError], ids=lambda cls: cls.__name__)
+    def test_each_error_type_exits_with_its_documented_code(self, error, monkeypatch, capsys):
+        def stub(args):
+            raise error("stub failure")
+
+        monkeypatch.setattr(cli, "_cmd_gradcheck", stub)
+        documented = {errors.FormatError: 5, errors.CompatibilityError: 4, errors.NumericError: 3}
+        assert main(["gradcheck"]) == documented.get(error, 2)
+        assert capsys.readouterr().err == "lsrkit gradcheck: stub failure\n"
 
 
 class TestEntryPoint:

@@ -185,6 +185,19 @@ class TestCheckpoint:
         loaded.save(path2, vocab_digest="abc123")
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_header_json_is_pinned(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        build(Variant.DECODER_MULTITOKENS, HeadKind.MLP, seed=4).save(path, vocab_digest="abc")
+        raw = path.read_bytes()
+        (length,) = struct.unpack_from("<I", raw, 8)
+        # everything after the sorted "arrays" list, byte for byte
+        assert raw[12 : 12 + length].endswith(
+            b'"backbone": {"d_model": 8, "max_seq_len": 8, "num_heads": 2, "num_layers": 1, '
+            b'"seed": 4, "variant": "decoder_multitokens", "vocab_size": 16}, '
+            b'"format_version": 1, "head": {"kind": "mlp", "pooling": "max"}, '
+            b'"vocab_digest": "abc"}'
+        )
+
     def test_same_seed_same_checkpoint_digest(self, tmp_path):
         digests = []
         for run in range(2):
