@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
+import typing
 
 import numpy as np
 
@@ -49,27 +51,36 @@ def _require(section, key: str, cast=str):
         raise ContractError(f"missing config key [{section.name}] {key}")
     try:
         return cast(section[key])
-    except ValueError:
+    except (ValueError, configparser.Error):
         raise ContractError(f"bad value for config key [{section.name}] {key}") from None
 
 
-def _optional(section, key: str, cast, default):
-    return _require(section, key, cast) if key in section else default
+# [train] keys that may be left out; they keep TrainConfig's defaults.
+_OPTIONAL_KEYS = ("beta1", "beta2", "eps", "log_every")
+
+
+def _from_section(cls, section, **given):
+    """Build dataclass ``cls``: each field not given is read from ``section``
+    and cast to its annotated type."""
+    types = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if f.name not in given and (f.name in section or f.name not in _OPTIONAL_KEYS):
+            given[f.name] = _require(section, f.name, types[f.name])
+    return cls(**given)
 
 
 def _load_train_config(path):
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ContractError(f"cannot read config file {path}")
-    for section in ("backbone", "head", "train", "data"):
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ContractError(f"cannot read config file {path}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ContractError(f"malformed config file {path}: {exc}") from None
+    sections = ("backbone", "head", "train", "data")
+    for section in sections:
         if section not in parser:
             raise ContractError(f"missing config section [{section}]")
-    backbone, head, trn, data = (
-        parser["backbone"],
-        parser["head"],
-        parser["train"],
-        parser["data"],
-    )
+    backbone, head, trn, data = (parser[section] for section in sections)
     try:
         variant = Variant(_require(backbone, "variant"))
     except ValueError:
@@ -83,43 +94,15 @@ def _load_train_config(path):
         raise ContractError(f"unknown head kind {head['kind']!r}") from None
 
     vocab = text.Vocabulary.load(_require(data, "vocab"))
-    config = BackboneConfig(
-        variant=variant,
-        num_layers=_require(backbone, "num_layers", int),
-        d_model=_require(backbone, "d_model", int),
-        num_heads=_require(backbone, "num_heads", int),
-        vocab_size=len(vocab),
-        max_seq_len=_require(backbone, "max_seq_len", int),
-        seed=_require(backbone, "seed", int),
-    )
-    train_cfg = TrainConfig(
-        total_steps=_require(trn, "total_steps", int),
-        learning_rate=_require(trn, "learning_rate", float),
-        batch_size=_require(trn, "batch_size", int),
-        warmup_steps=_require(trn, "warmup_steps", int),
-        lambda_q=_require(trn, "lambda_q", float),
-        lambda_d=_require(trn, "lambda_d", float),
-        lambda_ramp_steps=_require(trn, "lambda_ramp_steps", int),
-        seed=_require(trn, "seed", int),
-        beta1=_optional(trn, "beta1", float, 0.9),
-        beta2=_optional(trn, "beta2", float, 0.999),
-        eps=_optional(trn, "eps", float, 1e-8),
-        log_every=_optional(trn, "log_every", int, 100),
-    )
+    config = _from_section(BackboneConfig, backbone, variant=variant, vocab_size=len(vocab))
+    train_cfg = _from_section(TrainConfig, trn)
     if train_cfg.total_steps < 1:
         raise ContractError("[train] total_steps must be >= 1")
-    paths = {
-        "triplets": _require(data, "triplets"),
-        "checkpoint": _require(data, "checkpoint"),
-        "metrics_log": _require(data, "metrics_log"),
-    }
+    paths = {key: _require(data, key) for key in ("triplets", "checkpoint", "metrics_log")}
     ref_stats = None
     if "teacher_normalization" in parser:
-        norm = parser["teacher_normalization"]
-        ref_stats = ScoreStats(
-            mean=_require(norm, "mean", float), std=_require(norm, "std", float)
-        )
-    pooling = head.get("pooling", "max")
+        ref_stats = _from_section(ScoreStats, parser["teacher_normalization"])
+    pooling = _require(head, "pooling") if "pooling" in head else "max"
     return vocab, config, head_kind, pooling, train_cfg, paths, ref_stats
 
 

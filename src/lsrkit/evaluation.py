@@ -17,6 +17,7 @@ import logging
 import math
 
 from .errors import ContractError, FormatError
+from .text import read_records
 
 logger = logging.getLogger(__name__)
 
@@ -26,47 +27,35 @@ Run = dict[str, list[tuple[str, float]]]
 
 def read_qrels(path) -> Qrels:
     qrels: Qrels = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 'qid 0 docname rel'")
-            qid, _, doc, raw_rel = parts
-            try:
-                rel = int(raw_rel)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad relevance {raw_rel!r}") from None
-            if rel < 0:
-                raise FormatError(f"{path}:{lineno}: relevance must be >= 0")
-            per_query = qrels.setdefault(qid, {})
-            if doc in per_query:
-                raise FormatError(f"{path}:{lineno}: duplicate judgment for ({qid}, {doc})")
-            per_query[doc] = rel
+    for lineno, (qid, _, doc, raw_rel) in read_records(path, 4, "'qid 0 docname rel'", None):
+        try:
+            rel = int(raw_rel)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: bad relevance {raw_rel!r}") from None
+        if rel < 0:
+            raise FormatError(f"{path}:{lineno}: relevance must be >= 0")
+        per_query = qrels.setdefault(qid, {})
+        if doc in per_query:
+            raise FormatError(f"{path}:{lineno}: duplicate judgment for ({qid}, {doc})")
+        per_query[doc] = rel
     return qrels
 
 
 def read_run(path) -> Run:
-    rows: dict[str, list[tuple[int, str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 'qid Q0 docname rank score tag'"
-                )
-            qid, _, doc, raw_rank, raw_score, _ = parts
-            try:
-                rank, score = int(raw_rank), float(raw_score)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad rank or score") from None
-            rows.setdefault(qid, []).append((rank, doc, score))
+    rows: dict[str, dict[str, tuple[int, float]]] = {}
+    form = "'qid Q0 docname rank score tag'"
+    for lineno, (qid, _, doc, raw_rank, raw_score, _) in read_records(path, 6, form, None):
+        try:
+            rank, score = int(raw_rank), float(raw_score)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: bad rank or score") from None
+        per_query = rows.setdefault(qid, {})
+        if doc in per_query:
+            raise FormatError(f"{path}:{lineno}: doc {doc} listed twice for query {qid}")
+        per_query[doc] = rank, score
     run: Run = {}
-    for qid, entries in rows.items():
-        entries.sort(key=lambda e: e[0])
+    for qid, docs in rows.items():
+        entries = sorted((rank, doc, score) for doc, (rank, score) in docs.items())
         if [rank for rank, _, _ in entries] != list(range(1, len(entries) + 1)):
             raise FormatError(f"run ranks for query {qid} are not contiguous from 1")
         scores = [score for _, _, score in entries]
@@ -83,7 +72,9 @@ def write_run(path, run: Run, tag: str) -> None:
                 fh.write(f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n")
 
 
-def _evaluated_queries(run: Run, qrels: Qrels) -> list[str]:
+def _evaluated_queries(run: Run, qrels: Qrels, k: int) -> list[str]:
+    if k < 1:
+        raise ContractError(f"metric cutoff k must be >= 1, got {k}")
     evaluated = [qid for qid in run if qid in qrels]
     skipped = len(run) - len(evaluated)
     if skipped:
@@ -96,7 +87,7 @@ def _evaluated_queries(run: Run, qrels: Qrels) -> list[str]:
 def mrr_at_k(run: Run, qrels: Qrels, k: int = 10) -> float:
     """Mean reciprocal rank of the first relevant document within the top k."""
     total = 0.0
-    queries = _evaluated_queries(run, qrels)
+    queries = _evaluated_queries(run, qrels, k)
     for qid in queries:
         judged = qrels[qid]
         for rank, (doc, _) in enumerate(run[qid][:k], start=1):
@@ -108,7 +99,7 @@ def mrr_at_k(run: Run, qrels: Qrels, k: int = 10) -> float:
 
 def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10) -> float:
     total = 0.0
-    queries = _evaluated_queries(run, qrels)
+    queries = _evaluated_queries(run, qrels, k)
     for qid in queries:
         judged = qrels[qid]
         dcg = 0.0
@@ -131,7 +122,7 @@ def recall_at_k(run: Run, qrels: Qrels, k: int = 1000) -> float:
     total = 0.0
     counted = 0
     skipped = 0
-    for qid in _evaluated_queries(run, qrels):
+    for qid in _evaluated_queries(run, qrels, k):
         relevant = {doc for doc, rel in qrels[qid].items() if rel >= 1}
         if not relevant:
             skipped += 1

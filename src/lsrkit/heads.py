@@ -31,6 +31,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .backbones import ParamRegistry
 from .errors import ContractError, FormatError, ShapeError
+from .text import read_records
 
 
 class SparseVector:
@@ -240,23 +241,26 @@ def parse_vector_line(line: str, lineno: int = 0) -> tuple[str, SparseVector]:
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 2:
         raise FormatError(f"line {lineno}: expected 'name<TAB>entries'")
-    name, body = parts
+    return _parse_vector(*parts, f"line {lineno}")
+
+
+def _parse_vector(name: str, body: str, where: str) -> tuple[str, SparseVector]:
     entries: dict[int, float] = {}
     for chunk in body.split():
         term, _, weight = chunk.partition(":")
         try:
             t, w = int(term), float(weight)
         except ValueError:
-            raise FormatError(f"line {lineno}: bad entry {chunk!r}") from None
+            raise FormatError(f"{where}: bad entry {chunk!r}") from None
         if not 0 <= t < 2**32:  # index files store term ids as u32
-            raise FormatError(f"line {lineno}: term id {t} outside [0, 2**32)")
+            raise FormatError(f"{where}: term id {t} outside [0, 2**32)")
         if t in entries:
-            raise FormatError(f"line {lineno}: duplicate term {t}")
+            raise FormatError(f"{where}: duplicate term {t}")
         entries[t] = w
     try:
         return name, SparseVector(entries)
     except ContractError as exc:
-        raise FormatError(f"line {lineno}: {exc}") from None
+        raise FormatError(f"{where}: {exc}") from None
 
 
 def write_vectors(path, items) -> None:
@@ -267,9 +271,7 @@ def write_vectors(path, items) -> None:
 
 
 def read_vectors(path) -> list[tuple[str, SparseVector]]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                out.append(parse_vector_line(line, lineno))
-    return out
+    return [
+        _parse_vector(name, body, f"{path}:{lineno}")
+        for lineno, (name, body) in read_records(path, 2, "'name<TAB>entries'")
+    ]

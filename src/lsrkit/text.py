@@ -1,4 +1,5 @@
-"""Word-level tokenizer, corpus-derived vocabulary, and dataset file loaders.
+"""Word-level tokenizer, corpus-derived vocabulary, and read_records, the one
+reader behind every line-based input file (these, triplets, vectors, TREC).
 
 File formats (all tab-separated, UTF-8):
   corpus / queries  ``name<TAB>text`` one record per line
@@ -72,9 +73,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        text = Path(path).read_text(encoding="utf-8")
-        tokens = [line for line in text.splitlines() if line]
-        return cls(tokens)
+        return cls([tok for _, (tok,) in read_records(path, 1, "one token per line")])
 
 
 def build_vocab(corpus: dict[str, str], min_freq: int = 1) -> Vocabulary:
@@ -97,21 +96,35 @@ def tokenize(vocab: Vocabulary, text: str, max_len: int | None = None) -> list[i
     return ids
 
 
+def read_records(path, fields: int, form: str, sep: str | None = "\t"):
+    """Yield (line number, fields) for each line of a UTF-8 file that is not
+    empty or only whitespace; ``sep=None`` splits on runs of whitespace.
+
+    Raises FormatError for bytes that are not UTF-8 and for a line without
+    exactly ``fields`` fields; ``form`` describes the expected line."""
+    offset = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: not UTF-8 at byte {offset + exc.start}") from None
+            offset += len(raw)
+            if not line.strip():
+                continue
+            parts = line.rstrip("\r\n").split(sep)
+            if len(parts) != fields:
+                raise FormatError(f"{path}:{lineno}: expected {form}")
+            yield lineno, parts
+
+
 def read_tsv_texts(path) -> dict[str, str]:
     """Read ``name<TAB>text`` records; names must be unique."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            name, text = parts
-            if name in out:
-                raise FormatError(f"{path}:{lineno}: duplicate name {name!r}")
-            out[name] = text
+    for lineno, (name, text) in read_records(path, 2, "2 tab-separated fields"):
+        if name in out:
+            raise FormatError(f"{path}:{lineno}: duplicate name {name!r}")
+        out[name] = text
     return out
 
 

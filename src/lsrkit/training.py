@@ -25,7 +25,7 @@ from .autodiff import Tape, Tensor
 from .errors import ContractError, DegenerateDistributionError, FormatError, NumericError, ShapeError
 from .heads import SparseVector
 from .model import SparseEncoder
-from .text import Vocabulary, tokenize
+from .text import Vocabulary, read_records, tokenize
 
 
 @dataclass(frozen=True)
@@ -375,28 +375,15 @@ def train(
 def read_triplets(path, vocab: Vocabulary, max_seq_len: int) -> list[TrainingTriplet]:
     """Parse a 5-column triplet file and tokenize all three texts."""
     triplets: list[TrainingTriplet] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise FormatError(f"{path}:{lineno}: expected 5 tab-separated fields")
-            q_text, pos_text, neg_text, raw_pos, raw_neg = parts
-            try:
-                teacher_pos, teacher_neg = float(raw_pos), float(raw_neg)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad teacher scores") from None
-            seqs = [
-                tokenize(vocab, text, max_seq_len)
-                for text in (q_text, pos_text, neg_text)
-            ]
-            if any(not s for s in seqs):
-                raise FormatError(f"{path}:{lineno}: text tokenizes to zero tokens")
-            triplets.append(
-                TrainingTriplet(
-                    tuple(seqs[0]), tuple(seqs[1]), tuple(seqs[2]), teacher_pos, teacher_neg
-                )
-            )
+    for lineno, parts in read_records(path, 5, "5 tab-separated fields"):
+        try:
+            teacher_pos, teacher_neg = float(parts[3]), float(parts[4])
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: bad teacher scores") from None
+        if not (math.isfinite(teacher_pos) and math.isfinite(teacher_neg)):
+            raise FormatError(f"{path}:{lineno}: teacher scores must be finite")
+        seqs = [tuple(tokenize(vocab, text, max_seq_len)) for text in parts[:3]]
+        if any(not s for s in seqs):
+            raise FormatError(f"{path}:{lineno}: text tokenizes to zero tokens")
+        triplets.append(TrainingTriplet(*seqs, teacher_pos, teacher_neg))
     return triplets

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: pipeline equivalences, golden files, exit codes."""
 
 import configparser
+import dataclasses
 import hashlib
 import inspect
 import pathlib
@@ -13,11 +14,13 @@ import pytest
 
 from test_model import drop_field, rewrite_header
 from lsrkit import cli, errors
+from lsrkit.backbones import BackboneConfig
 from lsrkit.cli import main
 from lsrkit.heads import read_vectors
 from lsrkit.index import load_index, save_index
 from lsrkit.model import SparseEncoder
 from lsrkit.text import Vocabulary, read_tsv_texts, tokenize
+from lsrkit.training import TrainConfig
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -78,6 +81,14 @@ class TestBuildVocab:
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_bytes() == (DATA / "vocab.txt").read_bytes()
 
+    def test_non_utf8_corpus_exits_5_and_names_file(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_bytes(b"d1\tcaf\xe9 au lait\n")
+        out = tmp_path / "vocab.txt"
+        assert main(["build-vocab", "--corpus", str(corpus), "--output", str(out)]) == 5
+        assert "corpus.tsv: not UTF-8 at byte 6" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_missing_key_exits_2_and_names_it(self, tmp_path, capsys):
@@ -120,6 +131,64 @@ class TestTrainCommand:
         assert "total_steps" in capsys.readouterr().err
         assert not (tmp_path / "ckpt.bin").exists()
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "total_steps = 3\n[backbone]\nvariant = encoder_only\n",  # key before any section
+            "[train]\nseed = 1\nseed = 2\n",  # repeated key
+            "[train]\nseed = caf\xe9\n",  # not UTF-8
+        ],
+        ids=["no-section-header", "repeated-key", "non-utf8"],
+    )
+    def test_malformed_ini_exits_2_and_names_file(self, tmp_path, capsys, body):
+        config = tmp_path / "bad.ini"
+        config.write_bytes(body.encode("latin-1"))
+        assert main(["train", "--config", str(config)]) == 2
+        assert "bad.ini" in capsys.readouterr().err
+
+    def test_bad_interpolation_exits_2_and_names_key(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace("seed = 3\n", "seed = %3\n"))
+        assert main(["train", "--config", str(config)]) == 2
+        assert "[train] seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [("backbone", f.name) for f in dataclasses.fields(BackboneConfig)
+         if f.name not in ("variant", "vocab_size")]
+        + [("train", f.name) for f in dataclasses.fields(TrainConfig)
+           if f.name not in ("beta1", "beta2", "eps", "log_every")],
+    )
+    def test_every_required_key_is_named_when_missing(self, tmp_path, capsys, section, key):
+        config = write_config(tmp_path, drop=[(section, key)])
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err
+
+    def test_optional_keys_take_train_config_defaults(self, tmp_path):
+        config = write_config(tmp_path, drop=[("train", "log_every")])
+        train_cfg = cli._load_train_config(config)[4]
+        for f in dataclasses.fields(TrainConfig):
+            if f.name in ("beta1", "beta2", "eps", "log_every"):
+                assert getattr(train_cfg, f.name) == f.default
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_teacher_score_exits_5_without_checkpoint(self, tmp_path, capsys, score):
+        bad_triplets = tmp_path / "bad.tsv"
+        rows = (DATA / "triplets.tsv").read_text().splitlines()
+        rows[0] = "\t".join(rows[0].split("\t")[:3] + [score, "1.0"])
+        bad_triplets.write_text("\n".join(rows) + "\n")
+        config = write_config(
+            tmp_path,
+            set=[
+                ("data", "triplets", str(bad_triplets)),
+                ("train", "total_steps", "40"),
+                ("train", "warmup_steps", "0"),
+            ],
+        )
+        assert main(["train", "--config", str(config)]) == 5
+        assert "bad.tsv:1:" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt.bin").exists()
+
     def test_repeated_seed_identical_checkpoint_digest(self, tmp_path, pipeline):
         config = write_config(tmp_path)
         assert main(["train", "--config", str(config)]) == 0
@@ -131,7 +200,7 @@ class TestTrainCommand:
         bad_triplets = tmp_path / "bad.tsv"
         rows = (DATA / "triplets.tsv").read_text().splitlines()
         fields = rows[0].split("\t")
-        fields[3] = "inf"
+        fields[3] = "1e300"  # finite, but the squared margin overflows
         bad_triplets.write_text("\t".join(fields) + "\n")
         config = write_config(
             tmp_path,
@@ -202,6 +271,14 @@ class TestIndexCommand:
         assert "4294967296" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_utf8_vector_file_exits_5_without_output(self, tmp_path, capsys):
+        vectors = tmp_path / "docs.vec"
+        vectors.write_bytes(b"d1\t3:0.5\nd\xff\t4:1.0\n")
+        out = tmp_path / "index.lsrx"
+        assert main(["index", "--vectors", str(vectors), "--output", str(out)]) == 5
+        assert "docs.vec: not UTF-8 at byte 10" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSearchCommand:
     def test_golden_run_reproduced_byte_for_byte(self, pipeline):
@@ -256,6 +333,22 @@ class TestEvalCommand:
         assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 0
         out = capsys.readouterr().out
         assert "MRR@10\t1.000000" in out
+
+    def test_non_utf8_qrels_exits_5(self, tmp_path, capsys):
+        run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
+        run.write_text("q1 Q0 d1 1 2.000000 t\n")
+        qrels.write_bytes(b"q1 0 d1 1\nq1 0 d\xff 0\n")
+        assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 5
+        assert "qrels.txt: not UTF-8 at byte 16" in capsys.readouterr().err
+
+    def test_cutoff_below_one_exits_2(self, tmp_path, capsys):
+        run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
+        run.write_text("q1 Q0 good 1 2.000000 t\nq1 Q0 bad 2 1.000000 t\n")
+        qrels.write_text("q1 0 good 1\n")
+        assert main(["eval", "--run", str(run), "--qrels", str(qrels), "--mrr-k", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "k must be >= 1" in captured.err
+        assert captured.out == ""
 
     def test_trained_model_beats_chance_on_fixture(self, pipeline, capsys):
         assert main([

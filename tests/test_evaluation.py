@@ -124,6 +124,14 @@ class TestCutoffInsensitivity:
                 assert 0.0 <= value <= 1.0
 
 
+class TestCutoffContract:
+    @pytest.mark.parametrize("metric", [mrr_at_k, ndcg_at_k, recall_at_k])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cutoff_below_one_rejected(self, metric, k):
+        with pytest.raises(ContractError, match="k must be >= 1"):
+            metric(run_of("q", ["d1", "d2"]), {"q": {"d2": 1}}, k)
+
+
 class TestTrecFiles:
     def test_qrels_parse(self, tmp_path):
         path = tmp_path / "qrels.txt"
@@ -169,4 +177,10 @@ class TestTrecFiles:
         path = tmp_path / "run.txt"
         path.write_text("q1 Q0 d1 1 2.0 t\nshort line\n")
         with pytest.raises(FormatError, match=":2"):
+            read_run(path)
+
+    def test_doc_listed_twice_for_a_query_rejected(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t\nq2 Q0 d1 1 1.0 t\n")
+        with pytest.raises(FormatError, match=r"run\.txt:2: .*d1"):
             read_run(path)

@@ -1,10 +1,13 @@
-"""Tokenizer, vocabulary, and corpus-file tests."""
+"""Tokenizer, vocabulary, corpus-file and record-reader tests."""
 
 import pytest
 
 from lsrkit import text
 from lsrkit.errors import FormatError
+from lsrkit.evaluation import read_qrels, read_run
+from lsrkit.heads import read_vectors
 from lsrkit.text import NUM_SPECIALS, PAD_ID, START_ID, UNK_ID, Vocabulary, build_vocab, tokenize
+from lsrkit.training import read_triplets
 
 
 class TestBuildVocab:
@@ -107,3 +110,56 @@ class TestTsvFiles:
         path.write_text("d1\ta\nno-tab-here\n")
         with pytest.raises(FormatError, match=":2"):
             text.read_tsv_texts(path)
+
+
+# one valid line for every loader behind read_records
+LOADERS = [
+    pytest.param(text.read_tsv_texts, "d1\ta b", id="tsv"),
+    pytest.param(lambda path: Vocabulary.load(path).tokens, "a", id="vocab"),
+    pytest.param(
+        lambda path: read_triplets(path, Vocabulary(["a", "b", "c"]), 8),
+        "a\tb\tc\t2.0\t1.0",
+        id="triplets",
+    ),
+    pytest.param(read_vectors, "d1\t3:0.5", id="vectors"),
+    pytest.param(read_qrels, "q1 0 d1 1", id="qrels"),
+    pytest.param(read_run, "q1 Q0 d1 1 2.0 t", id="run"),
+]
+
+
+class TestRecordReader:
+    def test_yields_line_numbers_and_fields_skipping_blank_lines(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_bytes(b"a\tb\n\n \t \nc\td\r\n")
+        assert list(text.read_records(path, 2, "x")) == [(1, ["a", "b"]), (4, ["c", "d"])]
+
+    def test_none_separator_splits_on_whitespace_runs(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("q1  0\td1 \t 1\n")
+        assert list(text.read_records(path, 4, "x", None)) == [(1, ["q1", "0", "d1", "1"])]
+
+    def test_wrong_field_count_names_path_line_and_form(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_text("a\tb\n\na\tb\tc\n")
+        with pytest.raises(FormatError, match=r"f\.tsv:3: expected two things"):
+            list(text.read_records(path, 2, "two things"))
+
+    def test_non_utf8_byte_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_bytes("é\tb\nc\td".encode() + b"\xff\n")  # é is two bytes
+        with pytest.raises(FormatError, match=r"f\.tsv: not UTF-8 at byte 8"):
+            list(text.read_records(path, 2, "x"))
+
+    @pytest.mark.parametrize("load,line", LOADERS)
+    def test_every_loader_rejects_a_non_utf8_byte_naming_the_file(self, tmp_path, load, line):
+        path = tmp_path / "input.txt"
+        path.write_bytes(f"{line}\n".encode() + b"\xff" + f"{line}\n".encode())
+        with pytest.raises(FormatError, match=r"input\.txt: not UTF-8 at byte"):
+            load(path)
+
+    @pytest.mark.parametrize("load,line", LOADERS)
+    def test_every_loader_skips_whitespace_only_lines(self, tmp_path, load, line):
+        plain, padded = tmp_path / "plain.txt", tmp_path / "padded.txt"
+        plain.write_text(line + "\n")
+        padded.write_text(" \n" + line + "\n\t\n")
+        assert load(padded) == load(plain)
