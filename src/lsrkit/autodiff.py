@@ -502,9 +502,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm shapes: x {x.data.shape}, gain {gain.data.shape}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
+    # sum / n is numpy's own mean arithmetic, without its Python wrapper.
+    n = x.data.shape[1]
+    mu = x.data.sum(axis=1, keepdims=True) / n
     xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = (xc * xc).sum(axis=1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor(
@@ -519,8 +521,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             _accum(bias, g.sum(axis=0))
         if x.requires_grad:
             dxhat = g * gain.data
-            m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+            m1 = dxhat.sum(axis=1, keepdims=True) / n
+            m2 = (dxhat * xhat).sum(axis=1, keepdims=True) / n
             _accum_owned(x, inv * (dxhat - m1 - xhat * m2))
 
     return _record(out, backward)

@@ -188,24 +188,6 @@ class Backbone:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return self._registry.items()
 
-    def parameter_count(self) -> int:
-        return sum(t.data.size for _, t in self.parameters())
-
-    def inert_parameter_names(self) -> set[str]:
-        """Parameters that provably cannot affect any output of this variant.
-
-        The single-token variant feeds the decoder exactly one position, so
-        its self-attention softmax is the constant 1.0 and the query/key
-        projections carry no signal (and can receive no gradient).
-        """
-        if self.config.variant != Variant.ENCDEC_SINGLETOKEN:
-            return set()
-        names = set()
-        for i in range(self.config.num_layers):
-            for p in ("wq", "wk", "bq", "bk"):
-                names.add(f"dec.{i}.attn.{p}")
-        return names
-
     def _validate(self, tokens) -> np.ndarray:
         ids = np.asarray(tokens, dtype=np.intp)
         if ids.ndim != 1 or ids.size == 0:
@@ -221,49 +203,62 @@ class Backbone:
             )
         return ids
 
+    def _pack(self, sequences) -> tuple[np.ndarray, np.ndarray]:
+        """Packed ids and per-sequence lengths, checked over the whole batch. A
+        batch that fails is checked again per sequence: the first bad one raises."""
+        sequences = list(sequences)  # iterated more than once
+        cfg = self.config
+        try:
+            ids = np.concatenate(sequences).astype(np.intp, copy=False)
+            lengths = np.array([len(s) for s in sequences], dtype=np.intp)
+            ok = ids.ndim == 1 and 0 < lengths.min() and lengths.max() <= cfg.max_seq_len
+            ok = ok and 0 <= ids.min() and ids.max() < cfg.vocab_size
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            seqs = [self._validate(s) for s in sequences]
+            ids = np.concatenate(seqs)
+            lengths = np.array([s.size for s in seqs], dtype=np.intp)
+        return ids, lengths
+
     def encode(self, tokens) -> Tensor:
         """Hidden states for one sequence: [n, d] (or [1, d] for single-token)."""
-        states, _ = self.encode_batch([tokens])
-        return states
+        return self.encode_batch([tokens])[0]
 
-    def encode_batch(self, sequences) -> tuple[Tensor, np.ndarray]:
+    def encode_batch(self, sequences) -> tuple[Tensor, np.ndarray, np.ndarray]:
         """Hidden states for a packed batch.
 
-        Returns (states, starts): sequences are concatenated row-wise and
-        ``starts`` holds B+1 offsets delimiting each sequence's rows. For
-        the single-token variant there is exactly one row per sequence.
+        Returns (states, starts, ids): sequences are concatenated row-wise,
+        ``starts`` holds B+1 offsets delimiting each sequence's rows and
+        ``ids`` the packed, validated token ids. For the single-token
+        variant there is exactly one state row per sequence.
         """
-        seqs = [self._validate(s) for s in sequences]
-        lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+        ids, lengths = self._pack(sequences)
+        b = len(lengths)
         starts = np.concatenate([[0], np.cumsum(lengths)])
-        ids = np.concatenate(seqs)
-        pos = np.concatenate([np.arange(n) for n in lengths])
+        pos = np.arange(len(ids)) - np.repeat(starts[:-1], lengths)
         variant = self.config.variant
 
         memory = self._run_encoder(ids, pos, starts) if self._has_encoder else None
         if variant == Variant.ENCODER_ONLY:
-            return memory, starts
+            return memory, starts, ids
 
         if variant == Variant.ENCDEC_SINGLETOKEN:
-            b = len(seqs)
             d_ids = np.full(b, START_ID, dtype=np.intp)
             d_pos = np.zeros(b, dtype=np.intp)
             d_starts = np.arange(b + 1, dtype=np.intp)
             x = self._run_decoder(d_ids, d_pos, d_starts, memory=memory, memory_starts=starts)
-            return x, d_starts
+            return x, d_starts, ids
 
-        d_ids, d_pos, d_starts, keep = self._decoder_inputs(seqs, lengths, starts)
+        # The decoder reads <s> before each sequence: token j of sequence i
+        # moves down i + 1 rows, and ``keep`` indexes those token rows.
+        d_starts = starts + np.arange(b + 1)
+        keep = np.arange(len(ids)) + np.repeat(np.arange(1, b + 1), lengths)
+        d_ids = np.full(len(ids) + b, START_ID, dtype=np.intp)
+        d_ids[keep] = ids
+        d_pos = np.arange(len(ids) + b) - np.repeat(d_starts[:-1], lengths + 1)
         x = self._run_decoder(d_ids, d_pos, d_starts, memory=memory, memory_starts=starts)
-        return ad.gather_rows(x, keep), starts
-
-    @staticmethod
-    def _decoder_inputs(seqs, lengths, starts):
-        """Prepend <s> to each sequence; ``keep`` indexes the token-aligned rows."""
-        d_ids = np.concatenate([np.concatenate([[START_ID], s]) for s in seqs])
-        d_pos = np.concatenate([np.arange(n + 1) for n in lengths])
-        d_starts = starts + np.arange(len(starts))
-        keep = np.flatnonzero(d_pos > 0)
-        return d_ids, d_pos, d_starts, keep
+        return ad.gather_rows(x, keep), starts, ids
 
     def _run_encoder(self, ids, pos, starts) -> Tensor:
         x = ad.add(

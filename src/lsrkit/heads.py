@@ -175,26 +175,6 @@ def mlm_head(h: Tensor, backbone_embeddings: Tensor, cfg: SparseHead) -> SparseV
     return SparseVector.from_dense(dense)
 
 
-def mlm_multitoken_equals_positionwise_max(
-    h: Tensor, backbone_embeddings: Tensor, cfg: SparseHead
-) -> bool:
-    """Oracle: multi-token output == entrywise max of per-position outputs."""
-    if cfg.kind != HeadKind.MLM_MULTITOKENS or cfg.pooling != "max":
-        raise ContractError("oracle applies to the max-pooled multi-token head")
-    multi = mlm_head(h, backbone_embeddings, cfg)
-    single_cfg = SparseHead(
-        HeadKind.MLM_SINGLETOKEN, h.data.shape[1], cfg.vocab_size
-    )
-    single_cfg.b_vocab = cfg.b_vocab
-    best: dict[int, float] = {}
-    for j in range(h.data.shape[0]):
-        row = mlm_head(ad.gather_rows(h, [j]), backbone_embeddings, single_cfg)
-        for t, w in row.entries.items():
-            if w > best.get(t, 0.0):
-                best[t] = w
-    return multi == SparseVector(best)
-
-
 def mlp_batch_activations(
     states: Tensor, starts: np.ndarray, token_ids: np.ndarray, cfg: SparseHead
 ) -> Tensor:

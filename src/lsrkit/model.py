@@ -88,9 +88,8 @@ class SparseEncoder:
 
     def batch_activations(self, sequences) -> Tensor:
         """Dense [B, |V|] activations for a batch; differentiable under a tape."""
-        states, starts = self.backbone.encode_batch(sequences)
+        states, starts, token_ids = self.backbone.encode_batch(sequences)
         if self.head.kind == HeadKind.MLP:
-            token_ids = np.concatenate([np.asarray(s, dtype=np.intp) for s in sequences])
             return mlp_batch_activations(states, starts, token_ids, self.head)
         return mlm_batch_activations(states, starts, self.backbone.tok_emb, self.head)
 

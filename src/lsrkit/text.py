@@ -73,7 +73,12 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        return cls([tok for _, (tok,) in read_records(path, 1, "one token per line")])
+        tokens: dict[str, None] = {}
+        for lineno, (tok,) in read_records(path, 1, "one token per line"):
+            if tok in tokens:
+                raise FormatError(f"{path}:{lineno}: repeated vocabulary token {tok!r}")
+            tokens[tok] = None
+        return cls(list(tokens))
 
 
 def build_vocab(corpus: dict[str, str], min_freq: int = 1) -> Vocabulary:
@@ -126,9 +131,3 @@ def read_tsv_texts(path) -> dict[str, str]:
             raise FormatError(f"{path}:{lineno}: duplicate name {name!r}")
         out[name] = text
     return out
-
-
-def write_tsv_texts(path, records: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for name, text in records.items():
-            fh.write(f"{name}\t{text}\n")

@@ -43,6 +43,9 @@ class ScoreStats:
     std: float
 
     def __post_init__(self):
+        for name in ("mean", "std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite")
         if self.std < 0.0:
             raise ContractError("std must be >= 0")
 
@@ -210,7 +213,10 @@ def normalize_teacher_scores(
 
 
 class Adam:
-    """Adam with linear learning-rate warmup; step counter starts at 1."""
+    """Adam with linear learning-rate warmup; step counter starts at 1.
+
+    The moments of all parameters live in two flat buffers, a slice each.
+    """
 
     def __init__(
         self,
@@ -226,29 +232,47 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.warmup_steps = warmup_steps
         self.t = 0
-        self._m = [np.zeros_like(t.data) for _, t in params]
-        self._v = [np.zeros_like(t.data) for _, t in params]
+        self._offsets = np.cumsum([0] + [t.data.size for _, t in params]).tolist()
+        self._m = np.zeros(self._offsets[-1])
+        self._v = np.zeros(self._offsets[-1])
 
     def step(self) -> float:
+        """Update each parameter that has a grad, bit for bit as a per-parameter
+        loop would, and release the grads; the others keep data and moments."""
         self.t += 1
         lr = warmup_lr(self.t, self.warmup_steps, self.learning_rate)
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        for (_, p), m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if g is None:
+        g = np.empty(self._offsets[-1])
+        live, runs = [], []  # runs: maximal [start, end) spans of live parameters
+        for (_, p), a, b in zip(self.params, self._offsets, self._offsets[1:]):
+            if p.grad is None:
                 continue
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-        return lr
-
-    def zero_grad(self) -> None:
-        for _, p in self.params:
+            g[a:b].reshape(p.grad.shape)[...] = p.grad
             p.grad = None
+            live.append((a, b, p))
+            if runs and runs[-1][1] == a:
+                runs[-1][1] = b
+            else:
+                runs.append([a, b])
+        for a, b in runs:
+            m, v, gr = self._m[a:b], self._v[a:b], g[a:b]
+            tmp = (1.0 - b1) * gr
+            m *= b1
+            m += tmp
+            v *= b2
+            gr *= gr
+            gr *= 1.0 - b2
+            v += gr
+            # gr becomes lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.sqrt(np.divide(v, c2, out=gr), out=gr)
+            gr += self.eps
+            np.multiply(lr, np.divide(m, c1, out=tmp), out=tmp)
+            np.divide(tmp, gr, out=gr)
+        for a, b, p in live:
+            p.data -= g[a:b].reshape(p.data.shape)
+        return lr
 
 
 def _mean_density(activations: np.ndarray) -> float:
@@ -300,7 +324,6 @@ def train_step(
             sq += float((p.grad * p.grad).sum())
     grad_norm = math.sqrt(sq)
     lr = optimizer.step()
-    optimizer.zero_grad()
     return StepReport(
         step=step,
         loss=loss.item(),

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import toytask
+from reference import inert_parameter_names, mlm_multitoken_equals_positionwise_max
 from test_autodiff import _op_cases
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tensor, finite_difference_check
@@ -23,7 +24,6 @@ from lsrkit.heads import (
     SparseHead,
     SparseVector,
     mlm_head,
-    mlm_multitoken_equals_positionwise_max,
     mlp_head,
 )
 from lsrkit.index import brute_force_search, build_index, load_index, save_index, top_k_search
@@ -175,7 +175,7 @@ class TestCriterion1Gradients:
                 docs = ad.concat_rows([p, n])
                 return ad.add(loss, ad.scale(flops_regularizer(docs), 0.1))
 
-            inert = {f"backbone.{n}" for n in model.backbone.inert_parameter_names()}
+            inert = {f"backbone.{n}" for n in inert_parameter_names(model.backbone)}
             for name, param in model.parameters():
                 if name in inert:
                     continue

@@ -320,6 +320,41 @@ class TestFusedOps:
             ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
 
 
+def _layer_norm_by_mean(x, gain, bias, g, eps=1e-5):
+    """Layer norm's forward and backward written with ndarray.mean."""
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    return xhat * gain + bias, inv * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+class TestLayerNormBits:
+    @pytest.mark.parametrize("case", ["hand", "random"])
+    def test_forward_and_backward_equal_mean_reference(self, case):
+        if case == "hand":
+            x = np.array([[1.0, 2.0, 3.0, 4.0, 10.0], [0.1, -0.7, 1e3, 3.3, -2.0 / 3.0]])
+            gain = np.array([1.0, 0.5, -2.0, 3.0, 0.1])
+            bias = np.array([0.0, 0.25, -1.0, 1.0 / 3.0, 7.0])
+            g = np.array([[1.0, -1.0, 0.5, 2.0, 0.3], [0.7, 0.0, -3.0, 1.0 / 7.0, 9.0]])
+        else:
+            rng = np.random.default_rng(17)
+            x = rng.normal(3.0, 5.0, size=(9, 48))
+            gain, bias = rng.normal(size=48), rng.normal(size=48)
+            g = rng.normal(size=(9, 48))
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
+        with Tape() as tape:
+            out = ad.layer_norm(xt, gt, bt)
+            tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+        want = _layer_norm_by_mean(x, gain, bias, g)
+        for got, ref in zip((out.data, xt.grad, gt.grad, bt.grad), want):
+            assert got.tobytes() == ref.tobytes()
+
+
 class TestInvariants:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(3)

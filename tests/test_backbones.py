@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import inert_parameter_names
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tape, Tensor
 from lsrkit.backbones import (
@@ -13,7 +14,13 @@ from lsrkit.backbones import (
     ParamRegistry,
     Variant,
 )
-from lsrkit.errors import ContractError, EmptyInputError, SequenceLengthError, VocabError
+from lsrkit.errors import (
+    ContractError,
+    EmptyInputError,
+    LsrError,
+    SequenceLengthError,
+    VocabError,
+)
 from lsrkit.heads import HeadKind
 from lsrkit.model import SparseEncoder
 
@@ -22,6 +29,10 @@ def small_config(variant, seed=0, **overrides):
     base = dict(num_layers=2, d_model=16, num_heads=2, vocab_size=24, max_seq_len=12)
     base.update(overrides)
     return BackboneConfig(variant, seed=seed, **base)
+
+
+def parameter_count(backbone):
+    return sum(t.data.size for _, t in backbone.parameters())
 
 
 def random_tokens(rng, n, vocab_size=24):
@@ -141,6 +152,56 @@ class TestShapeContracts:
             backbone.encode([4, 99])
 
 
+# Each fault with the error and message a lone bad sequence raises
+# (small_config: vocab_size 24, max_seq_len 12).
+_FAULTS = {
+    "empty": ([], EmptyInputError, "encoder input must contain at least one token"),
+    "overlong": (
+        list(range(4, 17)), SequenceLengthError, "sequence of 13 tokens exceeds max_seq_len 12"
+    ),
+    "id-past-vocab": ([4, 24], VocabError, "token id out of range for vocab of size 24"),
+    "negative-id": ([-1, 4], VocabError, "token id out of range for vocab of size 24"),
+    "2-d": ([[4, 5], [6, 7]], EmptyInputError, "encoder input must contain at least one token"),
+}
+
+
+def _raised(backbone, batch):
+    with pytest.raises(LsrError) as info:
+        backbone.encode_batch(batch)
+    return type(info.value), str(info.value)
+
+
+class TestBatchValidation:
+    """The batch-wide check raises what a lone bad sequence raises."""
+
+    @pytest.mark.parametrize("fault", list(_FAULTS))
+    def test_bad_sequence_at_position_2(self, fault):
+        seq, error, message = _FAULTS[fault]
+        backbone = Backbone(small_config(Variant.ENCDEC_MULTITOKENS))
+        assert _raised(backbone, [seq]) == (error, message)
+        assert _raised(backbone, [[4, 5], [6, 7, 8], seq, [9]]) == (error, message)
+
+    def test_every_sequence_2d(self):
+        backbone = Backbone(small_config(Variant.ENCODER_ONLY))
+        _, error, message = _FAULTS["2-d"]
+        assert _raised(backbone, [[[4, 5]], [[6, 7]]]) == (error, message)
+
+    @pytest.mark.parametrize(
+        "first,second", [("id-past-vocab", "empty"), ("empty", "id-past-vocab"),
+                         ("overlong", "2-d"), ("2-d", "negative-id")]
+    )
+    def test_earlier_of_two_faults_decides(self, first, second):
+        backbone = Backbone(small_config(Variant.DECODER_MULTITOKENS))
+        batch = [[4], _FAULTS[first][0], [5, 6], _FAULTS[second][0]]
+        assert _raised(backbone, batch) == _FAULTS[first][1:]
+
+    def test_returns_packed_ids(self):
+        backbone = Backbone(small_config(Variant.ENCDEC_SINGLETOKEN))
+        _, starts, ids = backbone.encode_batch([(4, 5), np.array([6]), [7, 8, 9]])
+        assert starts.tolist() == [0, 1, 2, 3]
+        assert ids.dtype == np.intp and ids.tolist() == [4, 5, 6, 7, 8, 9]
+
+
 class TestAttentionWiring:
     def test_encoder_is_bidirectional(self):
         backbone = Backbone(small_config(Variant.ENCODER_ONLY))
@@ -232,8 +293,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_parameter_count_pure_function_of_config(self, variant):
-        c1 = Backbone(small_config(variant, seed=1)).parameter_count()
-        c2 = Backbone(small_config(variant, seed=99)).parameter_count()
+        c1 = parameter_count(Backbone(small_config(variant, seed=1)))
+        c2 = parameter_count(Backbone(small_config(variant, seed=99)))
         assert c1 == c2
 
 
@@ -243,7 +304,7 @@ class TestBatchPacking:
         backbone = Backbone(small_config(variant))
         rng = np.random.default_rng(8)
         seqs = [random_tokens(rng, int(rng.integers(1, 8))) for _ in range(5)]
-        packed, starts = backbone.encode_batch(seqs)
+        packed, starts, _ = backbone.encode_batch(seqs)
         for i, seq in enumerate(seqs):
             single = backbone.encode(seq).data
             block = packed.data[starts[i] : starts[i + 1]]
@@ -262,9 +323,9 @@ class TestTapedAndUntapedPaths:
             rng = np.random.default_rng(12)
             for n in (1, 2, 7, 12):
                 seq = random_tokens(rng, n)
-                untaped, _ = backbone.encode_batch([seq])
+                untaped, _, _ = backbone.encode_batch([seq])
                 with Tape():
-                    taped, _ = backbone.encode_batch([seq])
+                    taped, _, _ = backbone.encode_batch([seq])
                 np.testing.assert_array_equal(untaped.data, taped.data)
 
     @pytest.mark.parametrize("variant", list(Variant))
@@ -272,9 +333,9 @@ class TestTapedAndUntapedPaths:
         backbone = Backbone(small_config(variant))
         rng = np.random.default_rng(13)
         seqs = [random_tokens(rng, int(rng.integers(1, 13))) for _ in range(6)]
-        untaped, starts = backbone.encode_batch(seqs)
+        untaped, starts, _ = backbone.encode_batch(seqs)
         with Tape():
-            taped, taped_starts = backbone.encode_batch(seqs)
+            taped, taped_starts, _ = backbone.encode_batch(seqs)
         np.testing.assert_array_equal(starts, taped_starts)
         np.testing.assert_allclose(untaped.data, taped.data, rtol=1e-10, atol=1e-12)
 
@@ -293,7 +354,7 @@ class TestGradientFlow:
         with Tape() as tape:
             acts = model.batch_activations(seqs)
             tape.backward(ad.sum_all(ad.mul(acts, acts)))
-        inert = {f"backbone.{n}" for n in model.backbone.inert_parameter_names()}
+        inert = {f"backbone.{n}" for n in inert_parameter_names(model.backbone)}
         for name, param in model.parameters():
             if name in inert:
                 # Structurally unused: a 1-position softmax is constant.

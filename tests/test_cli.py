@@ -164,6 +164,18 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config)]) == 2
         assert f"[{section}] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("std", "nan"), ("mean", "inf")])
+    def test_non_finite_teacher_normalization_exits_2_and_names_key(
+        self, tmp_path, capsys, key, value
+    ):
+        config = write_config(tmp_path)
+        stats = {"mean": "0.0", "std": "1.0", key: value}
+        with open(config, "a") as fh:
+            fh.write("[teacher_normalization]\n" + "".join(f"{k} = {v}\n" for k, v in stats.items()))
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt.bin").exists()
+
     def test_optional_keys_take_train_config_defaults(self, tmp_path):
         config = write_config(tmp_path, drop=[("train", "log_every")])
         train_cfg = cli._load_train_config(config)[4]

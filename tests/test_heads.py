@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import mlm_multitoken_equals_positionwise_max
 from lsrkit.autodiff import Tape, Tensor
 from lsrkit.errors import ContractError, FormatError, ShapeError
 from lsrkit.heads import (
@@ -14,7 +15,6 @@ from lsrkit.heads import (
     format_vector_line,
     mlm_batch_activations,
     mlm_head,
-    mlm_multitoken_equals_positionwise_max,
     mlp_batch_activations,
     mlp_head,
     parse_vector_line,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference import write_tsv_texts
 from lsrkit import text
 from lsrkit.errors import FormatError
 from lsrkit.evaluation import read_qrels, read_run
@@ -82,6 +83,12 @@ class TestVocabularyFile:
         for lineno, token in enumerate(lines, start=1):
             assert vocab.id_of(token) - 3 == lineno
 
+    def test_repeated_token_names_file_line_and_token(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("a\nb\na\n")
+        with pytest.raises(FormatError, match=r"^.*vocab\.txt:3: repeated vocabulary token 'a'$"):
+            Vocabulary.load(path)
+
     def test_non_unk_ids_round_trip_to_unique_tokens(self):
         vocab = build_vocab({"d": "alpha beta gamma"})
         seen = set()
@@ -96,7 +103,7 @@ class TestTsvFiles:
     def test_round_trip(self, tmp_path):
         records = {"d1": "some text", "d2": "more text"}
         path = tmp_path / "corpus.tsv"
-        text.write_tsv_texts(path, records)
+        write_tsv_texts(path, records)
         assert text.read_tsv_texts(path) == records
 
     def test_duplicate_name_rejected(self, tmp_path):

@@ -163,6 +163,13 @@ class TestAffineTransform:
         out = affine_transform_scores([0.0, 2.0], ScoreStats(mean=10.0, std=2.0))
         np.testing.assert_allclose(out, [8.0, 12.0], atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "field,value", [("mean", math.nan), ("mean", math.inf), ("std", math.nan), ("std", math.inf)]
+    )
+    def test_non_finite_stats_rejected_naming_the_key(self, field, value):
+        with pytest.raises(ContractError, match=f"^{field} must be finite$"):
+            ScoreStats(**{"mean": 0.0, "std": 1.0, field: value})
+
     def test_constant_scores_rejected(self):
         with pytest.raises(DegenerateDistributionError):
             affine_transform_scores([5.0, 5.0], ScoreStats(mean=0.0, std=1.0))
@@ -253,6 +260,127 @@ class TestTrainStep:
 
         r1, r2 = run(), run()
         assert [vars(a) for a in r1] == [vars(b) for b in r2]
+
+
+class LoopAdam:
+    """Reference: the per-parameter Adam loop that the flat update replaced."""
+
+    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8, warmup_steps=0):
+        self.params = params
+        self.learning_rate = learning_rate
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.warmup_steps = warmup_steps
+        self.t = 0
+        self._m = [np.zeros_like(t.data) for _, t in params]
+        self._v = [np.zeros_like(t.data) for _, t in params]
+
+    def step(self) -> float:
+        self.t += 1
+        lr = warmup_lr(self.t, self.warmup_steps, self.learning_rate)
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1**self.t
+        c2 = 1.0 - b2**self.t
+        for (_, p), m, v in zip(self.params, self._m, self._v):
+            g = p.grad
+            if g is None:
+                continue
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        for _, p in self.params:
+            p.grad = None
+        return lr
+
+    def moments(self, i):
+        return self._m[i], self._v[i]
+
+
+class FlatAdam(Adam):
+    def moments(self, i):
+        a, b = self._offsets[i], self._offsets[i + 1]
+        shape = self.params[i][1].data.shape
+        return self._m[a:b].reshape(shape), self._v[a:b].reshape(shape)
+
+
+def dropping_grad(cls, index, at_step):
+    """``cls`` with parameter ``index``'s grad dropped just before step ``at_step``."""
+
+    class Dropping(cls):
+        def step(self):
+            if self.t + 1 != at_step:
+                return super().step()
+            p = self.params[index][1]
+            assert p.grad is not None and np.any(p.grad != 0.0)
+            p.grad = None
+            before = p.data.copy()
+            lr = super().step()
+            assert p.data.tobytes() == before.tobytes()
+            return lr
+
+    return Dropping
+
+
+PAIRINGS = [
+    (Variant.ENCODER_ONLY, HeadKind.MLP),
+    (Variant.DECODER_MULTITOKENS, HeadKind.MLM_MULTITOKENS),
+    (Variant.ENCDEC_SINGLETOKEN, HeadKind.MLM_SINGLETOKEN),
+    (Variant.ENCDEC_MULTITOKENS, HeadKind.MLM_MULTITOKENS),
+]
+
+
+def run_steps(optimizer_cls, variant, head, steps=20):
+    config = BackboneConfig(
+        variant, num_layers=1, d_model=8, num_heads=2, vocab_size=V, max_seq_len=8, seed=5
+    )
+    model = SparseEncoder.build(config, head)
+    cfg = TrainConfig(
+        total_steps=20, learning_rate=5e-3, batch_size=4, warmup_steps=5,
+        lambda_q=0.05, lambda_d=0.05, lambda_ramp_steps=10,
+    )
+    opt = optimizer_cls(model.parameters(), cfg.learning_rate, warmup_steps=cfg.warmup_steps)
+    rng = np.random.default_rng(21)
+    reports = [train_step(model, opt, tiny_batch(rng), cfg, s) for s in range(steps)]
+    return model, opt, reports
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestAdam:
+    @pytest.mark.parametrize("variant,head", PAIRINGS, ids=[v.value for v, _ in PAIRINGS])
+    def test_flat_update_equals_per_parameter_loop(self, variant, head):
+        model, _, reports = run_steps(Adam, variant, head)
+        ref_model, _, ref_reports = run_steps(LoopAdam, variant, head)
+        assert [vars(r) for r in reports] == [vars(r) for r in ref_reports]
+        for (name, t), (_, ref) in zip(model.parameters(), ref_model.parameters()):
+            assert t.data.tobytes() == ref.data.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "variant,head", [PAIRINGS[0], PAIRINGS[3]], ids=["encoder_only", "encdec_multitokens"]
+    )
+    def test_missing_grad_on_step_2_leaves_data_and_moments(self, variant, head):
+        # Index 7 lies mid-list, so the live parameters form two runs.
+        index = 7
+        model, opt, _ = run_steps(dropping_grad(FlatAdam, index, 2), variant, head, steps=3)
+        ref_model, ref, _ = run_steps(dropping_grad(LoopAdam, index, 2), variant, head, steps=3)
+        for (name, t), (_, r) in zip(model.parameters(), ref_model.parameters()):
+            assert t.data.tobytes() == r.data.tobytes(), name
+        for i in range(len(opt.params)):
+            for got, want in zip(opt.moments(i), ref.moments(i)):
+                assert bits(got) == bits(want), opt.params[i][0]
+
+    def test_train_step_releases_every_grad(self):
+        model, _, _ = run_steps(Adam, Variant.ENCDEC_MULTITOKENS, HeadKind.MLM_MULTITOKENS, 1)
+        assert all(t.grad is None for _, t in model.parameters())
+
+    def test_only_arrays_are_the_two_flat_moments(self):
+        model, opt, _ = run_steps(Adam, Variant.ENCODER_ONLY, HeadKind.MLP, 2)
+        total = sum(t.data.size for _, t in model.parameters())
+        arrays = {k: v.shape for k, v in vars(opt).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"_m": (total,), "_v": (total,)}
 
 
 class TestTrainLoop:
