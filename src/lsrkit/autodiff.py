@@ -145,7 +145,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
         raise ShapeError(f"linear shape mismatch: {xd.shape} x {wd.shape} + {b.data.shape}")
-    out = Tensor(xd @ wd + b.data, x.requires_grad or w.requires_grad or b.requires_grad)
+    y = xd @ wd
+    y += b.data
+    out = Tensor(y, x.requires_grad or w.requires_grad or b.requires_grad)
 
     def backward(g):
         if b.requires_grad:
@@ -319,6 +321,13 @@ class AttentionLayout:
             allowed &= rows[None, :] <= rows[:, None]
         return np.where(allowed, 0.0, MASK_NEG)
 
+    @cached_property
+    def causal_block(self) -> np.ndarray:
+        """Additive causal mask of the longest sequence; a sequence of n rows
+        takes its top-left [n, n] block."""
+        longest = int(np.diff(self.q_starts).max())
+        return np.where(np.tri(longest, dtype=bool), 0.0, MASK_NEG)
+
 
 def attention(
     qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int, layout: AttentionLayout, scale: float
@@ -369,7 +378,8 @@ def attention(
         return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], d)
 
     def weights(q, k, mask):  # softmax over keys of the scaled, masked scores
-        z = np.matmul(q, k.transpose(0, 2, 1)) * scale
+        z = np.matmul(q, k.transpose(0, 2, 1))
+        z *= scale
         if mask is not None:
             z += mask
         z -= z.max(axis=2, keepdims=True)
@@ -382,7 +392,7 @@ def attention(
         for q0, q1, k0, k1 in layout.segments():
             if q0 == q1:
                 continue  # no query rows, so nothing to attend from
-            mask = np.where(np.tri(q1 - q0, dtype=bool), 0.0, MASK_NEG) if layout.causal else None
+            mask = layout.causal_block[: q1 - q0, : q1 - q0] if layout.causal else None
             p = weights(split(qp.data[q0:q1]), split(kp.data[k0:k1]), mask)
             ctx[q0:q1] = merge(np.matmul(p, split(vp.data[k0:k1])))
         return Tensor(ctx, requires_grad)

@@ -10,19 +10,22 @@ sparse vectors:
         entrywise max (single-token mode uses the one available state).
 
 The *_batch_activations functions are the one encode path: they score a
-packed batch with one matmul per head (the MLM logits are a single
-[rows, d] @ [d, |V|] product) and keep the dense pre-sparsification
-activations inside the gradient graph. Training calls them directly and
-SparseEncoder.encode calls them on a batch of one. With no tape recording,
-the max-pooled MLM head pools the raw logits per sequence first and applies
-bias, ReLU and log1p to the [B, |V|] maxima only; the map is monotone, so
-the bits equal activating every position first. The per-position
-mlp_head and mlm_head functions are the reference implementations the
-head laws and tests compare against; they return a SparseVector.
+packed batch and keep the dense pre-sparsification activations inside the
+gradient graph. Training calls them directly and SparseEncoder.encode calls
+them on a batch of one. Under a tape the MLM logits are one [N, d] @ [d, |V|]
+product over all N packed rows. With no tape recording, the max-pooled MLM
+head instead runs one product per sequence, pools it into that sequence's
+row as it goes, and applies bias, ReLU and log1p to the [B, |V|] maxima
+only; the map is monotone, so the bits equal activating every position
+first, and head memory is bounded by the longest sequence's logits plus the
+output. The per-position mlp_head and mlm_head functions are the reference
+implementations the head laws and tests compare against; they return a
+SparseVector.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -44,7 +47,7 @@ class SparseVector:
         if entries:
             for t, w in entries.items():
                 w = float(w)
-                if w < 0.0 or not np.isfinite(w):
+                if w < 0.0 or not math.isfinite(w):
                     raise ContractError(f"weight for term {t} must be finite and >= 0")
                 if w > 0.0:
                     clean[int(t)] = w
@@ -67,9 +70,20 @@ class SparseVector:
 
     @classmethod
     def from_dense(cls, values: np.ndarray) -> "SparseVector":
+        """Vector of the strictly positive entries of a dense row.
+
+        NaN, zero and negative entries are dropped; +inf raises
+        ContractError naming the lowest such term, as the constructor does.
+        """
         values = np.asarray(values, dtype=np.float64).reshape(-1)
-        (nz,) = np.nonzero(values > 0.0)
-        return cls({int(i): float(values[i]) for i in nz})
+        nz = np.flatnonzero(values > 0.0)
+        weights = values[nz]
+        bad = np.flatnonzero(~np.isfinite(weights))
+        if bad.size:
+            raise ContractError(f"weight for term {nz[bad[0]]} must be finite and >= 0")
+        vec = cls()
+        vec.entries = dict(zip(nz.tolist(), weights.tolist()))
+        return vec
 
 
 def sparse_dot(a: SparseVector, b: SparseVector) -> float:
@@ -193,16 +207,26 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
     """Dense [B, |V|] MLM activations for a packed batch (gradients flow).
 
     With no tape and max pooling, the raw logits are max-pooled first and
-    only the [B, |V|] maxima pass through bias, ReLU and log1p. Rounding and
-    the activation are monotone, so the bits are those of activating first.
+    only the [B, |V|] maxima pass through bias, ReLU and log1p, in place.
+    Rounding and the activation are monotone, so the bits are those of
+    activating first. A batch of several states per sequence runs one
+    [n, d] @ [d, |V|] product per sequence and pools it into that
+    sequence's row, so no [N, |V|] array is allocated: head memory is the
+    longest sequence's logits plus the [B, |V|] output.
     """
     one_state = len(starts) - 1 == states.data.shape[0]
     sum_pooled = cfg.pooling == "sum" and cfg.kind == HeadKind.MLM_MULTITOKENS
     if not ad.recording() and not sum_pooled:
-        logits = states.data @ emb.data.T
-        if not one_state:
-            logits = ad.segment_max(Tensor(logits), starts).data
-        return Tensor(np.log1p(np.maximum(logits + cfg.b_vocab.data, 0.0)))
+        if one_state:
+            pooled = states.data @ emb.data.T
+        else:
+            bounds = starts.tolist()
+            pooled = np.empty((len(bounds) - 1, emb.data.shape[0]))
+            for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                np.max(states.data[a:b] @ emb.data.T, axis=0, out=pooled[i])
+        pooled += cfg.b_vocab.data
+        np.maximum(pooled, 0.0, out=pooled)
+        return Tensor(np.log1p(pooled, out=pooled))
     logits = ad.linear(states, ad.transpose(emb), cfg.b_vocab)
     acts = ad.log1p(ad.relu(logits))
     if one_state:

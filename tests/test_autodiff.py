@@ -266,6 +266,20 @@ class TestFusedOps:
                 # bias gradients sum these over rows, in another order if not C-ordered
                 assert got.flags.c_contiguous
 
+    @pytest.mark.parametrize("num_heads", [1, 2])
+    def test_untaped_causal_segments_equal_tri_mask_reference(self, num_heads):
+        starts = np.array([0, 5, 17, 18, 30])
+        layout = AttentionLayout(starts, starts, causal=True)
+        rng = np.random.default_rng(21)
+        q, k, v = (rng.normal(size=(30, 4)) for _ in range(3))
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), num_heads, layout, 0.5)
+        for a, b in zip(starts[:-1], starts[1:]):
+            mask = np.where(np.tri(b - a, dtype=bool), 0.0, ad.MASK_NEG)
+            want, *_ = _per_head_attention(
+                q[a:b], k[a:b], v[a:b], num_heads, mask, 0.5, np.zeros((b - a, 4))
+            )
+            np.testing.assert_array_equal(out.data[a:b], want)
+
     def test_attention_fully_masked_row(self):
         # the second sequence has a query row but no key rows
         x = Tensor(np.ones((2, 4)))

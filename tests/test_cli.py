@@ -4,6 +4,7 @@ import configparser
 import dataclasses
 import hashlib
 import inspect
+import json
 import pathlib
 import shutil
 import subprocess
@@ -421,3 +422,17 @@ class TestEntryPoint:
             capture_output=True,
         )
         assert proc.returncode == 2
+
+
+class TestBenchmarkSmoke:
+    def test_encode_long_run_exits_zero_and_correct(self):
+        """A short benchmark run: exit 0 and outputs that match expected.json."""
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", "encode-long",
+             "--seed", "1", "--seconds", "1", "--trace", "0"],
+            cwd=DATA.parents[1],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

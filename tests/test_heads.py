@@ -65,6 +65,25 @@ class TestSparseVector:
         assert sparse_dot(a, a) == pytest.approx(1.5**2 + 0.5**2)
         assert sparse_dot(SparseVector(), SparseVector()) == 0.0
 
+    def test_from_dense_equals_dict_constructor(self):
+        rng = np.random.default_rng(12)
+        specials = np.array([0.0, -0.0, -1.5, np.nan, -np.inf, 5e-324, 2.0])
+        for _ in range(20):
+            row = rng.normal(size=40)
+            row[rng.integers(0, 40, size=15)] = rng.choice(specials, size=15)
+            got = SparseVector.from_dense(row)
+            want = SparseVector({int(i): float(row[i]) for i in np.nonzero(row > 0.0)[0]})
+            assert list(got.entries.items()) == list(want.entries.items())
+            assert all(type(t) is int and type(w) is float for t, w in got.entries.items())
+
+    def test_from_dense_rejects_inf_naming_lowest_term(self):
+        row = np.array([1.0, np.nan, -np.inf, np.inf, 0.5, np.inf])
+        with pytest.raises(ContractError) as want:
+            SparseVector({3: np.inf})
+        with pytest.raises(ContractError) as got:
+            SparseVector.from_dense(row)
+        assert str(got.value) == str(want.value)
+
 
 class TestMlpHead:
     def test_absent_term_has_no_entry(self):

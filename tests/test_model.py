@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,30 @@ class TestComposition:
         with Tape():
             taped = model.batch_activations(seqs)
         np.testing.assert_allclose(untaped.data, taped.data, rtol=1e-10, atol=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "variant",
+        [Variant.ENCODER_ONLY, Variant.DECODER_MULTITOKENS, Variant.ENCDEC_MULTITOKENS],
+    )
+    def test_untaped_packed_head_memory_is_per_sequence(self, variant):
+        """Without a tape the max-pooled head never holds all N x |V| logits."""
+        vocab = 20_000
+        cfg = BackboneConfig(
+            variant, num_layers=1, d_model=8, num_heads=2, vocab_size=vocab, max_seq_len=32
+        )
+        model = SparseEncoder.build(cfg, HeadKind.MLM_MULTITOKENS)
+        rng = np.random.default_rng(4)
+        seqs = [rng.integers(4, vocab, size=n).tolist() for n in rng.integers(7, 33, size=8)]
+        rows = sum(len(s) for s in seqs)
+        model.batch_activations(seqs)  # warm up lazily built state
+        tracemalloc.start()
+        try:
+            model.batch_activations(seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * vocab * 8 / 2
 
 
 class TestCheckpoint:
