@@ -17,7 +17,7 @@ import logging
 import math
 
 from .errors import ContractError, FormatError
-from .text import read_records
+from .text import read_records, write_output
 
 logger = logging.getLogger(__name__)
 
@@ -66,10 +66,12 @@ def read_run(path) -> Run:
 
 
 def write_run(path, run: Run, tag: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for qid, ranked in run.items():
-            for rank, (doc, score) in enumerate(ranked, start=1):
-                fh.write(f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n")
+    lines = (
+        f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n"
+        for qid, ranked in run.items()
+        for rank, (doc, score) in enumerate(ranked, start=1)
+    )
+    write_output(path, (line.encode("utf-8") for line in lines))
 
 
 def _evaluated_queries(run: Run, qrels: Qrels, k: int) -> list[str]:

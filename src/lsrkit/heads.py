@@ -34,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .backbones import ParamRegistry
 from .errors import ContractError, FormatError, ShapeError
-from .text import read_records
+from .text import read_records, write_output
 
 
 class SparseVector:
@@ -72,15 +72,15 @@ class SparseVector:
     def from_dense(cls, values: np.ndarray) -> "SparseVector":
         """Vector of the strictly positive entries of a dense row.
 
-        NaN, zero and negative entries are dropped; +inf raises
+        Zero and negative entries (-inf too) are dropped; NaN or +inf raises
         ContractError naming the lowest such term, as the constructor does.
         """
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         nz = np.flatnonzero(values > 0.0)
         weights = values[nz]
-        bad = np.flatnonzero(~np.isfinite(weights))
-        if bad.size:
-            raise ContractError(f"weight for term {nz[bad[0]]} must be finite and >= 0")
+        if np.isnan(values).any() or not np.isfinite(weights).all():
+            term = np.flatnonzero(np.isnan(values) | (values == np.inf))[0]
+            raise ContractError(f"weight for term {term} must be finite and >= 0")
         vec = cls()
         vec.entries = dict(zip(nz.tolist(), weights.tolist()))
         return vec
@@ -269,9 +269,8 @@ def _parse_vector(name: str, body: str, where: str) -> tuple[str, SparseVector]:
 
 def write_vectors(path, items) -> None:
     """Write (name, SparseVector) records, one per line, in input order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for name, vec in items:
-            fh.write(format_vector_line(name, vec) + "\n")
+    lines = (format_vector_line(name, vec) + "\n" for name, vec in items)
+    write_output(path, (line.encode("utf-8") for line in lines))
 
 
 def read_vectors(path) -> list[tuple[str, SparseVector]]:

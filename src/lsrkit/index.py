@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ContractError, FormatError
 from .heads import SparseVector, sparse_dot
+from .text import write_output
 
 INDEX_MAGIC = b"LSRX"
 INDEX_VERSION = 1
@@ -206,27 +207,21 @@ def save_index(index: InvertedIndex, path, quantize8: bool = False) -> None:
         else:
             blob += posting.impacts.astype("<f4", copy=False).tobytes()
         dictionary.append((term, offset, len(posting.doc_ids)))
-    with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IBIIQ",
-                INDEX_VERSION,
-                impact_format,
-                index.doc_count,
-                index.term_count,
-                index.posting_count,
-            )
-        )
-        for term, offset, length in dictionary:
-            fh.write(struct.pack("<IQI", term, offset, length))
-        fh.write(blob)
-        for name in index.doc_names:
-            encoded = name.encode("utf-8")
-            tmp = bytearray()
-            _write_varint(tmp, len(encoded))
-            fh.write(tmp)
-            fh.write(encoded)
+    header = struct.pack(
+        "<IBIIQ",
+        INDEX_VERSION,
+        impact_format,
+        index.doc_count,
+        index.term_count,
+        index.posting_count,
+    )
+    names = bytearray()
+    for name in index.doc_names:
+        encoded = name.encode("utf-8")
+        _write_varint(names, len(encoded))
+        names += encoded
+    entries = b"".join(struct.pack("<IQI", *entry) for entry in dictionary)
+    write_output(path, [INDEX_MAGIC, header, entries, blob, names])
 
 
 def load_index(path) -> InvertedIndex:

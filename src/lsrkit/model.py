@@ -15,6 +15,7 @@ import dataclasses
 import json
 import struct
 import typing
+from itertools import chain
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .heads import (
     mlp_batch_activations,
 )
 from .heads import mlm_head, mlp_head  # noqa: F401  perfbench's tracer patches these names here
+from .text import write_output
 
 
 class _NoDraws:
@@ -103,12 +105,10 @@ class SparseEncoder:
             "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-            fh.write(blob)
-            for _, a in arrays:
-                fh.write(a.astype("<f8", copy=False).tobytes())
+        prefix = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(blob)), blob]
+        # One array's bytes at a time: saving never holds a second copy of the model.
+        payload = (a.astype("<f8", copy=False).tobytes() for _, a in arrays)
+        write_output(path, chain(prefix, payload))
 
     @classmethod
     def load(cls, path) -> tuple["SparseEncoder", str]:

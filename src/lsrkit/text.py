@@ -1,5 +1,6 @@
-"""Word-level tokenizer, corpus-derived vocabulary, and read_records, the one
-reader behind every line-based input file (these, triplets, vectors, TREC).
+"""Word-level tokenizer, corpus-derived vocabulary, read_records, the one
+reader behind every line-based input file (these, triplets, vectors, TREC),
+and write_output, the one writer behind every output file.
 
 File formats (all tab-separated, UTF-8):
   corpus / queries  ``name<TAB>text`` one record per line
@@ -9,9 +10,10 @@ File formats (all tab-separated, UTF-8):
 from __future__ import annotations
 
 import hashlib
+import os
+import stat
 import string
 from collections import Counter
-from pathlib import Path
 
 from .errors import FormatError
 
@@ -67,9 +69,7 @@ class Vocabulary:
         return hashlib.sha256("\n".join(self._tokens).encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            "".join(tok + "\n" for tok in self._tokens), encoding="utf-8"
-        )
+        write_output(path, [tok.encode("utf-8") + b"\n" for tok in self._tokens])
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -131,3 +131,45 @@ def read_tsv_texts(path) -> dict[str, str]:
             raise FormatError(f"{path}:{lineno}: duplicate name {name!r}")
         out[name] = text
     return out
+
+
+def write_output(path, chunks) -> None:
+    """Write the ``bytes`` chunks of an iterable as the file at ``path``.
+
+    A regular file with one link, or a path that does not exist yet, is
+    replaced whole: the chunks go to a sibling ``<path>.<pid>.tmp``, which
+    takes the old file's permission bits, the old file is unlinked and the
+    temp file renamed onto the path. Rewriting a file in place, by
+    truncation or by renaming over it, makes ext4 (``auto_da_alloc``) flush
+    it on close; this way pays no such flush. If the chunks or a write
+    raise, the temp file is removed and the old file is left as it was.
+
+    A symlink, a file with other hard links or a non-regular file (a
+    device, a FIFO) is written in place, as ``open(path, "wb")`` would, so
+    the link, the other names and the device keep working; an error there
+    leaves what was written so far. No file is fsynced.
+    """
+    path = os.fspath(path)
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not (stat.S_ISREG(old.st_mode) and old.st_nlink == 1):
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "xb")
+    except FileNotFoundError as exc:  # a missing directory: name the output
+        raise FileNotFoundError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            fh.writelines(chunks)
+        if old is not None:
+            os.chmod(tmp, stat.S_IMODE(old.st_mode))
+            os.unlink(path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    os.rename(tmp, path)

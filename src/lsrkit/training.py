@@ -25,7 +25,7 @@ from .autodiff import Tape, Tensor
 from .errors import ContractError, DegenerateDistributionError, FormatError, NumericError, ShapeError
 from .heads import SparseVector
 from .model import SparseEncoder
-from .text import Vocabulary, read_records, tokenize
+from .text import Vocabulary, read_records, tokenize, write_output
 
 
 @dataclass(frozen=True)
@@ -387,9 +387,8 @@ def train(
             if on_report is not None:
                 on_report(report)
     if metrics_path is not None:
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            for report in reports:
-                fh.write(json.dumps(report.log_record()) + "\n")
+        lines = (json.dumps(report.log_record()) + "\n" for report in reports)
+        write_output(metrics_path, (line.encode("utf-8") for line in lines))
     if checkpoint_path is not None:
         model.save(checkpoint_path, vocab_digest=vocab_digest)
     return reports

@@ -67,7 +67,7 @@ class TestSparseVector:
 
     def test_from_dense_equals_dict_constructor(self):
         rng = np.random.default_rng(12)
-        specials = np.array([0.0, -0.0, -1.5, np.nan, -np.inf, 5e-324, 2.0])
+        specials = np.array([0.0, -0.0, -1.5, -np.inf, 5e-324, 2.0])
         for _ in range(20):
             row = rng.normal(size=40)
             row[rng.integers(0, 40, size=15)] = rng.choice(specials, size=15)
@@ -77,11 +77,26 @@ class TestSparseVector:
             assert all(type(t) is int and type(w) is float for t, w in got.entries.items())
 
     def test_from_dense_rejects_inf_naming_lowest_term(self):
-        row = np.array([1.0, np.nan, -np.inf, np.inf, 0.5, np.inf])
+        row = np.array([1.0, -0.0, -np.inf, np.inf, 0.5, np.inf])
         with pytest.raises(ContractError) as want:
             SparseVector({3: np.inf})
         with pytest.raises(ContractError) as got:
             SparseVector.from_dense(row)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "row,term",
+        [
+            ([1.0, np.nan, -np.inf, np.inf, 0.5, np.inf], 1),
+            ([1.0, -np.inf, np.inf, np.nan], 2),
+            ([0.0, -1.0, np.nan], 2),
+        ],
+    )
+    def test_from_dense_rejects_nan_naming_lowest_non_finite_term(self, row, term):
+        with pytest.raises(ContractError) as want:
+            SparseVector({term: np.nan})
+        with pytest.raises(ContractError) as got:
+            SparseVector.from_dense(np.array(row))
         assert str(got.value) == str(want.value)
 
 

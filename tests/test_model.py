@@ -116,6 +116,15 @@ class TestComposition:
         assert all(w > 0 for w in vec.entries.values())
         assert all(0 <= t < 16 for t in vec.entries)
 
+    def test_nan_parameter_makes_encode_raise(self):
+        model = build(Variant.ENCODER_ONLY, HeadKind.MLM_MULTITOKENS)
+        assert len(model.encode([5, 6, 7])) > 0
+        model.backbone.tok_emb.data[5, 0] = np.nan
+        with pytest.raises(ContractError):
+            model.encode([5, 6, 7])
+        with pytest.raises(ContractError, match="term 5 "):
+            model.encode([9])
+
     def test_mlp_support_is_input_subset(self):
         model = build(Variant.ENCODER_ONLY, HeadKind.MLP)
         vec = model.encode([4, 5, 4])

@@ -1,14 +1,23 @@
-"""Tokenizer, vocabulary, corpus-file and record-reader tests."""
+"""Tokenizer, vocabulary, corpus-file, record-reader and output-writer tests."""
+
+import ast
+import os
+import re
+import stat
+from pathlib import Path
 
 import pytest
 
 from reference import write_tsv_texts
 from lsrkit import text
+from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.errors import FormatError
-from lsrkit.evaluation import read_qrels, read_run
-from lsrkit.heads import read_vectors
+from lsrkit.evaluation import read_qrels, read_run, write_run
+from lsrkit.heads import HeadKind, SparseVector, read_vectors, write_vectors
+from lsrkit.index import build_index, save_index
+from lsrkit.model import SparseEncoder
 from lsrkit.text import NUM_SPECIALS, PAD_ID, START_ID, UNK_ID, Vocabulary, build_vocab, tokenize
-from lsrkit.training import read_triplets
+from lsrkit.training import TrainConfig, TrainingTriplet, read_triplets, train
 
 
 class TestBuildVocab:
@@ -170,3 +179,150 @@ class TestRecordReader:
         plain.write_text(line + "\n")
         padded.write_text(" \n" + line + "\n\t\n")
         assert load(padded) == load(plain)
+
+
+def _vectors(version):
+    return [("d1", SparseVector({3: 0.5 + version})), ("d2", SparseVector({4: 1.0}))]
+
+
+def _tiny_model():
+    config = BackboneConfig(
+        Variant.ENCODER_ONLY, num_layers=1, d_model=8, num_heads=2, vocab_size=16, max_seq_len=8
+    )
+    return SparseEncoder.build(config, HeadKind.MLP)
+
+
+def _train_metrics(path, version):
+    triplet = TrainingTriplet((4, 5), (4, 6), (7,), 2.0 + version, 1.0)
+    cfg = TrainConfig(total_steps=1, learning_rate=1e-3)
+    train(_tiny_model(), [triplet], cfg, metrics_path=path)
+
+
+# every output lsrkit writes: (path, version) -> writes bytes that depend on version
+WRITERS = [
+    pytest.param(lambda path, v: Vocabulary(["a", "b", "c"][: v + 1]).save(path), id="vocab"),
+    pytest.param(lambda path, v: write_vectors(path, _vectors(v)), id="vectors"),
+    pytest.param(lambda path, v: write_run(path, {"q1": [("d1", 2.0 + v)]}, "t"), id="run"),
+    pytest.param(lambda path, v: save_index(build_index(_vectors(v)), path), id="index"),
+    pytest.param(lambda path, v: _tiny_model().save(path, vocab_digest=str(v)), id="checkpoint"),
+    pytest.param(_train_metrics, id="metrics"),
+]
+
+
+class TestOutputWriter:
+    @pytest.mark.parametrize("write", WRITERS)
+    def test_rewrite_gives_a_new_file_with_the_new_bytes(self, tmp_path, write):
+        path, fresh = tmp_path / "out", tmp_path / "fresh"
+        write(path, 0)
+        old_inode = path.stat().st_ino
+        write(path, 1)
+        write(fresh, 1)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert path.stat().st_ino != old_inode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
+
+    def test_failing_chunks_keep_the_old_file_and_leave_no_temp_file(self, tmp_path):
+        path = tmp_path / "vectors.tsv"
+        write_vectors(path, _vectors(0))
+        before = path.read_bytes()
+
+        def items():
+            yield from _vectors(1)
+            raise RuntimeError("encoder failed")
+
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            write_vectors(path, items())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vectors.tsv"]
+
+    def test_failing_chunks_for_a_new_path_leave_nothing(self, tmp_path):
+        def chunks():
+            yield b"part"
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError):
+            text.write_output(tmp_path / "out", chunks())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directory_error_names_the_output(self, tmp_path):
+        path = tmp_path / "missing" / "out.vec"
+        with pytest.raises(FileNotFoundError) as exc:
+            text.write_output(path, [b"x"])
+        assert exc.value.filename == str(path)
+
+    def test_symlink_is_written_through_and_kept(self, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        text.write_output(link, [b"new", b" bytes"])
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == b"new bytes"
+
+    def test_hard_linked_file_is_written_in_place(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_bytes(b"old")
+        os.link(a, b)
+        inode = a.stat().st_ino
+        text.write_output(a, [b"new"])
+        assert a.read_bytes() == b.read_bytes() == b"new"
+        assert a.stat().st_ino == b.stat().st_ino == inode
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            text.write_output(fifo, [b"through ", b"the pipe"])
+            assert os.read(reader, 100) == b"through the pipe"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_mode_bits_are_kept(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        Vocabulary(["a"]).save(path)
+        path.chmod(0o640)
+        Vocabulary(["a", "b"]).save(path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_text() == "a\nb\n"
+
+    def test_only_write_output_opens_files_for_writing(self):
+        """Every output goes through text.write_output, so no module can bring
+        back rewriting a file by truncating it in place."""
+        offenders = []
+        for file in sorted(Path(text.__file__).parent.glob("*.py")):
+            tree = ast.parse(file.read_text(encoding="utf-8"))
+            allowed = set()
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and (file.name, fn.name) == ("text.py", "write_output"):
+                    allowed = {id(node) for node in ast.walk(fn)}
+            offenders += [
+                f"{file.name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if id(node) not in allowed and _opens_for_writing(node)
+            ]
+        assert not offenders, f"outputs not written by text.write_output: {offenders}"
+
+
+def _opens_for_writing(node) -> bool:
+    """An ``open(path, mode)`` or ``x.open(mode)`` call whose mode writes
+    (or is not a literal), or a ``write_text``/``write_bytes`` call."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return True
+    modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes += node.args[1:2]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        modes += [
+            arg for arg in node.args[:2]
+            if isinstance(arg, ast.Constant) and re.fullmatch(r"[rwaxbt+]+", str(arg.value))
+        ]
+    else:
+        return False
+    return any(
+        not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wax+")
+        for m in modes
+    )
