@@ -20,7 +20,6 @@ from .errors import (
     NumericError,
     ShapeError,
     TapeStateError,
-    VocabError,
 )
 
 # Additive stand-in for -inf in attention masks; exp(x - 1e9) underflows
@@ -415,25 +414,6 @@ def attention(
             _accum_owned(kp, merge(np.matmul(q.transpose(0, 2, 1), ds).transpose(0, 2, 1)))
         if qp.requires_grad:
             _accum_owned(qp, merge(np.matmul(ds, k)))
-
-    return _record(out, backward)
-
-
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of an embedding table; gradients scatter-add back."""
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.ndim != 1:
-        raise ShapeError(f"ids must be rank 1, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise VocabError(
-            f"id out of range for table with {table.data.shape[0]} rows"
-        )
-    out = Tensor(table.data[ids], table.requires_grad)
-
-    def backward(g):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, ids, g)
-        _accum_owned(table, buf)
 
     return _record(out, backward)
 

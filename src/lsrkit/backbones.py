@@ -1,8 +1,10 @@
-"""Four transformer backbone variants over a shared layer stack.
+"""Four transformer backbone variants over one layer stack.
 
-All variants share the same pre-layer-norm blocks and differ only in
-attention masking, decoder input wiring, and which hidden states they
-expose:
+``Backbone._run_stack`` runs every stack: token plus position rows (each an
+``autodiff.gather_rows``), pre-layer-norm blocks and a final layer norm; a
+variant makes one encoder call, one decoder call or both. The variants
+differ only in attention masking, decoder input wiring, and which hidden
+states they expose:
 
   encoder_only          bidirectional stack, one state per input token
   decoder_multitokens   causal stack over [<s>, t_1..t_n], states for t_1..t_n
@@ -234,51 +236,41 @@ class Backbone:
         variant there is exactly one state row per sequence.
         """
         ids, lengths = self._pack(sequences)
-        b = len(lengths)
-        starts = np.concatenate([[0], np.cumsum(lengths)])
-        pos = np.arange(len(ids)) - np.repeat(starts[:-1], lengths)
-        variant = self.config.variant
-
-        memory = self._run_encoder(ids, pos, starts) if self._has_encoder else None
-        if variant == Variant.ENCODER_ONLY:
+        starts, pos = _offsets(lengths)
+        memory = cross = None
+        if self._has_encoder:
+            layout = AttentionLayout(starts, starts)
+            memory = self._run_stack(self.enc_blocks, self.enc_ln, self.enc_pos, ids, pos, layout)
+        if not self._has_decoder:
             return memory, starts, ids
 
-        if variant == Variant.ENCDEC_SINGLETOKEN:
-            d_ids = np.full(b, START_ID, dtype=np.intp)
-            d_pos = np.zeros(b, dtype=np.intp)
-            d_starts = np.arange(b + 1, dtype=np.intp)
-            x = self._run_decoder(d_ids, d_pos, d_starts, memory=memory, memory_starts=starts)
+        # The single-token decoder reads <s> alone; the multi-token one reads
+        # <s> before each sequence's tokens, which ``keep`` then selects.
+        single = self.config.variant == Variant.ENCDEC_SINGLETOKEN
+        d_starts, d_pos = _offsets(np.ones_like(lengths) if single else lengths + 1)
+        d_ids = np.full(len(d_pos), START_ID, dtype=np.intp)
+        keep = np.flatnonzero(d_pos)  # every row but the <s> rows
+        if not single:
+            d_ids[keep] = ids
+        if memory is not None:
+            cross = AttentionLayout(d_starts, starts)
+        layout = AttentionLayout(d_starts, d_starts, causal=True)
+        x = self._run_stack(
+            self.dec_blocks, self.dec_ln, self.dec_pos, d_ids, d_pos, layout, memory, cross
+        )
+        if single:
             return x, d_starts, ids
-
-        # The decoder reads <s> before each sequence: token j of sequence i
-        # moves down i + 1 rows, and ``keep`` indexes those token rows.
-        d_starts = starts + np.arange(b + 1)
-        keep = np.arange(len(ids)) + np.repeat(np.arange(1, b + 1), lengths)
-        d_ids = np.full(len(ids) + b, START_ID, dtype=np.intp)
-        d_ids[keep] = ids
-        d_pos = np.arange(len(ids) + b) - np.repeat(d_starts[:-1], lengths + 1)
-        x = self._run_decoder(d_ids, d_pos, d_starts, memory=memory, memory_starts=starts)
         return ad.gather_rows(x, keep), starts, ids
 
-    def _run_encoder(self, ids, pos, starts) -> Tensor:
-        x = ad.add(
-            ad.embedding_lookup(self.tok_emb, ids),
-            ad.embedding_lookup(self.enc_pos, pos),
-        )
-        layout = AttentionLayout(starts, starts)
-        for block in self.enc_blocks:
-            x = block(x, layout)
-        return self.enc_ln(x)
+    def _run_stack(self, blocks, final_ln, pos_table, ids, pos, layout, memory=None, cross=None):
+        """Embed ``ids`` at positions ``pos`` and run ``blocks`` then ``final_ln``."""
+        x = ad.add(ad.gather_rows(self.tok_emb, ids), ad.gather_rows(pos_table, pos))
+        for block in blocks:
+            x = block(x, layout, memory=memory, cross_layout=cross)
+        return final_ln(x)
 
-    def _run_decoder(self, ids, pos, starts, memory, memory_starts) -> Tensor:
-        x = ad.add(
-            ad.embedding_lookup(self.tok_emb, ids),
-            ad.embedding_lookup(self.dec_pos, pos),
-        )
-        self_layout = AttentionLayout(starts, starts, causal=True)
-        cross = None
-        if memory is not None:
-            cross = AttentionLayout(starts, memory_starts)
-        for block in self.dec_blocks:
-            x = block(x, self_layout, memory=memory, cross_layout=cross)
-        return self.dec_ln(x)
+
+def _offsets(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The B+1 row offsets of packed sequences and each row's position."""
+    starts = np.concatenate([[0], np.cumsum(lengths)])
+    return starts, np.arange(starts[-1]) - np.repeat(starts[:-1], lengths)

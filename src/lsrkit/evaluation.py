@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, NumericError
 from .text import read_records, write_output
 
 logger = logging.getLogger(__name__)
@@ -34,6 +35,8 @@ def read_qrels(path) -> Qrels:
             raise FormatError(f"{path}:{lineno}: bad relevance {raw_rel!r}") from None
         if rel < 0:
             raise FormatError(f"{path}:{lineno}: relevance must be >= 0")
+        if rel >= sys.float_info.max_exp:  # 2.0**rel would overflow
+            raise FormatError(f"{path}:{lineno}: relevance {rel} has no finite gain 2^rel - 1")
         per_query = qrels.setdefault(qid, {})
         if doc in per_query:
             raise FormatError(f"{path}:{lineno}: duplicate judgment for ({qid}, {doc})")
@@ -117,7 +120,10 @@ def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10) -> float:
         )
         if idcg > 0.0:
             total += dcg / idcg
-    return total / len(queries)
+    ndcg = total / len(queries)
+    if not math.isfinite(ndcg):
+        raise NumericError(f"nDCG@{k} is not finite: the gains overflow float64")
+    return ndcg
 
 
 def recall_at_k(run: Run, qrels: Qrels, k: int = 1000) -> float:

@@ -65,9 +65,6 @@ class SparseVector:
     def support(self) -> set[int]:
         return set(self.entries)
 
-    def dot(self, other: "SparseVector") -> float:
-        return sparse_dot(self, other)
-
     @classmethod
     def from_dense(cls, values: np.ndarray) -> "SparseVector":
         """Vector of the strictly positive entries of a dense row.
@@ -241,32 +238,6 @@ def format_vector_line(name: str, vec: SparseVector) -> str:
     return f"{name}\t{body}"
 
 
-def parse_vector_line(line: str, lineno: int = 0) -> tuple[str, SparseVector]:
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != 2:
-        raise FormatError(f"line {lineno}: expected 'name<TAB>entries'")
-    return _parse_vector(*parts, f"line {lineno}")
-
-
-def _parse_vector(name: str, body: str, where: str) -> tuple[str, SparseVector]:
-    entries: dict[int, float] = {}
-    for chunk in body.split():
-        term, _, weight = chunk.partition(":")
-        try:
-            t, w = int(term), float(weight)
-        except ValueError:
-            raise FormatError(f"{where}: bad entry {chunk!r}") from None
-        if not 0 <= t < 2**32:  # index files store term ids as u32
-            raise FormatError(f"{where}: term id {t} outside [0, 2**32)")
-        if t in entries:
-            raise FormatError(f"{where}: duplicate term {t}")
-        entries[t] = w
-    try:
-        return name, SparseVector(entries)
-    except ContractError as exc:
-        raise FormatError(f"{where}: {exc}") from None
-
-
 def write_vectors(path, items) -> None:
     """Write (name, SparseVector) records, one per line, in input order."""
     lines = (format_vector_line(name, vec) + "\n" for name, vec in items)
@@ -274,7 +245,26 @@ def write_vectors(path, items) -> None:
 
 
 def read_vectors(path) -> list[tuple[str, SparseVector]]:
-    return [
-        _parse_vector(name, body, f"{path}:{lineno}")
-        for lineno, (name, body) in read_records(path, 2, "'name<TAB>entries'")
-    ]
+    """Read (name, SparseVector) records in file order; names must be unique."""
+    vectors: dict[str, SparseVector] = {}
+    for lineno, (name, body) in read_records(path, 2, "'name<TAB>entries'"):
+        where = f"{path}:{lineno}"
+        if name in vectors:
+            raise FormatError(f"{where}: duplicate name {name!r}")
+        entries: dict[int, float] = {}
+        for chunk in body.split():
+            term, _, weight = chunk.partition(":")
+            try:
+                t, w = int(term), float(weight)
+            except ValueError:
+                raise FormatError(f"{where}: bad entry {chunk!r}") from None
+            if not 0 <= t < 2**32:  # index files store term ids as u32
+                raise FormatError(f"{where}: term id {t} outside [0, 2**32)")
+            if t in entries:
+                raise FormatError(f"{where}: duplicate term {t}")
+            entries[t] = w
+        try:
+            vectors[name] = SparseVector(entries)
+        except ContractError as exc:
+            raise FormatError(f"{where}: {exc}") from None
+    return list(vectors.items())

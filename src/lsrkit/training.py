@@ -66,16 +66,14 @@ class TrainConfig:
     log_every: int = 100
 
     def __post_init__(self):
-        if self.total_steps < 0:
-            raise ContractError("total_steps must be >= 0")
-        if self.log_every < 1:
-            raise ContractError("log_every must be >= 1")
+        for name, low in [("total_steps", 0), ("warmup_steps", 0), ("seed", 0),
+                          ("batch_size", 1), ("lambda_ramp_steps", 1), ("log_every", 1)]:
+            if getattr(self, name) < low:
+                raise ContractError(f"{name} must be >= {low}")
         if self.warmup_steps > self.total_steps:
             raise ContractError("warmup_steps must be <= total_steps")
         if self.lambda_q < 0.0 or self.lambda_d < 0.0:
             raise ContractError("lambda weights must be >= 0")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be >= 1")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ContractError(f"{name} must be in [0, 1)")

@@ -124,6 +124,15 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config)]) == 2
         assert "log_every" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value", [("seed", "-1"), ("warmup_steps", "-1"), ("lambda_ramp_steps", "0")]
+    )
+    def test_out_of_range_count_exits_2_and_names_it(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, set=[("train", key, value)])
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"{key} must be >= " in capsys.readouterr().err
+        assert not (tmp_path / "ckpt.bin").exists()
+
     def test_zero_total_steps_exits_2(self, tmp_path, capsys):
         config = write_config(
             tmp_path, set=[("train", "total_steps", "0"), ("train", "warmup_steps", "0")]
@@ -292,6 +301,14 @@ class TestIndexCommand:
         assert "docs.vec: not UTF-8 at byte 10" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_doc_name_exits_5_and_names_line(self, tmp_path, capsys):
+        vectors = tmp_path / "docs.vec"
+        vectors.write_text("d1\t3:0.5\nd2\t4:1.0\nd1\t5:1.0\n")
+        out = tmp_path / "index.lsrx"
+        assert main(["index", "--vectors", str(vectors), "--output", str(out)]) == 5
+        assert "docs.vec:3: duplicate name 'd1'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSearchCommand:
     def test_golden_run_reproduced_byte_for_byte(self, pipeline):
@@ -325,6 +342,19 @@ class TestSearchCommand:
             "--output", str(tmp_path / "r.txt"),
         ]) == 5
         assert "finite" in capsys.readouterr().err
+
+    def test_repeated_query_name_exits_5_without_output(self, pipeline, tmp_path, capsys):
+        queries = tmp_path / "queries.vec"
+        lines = pipeline["queries_vec"].read_text().splitlines()
+        queries.write_text("\n".join(lines + lines[:1]) + "\n")
+        out = tmp_path / "r.txt"
+        assert main([
+            "search", "--index", str(pipeline["index"]), "--queries", str(queries),
+            "--output", str(out),
+        ]) == 5
+        name = lines[0].split("\t")[0]
+        assert f"queries.vec:{len(lines) + 1}: duplicate name {name!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvalCommand:
@@ -361,6 +391,24 @@ class TestEvalCommand:
         assert main(["eval", "--run", str(run), "--qrels", str(qrels), "--mrr-k", "-1"]) == 2
         captured = capsys.readouterr()
         assert "k must be >= 1" in captured.err
+        assert captured.out == ""
+
+    def test_grade_without_finite_gain_exits_5_and_names_line(self, tmp_path, capsys):
+        run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
+        run.write_text("q1 Q0 d1 1 2.000000 t\n")
+        qrels.write_text("q1 0 d1 1023\nq1 0 d2 1024\n")
+        assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 5
+        captured = capsys.readouterr()
+        assert "qrels.txt:2: relevance 1024" in captured.err
+        assert captured.out == ""
+
+    def test_overflowing_ndcg_exits_3(self, tmp_path, capsys):
+        run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
+        run.write_text("".join(f"q1 Q0 d{i} {i} {9 - i}.000000 t\n" for i in (1, 2, 3)))
+        qrels.write_text("".join(f"q1 0 d{i} 1023\n" for i in (1, 2, 3)))
+        assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 3
+        captured = capsys.readouterr()
+        assert "nDCG@10 is not finite" in captured.err
         assert captured.out == ""
 
     def test_trained_model_beats_chance_on_fixture(self, pipeline, capsys):

@@ -17,7 +17,6 @@ from lsrkit.heads import (
     mlm_head,
     mlp_batch_activations,
     mlp_head,
-    parse_vector_line,
     read_vectors,
     sparse_dot,
     write_vectors,
@@ -289,14 +288,24 @@ class TestVectorFiles:
         for (_, a), (_, b) in zip(items, loaded):
             assert a == b
 
-    def test_malformed_entry_reports_line(self):
-        with pytest.raises(FormatError, match="3"):
-            parse_vector_line("q1\t5:notafloat", lineno=3)
+    def test_malformed_entry_reports_line(self, tmp_path):
+        path = tmp_path / "vecs.tsv"
+        path.write_text("q0\t1:0.5\n\nq1\t5:notafloat\n")
+        with pytest.raises(FormatError, match=r"vecs\.tsv:3: bad entry '5:notafloat'"):
+            read_vectors(path)
 
     @pytest.mark.parametrize(
         "line",
         ["d1\t-3:0.5", "d1\t3:-0.5", "d1\t3:nan", "d1\t3:inf", "d1\t4294967296:1.0"],
     )
-    def test_bad_term_or_weight_is_format_error(self, line):
-        with pytest.raises(FormatError, match="line 4"):
-            parse_vector_line(line, lineno=4)
+    def test_bad_term_or_weight_is_format_error(self, tmp_path, line):
+        path = tmp_path / "vecs.tsv"
+        path.write_text("d0\t1:0.5\nd2\t\n\n" + line + "\n")
+        with pytest.raises(FormatError, match=r"vecs\.tsv:4: "):
+            read_vectors(path)
+
+    def test_repeated_name_names_its_line(self, tmp_path):
+        path = tmp_path / "vecs.tsv"
+        path.write_text("q1\t1:0.5\nq2\t2:0.5\nq1\t3:0.5\n")
+        with pytest.raises(FormatError, match=r"vecs\.tsv:3: duplicate name 'q1'"):
+            read_vectors(path)

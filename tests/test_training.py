@@ -261,6 +261,36 @@ class TestTrainStep:
         r1, r2 = run(), run()
         assert [vars(a) for a in r1] == [vars(b) for b in r2]
 
+    @pytest.mark.parametrize(
+        "variant,head,entries",
+        [
+            (Variant.ENCODER_ONLY, HeadKind.MLP, 85),
+            (Variant.DECODER_MULTITOKENS, HeadKind.MLM_MULTITOKENS, 88),
+            (Variant.ENCDEC_SINGLETOKEN, HeadKind.MLM_SINGLETOKEN, 151),
+            (Variant.ENCDEC_MULTITOKENS, HeadKind.MLM_MULTITOKENS, 157),
+        ],
+    )
+    def test_tape_entries_of_one_step(self, monkeypatch, variant, head, entries):
+        # d=32, 1 layer, 2 heads, both FLOPs weights on: the shapes of the
+        # train-variants benchmark, whose traced tape counts these pin.
+        lengths = []
+        backward = Tape.backward
+
+        def counting(tape, loss):
+            lengths.append(len(tape))
+            return backward(tape, loss)
+
+        monkeypatch.setattr(Tape, "backward", counting)
+        config = BackboneConfig(
+            variant, num_layers=1, d_model=32, num_heads=2, vocab_size=V, max_seq_len=8
+        )
+        model = SparseEncoder.build(config, head)
+        cfg = TrainConfig(total_steps=2, learning_rate=1e-3, batch_size=4, lambda_q=0.5, lambda_d=0.5)
+        batch = tiny_batch(np.random.default_rng(9))
+        report = train_step(model, Adam(model.parameters(), cfg.learning_rate), batch, cfg, 1)
+        assert report.lambda_q > 0.0 and report.lambda_d > 0.0
+        assert lengths == [entries]
+
 
 class LoopAdam:
     """Reference: the per-parameter Adam loop that the flat update replaced."""
