@@ -418,15 +418,22 @@ def attention(
     return _record(out, backward)
 
 
+def _scatter_sum(flat_ids: np.ndarray, weights: np.ndarray, shape) -> np.ndarray:
+    """Zeros of ``shape`` plus each weight at its flat index, added left to
+    right as ``np.add.at`` adds them: the same bits at a third of the cost."""
+    out = np.bincount(flat_ids.ravel(), weights.ravel(), math.prod(shape))
+    return out.astype(np.float64, copy=False).reshape(shape)  # int64 when empty
+
+
 def gather_rows(x: Tensor, idx) -> Tensor:
     """Select rows by index (duplicates allowed); backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.intp)
     out = Tensor(x.data[idx], x.requires_grad)
 
     def backward(g):
-        buf = np.zeros_like(x.data)
-        np.add.at(buf, idx, g)
-        _accum_owned(x, buf)
+        rows = idx.reshape(-1, 1) % len(x.data)  # negative ids: the rows x.data[idx] read
+        width = math.prod(x.data.shape[1:])
+        _accum_owned(x, _scatter_sum(rows * width + np.arange(width), g, x.data.shape))
 
     return _record(out, backward)
 
@@ -524,9 +531,8 @@ def scatter_add_pairs(values: Tensor, rows, cols, shape: tuple[int, int]) -> Ten
     cols = np.asarray(cols, dtype=np.intp)
     if values.data.ndim != 1 or values.data.shape[0] != rows.shape[0] != cols.shape[0]:
         raise ShapeError("scatter_add_pairs: values, rows, cols must be equal-length vectors")
-    buf = np.zeros(shape, dtype=np.float64)
-    np.add.at(buf, (rows, cols), values.data)
-    out = Tensor(buf, values.requires_grad)
+    flat = np.ravel_multi_index((rows, cols), shape)
+    out = Tensor(_scatter_sum(flat, values.data, shape), values.requires_grad)
 
     def backward(g):
         _accum_owned(values, g[rows, cols])

@@ -218,6 +218,8 @@ class Backbone:
         except (TypeError, ValueError):
             ok = False
         if not ok:
+            if not sequences:
+                raise EmptyInputError("a batch must hold at least one sequence")
             seqs = [self._validate(s) for s in sequences]
             ids = np.concatenate(seqs)
             lengths = np.array([s.size for s in seqs], dtype=np.intp)

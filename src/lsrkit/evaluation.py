@@ -68,16 +68,26 @@ def read_run(path) -> Run:
     return run
 
 
+def _run_field(kind: str, value: str) -> str:
+    """``value`` if read_run can split it back out of a run line."""
+    if value.split() != [value]:
+        raise ContractError(f"run {kind} {value!r} is empty or holds whitespace")
+    return value
+
+
 def write_run(path, run: Run, tag: str) -> None:
+    """Write a run file; a qid, doc name or tag that is empty or holds
+    whitespace raises ContractError and leaves any old file as it was."""
+    _run_field("tag", tag)
     lines = (
-        f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n"
+        f"{_run_field('qid', qid)} Q0 {_run_field('doc name', doc)} {rank} {score:.6f} {tag}\n"
         for qid, ranked in run.items()
         for rank, (doc, score) in enumerate(ranked, start=1)
     )
     write_output(path, (line.encode("utf-8") for line in lines))
 
 
-def _evaluated_queries(run: Run, qrels: Qrels, k: int) -> list[str]:
+def _evaluated_queries(run: Run, qrels: Qrels, k: int = 1) -> list[str]:
     if k < 1:
         raise ContractError(f"metric cutoff k must be >= 1, got {k}")
     evaluated = [qid for qid in run if qid in qrels]
@@ -102,24 +112,26 @@ def mrr_at_k(run: Run, qrels: Qrels, k: int = 10) -> float:
     return total / len(queries)
 
 
+def _dcg(rels) -> float:
+    """Discounted cumulative gain of grades in rank order, added left to right."""
+    dcg = 0.0
+    try:
+        for rank, rel in enumerate(rels, start=1):
+            if rel > 0:
+                dcg += (2.0**rel - 1.0) / math.log2(rank + 1)
+    except OverflowError:
+        raise NumericError(f"relevance {rel} has no finite gain 2^rel - 1") from None
+    return dcg
+
+
 def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10) -> float:
     total = 0.0
     queries = _evaluated_queries(run, qrels, k)
     for qid in queries:
         judged = qrels[qid]
-        dcg = 0.0
-        for rank, (doc, _) in enumerate(run[qid][:k], start=1):
-            rel = judged.get(doc, 0)
-            if rel > 0:
-                dcg += (2.0**rel - 1.0) / math.log2(rank + 1)
-        ideal = sorted(judged.values(), reverse=True)[:k]
-        idcg = sum(
-            (2.0**rel - 1.0) / math.log2(rank + 1)
-            for rank, rel in enumerate(ideal, start=1)
-            if rel > 0
-        )
+        idcg = _dcg(sorted(judged.values(), reverse=True)[:k])
         if idcg > 0.0:
-            total += dcg / idcg
+            total += _dcg([judged.get(doc, 0) for doc, _ in run[qid][:k]]) / idcg
     ndcg = total / len(queries)
     if not math.isfinite(ndcg):
         raise NumericError(f"nDCG@{k} is not finite: the gains overflow float64")
@@ -146,6 +158,7 @@ def recall_at_k(run: Run, qrels: Qrels, k: int = 1000) -> float:
 
 
 def evaluate(run: Run, qrels: Qrels, mrr_k=10, ndcg_k=10, recall_k=1000) -> dict[str, float]:
+    run = {qid: run[qid] for qid in _evaluated_queries(run, qrels)}  # one skip warning, not three
     return {
         f"MRR@{mrr_k}": mrr_at_k(run, qrels, mrr_k),
         f"nDCG@{ndcg_k}": ndcg_at_k(run, qrels, ndcg_k),

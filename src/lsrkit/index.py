@@ -15,8 +15,9 @@ On-disk format (little-endian):
 
 load_index raises FormatError unless term ids ascend strictly, each posting
 list starts where the previous one ended, doc ids ascend strictly below
-doc_count and every impact is a finite positive float32: the conditions
-under which search matches the oracle.
+doc_count, every impact is a finite positive float32 and doc names are
+unique: the conditions under which search matches the oracle and a run
+names each doc once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ContractError, FormatError
 from .heads import SparseVector, sparse_dot
-from .text import write_output
+from .text import ByteReader, write_output
 
 INDEX_MAGIC = b"LSRX"
 INDEX_VERSION = 1
@@ -153,31 +154,6 @@ def _write_varint(buf: bytearray, value: int) -> None:
             return
 
 
-class _Reader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.offset = 0
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.raw):
-            raise FormatError(f"index file truncated at offset {self.offset}")
-        chunk = self.raw[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
-
-    def varint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self.take(1)[0]
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 63:
-                raise FormatError(f"varint overflow at offset {self.offset}")
-
-
 def save_index(index: InvertedIndex, path, quantize8: bool = False) -> None:
     """Serialize; ``quantize8`` stores impacts as 8-bit linear codes (lossy)."""
     impact_format = IMPACTS_U8 if quantize8 else IMPACTS_F32
@@ -225,20 +201,11 @@ def save_index(index: InvertedIndex, path, quantize8: bool = False) -> None:
 
 
 def load_index(path) -> InvertedIndex:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    reader = _Reader(raw)
-    magic = reader.take(4)
-    if magic != INDEX_MAGIC:
-        raise FormatError(f"bad index magic at offset 0: {magic!r}")
-    version, impact_format, doc_count, term_count, posting_count = struct.unpack(
-        "<IBIIQ", reader.take(21)
-    )
-    if version != INDEX_VERSION:
-        raise FormatError(f"unsupported index version {version}")
+    reader = ByteReader(path, "index", INDEX_MAGIC, INDEX_VERSION)
+    impact_format, doc_count, term_count, posting_count = reader.unpack("<BIIQ")
     if impact_format not in (IMPACTS_F32, IMPACTS_U8):
         raise FormatError(f"unknown impact format {impact_format}")
-    dictionary = [struct.unpack("<IQI", reader.take(16)) for _ in range(term_count)]
+    dictionary = [reader.unpack("<IQI") for _ in range(term_count)]
     terms = [term for term, _, _ in dictionary]
     if any(a >= b for a, b in zip(terms, terms[1:])):
         raise FormatError("term ids must ascend strictly")
@@ -253,10 +220,10 @@ def load_index(path) -> InvertedIndex:
                 f"term {term}: postings start at blob offset {offset}, "
                 f"not where the previous list ended ({reader.offset - blob_start})"
             )
-        if header_bytes + bytes_per_posting * length > len(raw) - reader.offset:
+        if header_bytes + bytes_per_posting * length > reader.remaining():
             raise FormatError(
                 f"term {term}: {length} postings cannot fit in the "
-                f"{len(raw) - reader.offset} bytes left at offset {reader.offset}"
+                f"{reader.remaining()} bytes left at offset {reader.offset}"
             )
         doc_ids = np.empty(length, dtype=np.int64)
         prev = 0
@@ -272,20 +239,18 @@ def load_index(path) -> InvertedIndex:
                 f"term {term}: doc ids must ascend strictly and stay below {doc_count}"
             )
         if impact_format == IMPACTS_U8:
-            lo, scale = struct.unpack("<ff", reader.take(8))
+            lo, scale = reader.unpack("<ff")
             if not (lo >= 0.0 and scale >= 0.0 and lo + 255.0 * scale <= F32_MAX):
                 raise FormatError(
                     f"term {term}: 8-bit lo {lo} and scale {scale} must be >= 0 "
                     "and decode to finite float32 impacts"
                 )
-            codes = np.frombuffer(reader.take(length), dtype=np.uint8)
+            codes = reader.array(np.uint8, length)
             impacts = (lo + codes.astype(np.float32) * np.float32(scale)).astype(
                 np.float32
             )
         else:
-            impacts = np.frombuffer(reader.take(4 * length), dtype="<f4").astype(
-                np.float32
-            )
+            impacts = reader.array("<f4", length).astype(np.float32)
         if not (np.isfinite(impacts) & (impacts > 0.0)).all():
             raise FormatError(f"term {term}: impacts must be finite and > 0")
         postings[term] = Posting(doc_ids, impacts)
@@ -294,14 +259,16 @@ def load_index(path) -> InvertedIndex:
         raise FormatError(
             f"posting count mismatch: header says {posting_count}, found {total}"
         )
-    doc_names = []
+    doc_names: dict[str, None] = {}
     for _ in range(doc_count):
         n = reader.varint()
         start = reader.offset
         try:
-            doc_names.append(reader.take(n).decode("utf-8"))
+            name = reader.take(n).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"doc name at offset {start} is not UTF-8") from None
-    if reader.offset != len(raw):
-        raise FormatError(f"trailing bytes after offset {reader.offset}")
-    return InvertedIndex(doc_names, postings)
+        if name in doc_names:
+            raise FormatError(f"doc name {name!r} at offset {start} is repeated")
+        doc_names[name] = None
+    reader.finish()
+    return InvertedIndex(list(doc_names), postings)

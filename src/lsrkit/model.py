@@ -30,7 +30,7 @@ from .heads import (
     mlp_batch_activations,
 )
 from .heads import mlm_head, mlp_head  # noqa: F401  perfbench's tracer patches these names here
-from .text import write_output
+from .text import ByteReader, write_output
 
 
 class _NoDraws:
@@ -113,43 +113,22 @@ class SparseEncoder:
     @classmethod
     def load(cls, path) -> tuple["SparseEncoder", str]:
         """Rebuild a model from a checkpoint; returns (model, vocab_digest)."""
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        if raw[:4] != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad checkpoint magic at offset 0: {raw[:4]!r}")
-        if len(raw) < 12:
-            raise FormatError(f"checkpoint truncated at offset {len(raw)}")
-        version, header_len = struct.unpack_from("<II", raw, 4)
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        try:
-            header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"unreadable checkpoint header: {exc}") from None
-        try:
-            model, records, digest = cls._from_header(header, len(raw) - 12 - header_len)
+        reader = ByteReader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        (header_len,) = reader.unpack("<I")
+        try:  # a header that is not UTF-8 or not JSON raises a ValueError too
+            header = json.loads(reader.take(header_len).decode("utf-8"))
+            model, records, digest = cls._from_header(header, reader.remaining())
         except (KeyError, TypeError, ValueError, ContractError) as exc:
             raise FormatError(f"bad checkpoint header: {type(exc).__name__}: {exc}") from None
-        offset = 12 + header_len
         params = model.parameters()
-        if [name for name, _ in records] != [name for name, _ in params]:
-            raise FormatError("checkpoint parameter list does not match model")
-        for (name, shape), (_, tensor) in zip(records, params):
-            if tensor.data.shape != shape:
-                raise FormatError(
-                    f"array {name}: stored shape {shape}, expected {tensor.data.shape}"
-                )
-            nbytes = tensor.data.size * 8
-            if offset + nbytes > len(raw):
-                raise FormatError(f"checkpoint truncated at offset {offset}")
-            tensor.data = np.frombuffer(
-                raw, dtype="<f8", count=tensor.data.size, offset=offset
-            ).reshape(shape).copy()
+        expected = [(name, tensor.data.shape) for name, tensor in params]
+        if records != expected:
+            raise FormatError(f"checkpoint arrays {records} do not match the model's {expected}")
+        for name, tensor in params:
+            tensor.data = reader.array("<f8", tensor.data.size).reshape(tensor.data.shape).copy()
             if not np.isfinite(tensor.data).all():
                 raise FormatError(f"array {name} holds a non-finite value")
-            offset += nbytes
-        if offset != len(raw):
-            raise FormatError(f"trailing bytes after offset {offset}")
+        reader.finish()
         return model, digest
 
     @classmethod

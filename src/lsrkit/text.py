@@ -1,6 +1,7 @@
 """Word-level tokenizer, corpus-derived vocabulary, read_records, the one
 reader behind every line-based input file (these, triplets, vectors, TREC),
-and write_output, the one writer behind every output file.
+ByteReader, the one reader behind every binary input file (checkpoints,
+indexes), and write_output, the one writer behind every output file.
 
 File formats (all tab-separated, UTF-8):
   corpus / queries  ``name<TAB>text`` one record per line
@@ -13,7 +14,10 @@ import hashlib
 import os
 import stat
 import string
+import struct
 from collections import Counter
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -121,6 +125,59 @@ def read_records(path, fields: int, form: str, sep: str | None = "\t"):
             if len(parts) != fields:
                 raise FormatError(f"{path}:{lineno}: expected {form}")
             yield lineno, parts
+
+
+class ByteReader:
+    """Bounds-checked cursor over a binary file that opens with a 4-byte
+    magic and a u32 version, both checked here. Every failure is a
+    FormatError that names ``kind`` and the byte offset."""
+
+    def __init__(self, path, kind: str, magic: bytes, version: int):
+        with open(path, "rb") as fh:
+            self.raw = fh.read()
+        self.kind, self.offset = kind, 4
+        if self.raw[:4] != magic:
+            raise FormatError(f"bad {kind} magic at offset 0: {self.raw[:4]!r}")
+        (found,) = self.unpack("<I")
+        if found != version:
+            raise FormatError(f"unsupported {kind} version {found} at offset 4")
+
+    def remaining(self) -> int:
+        return len(self.raw) - self.offset
+
+    def _skip(self, n: int) -> int:
+        """Move past the next ``n`` bytes; returns the offset they start at."""
+        if n > len(self.raw) - self.offset:
+            raise FormatError(f"{self.kind} truncated at offset {self.offset}")
+        self.offset += n
+        return self.offset - n
+
+    def take(self, n: int) -> bytes:
+        start = self._skip(n)
+        return self.raw[start : start + n]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.raw, self._skip(struct.calcsize(fmt)))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        """The next ``count`` items as a read-only view of the file's bytes."""
+        return np.frombuffer(self.raw, dtype, count, self._skip(count * np.dtype(dtype).itemsize))
+
+    def varint(self) -> int:
+        """An unsigned LEB128 integer of at most 64 bits."""
+        start, shift, value = self.offset, 0, 0
+        while True:
+            byte = self.raw[self._skip(1)]
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                return value
+            shift += 7
+            if shift > 63:
+                raise FormatError(f"{self.kind} varint overflow at offset {start}")
+
+    def finish(self) -> None:
+        if self.remaining():
+            raise FormatError(f"{self.kind}: trailing bytes after offset {self.offset}")
 
 
 def read_tsv_texts(path) -> dict[str, str]:

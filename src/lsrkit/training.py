@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -337,21 +338,10 @@ def train_step(
     )
 
 
-class _BatchStream:
-    """Seeded shuffled index stream; reshuffles whenever it runs dry."""
-
-    def __init__(self, size: int, rng: np.random.Generator):
-        self._size = size
-        self._rng = rng
-        self._pool: list[int] = []
-
-    def take(self, n: int) -> list[int]:
-        out: list[int] = []
-        while len(out) < n:
-            if not self._pool:
-                self._pool = list(self._rng.permutation(self._size))
-            out.append(self._pool.pop(0))
-        return out
+def _shuffled_indices(size: int, rng: np.random.Generator):
+    """Seeded index stream: one fresh permutation of range(size) after another."""
+    while True:
+        yield from rng.permutation(size).tolist()
 
 
 def train(
@@ -366,8 +356,7 @@ def train(
     """Run the full training loop; returns the logged step reports."""
     if not dataset:
         raise ContractError("dataset must be non-empty")
-    rng = np.random.default_rng(cfg.seed)
-    stream = _BatchStream(len(dataset), rng)
+    stream = _shuffled_indices(len(dataset), np.random.default_rng(cfg.seed))
     optimizer = Adam(
         model.parameters(),
         cfg.learning_rate,
@@ -378,7 +367,7 @@ def train(
     )
     reports: list[StepReport] = []
     for step in range(cfg.total_steps):
-        batch = [dataset[i] for i in stream.take(cfg.batch_size)]
+        batch = [dataset[i] for i in islice(stream, cfg.batch_size)]
         report = train_step(model, optimizer, batch, cfg, step)
         if step % cfg.log_every == 0 or step == cfg.total_steps - 1:
             reports.append(report)

@@ -365,6 +365,42 @@ class TestLayerNormBits:
             assert got.tobytes() == ref.tobytes()
 
 
+class TestScatterBits:
+    """gather_rows' backward and scatter_add_pairs sum into zeros exactly as
+    np.add.at does: repeated ids, -0.0 and magnitudes from 1e-8 to 1e8."""
+
+    @staticmethod
+    def weights(rng, shape):
+        w = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        w[rng.random(shape) < 0.1] = -0.0
+        return w
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_gather_rows_backward_equals_add_at(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, width, n = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(0, 30))
+        ids = rng.integers(-rows, rows, n)  # negative ids read rows from the end
+        g = self.weights(rng, (n, width))
+        table = Tensor(np.zeros((rows, width)), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(ad.sum_all(ad.mul(ad.gather_rows(table, ids), Tensor(g))))
+        want = np.zeros((rows, width))
+        np.add.at(want, ids, g)
+        assert table.grad.dtype == np.float64 and table.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_scatter_add_pairs_equals_add_at(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        n = int(rng.integers(0, 30))
+        rows, cols = rng.integers(0, shape[0], n), rng.integers(0, shape[1], n)
+        values = self.weights(rng, n)
+        got = ad.scatter_add_pairs(Tensor(values), rows, cols, shape).data
+        want = np.zeros(shape)
+        np.add.at(want, (rows, cols), values)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 class TestInvariants:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(3)

@@ -195,6 +195,11 @@ class TestBatchValidation:
         batch = [[4], _FAULTS[first][0], [5, 6], _FAULTS[second][0]]
         assert _raised(backbone, batch) == _FAULTS[first][1:]
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_empty_batch_is_a_typed_error(self, variant):
+        backbone = Backbone(small_config(variant))
+        assert _raised(backbone, []) == (EmptyInputError, "a batch must hold at least one sequence")
+
     def test_returns_packed_ids(self):
         backbone = Backbone(small_config(Variant.ENCDEC_SINGLETOKEN))
         _, starts, ids = backbone.encode_batch([(4, 5), np.array([6]), [7, 8, 9]])

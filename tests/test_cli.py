@@ -356,6 +356,19 @@ class TestSearchCommand:
         assert f"queries.vec:{len(lines) + 1}: duplicate name {name!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_doc_name_with_a_space_exits_2_and_keeps_the_old_run(self, tmp_path, capsys):
+        docs, queries = tmp_path / "docs.vec", tmp_path / "queries.vec"
+        index, out = tmp_path / "index.lsrx", tmp_path / "run.txt"
+        docs.write_text("d1\t4:1.0\nd one\t4:0.5\n")
+        queries.write_text("q1\t4:1.0\n")
+        out.write_text("q1 Q0 d1 1 1.000000 old\n")
+        assert main(["index", "--vectors", str(docs), "--output", str(index)]) == 0
+        assert main([
+            "search", "--index", str(index), "--queries", str(queries), "--output", str(out),
+        ]) == 2
+        assert "run doc name 'd one' is empty or holds whitespace" in capsys.readouterr().err
+        assert out.read_text() == "q1 Q0 d1 1 1.000000 old\n"
+
 
 class TestEvalCommand:
     def test_metrics_printed_as_tab_separated_lines(self, pipeline, capsys):
@@ -410,6 +423,14 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert "nDCG@10 is not finite" in captured.err
         assert captured.out == ""
+
+    def test_skipped_queries_are_reported_once(self, tmp_path, capsys, caplog):
+        run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
+        run.write_text("q1 Q0 good 1 2.000000 t\nq2 Q0 d 1 1.000000 t\n")
+        qrels.write_text("q1 0 good 1\n")
+        assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 0
+        assert "MRR@10\t1.000000" in capsys.readouterr().out
+        assert [r.getMessage() for r in caplog.records] == ["skipped 1 run queries without judgments"]
 
     def test_trained_model_beats_chance_on_fixture(self, pipeline, capsys):
         assert main([

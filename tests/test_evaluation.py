@@ -1,12 +1,14 @@
 """Metric fixtures and TREC file round-trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from lsrkit.errors import ContractError, FormatError
+from lsrkit.errors import ContractError, FormatError, NumericError
 from lsrkit.evaluation import (
+    evaluate,
     mrr_at_k,
     ndcg_at_k,
     read_qrels,
@@ -67,6 +69,11 @@ class TestNdcg:
         expected = 1.0 / (1.0 + 1.0 / math.log2(3.0))
         assert abs(ndcg_at_k(run, qrels) - expected) < TOL
 
+    @pytest.mark.parametrize("retrieved", [["d"], ["other"]])  # gain in DCG, or in IDCG only
+    def test_grade_without_finite_gain_is_a_numeric_error(self, retrieved):
+        with pytest.raises(NumericError, match="relevance 1100 has no finite gain"):
+            ndcg_at_k(run_of("q", retrieved), {"q": {"d": 1100}})
+
     def test_invariant_under_monotone_score_rescaling(self):
         qrels = {"q": {"a": 2, "b": 1, "c": 0}}
         base = {"q": [("b", 9.0), ("a", 3.0), ("c", 1.0)]}
@@ -124,6 +131,16 @@ class TestCutoffInsensitivity:
                 assert 0.0 <= value <= 1.0
 
 
+class TestEvaluate:
+    def test_skipped_queries_are_reported_once(self, caplog):
+        run = {**run_of("q1", ["rel"]), **run_of("q2", ["d"]), **run_of("q3", ["d"])}
+        with caplog.at_level("WARNING", logger="lsrkit.evaluation"):
+            metrics = evaluate(run, {"q1": {"rel": 1}})
+        assert metrics == {"MRR@10": 1.0, "nDCG@10": 1.0, "Recall@1000": 1.0}
+        skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert skipped == ["skipped 2 run queries without judgments"]
+
+
 class TestCutoffContract:
     @pytest.mark.parametrize("metric", [mrr_at_k, ndcg_at_k, recall_at_k])
     @pytest.mark.parametrize("k", [0, -1])
@@ -166,6 +183,21 @@ class TestTrecFiles:
         assert list(loaded) == ["q1", "q2"]
         assert [d for d, _ in loaded["q1"]] == ["d2", "d1"]
         assert loaded["q1"][0][1] == 3.5
+
+    @pytest.mark.parametrize(
+        "kind,value",
+        [("qid", "q 1"), ("qid", ""), ("doc name", "d one"), ("doc name", "d\u00a0x"),
+         ("tag", ""), ("tag", "my\ttag")],
+    )
+    def test_field_read_run_cannot_split_back_keeps_old_file(self, tmp_path, kind, value):
+        fields = {"qid": "q1", "doc name": "d1", "tag": "t", kind: value}
+        run = {fields["qid"]: [("d0", 2.0), (fields["doc name"], 1.0)]}
+        path = tmp_path / "run.txt"
+        path.write_bytes(b"old")
+        with pytest.raises(ContractError, match=re.escape(f"run {kind} {value!r} is empty or holds")):
+            write_run(path, run, fields["tag"])
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
 
     def test_non_contiguous_ranks_rejected(self, tmp_path):
         path = tmp_path / "run.txt"

@@ -311,6 +311,13 @@ class TestIndexFile:
         with pytest.raises(FormatError, match="UTF-8"):
             load_index(path)
 
+    def test_repeated_doc_name_rejected(self, tmp_path):
+        # save_index writes the names it is given, unchecked
+        path = tmp_path / "dup.lsrx"
+        save_index(InvertedIndex(["d1", "d2", "d1"], {}), path)
+        with pytest.raises(FormatError, match="doc name 'd1' at offset 32 is repeated"):
+            load_index(path)
+
     def test_descending_doc_ids_cannot_be_saved(self, tmp_path):
         impacts = np.ones(2, dtype=np.float32)
         index = InvertedIndex(["d1", "d2"], {0: Posting(np.array([1, 0]), impacts)})

@@ -1,11 +1,14 @@
-"""Tokenizer, vocabulary, corpus-file, record-reader and output-writer tests."""
+"""Tokenizer, vocabulary, corpus-file, record-reader, binary-reader and
+output-writer tests."""
 
 import ast
 import os
 import re
 import stat
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reference import write_tsv_texts
@@ -326,3 +329,131 @@ def _opens_for_writing(node) -> bool:
         not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wax+")
         for m in modes
     )
+
+
+def _binary_reads(tree) -> list[str]:
+    """Qualified names of the functions that hold an ``open(path, "rb")``,
+    ``x.open("rb")`` or ``x.read_bytes()`` call."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.Call):
+            func = node.func
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if isinstance(func, ast.Name) and func.id == "open":
+                modes += node.args[1:2]
+            elif isinstance(func, ast.Attribute) and func.attr == "open":
+                modes += node.args[:1]
+            reads_bytes = isinstance(func, ast.Attribute) and func.attr == "read_bytes"
+            if reads_bytes or any(
+                isinstance(m, ast.Constant) and isinstance(m.value, str) and "b" in m.value
+                and not set(m.value) & set("wax+")
+                for m in modes
+            ):
+                found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+class TestByteReader:
+    MAGIC = b"TEST"
+
+    def reader(self, tmp_path, body=b""):
+        path = tmp_path / "artifact.bin"
+        path.write_bytes(self.MAGIC + struct.pack("<I", 3) + body)
+        return text.ByteReader(path, "artifact", self.MAGIC, 3)
+
+    def test_reads_advance_the_offset(self, tmp_path):
+        body = struct.pack("<HQ", 7, 2**40) + b"\x96\x01xyz" + struct.pack("<2d", 1.5, -2.0)
+        reader = self.reader(tmp_path, body)
+        assert reader.offset == 8
+        assert reader.unpack("<HQ") == (7, 2**40)
+        assert reader.varint() == 150
+        assert reader.take(3) == b"xyz"
+        assert reader.remaining() == 16
+        np.testing.assert_array_equal(reader.array("<f8", 2), [1.5, -2.0])
+        reader.finish()
+
+    def test_array_is_a_read_only_view_of_the_file_bytes(self, tmp_path):
+        reader = self.reader(tmp_path, bytes(range(6)))
+        view = reader.array(np.uint8, 4)
+        assert view.base is reader.raw and not view.flags.writeable
+        assert view.tolist() == [0, 1, 2, 3] and reader.offset == 12
+
+    @pytest.mark.parametrize(
+        "magic,version,pattern",
+        [
+            (b"NOPE", 3, r"bad artifact magic at offset 0: b'NOPE'"),
+            (b"TE", None, r"bad artifact magic at offset 0: b'TE'"),
+            (MAGIC, 4, r"unsupported artifact version 4 at offset 4"),
+        ],
+    )
+    def test_magic_and_version_are_checked_on_open(self, tmp_path, magic, version, pattern):
+        path = tmp_path / "artifact.bin"
+        path.write_bytes(magic if version is None else magic + struct.pack("<I", version))
+        with pytest.raises(FormatError, match=pattern):
+            text.ByteReader(path, "artifact", self.MAGIC, 3)
+
+    def test_file_ending_inside_the_version_is_truncated(self, tmp_path):
+        path = tmp_path / "artifact.bin"
+        path.write_bytes(self.MAGIC + b"\x03\x00")
+        with pytest.raises(FormatError, match="artifact truncated at offset 4"):
+            text.ByteReader(path, "artifact", self.MAGIC, 3)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda r: r.take(4),
+            lambda r: r.unpack("<I"),
+            lambda r: r.array("<f4", 1),
+            lambda r: r.varint(),
+        ],
+        ids=["take", "unpack", "array", "varint"],
+    )
+    def test_read_past_the_end_names_kind_and_offset(self, tmp_path, read):
+        reader = self.reader(tmp_path, b"\x01\x80\x80")
+        reader.take(1)
+        with pytest.raises(FormatError, match="artifact truncated at offset (9|11)"):
+            read(reader)
+
+    def test_failed_read_does_not_move_the_offset(self, tmp_path):
+        reader = self.reader(tmp_path, b"ab")
+        with pytest.raises(FormatError):
+            reader.take(3)
+        assert reader.offset == 8 and reader.take(2) == b"ab"
+
+    def test_varint_longer_than_64_bits_rejected(self, tmp_path):
+        reader = self.reader(tmp_path, b"\x01" + b"\xff" * 10 + b"\x01")
+        reader.take(1)
+        with pytest.raises(FormatError, match="artifact varint overflow at offset 9"):
+            reader.varint()
+
+    def test_finish_rejects_trailing_bytes(self, tmp_path):
+        reader = self.reader(tmp_path, b"abc")
+        reader.take(1)
+        with pytest.raises(FormatError, match="artifact: trailing bytes after offset 9"):
+            reader.finish()
+
+    def test_only_byte_reader_opens_files_for_binary_reading(self):
+        """Every binary input goes through text.ByteReader, so magic, version,
+        bounds and trailing bytes are checked in one place."""
+        offenders = [
+            f"{file.name}:{name}"
+            for file in sorted(Path(text.__file__).parent.glob("*.py"))
+            if file.name != "text.py"
+            for name in _binary_reads(ast.parse(file.read_text(encoding="utf-8")))
+        ]
+        assert not offenders, f"binary inputs not read by text.ByteReader: {offenders}"
+
+    def test_scan_finds_binary_reads(self):
+        tree = ast.parse(
+            "def a(p):\n    open(p, 'rb')\n"
+            "class B:\n    def c(self, p):\n        p.open(mode='rb')\n"
+            "def d(p):\n    p.read_bytes()\n    open(p, 'wb')\n    open(p)\n"
+        )
+        assert _binary_reads(tree) == ["a", "B.c", "d"]

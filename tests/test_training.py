@@ -414,6 +414,18 @@ class TestAdam:
 
 
 class TestTrainLoop:
+    def test_batches_walk_seeded_permutations_in_order(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(
+            "lsrkit.training.train_step", lambda model, opt, batch, cfg, step: drawn.extend(batch)
+        )
+        dataset = list(range(5))
+        cfg = TrainConfig(total_steps=4, learning_rate=1e-3, batch_size=3, seed=11)
+        train(tiny_model(), dataset, cfg)
+        rng = np.random.default_rng(11)
+        want = [i for _ in range(3) for i in rng.permutation(5).tolist()]
+        assert drawn == want[:12]
+
     def test_zero_steps_keeps_initialization(self, tmp_path):
         model = tiny_model(seed=3)
         before = {n: t.data.copy() for n, t in model.parameters()}
