@@ -10,8 +10,8 @@ from .autodiff import Tape, Tensor, finite_difference_check
 from .backbones import Backbone, BackboneConfig, Variant
 from .errors import LsrError
 from .evaluation import mrr_at_k, ndcg_at_k, recall_at_k
-from .heads import HeadKind, SparseHead, SparseVector, mlm_head, mlp_head, sparse_dot
-from .index import InvertedIndex, brute_force_search, build_index, flops_metric, top_k_search
+from .heads import HeadKind, SparseHead, SparseVector, mlm_head, mlp_head
+from .index import InvertedIndex, build_index, flops_metric, top_k_search
 from .model import SparseEncoder
 from .text import Vocabulary, build_vocab, tokenize
 from .training import (

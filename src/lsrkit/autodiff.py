@@ -121,25 +121,11 @@ def _accum_owned(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum_owned(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum_owned(b, a.data.T @ g)
-
-    return _record(out, backward)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` of a rank-2 input, recorded as one tape entry.
 
-    Forward and backward do the arithmetic of ``add(matmul(x, w), b)``.
+    Forward and backward do the arithmetic of the two taped reference ops
+    ``add_bias(matmul(x, w), b)`` in ``tests/reference.py``.
     """
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
@@ -160,30 +146,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of same shapes or of a rank-2 tensor and a trailing-axis bias."""
-    if a.data.shape == b.data.shape:
-        out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
+    """Elementwise sum of same shapes."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
+    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
 
-        def backward(g):
-            if a.requires_grad:
-                _accum(a, g)
-            if b.requires_grad:
-                _accum(b, g)
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, g)
+        if b.requires_grad:
+            _accum(b, g)
 
-        return _record(out, backward)
-
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
-        out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
-
-        def backward_b(g):
-            if a.requires_grad:
-                _accum(a, g)
-            if b.requires_grad:
-                _accum(b, g.sum(axis=0))
-
-        return _record(out, backward_b)
-
-    raise ShapeError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
+    return _record(out, backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -201,10 +175,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, backward)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; same shapes or a scalar factor."""
-    if not isinstance(b, Tensor):
-        return scale(a, float(b))
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of same shapes."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul shape mismatch: {a.data.shape} * {b.data.shape}")
     out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
@@ -247,33 +219,6 @@ def log1p(x: Tensor) -> Tensor:
 
     def backward(g):
         _accum_owned(x, g / (1.0 + x.data))
-
-    return _record(out, backward)
-
-
-def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-wise softmax of a rank-2 tensor with an optional additive mask.
-
-    The mask is a constant array of 0 (keep) and :data:`MASK_NEG` (drop);
-    a row with every position dropped is an error.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows expects rank 2, got {x.data.shape}")
-    z = x.data
-    if mask is not None:
-        if mask.shape != z.shape:
-            raise ShapeError(f"mask shape {mask.shape} != input shape {z.shape}")
-        if float(mask.max(axis=1).min()) <= MASK_NEG:
-            raise DegenerateMaskError("softmax row has all positions masked")
-        z = z + mask
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(p, x.requires_grad)
-
-    def backward(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
-        _accum_owned(x, p * (g - dot))
 
     return _record(out, backward)
 
@@ -336,11 +281,11 @@ def attention(
     ``qp`` is [Nq, d] and ``kp``/``vp`` are [Nkv, d]; head h owns columns
     ``h*d_head:(h+1)*d_head``, and ``layout`` says which key rows each query
     row sees. A query row that sees no key row is an error. Per head this is
-    the arithmetic of ``softmax_rows(scale(qh @ kh.T), mask) @ vh``, with
-    heads stacked as C-ordered [H, N, d_head] arrays for one np.matmul per
-    product: each head's operands keep the layout of a copied column slice,
-    so numpy picks the same BLAS calls and the bits equal that per-head
-    composition.
+    the arithmetic of ``softmax_rows(scale(qh @ kh.T), mask) @ vh`` (reference
+    ops in ``tests/reference.py``), with heads stacked as C-ordered
+    [H, N, d_head] arrays for one np.matmul per product: each head's operands
+    keep the layout of a copied column slice, so numpy picks the same BLAS
+    calls and the bits equal that per-head composition.
 
     Under a tape it runs once over the whole batch with ``layout.mask`` and
     records one entry with a hand-written backward. With no tape it runs once

@@ -206,22 +206,19 @@ def _gradcheck_cases(rng: np.random.Generator):
     def uniform(low, high):
         return lambda shape: rng.uniform(low, high, size=shape)
 
-    x34, w34, w45, w4, b5, bias = (Tensor(normal(s)) for s in ((3, 4), (3, 4), (4, 5), 4, 5, 4))
+    x34, w34, w45, b5, bias = (Tensor(normal(s)) for s in ((3, 4), (3, 4), (4, 5), 5, 4))
     gain = Tensor(uniform(0.5, 1.5)(4))
     ids, starts = np.array([0, 2, 2, 1]), np.array([0, 2, 5])
     table = [
-        ("matmul", lambda x: ad.matmul(x, w45), (3, 4), off_kink),
         ("linear_x", lambda x: ad.linear(x, w45, b5), (3, 4), off_kink),
         ("linear_w", lambda x: ad.linear(x34, x, b5), (4, 5), off_kink),
         ("linear_b", lambda x: ad.linear(x34, w45, x), 5, off_kink),
         ("add", lambda x: ad.add(x, w34), (3, 4), off_kink),
-        ("add_bias", lambda x: ad.add(x, w4), (3, 4), off_kink),
         ("sub", lambda x: ad.sub(x, w34), (3, 4), off_kink),
         ("mul", lambda x: ad.mul(x, w34), (3, 4), off_kink),
         ("scale", lambda x: ad.scale(x, 2.5), (3, 4), off_kink),
         ("relu", ad.relu, (3, 4), off_kink),
         ("log1p", ad.log1p, (3, 4), uniform(-0.5, 2.0)),
-        ("softmax_rows", ad.softmax_rows, (3, 4), normal),
         ("gather_rows", lambda x: ad.gather_rows(x, ids), (3, 4), off_kink),
         ("transpose", ad.transpose, (3, 4), off_kink),
         ("reshape", lambda x: ad.reshape(x, (2, 6)), (3, 4), off_kink),

@@ -83,19 +83,6 @@ class SparseVector:
         return vec
 
 
-def sparse_dot(a: SparseVector, b: SparseVector) -> float:
-    """Dot product over shared term ids, summed in ascending id order."""
-    small, big = (a.entries, b.entries)
-    if len(big) < len(small):
-        small, big = big, small
-    total = 0.0
-    for t in sorted(small):
-        w = big.get(t)
-        if w is not None:
-            total += small[t] * w
-    return total
-
-
 class HeadKind(str, Enum):
     MLP = "mlp"
     MLM_SINGLETOKEN = "mlm_singletoken"

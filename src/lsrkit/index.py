@@ -3,8 +3,9 @@
 Postings keep ascending internal doc ids (assigned in input order) and
 32-bit float impacts. Search is term-at-a-time: each query term adds its
 posting list into one float64 score array, in ascending term-id order;
-no pruning, so results match the brute-force oracle exactly. Ties break
-by ascending doc id everywhere.
+no pruning, so results match the brute-force oracle (in
+tests/reference.py) exactly. Only docs with a positive score are returned;
+ties break by ascending doc id everywhere.
 
 On-disk format (little-endian):
   magic b"LSRX" | u32 version | u8 impact format (0 = f32, 1 = u8 linear)
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .heads import SparseVector, sparse_dot
+from .heads import SparseVector
 from .text import ByteReader, write_output
 
 INDEX_MAGIC = b"LSRX"
@@ -97,36 +98,21 @@ def build_index(docs) -> InvertedIndex:
 def top_k_search(index: InvertedIndex, query: SparseVector, k: int) -> list[tuple[str, float]]:
     """Exact top-k documents by dot product, term-at-a-time.
 
-    Returns (doc name, score) pairs with scores non-increasing and ties
-    in ascending doc-id order.
+    Returns (doc name, score) pairs with positive scores, non-increasing,
+    and ties in ascending doc-id order.
     """
     if k < 0:
         raise ContractError("k must be >= 0")
     scores = np.zeros(index.doc_count)
-    touched = np.zeros(index.doc_count, dtype=bool)
     # Ascending term ids, so each doc's sum runs in term-id order as in the
     # oracle; doc ids within a list are unique, so += adds each impact once.
     for term in sorted(query.entries):
         posting = index.postings.get(term)
         if posting is not None:
             scores[posting.doc_ids] += query.entries[term] * posting.impacts.astype(np.float64)
-            touched[posting.doc_ids] = True
-    docs = np.flatnonzero(touched)
+    docs = np.flatnonzero(scores > 0.0)
     top = docs[np.lexsort((docs, -scores[docs]))[:k]]
     return [(index.doc_names[d], float(scores[d])) for d in top]
-
-
-def brute_force_search(docs, query: SparseVector, k: int) -> list[tuple[str, float]]:
-    """Oracle: score every document with sparse_dot, sort by (-score, doc id)."""
-    if k < 0:
-        raise ContractError("k must be >= 0")
-    scored = []
-    for doc_id, (name, vec) in enumerate(docs):
-        score = sparse_dot(query, vec)
-        if score > 0.0:
-            scored.append((score, doc_id, name))
-    scored.sort(key=lambda s: (-s[0], s[1]))
-    return [(name, score) for score, _, name in scored[:k]]
 
 
 def flops_metric(queries: list[SparseVector], index: InvertedIndex) -> float:

@@ -301,7 +301,8 @@ def train_step(
         margins = ad.sub(s_pos, s_neg)
         m_loss = margin_mse(margins, teacher)
         reg_q = flops_regularizer(q_act)
-        reg_d = flops_regularizer(ad.concat_rows([p_act, n_act]))
+        d_act = ad.concat_rows([p_act, n_act])
+        reg_d = flops_regularizer(d_act)
         loss = m_loss
         if lam_q > 0.0:
             loss = ad.add(loss, ad.scale(reg_q, lam_q))
@@ -334,7 +335,7 @@ def train_step(
         lambda_q=lam_q,
         lambda_d=lam_d,
         density_q=_mean_density(q_act.data),
-        density_d=_mean_density(np.concatenate([p_act.data, n_act.data])),
+        density_d=_mean_density(d_act.data),
     )
 
 

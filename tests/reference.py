@@ -1,9 +1,11 @@
 """Test oracles and reference implementations that the package itself does not use."""
 
+import numpy as np
+
 from lsrkit import autodiff as ad
-from lsrkit.autodiff import Tensor
+from lsrkit.autodiff import MASK_NEG, Tensor, _accum, _accum_owned, _record
 from lsrkit.backbones import Backbone, Variant
-from lsrkit.errors import ContractError
+from lsrkit.errors import ContractError, DegenerateMaskError, ShapeError
 from lsrkit.heads import HeadKind, SparseHead, SparseVector, mlm_head
 
 
@@ -48,3 +50,90 @@ def write_tsv_texts(path, records: dict[str, str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for name, text in records.items():
             fh.write(f"{name}\t{text}\n")
+
+
+# Taped reference ops: fused linear and attention are checked bit for bit
+# against compositions of these.
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two rank-2 tensors."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
+    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
+
+    def backward(g):
+        if a.requires_grad:
+            _accum_owned(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum_owned(b, a.data.T @ g)
+
+    return _record(out, backward)
+
+
+def add_bias(a: Tensor, b: Tensor) -> Tensor:
+    """Sum of a rank-2 tensor and a trailing-axis bias."""
+    if not (a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]):
+        raise ShapeError(f"add_bias shape mismatch: {a.data.shape} + {b.data.shape}")
+    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, g)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
+
+    return _record(out, backward)
+
+
+def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Row-wise softmax of a rank-2 tensor with an optional additive mask.
+
+    The mask is a constant array of 0 (keep) and :data:`MASK_NEG` (drop);
+    a row with every position dropped is an error.
+    """
+    if x.data.ndim != 2:
+        raise ShapeError(f"softmax_rows expects rank 2, got {x.data.shape}")
+    z = x.data
+    if mask is not None:
+        if mask.shape != z.shape:
+            raise ShapeError(f"mask shape {mask.shape} != input shape {z.shape}")
+        if float(mask.max(axis=1).min()) <= MASK_NEG:
+            raise DegenerateMaskError("softmax row has all positions masked")
+        z = z + mask
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    out = Tensor(p, x.requires_grad)
+
+    def backward(g):
+        dot = (g * p).sum(axis=1, keepdims=True)
+        _accum_owned(x, p * (g - dot))
+
+    return _record(out, backward)
+
+
+def sparse_dot(a: SparseVector, b: SparseVector) -> float:
+    """Dot product over shared term ids, summed in ascending id order."""
+    small, big = (a.entries, b.entries)
+    if len(big) < len(small):
+        small, big = big, small
+    total = 0.0
+    for t in sorted(small):
+        w = big.get(t)
+        if w is not None:
+            total += small[t] * w
+    return total
+
+
+def brute_force_search(docs, query: SparseVector, k: int) -> list[tuple[str, float]]:
+    """Oracle: score every document with sparse_dot, sort by (-score, doc id)."""
+    if k < 0:
+        raise ContractError("k must be >= 0")
+    scored = []
+    for doc_id, (name, vec) in enumerate(docs):
+        score = sparse_dot(query, vec)
+        if score > 0.0:
+            scored.append((score, doc_id, name))
+    scored.sort(key=lambda s: (-s[0], s[1]))
+    return [(name, score) for score, _, name in scored[:k]]

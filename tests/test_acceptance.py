@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 import toytask
-from reference import inert_parameter_names, mlm_multitoken_equals_positionwise_max
+from reference import (
+    brute_force_search,
+    inert_parameter_names,
+    mlm_multitoken_equals_positionwise_max,
+)
 from test_autodiff import _op_cases
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tensor, finite_difference_check
@@ -26,7 +30,7 @@ from lsrkit.heads import (
     mlm_head,
     mlp_head,
 )
-from lsrkit.index import brute_force_search, build_index, load_index, save_index, top_k_search
+from lsrkit.index import build_index, load_index, save_index, top_k_search
 from lsrkit.model import SparseEncoder
 from lsrkit.text import build_vocab
 from lsrkit.training import (

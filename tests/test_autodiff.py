@@ -1,15 +1,19 @@
 """Tensor-core tests: forward fixtures, gradient oracles, tape semantics."""
 
+import ast
 import contextlib
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference
+from reference import add_bias, matmul, softmax_rows
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import AttentionLayout, Tape, Tensor, finite_difference_check
-from lsrkit.cli import _gradcheck_cases as _op_cases  # acceptance imports _op_cases from here
+from lsrkit.cli import _gradcheck_cases
 from lsrkit.errors import (
     DegenerateMaskError,
     DomainError,
@@ -21,18 +25,72 @@ GRADCHECK_TOL = 1e-5
 EPS = 1e-6
 
 
+def _op_cases(rng):
+    """The CLI's gradcheck cases, then those of the taped reference ops;
+    acceptance imports this from here."""
+    cases = _gradcheck_cases(rng)
+    w45, w4 = Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=4))
+    for name, op in [
+        ("matmul", lambda x: matmul(x, w45)),
+        ("add_bias", lambda x: add_bias(x, w4)),
+        ("softmax_rows", softmax_rows),
+    ]:
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=op(x).shape))
+        cases.append((name, lambda t, op=op, w=w: ad.sum_all(ad.mul(op(t), w)), x))
+    return cases
+
+
+def _taped_ops(module) -> list[str]:
+    """Public functions defined in ``module`` that record on the tape."""
+    return [
+        name
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if fn.__module__ == module.__name__ and "_record(" in inspect.getsource(fn)
+        and not name.startswith("_")
+    ]
+
+
+def _autodiff_calls() -> set[str]:
+    """Names of the ``lsrkit.autodiff`` functions that ``src/lsrkit`` calls,
+    outside the CLI's gradcheck table."""
+    called = set()
+    for file in sorted(Path(ad.__file__).parent.glob("*.py")):
+        tree = ast.parse(file.read_text(encoding="utf-8"))
+        skipped, modules, names = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (file.name, node.name) == ("cli.py", "_gradcheck_cases"):
+                skipped = {id(n) for n in ast.walk(node)}
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module == "autodiff":  # from .autodiff import op
+                        names.add(alias.asname or alias.name)
+                    elif node.module is None and alias.name == "autodiff":  # from . import autodiff
+                        modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in skipped:
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                if func.value.id in modules:
+                    called.add(func.attr)
+            elif isinstance(func, ast.Name) and (func.id in names or file.name == "autodiff.py"):
+                called.add(func.id)
+    return called
+
+
 class TestForwardFixtures:
     def test_matmul_identity(self):
-        out = ad.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0, 0.0], [0.0, 1.0]]))
+        out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0, 0.0], [0.0, 1.0]]))
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_matmul_hand_case(self):
-        out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+        out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         np.testing.assert_array_equal(out.data, [[11.0]])
 
     def test_matmul_shape_mismatch_reports_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
     def test_relu(self):
         out = ad.relu(Tensor([-1.0, 0.0, 2.0]))
@@ -57,22 +115,22 @@ class TestForwardFixtures:
             ad.log1p(Tensor([-1.0]))
 
     def test_softmax_symmetry(self):
-        out = ad.softmax_rows(Tensor([[0.0, 0.0]]))
+        out = softmax_rows(Tensor([[0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-15)
 
     def test_softmax_analytic(self):
-        out = ad.softmax_rows(Tensor([[math.log(1.0), math.log(3.0)]]))
+        out = softmax_rows(Tensor([[math.log(1.0), math.log(3.0)]]))
         np.testing.assert_allclose(out.data, [[0.25, 0.75]], atol=1e-15)
 
     def test_softmax_mask_hides_column(self):
         mask = np.array([[0.0, ad.MASK_NEG]])
-        out = ad.softmax_rows(Tensor([[5.0, 100.0]]), mask)
+        out = softmax_rows(Tensor([[5.0, 100.0]]), mask)
         np.testing.assert_array_equal(out.data, [[1.0, 0.0]])
 
     def test_softmax_fully_masked_row(self):
         mask = np.full((1, 2), ad.MASK_NEG)
         with pytest.raises(DegenerateMaskError):
-            ad.softmax_rows(Tensor([[1.0, 2.0]]), mask)
+            softmax_rows(Tensor([[1.0, 2.0]]), mask)
 
     def test_segment_max_hand_case(self):
         out = ad.segment_max(Tensor([[1.0, 5.0], [3.0, 2.0], [4.0, 0.0]]), np.array([0, 2, 3]))
@@ -129,7 +187,7 @@ class TestBackward:
         a = Tensor([[1.0, 1.0]], requires_grad=True)
         b = Tensor([[2.0], [5.0]])
         with Tape() as tape:
-            tape.backward(ad.sum_all(ad.matmul(a, b)))
+            tape.backward(ad.sum_all(matmul(a, b)))
         np.testing.assert_array_equal(a.grad, [[2.0, 5.0]])
 
     def test_non_scalar_loss_rejected(self):
@@ -179,7 +237,7 @@ class TestFiniteDifferenceOracle:
 
     def test_constant_function(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        err = finite_difference_check(lambda t: ad.sum_all(ad.mul(t, 0.0)), x, eps=EPS)
+        err = finite_difference_check(lambda t: ad.sum_all(ad.scale(t, 0.0)), x, eps=EPS)
         assert err == 0.0
 
     def test_log1p_relu_composite(self):
@@ -201,15 +259,18 @@ class TestGradientSuite:
 
     def test_every_taped_op_has_a_case(self):
         names = [name for name, _, _ in _op_cases(np.random.default_rng(0))]
-        taped = [
-            name
-            for name, fn in inspect.getmembers(ad, inspect.isfunction)
-            if fn.__module__ == ad.__name__ and "_record(" in inspect.getsource(fn)
-            and not name.startswith("_")
-        ]
-        assert {"linear", "attention", "segment_max"} <= set(taped)
+        taped = _taped_ops(ad) + _taped_ops(reference)
+        assert {"linear", "attention", "segment_max", "matmul"} <= set(taped)
         missing = [op for op in taped if not any(n == op or n.startswith(op + "_") for n in names)]
         assert not missing, f"ops without a gradcheck case: {missing}"
+
+    def test_every_taped_op_has_a_caller_in_the_program(self):
+        """An op that only tests and the gradcheck table call is a test
+        oracle: it belongs in tests/reference.py, not in lsrkit.autodiff."""
+        called = _autodiff_calls()
+        assert {"linear", "attention", "gather_rows"} <= called
+        unused = [op for op in _taped_ops(ad) if op not in called]
+        assert not unused, f"taped ops that only tests call: {unused}"
 
 
 def _per_head_attention(q, k, v, num_heads, mask, scale, g):
@@ -223,8 +284,8 @@ def _per_head_attention(q, k, v, num_heads, mask, scale, g):
     for lo in range(0, q.shape[1], dh):
         qh, kh, vh = (Tensor(a[:, lo:lo + dh].copy(), requires_grad=True) for a in (q, k, v))
         with Tape() as tape:
-            weights = ad.softmax_rows(ad.scale(ad.matmul(qh, ad.transpose(kh)), scale), mask)
-            out = ad.matmul(weights, vh)
+            weights = softmax_rows(ad.scale(matmul(qh, ad.transpose(kh)), scale), mask)
+            out = matmul(weights, vh)
             tape.backward(ad.sum_all(ad.mul(out, Tensor(g[:, lo:lo + dh].copy()))))
         for acc, part in zip(results, (out.data, qh.grad, kh.grad, vh.grad)):
             acc.append(part)
@@ -318,7 +379,7 @@ class TestFusedOps:
         for fused in (True, False):
             ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
             with Tape() as tape:
-                out = ad.linear(*ts) if fused else ad.add(ad.matmul(ts[0], ts[1]), ts[2])
+                out = ad.linear(*ts) if fused else add_bias(matmul(ts[0], ts[1]), ts[2])
                 assert len(tape) == (1 if fused else 2)
                 tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
             results.append([out.data] + [t.grad for t in ts])
@@ -406,7 +467,7 @@ class TestInvariants:
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = Tensor(rng.normal(scale=4.0, size=(5, 7)))
-            out = ad.softmax_rows(x).data
+            out = softmax_rows(x).data
             np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
             assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -450,7 +511,7 @@ class TestInvariants:
             x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
             w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
             with Tape() as tape:
-                out = ad.sum_all(ad.relu(ad.matmul(x, w)))
+                out = ad.sum_all(ad.relu(matmul(x, w)))
                 tape.backward(out)
             return out.item(), x.grad.copy(), w.grad.copy()
 
@@ -464,5 +525,5 @@ class TestInvariants:
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(6, 6)))
         w = Tensor(rng.normal(size=(6, 6)))
-        out = ad.softmax_rows(ad.matmul(ad.relu(x), w))
+        out = softmax_rows(matmul(ad.relu(x), w))
         assert np.isfinite(out.data).all()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import mlm_multitoken_equals_positionwise_max
+from reference import mlm_multitoken_equals_positionwise_max, sparse_dot
 from lsrkit.autodiff import Tape, Tensor
 from lsrkit.errors import ContractError, FormatError, ShapeError
 from lsrkit.heads import (
@@ -18,7 +18,6 @@ from lsrkit.heads import (
     mlp_batch_activations,
     mlp_head,
     read_vectors,
-    sparse_dot,
     write_vectors,
 )
 

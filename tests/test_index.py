@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import brute_force_search
 from lsrkit.errors import ContractError, FormatError
 from lsrkit.heads import SparseVector
 from lsrkit.index import (
     InvertedIndex,
     Posting,
-    brute_force_search,
     build_index,
     flops_metric,
     load_index,
     save_index,
     top_k_search,
 )
+from lsrkit.text import write_output
 
 
 def grid_weight(rng):
@@ -158,6 +159,17 @@ class TestTopKSearch:
         # zeta was indexed first (doc id 0) so it precedes alpha on the tie.
         assert [name for name, _ in result] == ["zeta", "alpha", "mid"]
         assert result == brute_force_search(docs, SparseVector({0: 1.0}), 3)
+
+    def test_doc_whose_score_underflows_to_zero_is_not_returned(self):
+        """A query term touches doc a, but 2^-1000 * 2^-149 underflows to
+        0.0 in float64: like the oracle, search keeps only positive scores."""
+        docs = [
+            ("a", SparseVector({5: 2.0**-149})),
+            ("b", SparseVector({5: 1.0, 6: 1.0})),
+        ]
+        query = SparseVector({5: 2.0**-1000})
+        result = top_k_search(build_index(docs), query, 10)
+        assert result == brute_force_search(docs, query, 10) == [("b", 2.0**-1000)]
 
     def test_scores_non_increasing(self):
         rng = np.random.default_rng(22)
@@ -424,7 +436,7 @@ def test_mutated_index_file_is_rejected_or_sound(
         flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255))
         for position, mask in data.draw(st.lists(flips, min_size=1, max_size=3), label="flips"):
             raw[position] ^= mask
-    fuzz_path.write_bytes(bytes(raw))
+    write_output(fuzz_path, [bytes(raw)])  # fresh: truncating in place flushes on close
     try:
         index = load_index(fuzz_path)
     except FormatError:

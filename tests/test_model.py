@@ -15,6 +15,7 @@ from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.errors import ContractError, FormatError
 from lsrkit.heads import HeadKind, mlm_head, mlp_head
 from lsrkit.model import SparseEncoder
+from lsrkit.text import write_output
 
 
 # Every backbone/head pairing SparseEncoder accepts.
@@ -333,7 +334,7 @@ def test_mutated_checkpoint_is_rejected_or_finite(fuzz_checkpoint, truncate, dat
         flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255))
         for position, mask in data.draw(st.lists(flips, min_size=1, max_size=3), label="flips"):
             raw[position] ^= mask
-    path.write_bytes(bytes(raw))
+    write_output(path, [bytes(raw)])  # fresh: truncating in place flushes on close
     try:
         model, _ = SparseEncoder.load(path)
     except FormatError:
