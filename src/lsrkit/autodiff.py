@@ -8,6 +8,8 @@ with no active tape they run as plain numpy forward passes.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -27,6 +29,18 @@ from .errors import (
 MASK_NEG = -1e9
 
 _ACTIVE_TAPE: "Tape | None" = None
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _new_pool() -> None:  # threads start on first use: importing lsrkit starts none
+    global _POOL
+    _POOL = ThreadPoolExecutor(_CPUS - 1) if _CPUS > 1 else None
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but no thread of it
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 class Tensor:
@@ -96,6 +110,26 @@ class Tape:
 def recording() -> bool:
     """Whether a :class:`Tape` is active, so operations may record backward rules."""
     return _ACTIVE_TAPE is not None
+
+
+def for_each(fn: Callable, items: Sequence) -> None:
+    """Call ``fn(item)`` for every item, in one contiguous group of items per
+    CPU the process may use: this thread runs the first group, the pool the
+    others. Returns when all are done, re-raising the first exception. A call
+    that writes only its own rows gets the bits of a plain loop."""
+    groups = max(1, min(_CPUS, len(items))) if _POOL is not None else 1
+
+    def run(g):
+        for item in items[len(items) * g // groups : len(items) * (g + 1) // groups]:
+            fn(item)
+
+    futures = [_POOL.submit(run, g) for g in range(1, groups)]
+    try:
+        run(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _record(out: Tensor, backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -289,9 +323,9 @@ def attention(
 
     Under a tape it runs once over the whole batch with ``layout.mask`` and
     records one entry with a hand-written backward. With no tape it runs once
-    per sequence, masking only causal segments, and builds no N x N array;
-    masked scores become 0 after exp either way, so on one sequence both
-    paths give the same bits.
+    per sequence, through ``for_each``, masking only causal segments, and
+    builds no N x N array; masked scores become 0 after exp either way, so on
+    one sequence both paths give the same bits.
     """
     if (
         qp.data.ndim != 2 or kp.data.ndim != 2 or vp.data.shape != kp.data.shape
@@ -333,12 +367,15 @@ def attention(
 
     if not recording():
         ctx = np.empty((nq, d))
-        for q0, q1, k0, k1 in layout.segments():
-            if q0 == q1:
-                continue  # no query rows, so nothing to attend from
+
+        def one(seg):
+            q0, q1, k0, k1 = seg
             mask = layout.causal_block[: q1 - q0, : q1 - q0] if layout.causal else None
             p = weights(split(qp.data[q0:q1]), split(kp.data[k0:k1]), mask)
             ctx[q0:q1] = merge(np.matmul(p, split(vp.data[k0:k1])))
+
+        # A segment with no query rows has nothing to attend from.
+        for_each(one, [seg for seg in layout.segments() if seg[0] < seg[1]])
         return Tensor(ctx, requires_grad)
 
     q, k, v = split(qp.data), split(kp.data), split(vp.data)

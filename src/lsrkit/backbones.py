@@ -16,7 +16,8 @@ Batches are packed: sequences are concatenated row-wise, and an
 Each attention call is three ``linear`` projections, one ``autodiff.attention``
 over the layout and the output ``linear``; under a recording Tape that is
 five tape entries. ``attention`` keeps sequences apart with the layout's
-dense block-diagonal mask under a tape and runs per sequence without one.
+dense block-diagonal mask under a tape; without one it runs per sequence,
+spread over the process's CPUs, with the bits of a serial loop.
 """
 
 from __future__ import annotations

@@ -14,13 +14,13 @@ packed batch and keep the dense pre-sparsification activations inside the
 gradient graph. Training calls them directly and SparseEncoder.encode calls
 them on a batch of one. Under a tape the MLM logits are one [N, d] @ [d, |V|]
 product over all N packed rows. With no tape recording, the max-pooled MLM
-head instead runs one product per sequence, pools it into that sequence's
-row as it goes, and applies bias, ReLU and log1p to the [B, |V|] maxima
-only; the map is monotone, so the bits equal activating every position
-first, and head memory is bounded by the longest sequence's logits plus the
-output. The per-position mlp_head and mlm_head functions are the reference
-implementations the head laws and tests compare against; they return a
-SparseVector.
+head instead runs one product per sequence, spread over the process's CPUs
+by ``autodiff.for_each``, pools it into that sequence's row, and applies
+bias, ReLU and log1p to the [B, |V|] maxima only; the map is monotone, so
+the bits equal activating every position first, and head memory is one
+sequence's logits per CPU plus the output. The per-position mlp_head and
+mlm_head functions are the reference implementations the head laws and
+tests compare against; they return a SparseVector.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ class SparseVector:
 
     def __repr__(self) -> str:
         return f"SparseVector({len(self.entries)} terms)"
-
-    def support(self) -> set[int]:
-        return set(self.entries)
 
     @classmethod
     def from_dense(cls, values: np.ndarray) -> "SparseVector":
@@ -194,9 +191,10 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
     only the [B, |V|] maxima pass through bias, ReLU and log1p, in place.
     Rounding and the activation are monotone, so the bits are those of
     activating first. A batch of several states per sequence runs one
-    [n, d] @ [d, |V|] product per sequence and pools it into that
-    sequence's row, so no [N, |V|] array is allocated: head memory is the
-    longest sequence's logits plus the [B, |V|] output.
+    [n, d] @ [d, |V|] product per sequence, spread over CPUs by
+    ``ad.for_each``, and pools it into that sequence's row, so no [N, |V|]
+    array is allocated: head memory is one sequence's logits per CPU plus
+    the [B, |V|] output.
     """
     one_state = len(starts) - 1 == states.data.shape[0]
     sum_pooled = cfg.pooling == "sum" and cfg.kind == HeadKind.MLM_MULTITOKENS
@@ -206,8 +204,12 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
         else:
             bounds = starts.tolist()
             pooled = np.empty((len(bounds) - 1, emb.data.shape[0]))
-            for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+
+            def pool(i):
+                a, b = bounds[i], bounds[i + 1]
                 np.max(states.data[a:b] @ emb.data.T, axis=0, out=pooled[i])
+
+            ad.for_each(pool, range(len(pooled)))
         pooled += cfg.b_vocab.data
         np.maximum(pooled, 0.0, out=pooled)
         return Tensor(np.log1p(pooled, out=pooled))

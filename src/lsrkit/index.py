@@ -62,10 +62,6 @@ class InvertedIndex:
     def posting_count(self) -> int:
         return sum(len(p.doc_ids) for p in self.postings.values())
 
-    def document_frequency(self, term: int) -> int:
-        p = self.postings.get(term)
-        return 0 if p is None else len(p.doc_ids)
-
 
 def build_index(docs) -> InvertedIndex:
     """Build an index from (doc name, SparseVector) pairs; names must be unique."""
@@ -121,9 +117,8 @@ def flops_metric(queries: list[SparseVector], index: InvertedIndex) -> float:
         raise ContractError("index is empty")
     if not queries:
         raise ContractError("query set is empty")
-    total = 0
-    for q in queries:
-        total += sum(index.document_frequency(t) for t in q.entries)
+    postings = index.postings
+    total = sum(len(postings[t].doc_ids) for q in queries for t in q.entries if t in postings)
     return total / (len(queries) * index.doc_count)
 
 

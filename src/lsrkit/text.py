@@ -63,11 +63,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
 
-    def token_of(self, term_id: int) -> str:
-        if 0 <= term_id < NUM_SPECIALS:
-            return SPECIAL_TOKENS[term_id]
-        return self._tokens[term_id - NUM_SPECIALS]
-
     def digest(self) -> str:
         """Content digest used to pair checkpoints with their vocabulary."""
         return hashlib.sha256("\n".join(self._tokens).encode("utf-8")).hexdigest()

@@ -293,29 +293,31 @@ def train_step(
     teacher = [t.teacher_pos - t.teacher_neg for t in batch]
 
     with Tape() as tape:
-        q_act = model.batch_activations([t.query_tokens for t in batch])
-        p_act = model.batch_activations([t.pos_tokens for t in batch])
-        n_act = model.batch_activations([t.neg_tokens for t in batch])
-        s_pos = ad.sum_over_axis(ad.mul(q_act, p_act), 1)
-        s_neg = ad.sum_over_axis(ad.mul(q_act, n_act), 1)
-        margins = ad.sub(s_pos, s_neg)
-        m_loss = margin_mse(margins, teacher)
-        reg_q = flops_regularizer(q_act)
-        d_act = ad.concat_rows([p_act, n_act])
-        reg_d = flops_regularizer(d_act)
-        loss = m_loss
-        if lam_q > 0.0:
-            loss = ad.add(loss, ad.scale(reg_q, lam_q))
-        if lam_d > 0.0:
-            loss = ad.add(loss, ad.scale(reg_d, lam_d))
-        for name, value in (
-            ("margin_loss", m_loss),
-            ("reg_q", reg_q),
-            ("reg_d", reg_d),
-            ("loss", loss),
-        ):
-            if not math.isfinite(value.item()):
-                raise NumericError(f"non-finite {name} at step {step}")
+        # An overflow surfaces once, as the NumericError below, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_act = model.batch_activations([t.query_tokens for t in batch])
+            p_act = model.batch_activations([t.pos_tokens for t in batch])
+            n_act = model.batch_activations([t.neg_tokens for t in batch])
+            s_pos = ad.sum_over_axis(ad.mul(q_act, p_act), 1)
+            s_neg = ad.sum_over_axis(ad.mul(q_act, n_act), 1)
+            margins = ad.sub(s_pos, s_neg)
+            m_loss = margin_mse(margins, teacher)
+            reg_q = flops_regularizer(q_act)
+            d_act = ad.concat_rows([p_act, n_act])
+            reg_d = flops_regularizer(d_act)
+            loss = m_loss
+            if lam_q > 0.0:
+                loss = ad.add(loss, ad.scale(reg_q, lam_q))
+            if lam_d > 0.0:
+                loss = ad.add(loss, ad.scale(reg_d, lam_d))
+            for name, value in (
+                ("margin_loss", m_loss),
+                ("reg_q", reg_q),
+                ("reg_d", reg_d),
+                ("loss", loss),
+            ):
+                if not math.isfinite(value.item()):
+                    raise NumericError(f"non-finite {name} at step {step}")
         tape.backward(loss)
 
     sq = 0.0

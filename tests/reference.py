@@ -7,6 +7,7 @@ from lsrkit.autodiff import MASK_NEG, Tensor, _accum, _accum_owned, _record
 from lsrkit.backbones import Backbone, Variant
 from lsrkit.errors import ContractError, DegenerateMaskError, ShapeError
 from lsrkit.heads import HeadKind, SparseHead, SparseVector, mlm_head
+from lsrkit.text import NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary
 
 
 def mlm_multitoken_equals_positionwise_max(
@@ -43,6 +44,13 @@ def inert_parameter_names(backbone: Backbone) -> set[str]:
         for p in ("wq", "wk", "bq", "bk"):
             names.add(f"dec.{i}.attn.{p}")
     return names
+
+
+def token_of(vocab: Vocabulary, term_id: int) -> str:
+    """The token an id stands for: a special token, or a vocabulary line."""
+    if 0 <= term_id < NUM_SPECIALS:
+        return SPECIAL_TOKENS[term_id]
+    return vocab.tokens[term_id - NUM_SPECIALS]
 
 
 def write_tsv_texts(path, records: dict[str, str]) -> None:

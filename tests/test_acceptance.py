@@ -247,7 +247,7 @@ class TestCriterion3HeadLaws:
             n = int(rng.integers(1, 7))
             tokens = rng.integers(0, v, size=n).tolist()
             vec = mlp_head(Tensor(rng.normal(size=(n, d))), tokens, mlp_cfg)
-            if vec.support() <= set(tokens):
+            if set(vec.entries) <= set(tokens):
                 support_ok += 1
 
         pool_ok = 0

@@ -134,7 +134,7 @@ class TestMlpHead:
             tokens = rng.integers(0, V, size=n).tolist()
             h = Tensor(rng.normal(size=(n, D)))
             vec = mlp_head(h, tokens, cfg)
-            assert vec.support() <= set(tokens)
+            assert set(vec.entries) <= set(tokens)
 
 
 class TestMlmHead:

@@ -220,7 +220,7 @@ class TestFlopsMetric:
         index = build_index(docs)
         manual = np.mean(
             [
-                len(q.support() & d.support())
+                len(set(q.entries) & set(d.entries))
                 for q in queries
                 for _, d in docs
             ]

@@ -4,12 +4,14 @@ import hashlib
 import json
 import struct
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tape
 from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.errors import ContractError, FormatError
@@ -129,7 +131,7 @@ class TestComposition:
     def test_mlp_support_is_input_subset(self):
         model = build(Variant.ENCODER_ONLY, HeadKind.MLP)
         vec = model.encode([4, 5, 4])
-        assert vec.support() <= {4, 5}
+        assert set(vec.entries) <= {4, 5}
 
     def test_mlm_singletoken_rejected_on_multistate_backbones(self):
         for variant in set(Variant) - {Variant.ENCDEC_SINGLETOKEN}:
@@ -151,7 +153,7 @@ class TestComposition:
                 assert single == mlp_head(states, list(seq), model.head)
             else:
                 reference = mlm_head(states, model.backbone.tok_emb, model.head)
-                assert single.support() == reference.support()
+                assert set(single.entries) == set(reference.entries)
                 np.testing.assert_allclose(dense(single), dense(reference), rtol=1e-12, atol=0)
             np.testing.assert_allclose(acts.data[i], dense(single), rtol=1e-12, atol=1e-14)
 
@@ -176,6 +178,33 @@ class TestComposition:
             taped = model.batch_activations(seqs)
         np.testing.assert_allclose(untaped.data, taped.data, rtol=1e-10, atol=1e-12)
 
+
+    @pytest.mark.parametrize("variant,head", VALID_PAIRS)
+    def test_untaped_packed_bits_do_not_depend_on_the_cpu_count(self, monkeypatch, variant, head):
+        """Per-sequence attention and head work spread over threads gives
+        the bits of the serial loop."""
+        model = build(variant, head)
+        if head != HeadKind.MLP:
+            model.head.b_vocab.data = np.random.default_rng(2).normal(0.0, 0.05, 16)
+        seqs = [(4, 5, 6, 5, 9, 10, 11, 12), (7, 8), (9,), (13, 4, 15), (6, 7, 8, 9, 10)]
+        default = model.batch_activations(seqs).data
+
+        class CountingPool(ThreadPoolExecutor):
+            submitted = 0
+
+            def submit(self, *args, **kwargs):
+                self.submitted += 1
+                return super().submit(*args, **kwargs)
+
+        with CountingPool(2) as pool:
+            monkeypatch.setattr(ad, "_CPUS", 3)
+            monkeypatch.setattr(ad, "_POOL", pool)
+            three_way = model.batch_activations(seqs).data
+        assert pool.submitted > 0
+        monkeypatch.setattr(ad, "_POOL", None)
+        serial = model.batch_activations(seqs).data
+        np.testing.assert_array_equal(default, serial)
+        np.testing.assert_array_equal(three_way, serial)
 
     @pytest.mark.parametrize(
         "variant",

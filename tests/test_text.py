@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import write_tsv_texts
+from reference import token_of, write_tsv_texts
 from lsrkit import text
 from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.errors import FormatError
@@ -32,9 +32,9 @@ class TestBuildVocab:
     def test_reserved_ids_always_present(self):
         vocab = build_vocab({"d1": "x"}, min_freq=5)
         assert len(vocab) == NUM_SPECIALS
-        assert vocab.token_of(PAD_ID) == "<pad>"
-        assert vocab.token_of(START_ID) == "<s>"
-        assert vocab.token_of(UNK_ID) == "<unk>"
+        assert token_of(vocab, PAD_ID) == "<pad>"
+        assert token_of(vocab, START_ID) == "<s>"
+        assert token_of(vocab, UNK_ID) == "<unk>"
 
     def test_deterministic_id_assignment(self):
         corpus = {"d1": "red blue green", "d2": "blue blue red"}
@@ -106,7 +106,7 @@ class TestVocabularyFile:
         seen = set()
         for token in vocab.tokens:
             tid = vocab.id_of(token)
-            assert vocab.token_of(tid) == token
+            assert token_of(vocab, tid) == token
             assert tid not in seen
             seen.add(tid)
 
