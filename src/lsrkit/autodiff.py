@@ -526,30 +526,21 @@ def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
     """Column-wise maxima over contiguous row segments.
 
     ``starts`` has S+1 monotone offsets delimiting S non-empty segments
-    covering all rows of ``x``. The backward pass sends each output
-    gradient to the lowest row of its segment that attains the maximum.
+    covering all rows of ``x``. Each maximum is taken at ``np.argmax``'s
+    first occurrence in its segment: the lowest row attaining the maximum,
+    or the first NaN of a column holding one. The backward pass sends each
+    output gradient to that row.
     """
     data = x.data
     bounds = starts.tolist()
-    # One max per segment: exact like np.maximum.reduceat, and several
-    # times faster on [N, |V|] rows.
-    vals = np.stack([data[a:b].max(axis=0) for a, b in zip(bounds[:-1], bounds[1:])])
-    out = Tensor(vals, x.requires_grad)
-    if not recording() or not x.requires_grad:
-        return out  # no backward will run, so skip the argmax routing
-    n_rows, n_cols = data.shape
-    n_seg = len(starts) - 1
-    cols = np.arange(n_cols)
-    seg_of_row = np.repeat(np.arange(n_seg), np.diff(starts))
-    # Lowest row attaining each segment max.
-    at_max = data == vals[seg_of_row]
-    candidates = np.where(at_max, np.arange(n_rows)[:, None], n_rows)
-    args = np.minimum.reduceat(candidates, starts[:-1], axis=0)
+    rows = np.stack([data[a:b].argmax(axis=0) + a for a, b in zip(bounds[:-1], bounds[1:])])
+    cols = np.arange(data.shape[1])
+    out = Tensor(data[rows, cols], x.requires_grad)
 
     def backward(g):
-        buf = np.zeros_like(x.data)
-        # (args[s, c], c) pairs are unique, so assignment == accumulation.
-        buf[args, cols[None, :]] = g
+        buf = np.zeros_like(data)
+        # (rows[s, c], c) pairs are unique, so assignment == accumulation.
+        buf[rows, cols] = g
         _accum_owned(x, buf)
 
     return _record(out, backward)

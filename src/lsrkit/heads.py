@@ -12,12 +12,13 @@ sparse vectors:
 The *_batch_activations functions are the one encode path: they score a
 packed batch and keep the dense pre-sparsification activations inside the
 gradient graph. Training calls them directly and SparseEncoder.encode calls
-them on a batch of one. Under a tape the MLM logits are one [N, d] @ [d, |V|]
-product over all N packed rows. With no tape recording, the max-pooled MLM
-head instead runs one product per sequence, spread over the process's CPUs
-by ``autodiff.for_each``, pools it into that sequence's row, and applies
-bias, ReLU and log1p to the [B, |V|] maxima only; the map is monotone, so
-the bits equal activating every position first, and head memory is one
+them on a batch of one. The MLM logits are one [N, d] @ [d, |V|] product
+over all N packed rows, and a single-state batch always takes this path.
+With no tape recording, a max-pooled batch of several states per sequence
+instead runs one product per sequence, spread over the process's CPUs by
+``autodiff.for_each``, pools it into that sequence's row, and applies bias,
+ReLU and log1p to the [B, |V|] maxima only; the map is monotone, so the
+bits equal activating every position first, and head memory is one
 sequence's logits per CPU plus the output. The per-position mlp_head and
 mlm_head functions are the reference implementations the head laws and
 tests compare against; they return a SparseVector.
@@ -187,29 +188,25 @@ def mlp_batch_activations(
 def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: SparseHead) -> Tensor:
     """Dense [B, |V|] MLM activations for a packed batch (gradients flow).
 
-    With no tape and max pooling, the raw logits are max-pooled first and
-    only the [B, |V|] maxima pass through bias, ReLU and log1p, in place.
-    Rounding and the activation are monotone, so the bits are those of
-    activating first. A batch of several states per sequence runs one
-    [n, d] @ [d, |V|] product per sequence, spread over CPUs by
-    ``ad.for_each``, and pools it into that sequence's row, so no [N, |V|]
-    array is allocated: head memory is one sequence's logits per CPU plus
-    the [B, |V|] output.
+    Single-state batches take the general path, taped or not. With no tape,
+    max pooling and several states per sequence, one [n, d] @ [d, |V|]
+    product per sequence, spread over CPUs by ``ad.for_each``, is max-pooled
+    into that sequence's row, and only the [B, |V|] maxima pass through
+    bias, ReLU and log1p, in place. Rounding and the activation are
+    monotone, so the bits are those of activating first, and head memory is
+    one sequence's logits per CPU plus the [B, |V|] output.
     """
     one_state = len(starts) - 1 == states.data.shape[0]
     sum_pooled = cfg.pooling == "sum" and cfg.kind == HeadKind.MLM_MULTITOKENS
-    if not ad.recording() and not sum_pooled:
-        if one_state:
-            pooled = states.data @ emb.data.T
-        else:
-            bounds = starts.tolist()
-            pooled = np.empty((len(bounds) - 1, emb.data.shape[0]))
+    if not ad.recording() and not sum_pooled and not one_state:
+        bounds = starts.tolist()
+        pooled = np.empty((len(bounds) - 1, emb.data.shape[0]))
 
-            def pool(i):
-                a, b = bounds[i], bounds[i + 1]
-                np.max(states.data[a:b] @ emb.data.T, axis=0, out=pooled[i])
+        def pool(i):
+            a, b = bounds[i], bounds[i + 1]
+            np.max(states.data[a:b] @ emb.data.T, axis=0, out=pooled[i])
 
-            ad.for_each(pool, range(len(pooled)))
+        ad.for_each(pool, range(len(pooled)))
         pooled += cfg.b_vocab.data
         np.maximum(pooled, 0.0, out=pooled)
         return Tensor(np.log1p(pooled, out=pooled))

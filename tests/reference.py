@@ -3,7 +3,7 @@
 import numpy as np
 
 from lsrkit import autodiff as ad
-from lsrkit.autodiff import MASK_NEG, Tensor, _accum, _accum_owned, _record
+from lsrkit.autodiff import MASK_NEG, Tensor, _accum, _accum_owned, _record, recording
 from lsrkit.backbones import Backbone, Variant
 from lsrkit.errors import ContractError, DegenerateMaskError, ShapeError
 from lsrkit.heads import HeadKind, SparseHead, SparseVector, mlm_head
@@ -117,6 +117,40 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     def backward(g):
         dot = (g * p).sum(axis=1, keepdims=True)
         _accum_owned(x, p * (g - dot))
+
+    return _record(out, backward)
+
+
+def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
+    """Column-wise maxima over contiguous row segments, routed densely.
+
+    The oracle for ``autodiff.segment_max``: it finds the lowest row
+    attaining each maximum through [N, |V|] comparison arrays and
+    ``np.minimum.reduceat``. A NaN column has no such row, so its backward
+    fails; compare only NaN-free inputs.
+    """
+    data = x.data
+    bounds = starts.tolist()
+    # One max per segment: exact like np.maximum.reduceat, and several
+    # times faster on [N, |V|] rows.
+    vals = np.stack([data[a:b].max(axis=0) for a, b in zip(bounds[:-1], bounds[1:])])
+    out = Tensor(vals, x.requires_grad)
+    if not recording() or not x.requires_grad:
+        return out  # no backward will run, so skip the argmax routing
+    n_rows, n_cols = data.shape
+    n_seg = len(starts) - 1
+    cols = np.arange(n_cols)
+    seg_of_row = np.repeat(np.arange(n_seg), np.diff(starts))
+    # Lowest row attaining each segment max.
+    at_max = data == vals[seg_of_row]
+    candidates = np.where(at_max, np.arange(n_rows)[:, None], n_rows)
+    args = np.minimum.reduceat(candidates, starts[:-1], axis=0)
+
+    def backward(g):
+        buf = np.zeros_like(x.data)
+        # (args[s, c], c) pairs are unique, so assignment == accumulation.
+        buf[args, cols[None, :]] = g
+        _accum_owned(x, buf)
 
     return _record(out, backward)
 

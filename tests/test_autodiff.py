@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -468,6 +469,79 @@ class TestScatterBits:
         want = np.zeros(shape)
         np.add.at(want, (rows, cols), values)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def _segment_max_bits(op, x, starts, g):
+    """Forward and gradient bytes of ``op`` on ``x`` for output gradient ``g``."""
+    t = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        vals = op(t, starts)
+        tape.backward(ad.sum_all(ad.mul(vals, Tensor(g))))
+    return vals.data.tobytes(), t.grad.tobytes()
+
+
+class TestSegmentMax:
+    """segment_max takes each segment's first argmax row, forward and backward."""
+
+    def test_nan_column_routes_to_its_nan_row(self):
+        x = Tensor([[1.0, np.nan], [2.0, 0.5], [0.0, 3.0]], requires_grad=True)
+        with Tape() as tape:
+            vals = ad.segment_max(x, np.array([0, 2, 3]))
+            tape.backward(ad.sum_all(ad.mul(vals, Tensor([[10.0, 20.0], [30.0, 40.0]]))))
+        np.testing.assert_array_equal(vals.data, [[2.0, np.nan], [0.0, 3.0]])
+        np.testing.assert_array_equal(x.grad, [[0.0, 20.0], [10.0, 0.0], [30.0, 40.0]])
+
+    def test_equals_dense_routing_oracle_bitwise(self):
+        """Small value sets make ties common; -inf and 0.0 are among them."""
+        rng = np.random.default_rng(17)
+        values = np.array([-np.inf, -1.5, 0.0, 0.25, 2.0])
+        for case in range(200):
+            lengths = rng.integers(1, 8, size=int(rng.integers(2, 7)))
+            if (lengths == lengths[0]).all():
+                lengths[0] += 1
+            starts = np.concatenate([[0], np.cumsum(lengths)])
+            x = rng.choice(values, size=(int(starts[-1]), int(rng.integers(1, 7))))
+            g = rng.uniform(0.5, 2.0, size=(len(lengths), x.shape[1]))  # -inf * g stays -inf
+            want = _segment_max_bits(reference.segment_max, x, starts, g)
+            assert _segment_max_bits(ad.segment_max, x, starts, g) == want, f"case {case}"
+
+    def test_taped_forward_memory_is_per_segment(self):
+        """Routing the gradient holds no [N, |V|] array beside the input."""
+        vocab, rows = 20_000, 8 * 32
+        x = Tensor(np.random.default_rng(5).normal(size=(rows, vocab)), requires_grad=True)
+        starts = np.arange(0, rows + 1, 32)
+        with Tape():
+            tracemalloc.start()
+            try:
+                ad.segment_max(x, starts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < rows * vocab * 8 / 2
+
+    def test_only_three_functions_fork_on_tape_state(self):
+        """Every other op runs the same code with and without a tape."""
+        callers = set()
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, scope + [child.name])
+                    continue
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name == "recording":
+                        callers.add(".".join(scope))
+                visit(child, scope)
+
+        for file in sorted(Path(ad.__file__).parent.glob("*.py")):
+            visit(ast.parse(file.read_text(encoding="utf-8")), [file.stem])
+        assert callers == {
+            "autodiff.AttentionLayout.__post_init__",
+            "autodiff.attention",
+            "heads.mlm_batch_activations",
+        }
 
 
 class TestInvariants:

@@ -15,7 +15,7 @@ from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tape
 from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.errors import ContractError, FormatError
-from lsrkit.heads import HeadKind, mlm_head, mlp_head
+from lsrkit.heads import HeadKind, mlm_batch_activations, mlm_head, mlp_head
 from lsrkit.model import SparseEncoder
 from lsrkit.text import write_output
 
@@ -228,6 +228,20 @@ class TestComposition:
         finally:
             tracemalloc.stop()
         assert peak < rows * vocab * 8 / 2
+
+    def test_untaped_packed_single_state_activations_are_the_formula(self):
+        """Several single-state sequences take the general head path, untaped
+        and taped, and give the formula's bits."""
+        model = build(Variant.ENCDEC_SINGLETOKEN, HeadKind.MLM_SINGLETOKEN)
+        model.head.b_vocab.data = np.random.default_rng(2).normal(0.0, 0.05, 16)
+        seqs = [(4, 5, 6, 5, 9, 10, 11, 12), (7, 8), (9,), (13, 4, 15)]
+        states, starts, _ = model.backbone.encode_batch(seqs)
+        emb, b = model.backbone.tok_emb.data, model.head.b_vocab.data
+        want = np.log1p(np.maximum(states.data @ emb.T + b, 0))
+        assert model.batch_activations(seqs).data.tobytes() == want.tobytes()
+        with Tape():
+            taped = mlm_batch_activations(states, starts, model.backbone.tok_emb, model.head)
+        assert taped.data.tobytes() == want.tobytes()
 
 
 class TestCheckpoint:
