@@ -192,9 +192,12 @@ class Backbone:
         return self._registry.items()
 
     def _validate(self, tokens) -> np.ndarray:
-        ids = np.asarray(tokens, dtype=np.intp)
+        ids = np.asarray(tokens)
         if ids.ndim != 1 or ids.size == 0:
             raise EmptyInputError("encoder input must contain at least one token")
+        if ids.dtype.kind not in "iu":
+            raise VocabError(f"token ids must be integers, not {ids.dtype}")
+        ids = ids.astype(np.intp, copy=False)
         if ids.size > self.config.max_seq_len:
             raise SequenceLengthError(
                 f"sequence of {ids.size} tokens exceeds max_seq_len "
@@ -212,9 +215,10 @@ class Backbone:
         sequences = list(sequences)  # iterated more than once
         cfg = self.config
         try:
-            ids = np.concatenate(sequences).astype(np.intp, copy=False)
+            ids = np.concatenate(sequences)
             lengths = np.array([len(s) for s in sequences], dtype=np.intp)
-            ok = ids.ndim == 1 and 0 < lengths.min() and lengths.max() <= cfg.max_seq_len
+            ok = ids.dtype.kind in "iu" and ids.ndim == 1
+            ok = ok and 0 < lengths.min() and lengths.max() <= cfg.max_seq_len
             ok = ok and 0 <= ids.min() and ids.max() < cfg.vocab_size
         except (TypeError, ValueError):
             ok = False
@@ -224,7 +228,7 @@ class Backbone:
             seqs = [self._validate(s) for s in sequences]
             ids = np.concatenate(seqs)
             lengths = np.array([s.size for s in seqs], dtype=np.intp)
-        return ids, lengths
+        return ids.astype(np.intp, copy=False), lengths
 
     def encode(self, tokens) -> Tensor:
         """Hidden states for one sequence: [n, d] (or [1, d] for single-token)."""

@@ -12,16 +12,13 @@ sparse vectors:
 The *_batch_activations functions are the one encode path: they score a
 packed batch and keep the dense pre-sparsification activations inside the
 gradient graph. Training calls them directly and SparseEncoder.encode calls
-them on a batch of one. The MLM logits are one [N, d] @ [d, |V|] product
-over all N packed rows, and a single-state batch always takes this path.
-With no tape recording, a max-pooled batch of several states per sequence
-instead runs one product per sequence, spread over the process's CPUs by
-``autodiff.for_each``, pools it into that sequence's row, and applies bias,
-ReLU and log1p to the [B, |V|] maxima only; the map is monotone, so the
-bits equal activating every position first, and head memory is one
-sequence's logits per CPU plus the output. The per-position mlp_head and
-mlm_head functions are the reference implementations the head laws and
-tests compare against; they return a SparseVector.
+them on a batch of one. The max-pooled MLM head projects, pools, then
+activates: ReLU, log1p and float rounding are monotone, so activating the
+pooled logits gives the bits of pooling activated ones, and only [B, |V|]
+values pass through the activation and its backward. Sum pooling is not
+monotone-compatible and activates every position first. The per-position
+mlp_head and mlm_head functions are the reference implementations the head
+laws and tests compare against; they return a SparseVector.
 """
 
 from __future__ import annotations
@@ -188,35 +185,33 @@ def mlp_batch_activations(
 def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: SparseHead) -> Tensor:
     """Dense [B, |V|] MLM activations for a packed batch (gradients flow).
 
-    Single-state batches take the general path, taped or not. With no tape,
-    max pooling and several states per sequence, one [n, d] @ [d, |V|]
-    product per sequence, spread over CPUs by ``ad.for_each``, is max-pooled
-    into that sequence's row, and only the [B, |V|] maxima pass through
-    bias, ReLU and log1p, in place. Rounding and the activation are
-    monotone, so the bits are those of activating first, and head memory is
-    one sequence's logits per CPU plus the [B, |V|] output.
+    Every max-pooled or single-state batch builds the pooled logits, then
+    applies log1p(relu(.)) to those [B, |V|] values only. Under a tape the
+    logits are one [N, d] @ [d, |V|] product, max-pooled by ``segment_max``;
+    a single-state batch's pooling is the identity. With no tape, each
+    sequence's [n, d] @ [d, |V|] product, spread over CPUs by
+    ``ad.for_each``, is max-pooled into its row, so head memory is one
+    sequence's logits per CPU plus the output.
     """
     one_state = len(starts) - 1 == states.data.shape[0]
-    sum_pooled = cfg.pooling == "sum" and cfg.kind == HeadKind.MLM_MULTITOKENS
-    if not ad.recording() and not sum_pooled and not one_state:
+    sum_pooled = cfg.pooling == "sum" and cfg.kind == HeadKind.MLM_MULTITOKENS and not one_state
+    if ad.recording() or one_state or sum_pooled:
+        logits = ad.linear(states, ad.transpose(emb), cfg.b_vocab)
+        if sum_pooled:
+            return ad.segment_sum(ad.log1p(ad.relu(logits)), starts)
+        pooled = logits if one_state else ad.segment_max(logits, starts)
+    else:
         bounds = starts.tolist()
-        pooled = np.empty((len(bounds) - 1, emb.data.shape[0]))
+        maxima = np.empty((len(bounds) - 1, emb.data.shape[0]))
 
         def pool(i):
             a, b = bounds[i], bounds[i + 1]
-            np.max(states.data[a:b] @ emb.data.T, axis=0, out=pooled[i])
+            np.max(states.data[a:b] @ emb.data.T, axis=0, out=maxima[i])
 
-        ad.for_each(pool, range(len(pooled)))
-        pooled += cfg.b_vocab.data
-        np.maximum(pooled, 0.0, out=pooled)
-        return Tensor(np.log1p(pooled, out=pooled))
-    logits = ad.linear(states, ad.transpose(emb), cfg.b_vocab)
-    acts = ad.log1p(ad.relu(logits))
-    if one_state:
-        return acts  # one state per sequence; pooling is the identity
-    if sum_pooled:
-        return ad.segment_sum(acts, starts)
-    return ad.segment_max(acts, starts)
+        ad.for_each(pool, range(len(maxima)))
+        maxima += cfg.b_vocab.data
+        pooled = Tensor(maxima)
+    return ad.log1p(ad.relu(pooled))
 
 
 def format_vector_line(name: str, vec: SparseVector) -> str:

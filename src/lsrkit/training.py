@@ -73,8 +73,9 @@ class TrainConfig:
                 raise ContractError(f"{name} must be >= {low}")
         if self.warmup_steps > self.total_steps:
             raise ContractError("warmup_steps must be <= total_steps")
-        if self.lambda_q < 0.0 or self.lambda_d < 0.0:
-            raise ContractError("lambda weights must be >= 0")
+        for name in ("lambda_q", "lambda_d"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ContractError(f"{name} must be finite and >= 0")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ContractError(f"{name} must be in [0, 1)")

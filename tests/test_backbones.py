@@ -162,6 +162,8 @@ _FAULTS = {
     "id-past-vocab": ([4, 24], VocabError, "token id out of range for vocab of size 24"),
     "negative-id": ([-1, 4], VocabError, "token id out of range for vocab of size 24"),
     "2-d": ([[4, 5], [6, 7]], EmptyInputError, "encoder input must contain at least one token"),
+    "float-ids": ([4.7, 5.2], VocabError, "token ids must be integers, not float64"),
+    "string-ids": (["5", "6"], VocabError, "token ids must be integers, not <U1"),
 }
 
 
@@ -194,6 +196,12 @@ class TestBatchValidation:
         backbone = Backbone(small_config(Variant.DECODER_MULTITOKENS))
         batch = [[4], _FAULTS[first][0], [5, 6], _FAULTS[second][0]]
         assert _raised(backbone, batch) == _FAULTS[first][1:]
+
+    @pytest.mark.parametrize("ids", [[True, False], np.array([True]), np.array([4.0, 5.0])])
+    def test_non_integer_dtype_is_a_vocab_error(self, ids):
+        backbone = Backbone(small_config(Variant.ENCODER_ONLY))
+        error, message = _raised(backbone, [ids])
+        assert error is VocabError and message.startswith("token ids must be integers, not ")
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_empty_batch_is_a_typed_error(self, variant):

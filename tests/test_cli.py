@@ -109,7 +109,9 @@ class TestTrainCommand:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key,value", [("beta1", "1.0"), ("beta2", "-0.5"), ("eps", "0"), ("learning_rate", "nan")]
+        "key,value",
+        [("beta1", "1.0"), ("beta2", "-0.5"), ("eps", "0"), ("learning_rate", "nan"),
+         ("lambda_q", "-0.5"), ("lambda_d", "nan"), ("lambda_d", "inf")],
     )
     def test_out_of_range_optimizer_key_exits_2_and_names_it(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, set=[

@@ -1,11 +1,13 @@
 """Sparse head tests: hand fixtures, support laws, pooling decomposition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from reference import mlm_multitoken_equals_positionwise_max, sparse_dot
+from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tape, Tensor
 from lsrkit.errors import ContractError, FormatError, ShapeError
 from lsrkit.heads import (
@@ -260,6 +262,64 @@ class TestBatchActivations:
         dead = untaped.data[1] if multi else untaped.data[2:4]
         assert not dead.any()
         assert untaped.data.any()
+
+
+def _taped_head_bits(head, states, starts, emb, cfg, g):
+    """Activation and parameter-gradient bytes of ``head`` for output gradient ``g``."""
+    params = [Tensor(states, requires_grad=True), Tensor(emb, requires_grad=True), cfg.b_vocab]
+    cfg.b_vocab.grad = None
+    with Tape() as tape:
+        acts = head(params[0], starts, params[1], cfg)
+        tape.backward(ad.sum_all(ad.mul(acts, Tensor(g))))
+    return [acts.data.tobytes()] + [p.grad.tobytes() for p in params]
+
+
+def _activate_then_pool(states, starts, emb, cfg):
+    logits = ad.linear(states, ad.transpose(emb), cfg.b_vocab)
+    return ad.segment_max(ad.log1p(ad.relu(logits)), starts)
+
+
+class TestPoolThenActivate:
+    """The max-pooled head activates pooled logits: bits of activating first."""
+
+    def test_taped_head_equals_activate_then_pool_bitwise(self):
+        """Repeated state rows force exact ties; segments of one row, dead
+        columns and gradients of either sign are common."""
+        rng = np.random.default_rng(41)
+        for case in range(400):
+            lengths = rng.integers(1, 6, size=int(rng.integers(1, 6)))
+            if (lengths == 1).all():
+                lengths[0] += 1
+            starts = np.concatenate([[0], np.cumsum(lengths)])
+            pool = rng.normal(size=(int(rng.integers(1, 4)), D))
+            states = pool[rng.integers(0, len(pool), size=int(starts[-1]))]
+            emb = rng.normal(size=(V, D))
+            cfg = mlm_cfg(bias=rng.normal(-0.5, 1.0, size=V))
+            g = rng.normal(size=(len(lengths), V))
+            want = _taped_head_bits(_activate_then_pool, states, starts, emb, cfg, g)
+            got = _taped_head_bits(mlm_batch_activations, states, starts, emb, cfg, g)
+            assert got == want, f"case {case}"
+
+    def test_taped_memory_is_below_four_logit_arrays(self):
+        """Activation and its backward touch [B, |V|] values, not [N, |V|]."""
+        vocab, d = 5_000, 64
+        rng = np.random.default_rng(42)
+        lengths = rng.integers(16, 65, size=8)
+        starts = np.concatenate([[0], np.cumsum(lengths)])
+        rows = int(starts[-1])
+        states = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
+        emb = Tensor(rng.normal(0.0, 0.1, size=(vocab, d)), requires_grad=True)
+        cfg = SparseHead(HeadKind.MLM_MULTITOKENS, d, vocab)
+        g = Tensor(rng.normal(size=(len(lengths), vocab)))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                acts = mlm_batch_activations(states, starts, emb, cfg)
+                tape.backward(ad.sum_all(ad.mul(acts, g)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * rows * vocab * 8
 
 
 def _dense(vec: SparseVector, size: int = V) -> np.ndarray:
