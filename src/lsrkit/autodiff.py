@@ -322,10 +322,10 @@ def attention(
     calls and the bits equal that per-head composition.
 
     Under a tape it runs once over the whole batch with ``layout.mask`` and
-    records one entry with a hand-written backward. With no tape it runs once
-    per sequence, through ``for_each``, masking only causal segments, and
-    builds no N x N array; masked scores become 0 after exp either way, so on
-    one sequence both paths give the same bits.
+    records one entry with a hand-written backward. With no tape it loops
+    over the sequences, masking only causal segments, and builds no N x N
+    array; masked scores become 0 after exp either way, so on one sequence
+    both paths give the same bits.
     """
     if (
         qp.data.ndim != 2 or kp.data.ndim != 2 or vp.data.shape != kp.data.shape
@@ -367,15 +367,12 @@ def attention(
 
     if not recording():
         ctx = np.empty((nq, d))
-
-        def one(seg):
-            q0, q1, k0, k1 = seg
+        for q0, q1, k0, k1 in layout.segments():
+            if q0 == q1:  # no query rows: nothing to attend from
+                continue
             mask = layout.causal_block[: q1 - q0, : q1 - q0] if layout.causal else None
             p = weights(split(qp.data[q0:q1]), split(kp.data[k0:k1]), mask)
             ctx[q0:q1] = merge(np.matmul(p, split(vp.data[k0:k1])))
-
-        # A segment with no query rows has nothing to attend from.
-        for_each(one, [seg for seg in layout.segments() if seg[0] < seg[1]])
         return Tensor(ctx, requires_grad)
 
     q, k, v = split(qp.data), split(kp.data), split(vp.data)

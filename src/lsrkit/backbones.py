@@ -16,8 +16,9 @@ Batches are packed: sequences are concatenated row-wise, and an
 Each attention call is three ``linear`` projections, one ``autodiff.attention``
 over the layout and the output ``linear``; under a recording Tape that is
 five tape entries. ``attention`` keeps sequences apart with the layout's
-dense block-diagonal mask under a tape; without one it runs per sequence,
-spread over the process's CPUs, with the bits of a serial loop.
+dense block-diagonal mask under a tape; without one it loops over sequences.
+With no tape, ``SparseEncoder.batch_activations`` spreads a batch over the
+process's CPUs as whole units of two sequences, each one packed forward.
 """
 
 from __future__ import annotations
@@ -197,6 +198,8 @@ class Backbone:
             raise EmptyInputError("encoder input must contain at least one token")
         if ids.dtype.kind not in "iu":
             raise VocabError(f"token ids must be integers, not {ids.dtype}")
+        if _holds_bool(tokens):  # numpy would read True as id 1
+            raise VocabError("token ids must be integers, not bool")
         ids = ids.astype(np.intp, copy=False)
         if ids.size > self.config.max_seq_len:
             raise SequenceLengthError(
@@ -217,7 +220,7 @@ class Backbone:
         try:
             ids = np.concatenate(sequences)
             lengths = np.array([len(s) for s in sequences], dtype=np.intp)
-            ok = ids.dtype.kind in "iu" and ids.ndim == 1
+            ok = ids.dtype.kind in "iu" and ids.ndim == 1 and not any(map(_holds_bool, sequences))
             ok = ok and 0 < lengths.min() and lengths.max() <= cfg.max_seq_len
             ok = ok and 0 <= ids.min() and ids.max() < cfg.vocab_size
         except (TypeError, ValueError):
@@ -275,6 +278,10 @@ class Backbone:
         for block in blocks:
             x = block(x, layout, memory=memory, cross_layout=cross)
         return final_ln(x)
+
+
+def _holds_bool(tokens) -> bool:
+    return isinstance(tokens, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, tokens))
 
 
 def _offsets(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import pairwise
 
 import numpy as np
 
@@ -189,9 +190,8 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
     applies log1p(relu(.)) to those [B, |V|] values only. Under a tape the
     logits are one [N, d] @ [d, |V|] product, max-pooled by ``segment_max``;
     a single-state batch's pooling is the identity. With no tape, each
-    sequence's [n, d] @ [d, |V|] product, spread over CPUs by
-    ``ad.for_each``, is max-pooled into its row, so head memory is one
-    sequence's logits per CPU plus the output.
+    sequence's [n, d] @ [d, |V|] product is max-pooled into its row in
+    turn, so head memory is one sequence's logits plus the output.
     """
     one_state = len(starts) - 1 == states.data.shape[0]
     sum_pooled = cfg.pooling == "sum" and cfg.kind == HeadKind.MLM_MULTITOKENS and not one_state
@@ -201,14 +201,9 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
             return ad.segment_sum(ad.log1p(ad.relu(logits)), starts)
         pooled = logits if one_state else ad.segment_max(logits, starts)
     else:
-        bounds = starts.tolist()
-        maxima = np.empty((len(bounds) - 1, emb.data.shape[0]))
-
-        def pool(i):
-            a, b = bounds[i], bounds[i + 1]
+        maxima = np.empty((len(starts) - 1, emb.data.shape[0]))
+        for i, (a, b) in enumerate(pairwise(starts.tolist())):
             np.max(states.data[a:b] @ emb.data.T, axis=0, out=maxima[i])
-
-        ad.for_each(pool, range(len(maxima)))
         maxima += cfg.b_vocab.data
         pooled = Tensor(maxima)
     return ad.log1p(ad.relu(pooled))

@@ -19,6 +19,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .backbones import Backbone, BackboneConfig, Variant
 from .errors import ContractError, FormatError
@@ -89,7 +90,22 @@ class SparseEncoder:
         return SparseVector.from_dense(self.batch_activations([tokens]).data[0])
 
     def batch_activations(self, sequences) -> Tensor:
-        """Dense [B, |V|] activations for a batch; differentiable under a tape."""
+        """Dense [B, |V|] activations for a batch; differentiable under a tape.
+
+        With no tape a checked batch runs as pairs spread over the CPUs: by
+        stable length order, the longest with the shortest, and so on inwards."""
+        sequences = list(sequences)
+        if len(sequences) > 2 and not ad.recording():
+            order = np.argsort(self.backbone._pack(sequences)[1], kind="stable").tolist()
+            # order[i] and order[-1 - i] are one sequence when i is the middle
+            units = [sorted({order[i], order[-1 - i]}) for i in range((len(order) + 1) // 2)]
+            rows = np.empty((len(sequences), self.head.vocab_size))
+
+            def run(unit):
+                rows[unit] = self.batch_activations([sequences[i] for i in unit]).data
+
+            ad.for_each(run, units)
+            return Tensor(rows)
         states, starts, token_ids = self.backbone.encode_batch(sequences)
         if self.head.kind == HeadKind.MLP:
             return mlp_batch_activations(states, starts, token_ids, self.head)

@@ -519,7 +519,7 @@ class TestSegmentMax:
                 tracemalloc.stop()
         assert peak < rows * vocab * 8 / 2
 
-    def test_only_three_functions_fork_on_tape_state(self):
+    def test_only_four_functions_fork_on_tape_state(self):
         """Every other op runs the same code with and without a tape."""
         callers = set()
 
@@ -541,6 +541,7 @@ class TestSegmentMax:
             "autodiff.AttentionLayout.__post_init__",
             "autodiff.attention",
             "heads.mlm_batch_activations",
+            "model.SparseEncoder.batch_activations",
         }
 
 

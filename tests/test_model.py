@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import signal
 import struct
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tape
 from lsrkit.backbones import BackboneConfig, Variant
-from lsrkit.errors import ContractError, FormatError
+from lsrkit.errors import ContractError, FormatError, VocabError
 from lsrkit.heads import HeadKind, mlm_batch_activations, mlm_head, mlp_head
 from lsrkit.model import SparseEncoder
 from lsrkit.text import write_output
@@ -40,11 +42,19 @@ def dense(vec, size=16):
     return out
 
 
-def build(variant=Variant.ENCDEC_MULTITOKENS, head=HeadKind.MLM_MULTITOKENS, seed=0):
+def build(variant=Variant.ENCDEC_MULTITOKENS, head=HeadKind.MLM_MULTITOKENS, seed=0, layers=1):
     cfg = BackboneConfig(
-        variant, num_layers=1, d_model=8, num_heads=2, vocab_size=16, max_seq_len=8, seed=seed
+        variant, num_layers=layers, d_model=8, num_heads=2, vocab_size=16, max_seq_len=8, seed=seed
     )
     return SparseEncoder.build(cfg, head)
+
+
+class _CountingPool(ThreadPoolExecutor):
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
 
 
 def rewrite_header(path, mutate):
@@ -205,6 +215,65 @@ class TestComposition:
         serial = model.batch_activations(seqs).data
         np.testing.assert_array_equal(default, serial)
         np.testing.assert_array_equal(three_way, serial)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("variant,head", VALID_PAIRS)
+    def test_untaped_packed_batch_forks_and_joins_once(self, monkeypatch, variant, head):
+        """Nine sequences make four pairs and a lone middle one: with three
+        CPUs one call hands two of the five units to the pool and gives the
+        bits of the serial run and of the default pool."""
+        model = build(variant, head, layers=2)
+        if head != HeadKind.MLP:
+            model.head.b_vocab.data = np.random.default_rng(2).normal(0.0, 0.05, 16)
+        seqs = [(4, 5, 6, 5, 9, 10, 11, 12), (7,), (9, 10), (13, 4, 15), (6, 7, 8, 9, 10),
+                (11,), (5, 5, 6), (12, 13, 14, 15), (8, 9)]
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            # A unit that waits on the pool from a pool thread would wait
+            # forever; the alarm ends the child then.
+            signal.alarm(10)
+            code = 1
+            try:
+                with _CountingPool(2) as pool:
+                    ad._CPUS, ad._POOL = 3, pool
+                    acts = model.batch_activations(seqs).data
+                with os.fdopen(write, "wb") as out:
+                    out.write(struct.pack("<q", pool.submitted) + acts.tobytes())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        with os.fdopen(read, "rb") as pipe:
+            sent = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        (submitted,) = struct.unpack_from("<q", sent)
+        assert submitted == 2
+        default = model.batch_activations(seqs).data
+        monkeypatch.setattr(ad, "_POOL", None)
+        serial = model.batch_activations(seqs).data
+        assert sent[8:] == serial.tobytes() == default.tobytes()
+
+    def test_first_bad_sequence_in_batch_order_raises(self):
+        """The pairing puts the overlong sequence at position 4 into the
+        first unit and the bad id at position 1 into the last."""
+        model = build()
+        batch = [[4, 5, 6], [4, 99, 5, 6], [7, 8], [9, 10, 11, 12, 13], [4] * 9, [5]]
+        with pytest.raises(VocabError, match="out of range"):
+            model.batch_activations(batch)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda m: m.encode([True, 5]), id="encode"),
+            pytest.param(lambda m: m.batch_activations([[4, 5], [True, False]]), id="pair"),
+            pytest.param(lambda m: m.batch_activations([[4], [6, 7], (np.True_, 5)]), id="units"),
+        ],
+    )
+    def test_bools_among_int_ids_are_a_vocab_error(self, call):
+        with pytest.raises(VocabError, match="token ids must be integers, not bool"):
+            call(build())
 
     @pytest.mark.parametrize(
         "variant",
