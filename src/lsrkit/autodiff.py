@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,6 +32,7 @@ MASK_NEG = -1e9
 _ACTIVE_TAPE: "Tape | None" = None
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_IN_ITEM = threading.local()  # .active: this thread runs for_each items
 
 
 def _new_pool() -> None:  # threads start on first use: importing lsrkit starts none
@@ -116,10 +118,13 @@ def for_each(fn: Callable, items: Sequence) -> None:
     """Call ``fn(item)`` for every item, in one contiguous group of items per
     CPU the process may use: this thread runs the first group, the pool the
     others. Returns when all are done, re-raising the first exception. A call
-    that writes only its own rows gets the bits of a plain loop."""
-    groups = max(1, min(_CPUS, len(items))) if _POOL is not None else 1
+    that writes only its own rows gets the bits of a plain loop. A call made
+    inside an item runs inline, so no pool thread waits on its own pool."""
+    nested = getattr(_IN_ITEM, "active", False)
+    groups = max(1, min(_CPUS, len(items))) if _POOL is not None and not nested else 1
 
     def run(g):
+        _IN_ITEM.active = True  # stays set in a pool thread, which runs only groups
         for item in items[len(items) * g // groups : len(items) * (g + 1) // groups]:
             fn(item)
 
@@ -127,6 +132,7 @@ def for_each(fn: Callable, items: Sequence) -> None:
     try:
         run(0)
     finally:
+        _IN_ITEM.active = nested
         wait(futures)
     for future in futures:
         future.result()

@@ -52,6 +52,8 @@ def read_run(path) -> Run:
             rank, score = int(raw_rank), float(raw_score)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: bad rank or score") from None
+        if not math.isfinite(score):  # NaN compares false, so it would pass the order check
+            raise FormatError(f"{path}:{lineno}: score {raw_score} is not finite")
         per_query = rows.setdefault(qid, {})
         if doc in per_query:
             raise FormatError(f"{path}:{lineno}: doc {doc} listed twice for query {qid}")

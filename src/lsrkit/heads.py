@@ -16,9 +16,11 @@ them on a batch of one. The max-pooled MLM head projects, pools, then
 activates: ReLU, log1p and float rounding are monotone, so activating the
 pooled logits gives the bits of pooling activated ones, and only [B, |V|]
 values pass through the activation and its backward. Sum pooling is not
-monotone-compatible and activates every position first. The per-position
-mlp_head and mlm_head functions are the reference implementations the head
-laws and tests compare against; they return a SparseVector.
+monotone-compatible and activates every position first. Untaped max pooling
+scores fixed vocabulary blocks on all CPUs, or inline in a packed batch's
+units. The per-position mlp_head and mlm_head functions are the reference
+implementations the head laws and tests compare against; they return a
+SparseVector.
 """
 
 from __future__ import annotations
@@ -190,8 +192,11 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
     applies log1p(relu(.)) to those [B, |V|] values only. Under a tape the
     logits are one [N, d] @ [d, |V|] product, max-pooled by ``segment_max``;
     a single-state batch's pooling is the identity. With no tape, each
-    sequence's [n, d] @ [d, |V|] product is max-pooled into its row in
-    turn, so head memory is one sequence's logits plus the output.
+    sequence's [n, d] @ [d, block] product is max-pooled into its row for
+    each of max(1, |V| // 1024) column blocks: each starts on a multiple of
+    64 and is 1,024 to 2,111 wide, so OpenBLAS keeps the whole product's bits.
+    ``ad.for_each`` spreads the blocks over the CPUs; head memory is one
+    block of one sequence's logits per CPU plus the output.
     """
     one_state = len(starts) - 1 == states.data.shape[0]
     sum_pooled = cfg.pooling == "sum" and cfg.kind == HeadKind.MLM_MULTITOKENS and not one_state
@@ -201,9 +206,16 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
             return ad.segment_sum(ad.log1p(ad.relu(logits)), starts)
         pooled = logits if one_state else ad.segment_max(logits, starts)
     else:
-        maxima = np.empty((len(starts) - 1, emb.data.shape[0]))
-        for i, (a, b) in enumerate(pairwise(starts.tolist())):
-            np.max(states.data[a:b] @ emb.data.T, axis=0, out=maxima[i])
+        vocab = emb.data.shape[0]
+        blocks = max(1, vocab // 1024)
+        cuts = [64 * (c * vocab // (64 * blocks)) for c in range(blocks)] + [vocab]
+        maxima = np.empty((len(starts) - 1, vocab))
+
+        def score(cut):
+            for i, (a, b) in enumerate(pairwise(starts.tolist())):
+                np.max(states.data[a:b] @ emb.data[cut].T, axis=0, out=maxima[i, cut])
+
+        ad.for_each(score, [slice(c0, c1) for c0, c1 in pairwise(cuts)])
         maxima += cfg.b_vocab.data
         pooled = Tensor(maxima)
     return ad.log1p(ad.relu(pooled))

@@ -1,5 +1,7 @@
 """Test oracles and reference implementations that the package itself does not use."""
 
+from itertools import pairwise
+
 import numpy as np
 
 from lsrkit import autodiff as ad
@@ -28,6 +30,19 @@ def mlm_multitoken_equals_positionwise_max(
             if w > best.get(t, 0.0):
                 best[t] = w
     return multi == SparseVector(best)
+
+
+def per_sequence_max_logits(
+    states: Tensor, starts: np.ndarray, emb: Tensor, cfg: SparseHead
+) -> np.ndarray:
+    """Oracle for the untaped max-pooled MLM head's pooled logits: each
+    sequence's whole-vocabulary [n, d] @ [d, |V|] product, max-pooled into
+    its row, plus the vocabulary bias."""
+    maxima = np.empty((len(starts) - 1, emb.data.shape[0]))
+    for i, (a, b) in enumerate(pairwise(starts.tolist())):
+        np.max(states.data[a:b] @ emb.data.T, axis=0, out=maxima[i])
+    maxima += cfg.b_vocab.data
+    return maxima
 
 
 def inert_parameter_names(backbone: Backbone) -> set[str]:

@@ -676,6 +676,33 @@ class TestForEach:
                 sys.setswitchinterval(interval)
         assert (hits == 20).all()
 
+    def test_call_inside_an_item_runs_inline(self, monkeypatch):
+        """Items of a nested call run in the thread of the item that made it.
+        The pool has a thread for every group of both levels, so a broken
+        rule fails the assertions instead of waiting forever."""
+        outer, inner = {}, {}
+
+        def visit(item):
+            outer[item] = threading.get_ident()
+            ad.for_each(lambda j: inner.setdefault(item, set()).add(threading.get_ident()), range(4))
+
+        with ThreadPoolExecutor(8) as pool:
+            monkeypatch.setattr(ad, "_CPUS", 3)
+            monkeypatch.setattr(ad, "_POOL", pool)
+            ad.for_each(visit, range(3))
+        assert len(set(outer.values())) > 1
+        assert inner == {item: {thread} for item, thread in outer.items()}
+
+    def test_a_failed_call_leaves_this_thread_spreading_work(self, pool_of_three):
+        def fail(item):
+            raise FormatError(f"bad item {item}")
+
+        with pytest.raises(FormatError, match="bad item 0"):
+            ad.for_each(fail, range(3))
+        threads = set()
+        ad.for_each(lambda item: threads.add(threading.get_ident()), range(3))
+        assert len(threads) > 1
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_a_pool_of_its_own(self, pool_of_three):
         # Slow enough that each group gets a thread of its own; then both

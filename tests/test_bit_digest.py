@@ -20,8 +20,9 @@ def test_bit_digest_is_pinned():
 
 
 def test_encoding_bits_do_not_depend_on_the_cpu_count(monkeypatch):
-    """The packed batches of 8 at encode scale give one set of bits on one
-    CPU, on three and on the process's own count."""
+    """The packed batches of 8 at encode scale, and the one-sequence
+    encodes whose four vocabulary blocks spread over the CPUs, give one set
+    of bits on one CPU, on three and on the process's own count."""
 
     def encoding():
         h = hashlib.sha256()

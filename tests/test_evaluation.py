@@ -205,6 +205,14 @@ class TestTrecFiles:
         with pytest.raises(FormatError, match="contiguous"):
             read_run(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_rejected_with_its_line(self, tmp_path, score):
+        """NaN compares false, so it would hide the rank-order check."""
+        path = tmp_path / "run.txt"
+        path.write_text(f"q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 {score} t\nq1 Q0 d3 3 2.0 t\n")
+        with pytest.raises(FormatError, match=rf"run\.txt:2: score {score} is not finite"):
+            read_run(path)
+
     def test_malformed_run_line_reports_number(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_text("q1 Q0 d1 1 2.0 t\nshort line\n")

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import mlm_multitoken_equals_positionwise_max, sparse_dot
+from reference import mlm_multitoken_equals_positionwise_max, per_sequence_max_logits, sparse_dot
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tape, Tensor
 from lsrkit.errors import ContractError, FormatError, ShapeError
@@ -262,6 +262,46 @@ class TestBatchActivations:
         dead = untaped.data[1] if multi else untaped.data[2:4]
         assert not dead.any()
         assert untaped.data.any()
+
+
+class TestVocabularyBlocks:
+    """The untaped max-pooled head scores fixed vocabulary column blocks."""
+
+    @pytest.mark.parametrize("vocab,d", [(2048, 32), (2048, 64), (5000, 32), (5000, 64)])
+    def test_blocked_head_equals_whole_vocabulary_oracle_bitwise(self, vocab, d):
+        """Every sequence length from 1 to 128, in one packed batch and alone."""
+        rng = np.random.default_rng(vocab + d)
+        emb = Tensor(rng.normal(size=(vocab, d)))
+        cfg = SparseHead(HeadKind.MLM_MULTITOKENS, d, vocab)
+        cfg.b_vocab.data = rng.normal(-0.5, 1.0, size=vocab)
+        starts = np.concatenate([[0], np.cumsum(np.arange(1, 129))])
+        states = Tensor(rng.normal(size=(int(starts[-1]), d)))
+        want = ad.log1p(ad.relu(Tensor(per_sequence_max_logits(states, starts, emb, cfg)))).data
+        assert mlm_batch_activations(states, starts, emb, cfg).data.tobytes() == want.tobytes()
+        for i, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+            alone = mlm_batch_activations(Tensor(states.data[a:b]), np.array([0, b - a]), emb, cfg)
+            assert alone.data.tobytes() == want[i].tobytes(), f"n = {b - a}"
+
+    def test_block_rule(self, monkeypatch):
+        """max(1, |V| // 1024) blocks cover the vocabulary in order: one below
+        |V| = 2,048, else each starts on a multiple of 64 and is 1,024 to
+        2,111 columns wide."""
+        blocks, for_each = [], ad.for_each
+
+        def spy(fn, items):
+            blocks.extend(items)
+            for_each(fn, items)
+
+        monkeypatch.setattr(ad, "for_each", spy)
+        for vocab in [*range(1, 40_000, 61), 2047, 2048, 30_522]:
+            blocks.clear()
+            cfg = SparseHead(HeadKind.MLM_MULTITOKENS, 2, vocab)
+            mlm_batch_activations(Tensor(np.ones((2, 2))), np.array([0, 2]), Tensor(np.ones((vocab, 2))), cfg)
+            assert len(blocks) == max(1, vocab // 1024), vocab
+            assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+            assert blocks[-1].stop == vocab
+            if vocab >= 2048:
+                assert all(b.start % 64 == 0 and 1024 <= b.stop - b.start <= 2111 for b in blocks), vocab
 
 
 def _taped_head_bits(head, states, starts, emb, cfg, g):

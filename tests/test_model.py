@@ -57,6 +57,33 @@ class _CountingPool(ThreadPoolExecutor):
         return super().submit(*args, **kwargs)
 
 
+def _on_three_cpus(model, seqs) -> tuple[int, bytes]:
+    """(pool submissions, activation bytes) of one untaped
+    ``batch_activations`` call with three CPUs and a counting pool, run in a
+    forked child. A pool thread that waits on its own pool would wait
+    forever; the alarm ends the child then."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(10)
+        code = 1
+        try:
+            with _CountingPool(2) as pool:
+                ad._CPUS, ad._POOL = 3, pool
+                acts = model.batch_activations(seqs).data
+            with os.fdopen(write, "wb") as out:
+                out.write(struct.pack("<q", pool.submitted) + acts.tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        sent = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return struct.unpack_from("<q", sent)[0], sent[8:]
+
+
 def rewrite_header(path, mutate):
     """Apply ``mutate`` to a checkpoint's JSON header (it may return a new one)."""
     raw = path.read_bytes()
@@ -227,33 +254,61 @@ class TestComposition:
             model.head.b_vocab.data = np.random.default_rng(2).normal(0.0, 0.05, 16)
         seqs = [(4, 5, 6, 5, 9, 10, 11, 12), (7,), (9, 10), (13, 4, 15), (6, 7, 8, 9, 10),
                 (11,), (5, 5, 6), (12, 13, 14, 15), (8, 9)]
-        read, write = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            # A unit that waits on the pool from a pool thread would wait
-            # forever; the alarm ends the child then.
-            signal.alarm(10)
-            code = 1
-            try:
-                with _CountingPool(2) as pool:
-                    ad._CPUS, ad._POOL = 3, pool
-                    acts = model.batch_activations(seqs).data
-                with os.fdopen(write, "wb") as out:
-                    out.write(struct.pack("<q", pool.submitted) + acts.tobytes())
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write)
-        with os.fdopen(read, "rb") as pipe:
-            sent = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-        (submitted,) = struct.unpack_from("<q", sent)
+        submitted, acts = _on_three_cpus(model, seqs)
         assert submitted == 2
         default = model.batch_activations(seqs).data
         monkeypatch.setattr(ad, "_POOL", None)
         serial = model.batch_activations(seqs).data
-        assert sent[8:] == serial.tobytes() == default.tobytes()
+        assert acts == serial.tobytes() == default.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize(
+        "vocab,count,submitted",
+        [
+            pytest.param(5_000, 1, 2, id="one-sequence-4-blocks"),
+            pytest.param(154, 1, 0, id="one-sequence-1-block"),
+            pytest.param(5_000, 9, 2, id="packed-9"),
+        ],
+    )
+    def test_head_blocks_use_the_pool_outside_units_only(self, monkeypatch, vocab, count, submitted):
+        """With three CPUs a one-sequence encode at |V| = 5,000 hands two of
+        its three groups of four vocabulary blocks to the pool, and one at
+        |V| = 154 has one block and hands out none. A packed batch of nine
+        hands out two of its five units and no head block: each unit scores
+        its blocks in its own thread."""
+        cfg = BackboneConfig(
+            Variant.ENCDEC_MULTITOKENS, num_layers=1, d_model=8, num_heads=2, vocab_size=vocab,
+            max_seq_len=64,
+        )
+        model = SparseEncoder.build(cfg, HeadKind.MLM_MULTITOKENS)
+        rng = np.random.default_rng(7)
+        seqs = [rng.integers(4, vocab, size=n).tolist() for n in rng.integers(2, 65, size=count)]
+        got, acts = _on_three_cpus(model, seqs)
+        assert got == submitted
+        monkeypatch.setattr(ad, "_POOL", None)
+        assert acts == model.batch_activations(seqs).data.tobytes()
+
+    def test_untaped_one_sequence_head_memory_is_per_block(self, monkeypatch):
+        """On three CPUs a one-sequence encode holds three vocabulary blocks of
+        logits at a time, never the whole [n, |V|] product."""
+        n, vocab = 128, 20_000
+        cfg = BackboneConfig(
+            Variant.ENCDEC_MULTITOKENS, num_layers=1, d_model=8, num_heads=2, vocab_size=vocab,
+            max_seq_len=n,
+        )
+        model = SparseEncoder.build(cfg, HeadKind.MLM_MULTITOKENS)
+        seq = np.random.default_rng(8).integers(4, vocab, size=n).tolist()
+        with ThreadPoolExecutor(2) as pool:
+            monkeypatch.setattr(ad, "_CPUS", 3)
+            monkeypatch.setattr(ad, "_POOL", pool)
+            model.encode(seq)  # warm up lazily built state
+            tracemalloc.start()
+            try:
+                model.encode(seq)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < n * vocab * 8 / 4
 
     def test_first_bad_sequence_in_batch_order_raises(self):
         """The pairing puts the overlong sequence at position 4 into the
