@@ -58,14 +58,14 @@ class BackboneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.num_layers, self.d_model, self.num_heads, self.max_seq_len) < 1:
+            raise ContractError("num_layers, d_model, num_heads, max_seq_len must be >= 1")
         if self.d_model % self.num_heads != 0:
             raise ContractError(
                 f"d_model {self.d_model} not divisible by num_heads {self.num_heads}"
             )
         if self.vocab_size < NUM_SPECIALS:
             raise ContractError(f"vocab_size must be >= {NUM_SPECIALS}")
-        if min(self.num_layers, self.d_model, self.num_heads, self.max_seq_len) < 1:
-            raise ContractError("num_layers, d_model, num_heads, max_seq_len must be >= 1")
         if self.seed < 0:
             raise ContractError("seed must be >= 0")
 
@@ -192,46 +192,43 @@ class Backbone:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return self._registry.items()
 
-    def _validate(self, tokens) -> np.ndarray:
-        ids = np.asarray(tokens)
-        if ids.ndim != 1 or ids.size == 0:
-            raise EmptyInputError("encoder input must contain at least one token")
-        if ids.dtype.kind not in "iu":
-            raise VocabError(f"token ids must be integers, not {ids.dtype}")
-        if _holds_bool(tokens):  # numpy would read True as id 1
-            raise VocabError("token ids must be integers, not bool")
-        ids = ids.astype(np.intp, copy=False)
-        if ids.size > self.config.max_seq_len:
-            raise SequenceLengthError(
-                f"sequence of {ids.size} tokens exceeds max_seq_len "
-                f"{self.config.max_seq_len}"
-            )
-        if ids.min() < 0 or ids.max() >= self.config.vocab_size:
-            raise VocabError(
-                f"token id out of range for vocab of size {self.config.vocab_size}"
-            )
-        return ids
-
-    def _pack(self, sequences) -> tuple[np.ndarray, np.ndarray]:
-        """Packed ids and per-sequence lengths, checked over the whole batch. A
-        batch that fails is checked again per sequence: the first bad one raises."""
-        sequences = list(sequences)  # iterated more than once
+    def _checked(self, sequences: list) -> tuple[np.ndarray, np.ndarray]:
+        """Packed ids and per-sequence lengths of ``sequences``, or the error of
+        the first token rule they break: each sequence is a non-empty 1-D run of
+        integer, non-bool ids, at most ``max_seq_len`` long and in the vocab."""
         cfg = self.config
         try:
             ids = np.concatenate(sequences)
             lengths = np.array([len(s) for s in sequences], dtype=np.intp)
-            ok = ids.dtype.kind in "iu" and ids.ndim == 1 and not any(map(_holds_bool, sequences))
-            ok = ok and 0 < lengths.min() and lengths.max() <= cfg.max_seq_len
-            ok = ok and 0 <= ids.min() and ids.max() < cfg.vocab_size
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            if not sequences:
-                raise EmptyInputError("a batch must hold at least one sequence")
-            seqs = [self._validate(s) for s in sequences]
-            ids = np.concatenate(seqs)
-            lengths = np.array([s.size for s in seqs], dtype=np.intp)
+        except (TypeError, ValueError):  # ragged, 0-d or unconvertible input
+            ids = lengths = np.zeros((0, 0))  # fails the first rule, as 2-D input does
+        if ids.ndim != 1 or lengths.min() < 1:
+            raise EmptyInputError("encoder input must contain at least one token")
+        if ids.dtype.kind not in "iu":
+            raise VocabError(f"token ids must be integers, not {ids.dtype}")
+        if any(map(_holds_bool, sequences)):  # numpy would read True as id 1
+            raise VocabError("token ids must be integers, not bool")
+        if lengths.max() > cfg.max_seq_len:
+            raise SequenceLengthError(
+                f"sequence of {lengths.max()} tokens exceeds max_seq_len {cfg.max_seq_len}"
+            )
+        if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+            raise VocabError(f"token id out of range for vocab of size {cfg.vocab_size}")
         return ids.astype(np.intp, copy=False), lengths
+
+    def _pack(self, sequences) -> tuple[np.ndarray, np.ndarray]:
+        """Packed ids and per-sequence lengths, checked over the whole batch. A
+        batch that fails is checked again per sequence: the first bad one
+        raises, and sequences that pass only apart (int32 beside uint64) are
+        packed from their own checks."""
+        sequences = list(sequences)  # iterated more than once
+        if not sequences:
+            raise EmptyInputError("a batch must hold at least one sequence")
+        try:
+            return self._checked(sequences)
+        except (EmptyInputError, SequenceLengthError, VocabError):
+            parts = [self._checked([s]) for s in sequences]
+            return tuple(np.concatenate(part) for part in zip(*parts))
 
     def encode(self, tokens) -> Tensor:
         """Hidden states for one sequence: [n, d] (or [1, d] for single-token)."""
@@ -281,6 +278,8 @@ class Backbone:
 
 
 def _holds_bool(tokens) -> bool:
+    if isinstance(tokens, np.ndarray):  # concatenated with ints, a bool array reads as ints
+        return tokens.dtype == np.bool_
     return isinstance(tokens, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, tokens))
 
 

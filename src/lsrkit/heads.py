@@ -180,9 +180,7 @@ def mlp_batch_activations(
     scores = ad.log1p(ad.relu(ad.linear(states, cfg.w, cfg.b)))
     num_seqs = len(starts) - 1
     rows = np.repeat(np.arange(num_seqs), np.diff(starts))
-    return ad.scatter_add_pairs(
-        ad.reshape(scores, (-1,)), rows, token_ids, (num_seqs, cfg.vocab_size)
-    )
+    return ad.scatter_add_pairs(scores, rows, token_ids, (num_seqs, cfg.vocab_size))
 
 
 def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: SparseHead) -> Tensor:

@@ -131,10 +131,10 @@ class SparseEncoder:
         """Rebuild a model from a checkpoint; returns (model, vocab_digest)."""
         reader = ByteReader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
         (header_len,) = reader.unpack("<I")
-        try:  # a header that is not UTF-8 or not JSON raises a ValueError too
+        try:  # not UTF-8 or not JSON: ValueError; nested too deep for json: RecursionError
             header = json.loads(reader.take(header_len).decode("utf-8"))
             model, records, digest = cls._from_header(header, reader.remaining())
-        except (KeyError, TypeError, ValueError, ContractError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError, ContractError) as exc:
             raise FormatError(f"bad checkpoint header: {type(exc).__name__}: {exc}") from None
         params = model.parameters()
         expected = [(name, tensor.data.shape) for name, tensor in params]

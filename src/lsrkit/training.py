@@ -24,7 +24,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ContractError, DegenerateDistributionError, FormatError, NumericError, ShapeError
-from .heads import SparseVector
 from .model import SparseEncoder
 from .text import Vocabulary, read_records, tokenize, write_output
 
@@ -124,10 +123,7 @@ def _as_tensor_1d(values) -> Tensor:
 def margin_mse(student_margins, teacher_margins) -> Tensor:
     """Mean squared error between student and teacher score margins."""
     s = _as_tensor_1d(student_margins)
-    t = np.asarray(
-        teacher_margins.data if isinstance(teacher_margins, Tensor) else teacher_margins,
-        dtype=np.float64,
-    ).reshape(-1)
+    t = np.asarray(teacher_margins, dtype=np.float64).reshape(-1)
     n = s.data.shape[0]
     if n == 0 or t.shape[0] != n:
         raise ContractError("margin batches must be equal-length and non-empty")
@@ -135,37 +131,21 @@ def margin_mse(student_margins, teacher_margins) -> Tensor:
     return ad.scale(ad.sum_all(ad.mul(diff, diff)), 1.0 / n)
 
 
-def flops_regularizer(batch_vectors, vocab_size: int | None = None) -> Tensor:
+def flops_regularizer(batch) -> Tensor:
     """Sum over vocabulary of the squared batch-mean activation.
 
-    Accepts a dense [B, |V|] activation tensor (the differentiable training
-    path), or a sequence of per-example vectors: 1-D tensors (taken by
-    value), arrays, or SparseVectors (the latter need ``vocab_size``).
+    ``batch`` is a [B, |V|] activation Tensor (the differentiable training
+    path) or B rows that numpy stacks into one, such as arrays or lists.
     """
-    if isinstance(batch_vectors, Tensor):
-        if batch_vectors.data.ndim != 2 or batch_vectors.data.shape[0] == 0:
-            raise ContractError("expected a non-empty [batch, vocab] tensor")
-        mean = ad.scale(
-            ad.sum_over_axis(batch_vectors, 0), 1.0 / batch_vectors.data.shape[0]
-        )
-        return ad.sum_all(ad.mul(mean, mean))
-    rows = []
-    for row in batch_vectors:
-        if isinstance(row, SparseVector):
-            if vocab_size is None:
-                raise ContractError("vocab_size required for SparseVector input")
-            dense = np.zeros(vocab_size)
-            dense[list(row.entries)] = list(row.entries.values())
-            row = dense
-        elif isinstance(row, Tensor):
-            row = row.data
-        rows.append(np.asarray(row, dtype=np.float64))
-    if not rows:
-        raise ContractError("batch must contain at least one vector")
-    shapes = {row.shape for row in rows}
-    if len(shapes) > 1:
-        raise ShapeError(f"batch rows differ in shape: {sorted(shapes)}")
-    return flops_regularizer(Tensor(np.stack(rows)))
+    if not isinstance(batch, Tensor):
+        try:
+            batch = Tensor(list(batch))
+        except (TypeError, ValueError) as exc:
+            raise ShapeError(f"batch rows do not stack into one array: {exc}") from None
+    if batch.data.ndim != 2 or batch.data.shape[0] == 0:
+        raise ContractError("expected a non-empty [batch, vocab] tensor")
+    mean = ad.scale(ad.sum_over_axis(batch, 0), 1.0 / batch.data.shape[0])
+    return ad.sum_all(ad.mul(mean, mean))
 
 
 def lambda_schedule(step: int, ramp_steps: int, lambda_max: float) -> float:

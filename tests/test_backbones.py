@@ -164,6 +164,8 @@ _FAULTS = {
     "2-d": ([[4, 5], [6, 7]], EmptyInputError, "encoder input must contain at least one token"),
     "float-ids": ([4.7, 5.2], VocabError, "token ids must be integers, not float64"),
     "string-ids": (["5", "6"], VocabError, "token ids must be integers, not <U1"),
+    "ragged": ([[4], [5, 6]], EmptyInputError, "encoder input must contain at least one token"),
+    "bool-array": (np.array([True, False]), VocabError, "token ids must be integers, not bool"),
 }
 
 

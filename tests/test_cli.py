@@ -102,6 +102,11 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config)]) == 2
         assert "variant" in capsys.readouterr().err
 
+    def test_zero_num_heads_exits_2_and_names_it(self, tmp_path, capsys):
+        config = write_config(tmp_path, set=[("backbone", "num_heads", "0")])
+        assert main(["train", "--config", str(config)]) == 2
+        assert "num_heads" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "log_every"])
     def test_malformed_optional_key_exits_2_and_names_it(self, tmp_path, capsys, key):
         config = write_config(tmp_path, set=[("train", key, "abc")])

@@ -137,6 +137,7 @@ HEADER_MUTATIONS = [
     pytest.param(set_field("backbone", "seed", -1), id="negative-seed"),
     pytest.param(set_field("backbone", "num_layers", True), id="bool-int"),
     pytest.param(set_field("backbone", "num_heads", 3), id="heads-do-not-divide-d-model"),
+    pytest.param(set_field("backbone", "num_heads", 0), id="zero-heads"),
     pytest.param(set_field("backbone", "vocab_size", 10**9), id="sizes-exceed-payload"),
     pytest.param(set_field(None, "vocab_digest", 7), id="numeric-vocab-digest"),
     pytest.param(set_field(None, "arrays", [5]), id="array-record-not-object"),
@@ -432,6 +433,12 @@ class TestCheckpoint:
         build().save(path)
         rewrite_header(path, mutate)
         with pytest.raises(FormatError, match="header"):
+            SparseEncoder.load(path)
+
+    def test_deeply_nested_header_raises_format_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"LSRC" + struct.pack("<II", 1, 200_000) + b"[" * 200_000)
+        with pytest.raises(FormatError, match="header: RecursionError"):
             SparseEncoder.load(path)
 
     def test_header_rewrite_alone_keeps_checkpoint_loadable(self, tmp_path):
