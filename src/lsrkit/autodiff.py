@@ -308,14 +308,14 @@ class AttentionLayout:
 
 
 def attention(
-    qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int, layout: AttentionLayout, scale: float
+    qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int, layout: AttentionLayout
 ) -> Tensor:
     """Multi-head attention context [Nq, d] of a packed batch.
 
     ``qp`` is [Nq, d] and ``kp``/``vp`` are [Nkv, d]; head h owns columns
     ``h*d_head:(h+1)*d_head``, and ``layout`` says which key rows each query
     row sees. A query row that sees no key row is an error. Per head this is
-    the arithmetic of ``softmax_rows(scale(qh @ kh.T), mask) @ vh`` (reference
+    ``softmax_rows(scale(qh @ kh.T, 1/sqrt(d_head)), mask) @ vh`` (reference
     ops in ``tests/reference.py``), with heads stacked as C-ordered
     [H, N, d_head] arrays for one np.matmul per product: each head's operands
     keep the layout of a copied column slice, so numpy picks the same BLAS
@@ -345,8 +345,8 @@ def attention(
         )
     if np.any((np.diff(q_starts) > 0) & (np.diff(kv_starts) == 0)):
         raise DegenerateMaskError("softmax row has all positions masked")
-    scale = float(scale)
     dh = d // num_heads
+    scale = 1.0 / math.sqrt(dh)
     requires_grad = qp.requires_grad or kp.requires_grad or vp.requires_grad
 
     def split(a):  # [N, d] -> [H, N, d_head]
@@ -463,8 +463,8 @@ def sum_over_axis(x: Tensor, axis: int) -> Tensor:
     return _record(out, backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer normalization with learned gain and bias."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Row-wise layer normalization with learned gain and bias, eps 1e-5."""
     if x.data.ndim != 2 or gain.data.shape != (x.data.shape[1],):
         raise ShapeError(
             f"layer_norm shapes: x {x.data.shape}, gain {gain.data.shape}"
@@ -474,7 +474,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.sum(axis=1, keepdims=True) / n
     xc = x.data - mu
     var = (xc * xc).sum(axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     out = Tensor(
         xhat * gain.data + bias.data,

@@ -23,7 +23,6 @@ process's CPUs as whole units of two sequences, each one packed forward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -94,7 +93,6 @@ class MultiHeadAttention:
 
     def __init__(self, d_model: int, num_heads: int, rng, reg: ParamRegistry, prefix: str):
         self.num_heads = num_heads
-        self.d_head = d_model // num_heads
         self.wq = reg.add(f"{prefix}.wq", _normal(rng, (d_model, d_model)))
         self.wk = reg.add(f"{prefix}.wk", _normal(rng, (d_model, d_model)))
         self.wv = reg.add(f"{prefix}.wv", _normal(rng, (d_model, d_model)))
@@ -108,7 +106,7 @@ class MultiHeadAttention:
         qp = ad.linear(q, self.wq, self.bq)
         kp = ad.linear(k, self.wk, self.bk)
         vp = ad.linear(v, self.wv, self.bv)
-        ctx = ad.attention(qp, kp, vp, self.num_heads, layout, 1.0 / math.sqrt(self.d_head))
+        ctx = ad.attention(qp, kp, vp, self.num_heads, layout)
         return ad.linear(ctx, self.wo, self.bo)
 
 

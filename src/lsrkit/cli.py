@@ -137,6 +137,11 @@ def _cmd_encode(args) -> int:
         raise CompatibilityError(
             "vocabulary digest does not match the one stored in the checkpoint"
         )
+    if len(vocab) != model.backbone.config.vocab_size:
+        raise CompatibilityError(
+            f"vocabulary has {len(vocab)} ids but the checkpoint's vocab_size is "
+            f"{model.backbone.config.vocab_size}"
+        )
     records = text.read_tsv_texts(args.input)
     max_len = model.backbone.config.max_seq_len
     encoded = []
@@ -235,7 +240,7 @@ def _gradcheck_cases(rng: np.random.Generator):
     ]
 
     def attend(layout, qkv, i):  # 2-head attention with x in place of qkv[i]
-        return lambda x: ad.attention(*qkv[:i], x, *qkv[i + 1 :], 2, layout, 0.7)
+        return lambda x: ad.attention(*qkv[:i], x, *qkv[i + 1 :], 2, layout)
 
     for name, layout in [
         ("packed", AttentionLayout(starts, starts)),

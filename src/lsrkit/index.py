@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ContractError, FormatError
 from .heads import SparseVector
-from .text import ByteReader, write_output
+from .text import ByteReader, write_output, write_varint
 
 INDEX_MAGIC = b"LSRX"
 INDEX_VERSION = 1
@@ -122,19 +122,6 @@ def flops_metric(queries: list[SparseVector], index: InvertedIndex) -> float:
     return total / (len(queries) * index.doc_count)
 
 
-def _write_varint(buf: bytearray, value: int) -> None:
-    if value < 0:
-        raise ContractError(f"cannot write negative varint {value}; doc ids must ascend")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.append(byte | 0x80)
-        else:
-            buf.append(byte)
-            return
-
-
 def save_index(index: InvertedIndex, path, quantize8: bool = False) -> None:
     """Serialize; ``quantize8`` stores impacts as 8-bit linear codes (lossy)."""
     impact_format = IMPACTS_U8 if quantize8 else IMPACTS_F32
@@ -148,7 +135,7 @@ def save_index(index: InvertedIndex, path, quantize8: bool = False) -> None:
         prev = 0
         for i, doc_id in enumerate(posting.doc_ids):
             delta = int(doc_id) - prev if i else int(doc_id)
-            _write_varint(blob, delta)
+            write_varint(blob, delta)
             prev = int(doc_id)
         if quantize8:
             lo = float(posting.impacts.min())
@@ -175,7 +162,7 @@ def save_index(index: InvertedIndex, path, quantize8: bool = False) -> None:
     names = bytearray()
     for name in index.doc_names:
         encoded = name.encode("utf-8")
-        _write_varint(names, len(encoded))
+        write_varint(names, len(encoded))
         names += encoded
     entries = b"".join(struct.pack("<IQI", *entry) for entry in dictionary)
     write_output(path, [INDEX_MAGIC, header, entries, blob, names])

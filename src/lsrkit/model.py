@@ -60,6 +60,8 @@ class SparseEncoder:
         single_state = backbone.config.variant == Variant.ENCDEC_SINGLETOKEN
         if head.kind == HeadKind.MLP and single_state:
             raise ContractError("MLP head requires token-aligned states")
+        if head.kind == HeadKind.MLP and head.w.data.shape[0] != backbone.config.d_model:
+            raise ContractError("MLP head width differs from the backbone's d_model")
         if head.kind == HeadKind.MLM_SINGLETOKEN and not single_state:
             raise ContractError("single-token MLM head requires one state per sequence")
         self.backbone = backbone

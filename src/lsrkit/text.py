@@ -1,7 +1,8 @@
 """Word-level tokenizer, corpus-derived vocabulary, read_records, the one
 reader behind every line-based input file (these, triplets, vectors, TREC),
 ByteReader, the one reader behind every binary input file (checkpoints,
-indexes), and write_output, the one writer behind every output file.
+indexes), write_varint, the writer of the LEB128 integers ByteReader reads,
+and write_output, the one writer behind every output file.
 
 File formats (all tab-separated, UTF-8):
   corpus / queries  ``name<TAB>text`` one record per line
@@ -19,7 +20,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ContractError, FormatError
 
 PAD_ID = 0
 START_ID = 1
@@ -92,12 +93,9 @@ def build_vocab(corpus: dict[str, str], min_freq: int = 1) -> Vocabulary:
     return Vocabulary(kept)
 
 
-def tokenize(vocab: Vocabulary, text: str, max_len: int | None = None) -> list[int]:
-    """Map text to term ids; unknown words become <unk>, truncated to max_len."""
-    ids = [vocab.id_of(w) for w in split_words(text)]
-    if max_len is not None:
-        ids = ids[:max_len]
-    return ids
+def tokenize(vocab: Vocabulary, text: str, max_len: int) -> list[int]:
+    """Term ids of the first ``max_len`` words; unknown words become <unk>."""
+    return [vocab.id_of(w) for w in split_words(text)[:max_len]]
 
 
 def read_records(path, fields: int, form: str, sep: str | None = "\t"):
@@ -120,6 +118,20 @@ def read_records(path, fields: int, form: str, sep: str | None = "\t"):
             if len(parts) != fields:
                 raise FormatError(f"{path}:{lineno}: expected {form}")
             yield lineno, parts
+
+
+def write_varint(buf: bytearray, value: int) -> None:
+    """Append ``value`` as the unsigned LEB128 integer ``ByteReader.varint`` reads."""
+    if value < 0:
+        raise ContractError(f"cannot write negative varint {value}; doc ids must ascend")
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            buf.append(byte | 0x80)
+        else:
+            buf.append(byte)
+            return
 
 
 class ByteReader:

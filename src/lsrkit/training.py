@@ -195,22 +195,13 @@ def normalize_teacher_scores(
 class Adam:
     """Adam with linear learning-rate warmup; step counter starts at 1.
 
-    The moments of all parameters live in two flat buffers, a slice each.
+    Learning rate, warmup steps, betas and eps come from ``cfg``. The
+    moments of all parameters live in two flat buffers, a slice each.
     """
 
-    def __init__(
-        self,
-        params: list[tuple[str, Tensor]],
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        warmup_steps: int = 0,
-    ):
+    def __init__(self, params: list[tuple[str, Tensor]], cfg: TrainConfig):
         self.params = params
-        self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.warmup_steps = warmup_steps
+        self.cfg = cfg
         self.t = 0
         self._offsets = np.cumsum([0] + [t.data.size for _, t in params]).tolist()
         self._m = np.zeros(self._offsets[-1])
@@ -220,8 +211,8 @@ class Adam:
         """Update each parameter that has a grad, bit for bit as a per-parameter
         loop would, and release the grads; the others keep data and moments."""
         self.t += 1
-        lr = warmup_lr(self.t, self.warmup_steps, self.learning_rate)
-        b1, b2 = self.beta1, self.beta2
+        lr = warmup_lr(self.t, self.cfg.warmup_steps, self.cfg.learning_rate)
+        b1, b2 = self.cfg.beta1, self.cfg.beta2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         g = np.empty(self._offsets[-1])
@@ -247,7 +238,7 @@ class Adam:
             v += gr
             # gr becomes lr * (m / c1) / (sqrt(v / c2) + eps)
             np.sqrt(np.divide(v, c2, out=gr), out=gr)
-            gr += self.eps
+            gr += self.cfg.eps
             np.multiply(lr, np.divide(m, c1, out=tmp), out=tmp)
             np.divide(tmp, gr, out=gr)
         for a, b, p in live:
@@ -341,14 +332,7 @@ def train(
     if not dataset:
         raise ContractError("dataset must be non-empty")
     stream = _shuffled_indices(len(dataset), np.random.default_rng(cfg.seed))
-    optimizer = Adam(
-        model.parameters(),
-        cfg.learning_rate,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        eps=cfg.eps,
-        warmup_steps=cfg.warmup_steps,
-    )
+    optimizer = Adam(model.parameters(), cfg)
     reports: list[StepReport] = []
     for step in range(cfg.total_steps):
         batch = [dataset[i] for i in islice(stream, cfg.batch_size)]

@@ -324,7 +324,7 @@ class TestFusedOps:
             scale = 1.0 / math.sqrt(8 // num_heads)
             ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
             with Tape() as tape:
-                out = ad.attention(*ts, num_heads, layout, scale)
+                out = ad.attention(*ts, num_heads, layout)
                 tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
             expected = _per_head_attention(q, k, v, num_heads, layout.mask, scale, g)
             for got, want in zip([out.data] + [t.grad for t in ts], expected):
@@ -338,11 +338,12 @@ class TestFusedOps:
         layout = AttentionLayout(starts, starts, causal=True)
         rng = np.random.default_rng(21)
         q, k, v = (rng.normal(size=(30, 4)) for _ in range(3))
-        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), num_heads, layout, 0.5)
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), num_heads, layout)
+        scale = 1.0 / math.sqrt(4 // num_heads)
         for a, b in zip(starts[:-1], starts[1:]):
             mask = np.where(np.tri(b - a, dtype=bool), 0.0, ad.MASK_NEG)
             want, *_ = _per_head_attention(
-                q[a:b], k[a:b], v[a:b], num_heads, mask, 0.5, np.zeros((b - a, 4))
+                q[a:b], k[a:b], v[a:b], num_heads, mask, scale, np.zeros((b - a, 4))
             )
             np.testing.assert_array_equal(out.data[a:b], want)
 
@@ -353,7 +354,7 @@ class TestFusedOps:
         for taped in (False, True):
             with Tape() if taped else contextlib.nullcontext():
                 with pytest.raises(DegenerateMaskError):
-                    ad.attention(x, x, x, 2, layout, 1.0)
+                    ad.attention(x, x, x, 2, layout)
 
     def test_attention_empty_sequence_same_with_and_without_tape(self):
         # the first sequence has no query rows and no key rows
@@ -362,7 +363,7 @@ class TestFusedOps:
         contexts = []
         for taped in (False, True):
             with Tape() if taped else contextlib.nullcontext():
-                contexts.append(ad.attention(x, x, x, 2, layout, 0.5).data)
+                contexts.append(ad.attention(x, x, x, 2, layout).data)
         np.testing.assert_array_equal(*contexts)
 
     def test_attention_shape_contracts(self):
@@ -371,15 +372,15 @@ class TestFusedOps:
         for taped in (False, True):
             with Tape() if taped else contextlib.nullcontext():
                 with pytest.raises(ShapeError):
-                    ad.attention(x, x, x, 3, one_seq, 1.0)
+                    ad.attention(x, x, x, 3, one_seq)
                 with pytest.raises(ShapeError):  # offsets total 3 key rows, not 2
-                    ad.attention(x, x, x, 2, AttentionLayout(np.array([0, 2]), np.array([0, 3])), 1.0)
+                    ad.attention(x, x, x, 2, AttentionLayout(np.array([0, 2]), np.array([0, 3])))
                 with pytest.raises(ShapeError):  # offsets total 1 query row, not 2
-                    ad.attention(x, x, x, 2, AttentionLayout(np.array([0, 1]), np.array([0, 2])), 1.0)
+                    ad.attention(x, x, x, 2, AttentionLayout(np.array([0, 1]), np.array([0, 2])))
                 with pytest.raises(ShapeError):  # 2 query sequences, 1 key sequence
-                    ad.attention(x, x, x, 2, AttentionLayout(np.array([0, 1, 2]), np.array([0, 2])), 1.0)
+                    ad.attention(x, x, x, 2, AttentionLayout(np.array([0, 1, 2]), np.array([0, 2])))
                 with pytest.raises(ShapeError):
-                    ad.attention(x, Tensor(np.ones((2, 2))), x, 2, one_seq, 1.0)
+                    ad.attention(x, Tensor(np.ones((2, 2))), x, 2, one_seq)
 
     def test_linear_equals_matmul_plus_bias_bitwise(self):
         rng = np.random.default_rng(8)
@@ -400,12 +401,12 @@ class TestFusedOps:
             ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
 
 
-def _layer_norm_by_mean(x, gain, bias, g, eps=1e-5):
+def _layer_norm_by_mean(x, gain, bias, g):
     """Layer norm's forward and backward written with ndarray.mean."""
     mu = x.mean(axis=1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     dxhat = g * gain
     m1 = dxhat.mean(axis=1, keepdims=True)

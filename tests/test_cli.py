@@ -15,9 +15,9 @@ import pytest
 
 from test_model import drop_field, rewrite_header
 from lsrkit import cli, errors
-from lsrkit.backbones import BackboneConfig
+from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.cli import main
-from lsrkit.heads import read_vectors
+from lsrkit.heads import HeadKind, read_vectors
 from lsrkit.index import load_index, save_index
 from lsrkit.model import SparseEncoder
 from lsrkit.text import Vocabulary, read_tsv_texts, tokenize
@@ -282,6 +282,23 @@ class TestEncodeCommand:
             "--input", str(DATA / "corpus.tsv"), "--output", str(tmp_path / "x.vec"), "--role", "doc",
         ]) == 4
 
+    def test_vocab_size_mismatch_without_digest_exits_4(self, tmp_path, capsys):
+        config = BackboneConfig(Variant.ENCODER_ONLY, num_layers=1, d_model=8, num_heads=2,
+                                vocab_size=40, max_seq_len=8)
+        checkpoint = tmp_path / "no_digest.ckpt"
+        SparseEncoder.build(config, HeadKind.MLM_MULTITOKENS).save(checkpoint)
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("alpha\nbeta\n")
+        docs = tmp_path / "docs.tsv"
+        docs.write_text("d1\talpha beta\n")
+        out = tmp_path / "x.vec"
+        assert main([
+            "encode", "--checkpoint", str(checkpoint), "--vocab", str(vocab),
+            "--input", str(docs), "--output", str(out), "--role", "doc",
+        ]) == 4
+        assert "vocabulary has 6 ids but the checkpoint's vocab_size is 40" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_checkpoint_header_exits_5(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         shutil.copyfile(pipeline["checkpoint"], bad)
@@ -460,11 +477,20 @@ class TestFlopsCommand:
         assert float(value) >= 0.0
 
 
+GRADCHECK_ROWS = [
+    "linear_x", "linear_w", "linear_b", "add", "sub", "mul", "scale", "relu", "log1p",
+    "gather_rows", "transpose", "concat_rows", "sum_all", "sum_over_axis",
+    "layer_norm_x", "layer_norm_gain", "scatter_add_pairs", "segment_max", "segment_sum",
+] + [f"attention_{layout}_{part}" for layout in ("packed", "causal", "cross") for part in "qkv"]
+
+
 class TestGradcheckCommand:
     def test_passes_with_exit_zero(self, capsys):
-        assert main(["gradcheck", "--seed", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
+        assert main(["gradcheck", "--seed", "0"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert [row[0] for row in rows] == GRADCHECK_ROWS
+        assert len(GRADCHECK_ROWS) == 28
+        assert all(len(row) == 3 and row[2] == "ok" for row in rows)
 
 
 LSR_ERRORS = [

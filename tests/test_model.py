@@ -17,7 +17,7 @@ from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tape
 from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.errors import ContractError, FormatError, VocabError
-from lsrkit.heads import HeadKind, mlm_batch_activations, mlm_head, mlp_head
+from lsrkit.heads import HeadKind, SparseHead, mlm_batch_activations, mlm_head, mlp_head
 from lsrkit.model import SparseEncoder
 from lsrkit.text import write_output
 
@@ -150,6 +150,12 @@ class TestComposition:
     def test_mlp_rejected_on_singletoken_backbone(self):
         with pytest.raises(ContractError):
             build(Variant.ENCDEC_SINGLETOKEN, HeadKind.MLP)
+
+    def test_mlp_head_of_another_width_rejected(self):
+        # Such a model would save a checkpoint that load refuses and fail to encode.
+        backbone = build(Variant.ENCODER_ONLY, HeadKind.MLP).backbone
+        with pytest.raises(ContractError, match="width"):
+            SparseEncoder(backbone, SparseHead(HeadKind.MLP, 4, 16))
 
     def test_encode_returns_sparse_vector(self):
         model = build()

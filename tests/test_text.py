@@ -53,28 +53,30 @@ class TestBuildVocab:
 class TestTokenize:
     def test_punctuation_and_case(self):
         vocab = Vocabulary(["hello", "world"])
-        assert tokenize(vocab, "Hello, world") == [
+        assert tokenize(vocab, "Hello, world", 64) == [
             vocab.id_of("hello"),
             vocab.id_of("world"),
         ]
 
     def test_unknown_maps_to_unk(self):
         vocab = Vocabulary(["known"])
-        assert tokenize(vocab, "mystery") == [UNK_ID]
+        assert tokenize(vocab, "mystery", 64) == [UNK_ID]
 
     def test_truncation(self):
         vocab = Vocabulary(["w"])
-        ids = tokenize(vocab, " ".join(["w"] * 200), max_len=64)
+        ids = tokenize(vocab, " ".join(["w"] * 200), 64)
         assert len(ids) == 64
         assert ids == [vocab.id_of("w")] * 64
+        # words that strip to nothing are dropped before the cut
+        assert tokenize(vocab, "... , w x", 1) == [vocab.id_of("w")]
 
     def test_empty_text_gives_no_tokens(self):
         vocab = Vocabulary([])
-        assert tokenize(vocab, "   ... ") == []
+        assert tokenize(vocab, "   ... ", 64) == []
 
     def test_ids_always_below_vocab_size(self):
         vocab = build_vocab({"d": "some words here"})
-        ids = tokenize(vocab, "some unseen words !!!")
+        ids = tokenize(vocab, "some unseen words !!!", 64)
         assert all(0 <= i < len(vocab) for i in ids)
 
 

@@ -1,5 +1,6 @@
 """Loss, regularizer, schedule, and training-loop tests."""
 
+import dataclasses
 import json
 import math
 
@@ -218,7 +219,7 @@ class TestTrainStep:
             TrainingTriplet(tuple(rng.integers(4, V, size=2).tolist()), doc, doc, 3.0, 3.0)
         ]
         cfg = TrainConfig(total_steps=1, learning_rate=1e-3, batch_size=1)
-        opt = Adam(model.parameters(), cfg.learning_rate)
+        opt = Adam(model.parameters(), cfg)
         report = train_step(model, opt, batch, cfg, 0)
         assert report.loss == 0.0
         assert report.margin_loss == 0.0
@@ -231,7 +232,7 @@ class TestTrainStep:
         cfg = TrainConfig(
             total_steps=200, learning_rate=5e-3, batch_size=4, warmup_steps=20
         )
-        opt = Adam(model.parameters(), cfg.learning_rate, warmup_steps=cfg.warmup_steps)
+        opt = Adam(model.parameters(), cfg)
         first = train_step(model, opt, batch, cfg, 0).loss
         last = None
         for step in range(1, 200):
@@ -251,7 +252,7 @@ class TestTrainStep:
                 lambda_d=0.05,
                 lambda_ramp_steps=10,
             )
-            opt = Adam(model.parameters(), cfg.learning_rate)
+            opt = Adam(model.parameters(), cfg)
             return [train_step(model, opt, batch, cfg, s) for s in range(5)]
 
         r1, r2 = run(), run()
@@ -283,7 +284,7 @@ class TestTrainStep:
         model = SparseEncoder.build(config, head)
         cfg = TrainConfig(total_steps=2, learning_rate=1e-3, batch_size=4, lambda_q=0.5, lambda_d=0.5)
         batch = tiny_batch(np.random.default_rng(9))
-        report = train_step(model, Adam(model.parameters(), cfg.learning_rate), batch, cfg, 1)
+        report = train_step(model, Adam(model.parameters(), cfg), batch, cfg, 1)
         assert report.lambda_q > 0.0 and report.lambda_d > 0.0
         assert lengths == [entries]
 
@@ -291,11 +292,11 @@ class TestTrainStep:
 class LoopAdam:
     """Reference: the per-parameter Adam loop that the flat update replaced."""
 
-    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8, warmup_steps=0):
+    def __init__(self, params, cfg):
         self.params = params
-        self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.warmup_steps = warmup_steps
+        self.learning_rate = cfg.learning_rate
+        self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.eps
+        self.warmup_steps = cfg.warmup_steps
         self.t = 0
         self._m = [np.zeros_like(t.data) for _, t in params]
         self._v = [np.zeros_like(t.data) for _, t in params]
@@ -356,7 +357,7 @@ PAIRINGS = [
 ]
 
 
-def run_steps(optimizer_cls, variant, head, steps=20):
+def run_steps(optimizer_cls, variant, head, steps=20, **settings):
     config = BackboneConfig(
         variant, num_layers=1, d_model=8, num_heads=2, vocab_size=V, max_seq_len=8, seed=5
     )
@@ -365,7 +366,8 @@ def run_steps(optimizer_cls, variant, head, steps=20):
         total_steps=20, learning_rate=5e-3, batch_size=4, warmup_steps=5,
         lambda_q=0.05, lambda_d=0.05, lambda_ramp_steps=10,
     )
-    opt = optimizer_cls(model.parameters(), cfg.learning_rate, warmup_steps=cfg.warmup_steps)
+    cfg = dataclasses.replace(cfg, **settings)
+    opt = optimizer_cls(model.parameters(), cfg)
     rng = np.random.default_rng(21)
     reports = [train_step(model, opt, tiny_batch(rng), cfg, s) for s in range(steps)]
     return model, opt, reports
@@ -380,6 +382,15 @@ class TestAdam:
     def test_flat_update_equals_per_parameter_loop(self, variant, head):
         model, _, reports = run_steps(Adam, variant, head)
         ref_model, _, ref_reports = run_steps(LoopAdam, variant, head)
+        assert [vars(r) for r in reports] == [vars(r) for r in ref_reports]
+        for (name, t), (_, ref) in zip(model.parameters(), ref_model.parameters()):
+            assert t.data.tobytes() == ref.data.tobytes(), name
+
+    def test_reads_rate_warmup_betas_and_eps_from_the_config(self):
+        settings = dict(learning_rate=2e-2, warmup_steps=3, beta1=0.5, beta2=0.9, eps=1e-3)
+        model, opt, reports = run_steps(Adam, *PAIRINGS[0], steps=5, **settings)
+        ref_model, _, ref_reports = run_steps(LoopAdam, *PAIRINGS[0], steps=5, **settings)
+        assert [r.lr for r in reports] == pytest.approx([2e-2 / 3, 4e-2 / 3, 2e-2, 2e-2, 2e-2])
         assert [vars(r) for r in reports] == [vars(r) for r in ref_reports]
         for (name, t), (_, ref) in zip(model.parameters(), ref_model.parameters()):
             assert t.data.tobytes() == ref.data.tobytes(), name
