@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
+import enum
 import sys
-import typing
+from typing import get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
 from . import evaluation, text
 from .autodiff import AttentionLayout, Tensor
-from .backbones import BackboneConfig, Variant
+from .backbones import BackboneConfig
 from .errors import (
     CompatibilityError,
     ContractError,
@@ -52,80 +52,69 @@ def _require(section, key: str, cast=str):
     try:
         return cast(section[key])
     except (ValueError, configparser.Error):
-        raise ContractError(f"bad value for config key [{section.name}] {key}") from None
+        accepted = "; expected one of " + ", ".join(cast) if isinstance(cast, enum.EnumMeta) else ""
+        raise ContractError(f"bad value for config key [{section.name}] {key}{accepted}") from None
 
 
-# [train] keys that may be left out; they keep TrainConfig's defaults.
-_OPTIONAL_KEYS = ("beta1", "beta2", "eps", "log_every")
+# Every section and key a training INI may hold, with the type its value is
+# cast to; vocab_size is the vocabulary's size. _OPTIONAL names what may be
+# left out: an absent key keeps its default in TrainConfig or
+# SparseEncoder.build, and an absent section is not applied.
+_INI = {
+    "backbone": {k: t for k, t in get_type_hints(BackboneConfig).items() if k != "vocab_size"},
+    "head": {"kind": HeadKind, "pooling": str},
+    "train": get_type_hints(TrainConfig),
+    "data": dict.fromkeys(("vocab", "triplets", "checkpoint", "metrics_log"), str),
+    "teacher_normalization": get_type_hints(ScoreStats),
+}
+_OPTIONAL = {"head.pooling", "train.beta1", "train.beta2", "train.eps", "train.log_every",
+             "teacher_normalization"}
 
 
-def _from_section(cls, section, **given):
-    """Build dataclass ``cls``: each field not given is read from ``section``
-    and cast to its annotated type."""
-    types = typing.get_type_hints(cls)
-    for f in dataclasses.fields(cls):
-        if f.name not in given and (f.name in section or f.name not in _OPTIONAL_KEYS):
-            given[f.name] = _require(section, f.name, types[f.name])
-    return cls(**given)
-
-
-def _load_train_config(path):
+def _read_ini(path) -> dict[str, dict]:
+    """{section: {key: typed value}} for the INI at ``path``, read through
+    ``_INI``; a section or key that ``_INI`` does not declare is refused."""
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ContractError(f"cannot read config file {path}")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ContractError(f"malformed config file {path}: {exc}") from None
-    sections = ("backbone", "head", "train", "data")
-    for section in sections:
-        if section not in parser:
-            raise ContractError(f"missing config section [{section}]")
-    backbone, head, trn, data = (parser[section] for section in sections)
-    try:
-        variant = Variant(_require(backbone, "variant"))
-    except ValueError:
-        raise ContractError(
-            f"unknown backbone variant {backbone['variant']!r}; expected one of "
-            + ", ".join(v.value for v in Variant)
-        ) from None
-    try:
-        head_kind = HeadKind(_require(head, "kind"))
-    except ValueError:
-        raise ContractError(f"unknown head kind {head['kind']!r}") from None
-
-    vocab = text.Vocabulary.load(_require(data, "vocab"))
-    config = _from_section(BackboneConfig, backbone, variant=variant, vocab_size=len(vocab))
-    train_cfg = _from_section(TrainConfig, trn)
-    if train_cfg.total_steps < 1:
-        raise ContractError("[train] total_steps must be >= 1")
-    paths = {key: _require(data, key) for key in ("triplets", "checkpoint", "metrics_log")}
-    ref_stats = None
-    if "teacher_normalization" in parser:
-        ref_stats = _from_section(ScoreStats, parser["teacher_normalization"])
-    pooling = _require(head, "pooling") if "pooling" in head else "max"
-    return vocab, config, head_kind, pooling, train_cfg, paths, ref_stats
+    for name, section in parser.items():  # [DEFAULT] first, so its keys are named there
+        if name not in _INI and name != parser.default_section:
+            raise ContractError(f"unknown config section [{name}]")
+        for key in section:
+            if key not in _INI.get(name, {}):
+                raise ContractError(f"unknown config key [{name}] {key}")
+    ini = {}
+    for name, keys in _INI.items():
+        if name in parser:
+            section = parser[name]
+            ini[name] = {key: _require(section, key, cast) for key, cast in keys.items()
+                         if key in section or f"{name}.{key}" not in _OPTIONAL}
+        elif name not in _OPTIONAL:
+            raise ContractError(f"missing config section [{name}]")
+    return ini
 
 
 def _cmd_train(args) -> int:
-    vocab, config, head_kind, pooling, train_cfg, paths, ref_stats = _load_train_config(
-        args.config
-    )
-    model = SparseEncoder.build(config, head_kind, pooling=pooling)
-    triplets = read_triplets(paths["triplets"], vocab, config.max_seq_len)
-    if ref_stats is not None:
-        triplets = normalize_teacher_scores(triplets, ref_stats)
-    reports = train(
-        model,
-        triplets,
-        train_cfg,
-        checkpoint_path=paths["checkpoint"],
-        metrics_path=paths["metrics_log"],
-        vocab_digest=vocab.digest(),
-    )
+    ini = _read_ini(args.config)
+    data, train_cfg = ini["data"], TrainConfig(**ini["train"])
+    if train_cfg.total_steps < 1:
+        raise ContractError("[train] total_steps must be >= 1")
+    stats = ScoreStats(**ini["teacher_normalization"]) if "teacher_normalization" in ini else None
+    vocab = text.Vocabulary.load(data["vocab"])
+    config = BackboneConfig(**ini["backbone"], vocab_size=len(vocab))
+    model = SparseEncoder.build(config, **ini["head"])
+    triplets = read_triplets(data["triplets"], vocab, config.max_seq_len)
+    if stats is not None:
+        triplets = normalize_teacher_scores(triplets, stats)
+    reports = train(model, triplets, train_cfg, checkpoint_path=data["checkpoint"],
+                    metrics_path=data["metrics_log"], vocab_digest=vocab.digest())
     final = reports[-1]
     print(
         f"trained {train_cfg.total_steps} steps: loss {final.loss:.6f}, "
-        f"doc density {final.density_d:.1f}; checkpoint at {paths['checkpoint']}"
+        f"doc density {final.density_d:.1f}; checkpoint at {data['checkpoint']}"
     )
     return 0
 

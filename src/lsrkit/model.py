@@ -71,14 +71,14 @@ class SparseEncoder:
     def build(
         cls,
         config: BackboneConfig,
-        head_kind: HeadKind,
+        kind: HeadKind,
         pooling: str = "max",
     ) -> "SparseEncoder":
         """Construct with all parameters drawn from one seeded PCG64 stream."""
         rng = np.random.default_rng(config.seed)
         backbone = Backbone(config, rng=rng)
         head = SparseHead(
-            head_kind, config.d_model, config.vocab_size, rng=rng, pooling=pooling
+            kind, config.d_model, config.vocab_size, rng=rng, pooling=pooling
         )
         return cls(backbone, head)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Sequence
@@ -331,6 +332,9 @@ def train(
     """Run the full training loop; returns the logged step reports."""
     if not dataset:
         raise ContractError("dataset must be non-empty")
+    for path in (metrics_path, checkpoint_path):  # fail before the first step, not after the last
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ContractError(f"the directory of output {path} does not exist")
     stream = _shuffled_indices(len(dataset), np.random.default_rng(cfg.seed))
     optimizer = Adam(model.parameters(), cfg)
     reports: list[StepReport] = []

@@ -210,6 +210,17 @@ class TestBatchValidation:
         backbone = Backbone(small_config(variant))
         assert _raised(backbone, []) == (EmptyInputError, "a batch must hold at least one sequence")
 
+    def test_sequences_that_pass_only_apart_are_packed_from_their_own_checks(self):
+        backbone = Backbone(small_config(Variant.ENCODER_ONLY))
+        seqs = [np.array([4, 5], dtype=np.int32), np.array([6, 7, 8], dtype=np.uint64)]
+        with pytest.raises(VocabError):  # together they concatenate to float64
+            backbone._checked(seqs)
+        ids, lengths = backbone._pack(seqs)
+        apart = [backbone._checked([seq]) for seq in seqs]
+        assert ids.dtype == np.intp and ids.tolist() == [4, 5, 6, 7, 8]
+        assert ids.tolist() == np.concatenate([part[0] for part in apart]).tolist()
+        assert lengths.tolist() == [2, 3] == np.concatenate([part[1] for part in apart]).tolist()
+
     def test_returns_packed_ids(self):
         backbone = Backbone(small_config(Variant.ENCDEC_SINGLETOKEN))
         _, starts, ids = backbone.encode_batch([(4, 5), np.array([6]), [7, 8, 9]])

@@ -14,20 +14,34 @@ import numpy as np
 import pytest
 
 from test_model import drop_field, rewrite_header
-from lsrkit import cli, errors
+from lsrkit import cli, errors, training
 from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.cli import main
 from lsrkit.heads import HeadKind, read_vectors
 from lsrkit.index import load_index, save_index
 from lsrkit.model import SparseEncoder
 from lsrkit.text import Vocabulary, read_tsv_texts, tokenize
-from lsrkit.training import TrainConfig
+from lsrkit.training import ScoreStats, TrainConfig, normalize_teacher_scores, read_triplets, train
 
 DATA = pathlib.Path(__file__).parent / "data"
 
+# The INI keys the reader's table declares: those that must be given (in a
+# section that is present) and those that may be left out.
+REQUIRED_KEYS = [
+    (section, key) for section, keys in cli._INI.items() for key in keys
+    if f"{section}.{key}" not in cli._OPTIONAL
+]
+OPTIONAL_KEYS = [tuple(name.split(".")) for name in sorted(cli._OPTIONAL) if "." in name]
+REQUIRED_SECTIONS = [section for section in cli._INI if section not in cli._OPTIONAL]
+TEACHER_STATS = [("teacher_normalization", "mean", "2.0"), ("teacher_normalization", "std", "0.5")]
+SHORT_RUN = [("train", "total_steps", "20"), ("train", "warmup_steps", "0"), ("train", "log_every", "5")]
+
 
 def write_config(tmp_path, **overrides):
-    """The committed toy config with [data] paths rewritten for this run."""
+    """The committed toy config with [data] paths rewritten for this run.
+
+    ``set`` adds a section it names that is missing; ``drop`` of a key None
+    removes the whole section."""
     parser = configparser.ConfigParser()
     parser.read(DATA / "toy.ini")
     parser["data"]["vocab"] = str(DATA / "vocab.txt")
@@ -35,9 +49,14 @@ def write_config(tmp_path, **overrides):
     parser["data"]["checkpoint"] = str(tmp_path / "ckpt.bin")
     parser["data"]["metrics_log"] = str(tmp_path / "metrics.jsonl")
     for section, key, value in overrides.get("set", []):
+        if section not in parser:
+            parser.add_section(section)
         parser[section][key] = value
     for section, key in overrides.get("drop", []):
-        del parser[section][key]
+        if key is None:
+            parser.remove_section(section)
+        else:
+            del parser[section][key]
     path = tmp_path / "config.ini"
     with open(path, "w") as fh:
         parser.write(fh)
@@ -107,9 +126,18 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config)]) == 2
         assert "num_heads" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "log_every"])
-    def test_malformed_optional_key_exits_2_and_names_it(self, tmp_path, capsys, key):
-        config = write_config(tmp_path, set=[("train", key, "abc")])
+    def test_unknown_head_kind_exits_2_and_lists_the_kinds(self, tmp_path, capsys):
+        config = write_config(tmp_path, set=[("head", "kind", "splade")])
+        assert main(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "[head] kind; expected one of mlp, mlm_singletoken, mlm_multitokens\n"
+        )
+
+    @pytest.mark.parametrize(
+        "section,key", OPTIONAL_KEYS, ids=[key for _, key in OPTIONAL_KEYS]
+    )
+    def test_malformed_optional_key_exits_2_and_names_it(self, tmp_path, capsys, section, key):
+        config = write_config(tmp_path, set=[(section, key, "abc")])
         assert main(["train", "--config", str(config)]) == 2
         assert key in capsys.readouterr().err
 
@@ -169,17 +197,47 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config)]) == 2
         assert "[train] seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "section,key",
-        [("backbone", f.name) for f in dataclasses.fields(BackboneConfig)
-         if f.name not in ("variant", "vocab_size")]
-        + [("train", f.name) for f in dataclasses.fields(TrainConfig)
-           if f.name not in ("beta1", "beta2", "eps", "log_every")],
-    )
+    @pytest.mark.parametrize("section,key", REQUIRED_KEYS)
     def test_every_required_key_is_named_when_missing(self, tmp_path, capsys, section, key):
-        config = write_config(tmp_path, drop=[(section, key)])
+        config = write_config(tmp_path, set=TEACHER_STATS, drop=[(section, key)])
         assert main(["train", "--config", str(config)]) == 2
-        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert f"missing config key [{section}] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", REQUIRED_SECTIONS)
+    def test_missing_section_exits_2_and_names_it(self, tmp_path, capsys, section):
+        config = write_config(tmp_path, drop=[(section, None)])
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"missing config section [{section}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["absent.ini", "a_directory"])
+    def test_unreadable_config_exits_2_and_names_it(self, tmp_path, capsys, name):
+        (tmp_path / "a_directory").mkdir()
+        assert main(["train", "--config", str(tmp_path / name)]) == 2
+        assert f"cannot read config file {tmp_path / name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key,named",
+        [
+            ("head", "poolng", "key [head] poolng"),
+            ("train", "lamda_q", "key [train] lamda_q"),
+            ("teacher_normalisation", "mean", "section [teacher_normalisation]"),
+            ("backbone", "vocab_size", "key [backbone] vocab_size"),
+            ("DEFAULT", "seed", "key [DEFAULT] seed"),
+        ],
+        ids=["poolng", "lamda_q", "teacher_normalisation", "vocab_size", "DEFAULT"],
+    )
+    def test_undeclared_section_or_key_exits_2_before_any_file_is_read(
+        self, tmp_path, capsys, monkeypatch, section, key, named
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("a data file was read")
+
+        monkeypatch.setattr(Vocabulary, "load", fail)
+        monkeypatch.setattr(cli, "read_triplets", fail)
+        config = write_config(tmp_path, set=[(section, key, "5")])
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"unknown config {named}" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt.bin").exists() and not (tmp_path / "metrics.jsonl").exists()
 
     @pytest.mark.parametrize("key,value", [("std", "nan"), ("mean", "inf")])
     def test_non_finite_teacher_normalization_exits_2_and_names_key(
@@ -195,10 +253,52 @@ class TestTrainCommand:
 
     def test_optional_keys_take_train_config_defaults(self, tmp_path):
         config = write_config(tmp_path, drop=[("train", "log_every")])
-        train_cfg = cli._load_train_config(config)[4]
-        for f in dataclasses.fields(TrainConfig):
-            if f.name in ("beta1", "beta2", "eps", "log_every"):
-                assert getattr(train_cfg, f.name) == f.default
+        ini = cli._read_ini(config)
+        assert "teacher_normalization" not in ini and ini["head"] == {"kind": HeadKind.MLM_MULTITOKENS}
+        train_cfg = TrainConfig(**ini["train"])
+        defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        for section, key in OPTIONAL_KEYS:
+            if section == "train":
+                assert getattr(train_cfg, key) == defaults[key]
+
+    def test_teacher_normalization_trains_on_the_normalized_scores(self, tmp_path):
+        logs = {}
+        for name, stats in [("plain", []), ("normalized", TEACHER_STATS)]:
+            (tmp_path / name).mkdir()
+            config = write_config(tmp_path / name, set=SHORT_RUN + stats)
+            assert main(["train", "--config", str(config)]) == 0
+            logs[name] = (tmp_path / name / "metrics.jsonl").read_bytes()
+        vocab = Vocabulary.load(DATA / "vocab.txt")
+        config = BackboneConfig(Variant.ENCDEC_MULTITOKENS, num_layers=1, d_model=16, num_heads=2,
+                                vocab_size=len(vocab), max_seq_len=12, seed=11)
+        triplets = read_triplets(DATA / "triplets.tsv", vocab, config.max_seq_len)
+        train_cfg = TrainConfig(batch_size=16, total_steps=20, learning_rate=0.003, lambda_q=0.02,
+                                lambda_d=0.02, lambda_ramp_steps=200, seed=3, log_every=5)
+        train(SparseEncoder.build(config, HeadKind.MLM_MULTITOKENS),
+              normalize_teacher_scores(triplets, ScoreStats(mean=2.0, std=0.5)), train_cfg,
+              metrics_path=tmp_path / "library.jsonl")
+        assert logs["normalized"] == (tmp_path / "library.jsonl").read_bytes()
+        assert logs["normalized"] != logs["plain"]
+
+    def test_sum_pooling_trains_and_loads_as_sum(self, tmp_path):
+        config = write_config(tmp_path, set=[("head", "pooling", "sum")] + SHORT_RUN)
+        assert main(["train", "--config", str(config)]) == 0
+        model, _ = SparseEncoder.load(tmp_path / "ckpt.bin")
+        assert model.head.pooling == "sum"
+
+    @pytest.mark.parametrize("missing", [("checkpoint", "metrics_log"), ("checkpoint",)])
+    def test_missing_output_directory_exits_2_before_any_step(
+        self, tmp_path, capsys, monkeypatch, missing
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "train_step", fail)
+        absent = tmp_path / "absent"
+        config = write_config(tmp_path, set=[("data", key, str(absent / key)) for key in missing])
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"the directory of output {absent / missing[-1]} does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.jsonl").exists() and not absent.exists()
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_teacher_score_exits_5_without_checkpoint(self, tmp_path, capsys, score):
@@ -273,6 +373,16 @@ class TestEncodeCommand:
             "--input", str(empty_in), "--output", str(out), "--role", "query",
         ]) == 0
         assert out.read_bytes() == b""
+
+    def test_record_without_tokens_exits_2_naming_role_and_record(self, pipeline, tmp_path, capsys):
+        docs, out = tmp_path / "docs.tsv", tmp_path / "x.vec"
+        docs.write_text("d1\tthe cat\nd2\t... !!\n")
+        assert main([
+            "encode", "--checkpoint", str(pipeline["checkpoint"]), "--vocab", str(DATA / "vocab.txt"),
+            "--input", str(docs), "--output", str(out), "--role", "doc",
+        ]) == 2
+        assert "doc 'd2' tokenizes to zero tokens" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_vocab_digest_mismatch_exits_4(self, pipeline, tmp_path):
         other_vocab = tmp_path / "other_vocab.txt"

@@ -162,6 +162,15 @@ class TestTrecFiles:
         with pytest.raises(FormatError, match=":2"):
             read_qrels(path)
 
+    @pytest.mark.parametrize(
+        "rel,message", [("two", "bad relevance 'two'"), ("-1", "relevance must be >= 0")]
+    )
+    def test_bad_relevance_names_its_line(self, tmp_path, rel, message):
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"q1 0 d7 2\nq1 0 d8 {rel}\n")
+        with pytest.raises(FormatError, match=rf"qrels\.txt:2: {message}"):
+            read_qrels(path)
+
     def test_empty_files_are_empty_structures(self, tmp_path):
         qrels_path = tmp_path / "qrels.txt"
         run_path = tmp_path / "run.txt"
@@ -211,6 +220,18 @@ class TestTrecFiles:
         path = tmp_path / "run.txt"
         path.write_text(f"q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 {score} t\nq1 Q0 d3 3 2.0 t\n")
         with pytest.raises(FormatError, match=rf"run\.txt:2: score {score} is not finite"):
+            read_run(path)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [("q1 Q0 d2 two 1.0 t", r"run\.txt:2: bad rank or score"),
+         ("q1 Q0 d2 2 low t", r"run\.txt:2: bad rank or score"),
+         ("q1 Q0 d2 2 3.0 t", "run scores for query q1 increase with rank")],
+    )
+    def test_bad_rank_or_score_rejected(self, tmp_path, line, message):
+        path = tmp_path / "run.txt"
+        path.write_text(f"q1 Q0 d1 1 2.0 t\n{line}\n")
+        with pytest.raises(FormatError, match=message):
             read_run(path)
 
     def test_malformed_run_line_reports_number(self, tmp_path):

@@ -395,7 +395,8 @@ class TestVectorFiles:
 
     @pytest.mark.parametrize(
         "line",
-        ["d1\t-3:0.5", "d1\t3:-0.5", "d1\t3:nan", "d1\t3:inf", "d1\t4294967296:1.0"],
+        ["d1\t-3:0.5", "d1\t3:-0.5", "d1\t3:nan", "d1\t3:inf", "d1\t4294967296:1.0",
+         "d1\t3:0.5 3:0.25"],
     )
     def test_bad_term_or_weight_is_format_error(self, tmp_path, line):
         path = tmp_path / "vecs.tsv"

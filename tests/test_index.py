@@ -100,9 +100,11 @@ class TestBuildIndex:
         np.testing.assert_array_equal(index.postings[1].impacts, [1.0])
 
     def test_zero_entries_never_stored(self):
-        index = build_index([("d1", SparseVector({3: 0.0, 4: 1.0}))])
-        assert 3 not in index.postings
-        assert index.posting_count == 1
+        docs = [("d1", SparseVector({3: 0.0, 4: 1.0})), ("d2", SparseVector({4: 2.0, 5: 1e-50}))]
+        index = build_index(docs)  # 1e-50 rounds to 0 in float32
+        assert 3 not in index.postings and 5 not in index.postings
+        assert index.postings[4].doc_ids.tolist() == [0, 1]
+        assert index.posting_count == 2
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ContractError):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsrkit import autodiff as ad
-from lsrkit.autodiff import Tape
+from lsrkit.autodiff import Tape, Tensor, finite_difference_check
 from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.errors import ContractError, FormatError, VocabError
 from lsrkit.heads import HeadKind, SparseHead, mlm_batch_activations, mlm_head, mlp_head
@@ -201,6 +201,32 @@ class TestComposition:
                 np.testing.assert_allclose(dense(single), dense(reference), rtol=1e-12, atol=0)
             np.testing.assert_allclose(acts.data[i], dense(single), rtol=1e-12, atol=1e-14)
 
+
+    @pytest.mark.parametrize(
+        "variant", [Variant.ENCODER_ONLY, Variant.DECODER_MULTITOKENS, Variant.ENCDEC_MULTITOKENS]
+    )
+    def test_sum_pooled_encode_matches_mlm_head(self, variant):
+        model = build(variant)
+        model.head.pooling = "sum"
+        for seq in ([4, 5, 6, 5], [7, 8], [9, 9, 9]):
+            single = model.encode(seq)
+            states = model.backbone.encode(seq)
+            reference = mlm_head(states, model.backbone.tok_emb, model.head)
+            assert len(single) > 0 and set(single.entries) == set(reference.entries)
+            np.testing.assert_allclose(dense(single), dense(reference), rtol=0, atol=1e-12)
+
+    def test_sum_pooled_activations_pass_the_gradient_check(self):
+        model = build(Variant.ENCODER_ONLY)
+        model.head.pooling = "sum"
+        seqs = [(4, 5, 6), (7, 8), (9, 4, 4, 5)]
+        weights = Tensor(np.random.default_rng(8).normal(size=(len(seqs), 16)))
+
+        def loss(_x):
+            return ad.sum_all(ad.mul(model.batch_activations(seqs), weights))
+
+        params = dict(model.parameters())
+        for name in ("head.b_vocab", "backbone.tok_emb"):
+            assert finite_difference_check(loss, params[name], eps=1e-6) < 1e-5, name
 
     @pytest.mark.parametrize("variant,head", VALID_PAIRS)
     def test_untaped_activations_track_taped(self, variant, head):

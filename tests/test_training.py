@@ -500,6 +500,13 @@ class TestTripletFile:
         with pytest.raises(FormatError, match=":1"):
             read_triplets(path, Vocabulary(["a"]), 8)
 
+    @pytest.mark.parametrize("scores", ["high\t0.0", "1.0\tlow"])
+    def test_unparsable_teacher_score_names_its_line(self, tmp_path, scores):
+        path = tmp_path / "triplets.tsv"
+        path.write_text(f"a\ta\ta\t1.0\t0.0\na\ta\ta\t{scores}\n")
+        with pytest.raises(FormatError, match=r"triplets\.tsv:2: bad teacher scores"):
+            read_triplets(path, Vocabulary(["a"]), 8)
+
     def test_empty_tokenization_rejected(self, tmp_path):
         path = tmp_path / "triplets.tsv"
         path.write_text("...\tdoc text\tother\t1.0\t0.0\n")
