@@ -286,18 +286,12 @@ class AttentionLayout:
 
     @cached_property
     def mask(self) -> np.ndarray:
-        """Dense [Nq, Nkv] additive block-diagonal mask, built once per layout."""
-        rows = np.arange(self.q_starts[-1])
-        # Segment ids, offset by one alike for queries and keys.
-        seg_q = np.searchsorted(self.q_starts, rows, side="right")
-        seg_kv = seg_q
-        if self.kv_starts is not self.q_starts:
-            seg_kv = np.searchsorted(self.kv_starts, np.arange(self.kv_starts[-1]), side="right")
-        allowed = seg_q[:, None] == seg_kv[None, :]
-        if self.causal:
-            # Within one sequence, row j precedes row i exactly when j <= i.
-            allowed &= rows[None, :] <= rows[:, None]
-        return np.where(allowed, 0.0, MASK_NEG)
+        """Dense [Nq, Nkv] additive mask, built once per layout from the
+        untaped loop's blocks: each sequence's own block is open or causal."""
+        mask = np.full((self.q_starts[-1], self.kv_starts[-1]), MASK_NEG)
+        for q0, q1, k0, k1 in self.segments():
+            mask[q0:q1, k0:k1] = self.causal_block[: q1 - q0, : q1 - q0] if self.causal else 0.0
+        return mask
 
     @cached_property
     def causal_block(self) -> np.ndarray:

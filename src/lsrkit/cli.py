@@ -252,6 +252,8 @@ def _gradcheck_cases(rng: np.random.Generator):
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ContractError(f"--seed must be >= 0, not {args.seed}")
     failed = False
     for name, fn, x in _gradcheck_cases(np.random.default_rng(args.seed)):
         err = ad.finite_difference_check(fn, x, eps=1e-6)

@@ -92,7 +92,7 @@ class SparseHead:
 
     The MLM projection matrix is the backbone's token embedding table and
     is deliberately not owned here. ``pooling`` selects max (default) or
-    sum aggregation over positions for the multi-token MLM head.
+    sum aggregation over positions; only the multi-token MLM head may sum.
     """
 
     def __init__(
@@ -105,9 +105,11 @@ class SparseHead:
     ):
         if pooling not in ("max", "sum"):
             raise ContractError(f"unknown pooling {pooling!r}")
+        self.kind = HeadKind(kind)
+        if pooling == "sum" and self.kind != HeadKind.MLM_MULTITOKENS:
+            raise ContractError(f"pooling sum needs kind mlm_multitokens, not {self.kind.value}")
         if rng is None:
             rng = np.random.default_rng(0)
-        self.kind = HeadKind(kind)
         self.pooling = pooling
         self.vocab_size = vocab_size
         reg = ParamRegistry()
@@ -164,7 +166,7 @@ def mlm_head(h: Tensor, backbone_embeddings: Tensor, cfg: SparseHead) -> SparseV
         _mlm_position_activations(ad.gather_rows(h, [j]), backbone_embeddings, cfg)
         for j in range(m)
     ]
-    if cfg.pooling == "sum" and cfg.kind == HeadKind.MLM_MULTITOKENS:
+    if cfg.pooling == "sum":
         dense = np.sum(rows, axis=0)
     else:
         dense = np.maximum.reduce(rows)
@@ -197,7 +199,7 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
     block of one sequence's logits per CPU plus the output.
     """
     one_state = len(starts) - 1 == states.data.shape[0]
-    sum_pooled = cfg.pooling == "sum" and cfg.kind == HeadKind.MLM_MULTITOKENS and not one_state
+    sum_pooled = cfg.pooling == "sum" and not one_state
     if ad.recording() or one_state or sum_pooled:
         logits = ad.linear(states, ad.transpose(emb), cfg.b_vocab)
         if sum_pooled:

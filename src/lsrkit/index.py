@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -75,8 +76,8 @@ def build_index(docs) -> InvertedIndex:
         seen.add(name)
         doc_id = len(doc_names)
         doc_names.append(name)
-        for term in sorted(vec.entries):
-            impact = np.float32(vec.entries[term])
+        for term, weight in vec.entries.items():
+            impact = np.float32(weight)
             if impact == 0.0:  # sub-float32 weights vanish; never store zeros
                 continue
             acc_ids.setdefault(term, []).append(doc_id)
@@ -133,10 +134,9 @@ def save_index(index: InvertedIndex, path, quantize8: bool = False) -> None:
         posting = index.postings[term]
         offset = len(blob)
         prev = 0
-        for i, doc_id in enumerate(posting.doc_ids):
-            delta = int(doc_id) - prev if i else int(doc_id)
-            write_varint(blob, delta)
-            prev = int(doc_id)
+        for doc_id in map(int, posting.doc_ids):
+            write_varint(blob, doc_id - prev)
+            prev = doc_id
         if quantize8:
             lo = float(posting.impacts.min())
             hi = float(posting.impacts.max())
@@ -193,13 +193,9 @@ def load_index(path) -> InvertedIndex:
                 f"term {term}: {length} postings cannot fit in the "
                 f"{reader.remaining()} bytes left at offset {reader.offset}"
             )
-        doc_ids = np.empty(length, dtype=np.int64)
-        prev = 0
+        deltas = (reader.varint() for _ in range(length))
         try:
-            for i in range(length):
-                delta = reader.varint()
-                prev = delta if i == 0 else prev + delta
-                doc_ids[i] = prev
+            doc_ids = np.fromiter(accumulate(deltas), np.int64, length)
         except OverflowError:
             raise FormatError(f"term {term}: doc id overflows 64 bits") from None
         if length and (doc_ids[-1] >= doc_count or (np.diff(doc_ids) <= 0).any()):

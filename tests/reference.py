@@ -136,6 +136,24 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _record(out, backward)
 
 
+def attention_mask(layout) -> np.ndarray:
+    """Oracle for ``AttentionLayout.mask``, one entry at a time: query row i
+    may see key row j when both belong to one sequence and, in a causal
+    layout, j's place in that sequence is at most i's."""
+    q_starts, kv_starts = layout.q_starts.tolist(), layout.kv_starts.tolist()
+
+    def owners(starts):  # the sequence of each row
+        return [s for s in range(len(starts) - 1) for _ in range(starts[s], starts[s + 1])]
+
+    q_owner, kv_owner = owners(q_starts), owners(kv_starts)
+    mask = np.full((q_starts[-1], kv_starts[-1]), MASK_NEG)
+    for i, s in enumerate(q_owner):
+        for j, t in enumerate(kv_owner):
+            if s == t and not (layout.causal and j - kv_starts[t] > i - q_starts[s]):
+                mask[i, j] = 0.0
+    return mask
+
+
 def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
     """Column-wise maxima over contiguous row segments, routed densely.
 

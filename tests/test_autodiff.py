@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from reference import add_bias, matmul, softmax_rows
@@ -311,7 +313,29 @@ _LAYOUTS = {
 }
 
 
+@st.composite
+def attention_layouts(draw):
+    """Self, causal or cross layouts of 1-16 sequences of 1-16 key rows. A
+    cross layout's queries are one row per sequence (the single-token
+    decoder's), n + 1 rows (the multi-token decoder's) or 1-16 rows."""
+    lengths = draw(st.lists(st.integers(1, 16), min_size=1, max_size=16))
+    starts = np.concatenate([[0], np.cumsum(lengths)])
+    kind = draw(st.sampled_from(["self", "causal", "cross"]))
+    if kind != "cross":
+        return AttentionLayout(starts, starts, causal=kind == "causal")
+    any_rows = st.lists(st.integers(1, 16), min_size=len(lengths), max_size=len(lengths))
+    q_lengths = draw(st.sampled_from([[1] * len(lengths), [n + 1 for n in lengths]]) | any_rows)
+    return AttentionLayout(np.concatenate([[0], np.cumsum(q_lengths)]), starts)
+
+
 class TestFusedOps:
+    @settings(max_examples=60, deadline=None)
+    @given(attention_layouts())
+    def test_attention_mask_equals_elementwise_oracle(self, layout):
+        mask, want = layout.mask, reference.attention_mask(layout)
+        assert mask.dtype == want.dtype and mask.shape == want.shape
+        assert mask.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("num_heads", [1, 2, 8])
     @pytest.mark.parametrize("name", sorted(_LAYOUTS))
     def test_attention_equals_per_head_composition_bitwise(self, name, num_heads):

@@ -286,6 +286,16 @@ class TestTrainCommand:
         model, _ = SparseEncoder.load(tmp_path / "ckpt.bin")
         assert model.head.pooling == "sum"
 
+    @pytest.mark.parametrize(
+        "variant,kind", [("encoder_only", "mlp"), ("encdec_singletoken", "mlm_singletoken")]
+    )
+    def test_sum_pooling_of_a_head_that_never_pools_exits_2(self, tmp_path, capsys, variant, kind):
+        head = [("backbone", "variant", variant), ("head", "kind", kind)]
+        config = write_config(tmp_path, set=head + [("head", "pooling", "sum")] + SHORT_RUN)
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"pooling sum needs kind mlm_multitokens, not {kind}" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt.bin").exists() and not (tmp_path / "metrics.jsonl").exists()
+
     @pytest.mark.parametrize("missing", [("checkpoint", "metrics_log"), ("checkpoint",)])
     def test_missing_output_directory_exits_2_before_any_step(
         self, tmp_path, capsys, monkeypatch, missing
@@ -601,6 +611,10 @@ class TestGradcheckCommand:
         assert [row[0] for row in rows] == GRADCHECK_ROWS
         assert len(GRADCHECK_ROWS) == 28
         assert all(len(row) == 3 and row[2] == "ok" for row in rows)
+
+    def test_negative_seed_exits_2_and_names_it(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "lsrkit gradcheck: --seed must be >= 0, not -1\n"
 
 
 LSR_ERRORS = [

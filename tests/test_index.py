@@ -1,5 +1,6 @@
 """Inverted index tests: construction invariants, oracle equivalence, I/O."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -36,6 +37,19 @@ def random_corpus(rng, num_docs, vocab_size, max_terms=10):
             (f"d{i:04d}", SparseVector({int(t): grid_weight(rng) for t in terms}))
         )
     return docs
+
+
+@pytest.fixture(scope="module")
+def spread_index():
+    """20,000 docs of 1-5 Zipf-drawn terms: rare terms leave gaps of 2**14
+    docs and more, so posting deltas take 1, 2 and 3 varint bytes."""
+    rng = np.random.default_rng(41)
+    docs = []
+    for i in range(20_000):
+        terms = np.minimum(rng.zipf(1.3, size=int(rng.integers(1, 6))), 3_000) - 1
+        weights = rng.uniform(0.01, 3.0, len(terms))
+        docs.append((f"d{i}", SparseVector(dict(zip(terms.tolist(), weights.tolist())))))
+    return build_index(docs)
 
 
 def random_query(rng, vocab_size, max_terms=6):
@@ -298,6 +312,25 @@ class TestIndexFile:
             span = posting.impacts.max() - posting.impacts.min()
             tol = max(span / 255.0, 1e-6)
             np.testing.assert_allclose(approx, posting.impacts, atol=tol * 1.01)
+
+    @pytest.mark.parametrize(
+        "quantize8,digest",
+        [
+            (False, "0399b4127441d5507cfdcf21f5150a8a21c8ba1f87ee67349db97e23cd9b0aa1"),
+            (True, "85dc8cf95933854b78f07db2a49375049546343979785958c0026e15f465be74"),
+        ],
+    )
+    def test_saved_bytes_are_pinned(self, tmp_path, spread_index, quantize8, digest):
+        lists = spread_index.postings.values()
+        deltas = np.concatenate([np.diff(p.doc_ids, prepend=0) for p in lists])
+        assert set(np.searchsorted([2**7, 2**14, 2**21], deltas, side="right") + 1) == {1, 2, 3}
+        path = tmp_path / "spread.lsrx"
+        save_index(spread_index, path, quantize8=quantize8)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        loaded = load_index(path)
+        assert loaded.doc_names == spread_index.doc_names
+        for term, posting in spread_index.postings.items():
+            np.testing.assert_array_equal(loaded.postings[term].doc_ids, posting.doc_ids)
 
     @pytest.mark.parametrize(
         "doc_ids,pattern",

@@ -131,6 +131,9 @@ HEADER_MUTATIONS = [
     pytest.param(set_field("head", "kind", "nope"), id="unknown-head-kind"),
     pytest.param(set_field("head", "pooling", "mean"), id="unknown-pooling"),
     pytest.param(set_field("head", "kind", "mlm_singletoken"), id="head-invalid-for-variant"),
+    pytest.param(
+        lambda header: header["head"].update(kind="mlp", pooling="sum"), id="mlp-head-sum-pooling"
+    ),
     pytest.param(set_field("backbone", "num_layers", "1"), id="string-int"),
     pytest.param(set_field("backbone", "d_model", 8.0), id="float-int"),
     pytest.param(set_field("backbone", "seed", None), id="null-seed"),
@@ -465,6 +468,13 @@ class TestCheckpoint:
         build().save(path)
         rewrite_header(path, mutate)
         with pytest.raises(FormatError, match="header"):
+            SparseEncoder.load(path)
+
+    def test_sum_pooling_recorded_for_an_mlp_head_raises_format_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        build(Variant.ENCODER_ONLY, HeadKind.MLP).save(path)
+        rewrite_header(path, set_field("head", "pooling", "sum"))
+        with pytest.raises(FormatError, match="pooling sum needs kind mlm_multitokens, not mlp"):
             SparseEncoder.load(path)
 
     def test_deeply_nested_header_raises_format_error(self, tmp_path):
