@@ -39,6 +39,8 @@ EXIT_FORMAT = 5
 
 
 def _cmd_build_vocab(args) -> int:
+    if args.min_freq < 1:
+        raise ContractError(f"--min-freq must be >= 1, not {args.min_freq}")
     corpus = text.read_tsv_texts(args.corpus)
     vocab = text.build_vocab(corpus, min_freq=args.min_freq)
     vocab.save(args.output)
@@ -147,7 +149,7 @@ def _cmd_encode(args) -> int:
 def _cmd_index(args) -> int:
     docs = read_vectors(args.vectors)
     index = build_index(docs)
-    save_index(index, args.output, quantize8=args.quantize8)
+    save_index(index, args.output)
     print(
         f"indexed {index.doc_count} docs, {index.term_count} terms, "
         f"{index.posting_count} postings to {args.output}"
@@ -292,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build an inverted index from doc vectors")
     p.add_argument("--vectors", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--quantize8", action="store_true")
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("search", help="top-k search; writes a TREC run file")

@@ -8,7 +8,7 @@ tests/reference.py) exactly. Only docs with a positive score are returned;
 ties break by ascending doc id everywhere.
 
 On-disk format (little-endian):
-  magic b"LSRX" | u32 version | u8 impact format (0 = f32, 1 = u8 linear)
+  magic b"LSRX" | u32 version | u8 impact format (always 0 = f32; 1, the old 8-bit, is refused)
   | u32 doc_count | u32 term_count | u64 posting_count
   | term_count * (u32 term id, u64 offset, u32 length)  -- offsets into blob
   | postings blob: per term, varint-delta doc ids then impacts
@@ -36,8 +36,6 @@ from .text import ByteReader, write_output, write_varint
 INDEX_MAGIC = b"LSRX"
 INDEX_VERSION = 1
 IMPACTS_F32 = 0
-IMPACTS_U8 = 1
-F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -123,9 +121,7 @@ def flops_metric(queries: list[SparseVector], index: InvertedIndex) -> float:
     return total / (len(queries) * index.doc_count)
 
 
-def save_index(index: InvertedIndex, path, quantize8: bool = False) -> None:
-    """Serialize; ``quantize8`` stores impacts as 8-bit linear codes (lossy)."""
-    impact_format = IMPACTS_U8 if quantize8 else IMPACTS_F32
+def save_index(index: InvertedIndex, path) -> None:
     blob = bytearray()
     dictionary = []
     for term in sorted(index.postings):
@@ -137,24 +133,12 @@ def save_index(index: InvertedIndex, path, quantize8: bool = False) -> None:
         for doc_id in map(int, posting.doc_ids):
             write_varint(blob, doc_id - prev)
             prev = doc_id
-        if quantize8:
-            lo = float(posting.impacts.min())
-            hi = float(posting.impacts.max())
-            scale = (hi - lo) / 255.0 if hi > lo else 0.0
-            codes = (
-                np.zeros(len(posting.impacts), dtype=np.uint8)
-                if scale == 0.0
-                else np.round((posting.impacts - lo) / scale).astype(np.uint8)
-            )
-            blob += struct.pack("<ff", lo, scale)
-            blob += codes.tobytes()
-        else:
-            blob += posting.impacts.astype("<f4", copy=False).tobytes()
+        blob += posting.impacts.astype("<f4", copy=False).tobytes()
         dictionary.append((term, offset, len(posting.doc_ids)))
     header = struct.pack(
         "<IBIIQ",
         INDEX_VERSION,
-        impact_format,
+        IMPACTS_F32,
         index.doc_count,
         index.term_count,
         index.posting_count,
@@ -171,15 +155,14 @@ def save_index(index: InvertedIndex, path, quantize8: bool = False) -> None:
 def load_index(path) -> InvertedIndex:
     reader = ByteReader(path, "index", INDEX_MAGIC, INDEX_VERSION)
     impact_format, doc_count, term_count, posting_count = reader.unpack("<BIIQ")
-    if impact_format not in (IMPACTS_F32, IMPACTS_U8):
-        raise FormatError(f"unknown impact format {impact_format}")
+    if impact_format != IMPACTS_F32:
+        hint = "8-bit files are no longer read; re-run `lsrkit index` on the vector file"
+        raise FormatError(f"impact format {impact_format} is not f32: {hint}")
     dictionary = [reader.unpack("<IQI") for _ in range(term_count)]
     terms = [term for term, _, _ in dictionary]
     if any(a >= b for a, b in zip(terms, terms[1:])):
         raise FormatError("term ids must ascend strictly")
     blob_start = reader.offset
-    # Each posting takes at least one varint byte plus its impact code.
-    header_bytes, bytes_per_posting = (8, 2) if impact_format == IMPACTS_U8 else (0, 5)
     postings: dict[int, Posting] = {}
     total = 0
     for term, offset, length in dictionary:
@@ -188,7 +171,7 @@ def load_index(path) -> InvertedIndex:
                 f"term {term}: postings start at blob offset {offset}, "
                 f"not where the previous list ended ({reader.offset - blob_start})"
             )
-        if header_bytes + bytes_per_posting * length > reader.remaining():
+        if 5 * length > reader.remaining():  # >= 1 varint byte + one f32 per posting
             raise FormatError(
                 f"term {term}: {length} postings cannot fit in the "
                 f"{reader.remaining()} bytes left at offset {reader.offset}"
@@ -202,19 +185,7 @@ def load_index(path) -> InvertedIndex:
             raise FormatError(
                 f"term {term}: doc ids must ascend strictly and stay below {doc_count}"
             )
-        if impact_format == IMPACTS_U8:
-            lo, scale = reader.unpack("<ff")
-            if not (lo >= 0.0 and scale >= 0.0 and lo + 255.0 * scale <= F32_MAX):
-                raise FormatError(
-                    f"term {term}: 8-bit lo {lo} and scale {scale} must be >= 0 "
-                    "and decode to finite float32 impacts"
-                )
-            codes = reader.array(np.uint8, length)
-            impacts = (lo + codes.astype(np.float32) * np.float32(scale)).astype(
-                np.float32
-            )
-        else:
-            impacts = reader.array("<f4", length).astype(np.float32)
+        impacts = reader.array("<f4", length).astype(np.float32)
         if not (np.isfinite(impacts) & (impacts > 0.0)).all():
             raise FormatError(f"term {term}: impacts must be finite and > 0")
         postings[term] = Posting(doc_ids, impacts)

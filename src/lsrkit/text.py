@@ -54,9 +54,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return NUM_SPECIALS + len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     @property
     def tokens(self) -> list[str]:
         return list(self._tokens)

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from test_index import IMPACT_FORMAT_BYTE
 from test_model import drop_field, rewrite_header
 from lsrkit import cli, errors, training
 from lsrkit.backbones import BackboneConfig, Variant
@@ -107,6 +108,16 @@ class TestBuildVocab:
         out = tmp_path / "vocab.txt"
         assert main(["build-vocab", "--corpus", str(corpus), "--output", str(out)]) == 5
         assert "corpus.tsv: not UTF-8 at byte 6" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("min_freq", ["-5", "0"])
+    def test_min_freq_below_one_exits_2_without_output(self, tmp_path, capsys, min_freq):
+        out = tmp_path / "vocab.txt"
+        assert main([
+            "build-vocab", "--corpus", str(DATA / "corpus.tsv"), "--output", str(out),
+            "--min-freq", min_freq,
+        ]) == 2
+        assert capsys.readouterr().err == f"lsrkit build-vocab: --min-freq must be >= 1, not {min_freq}\n"
         assert not out.exists()
 
 
@@ -439,6 +450,11 @@ class TestIndexCommand:
         assert "4294967296" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_quantize8_is_no_longer_an_option(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["index", "--vectors", "docs.vec", "--output", "index.lsrx", "--quantize8"])
+        assert exc.value.code == 2
+
     def test_non_utf8_vector_file_exits_5_without_output(self, tmp_path, capsys):
         vectors = tmp_path / "docs.vec"
         vectors.write_bytes(b"d1\t3:0.5\nd\xff\t4:1.0\n")
@@ -488,6 +504,19 @@ class TestSearchCommand:
             "--output", str(tmp_path / "r.txt"),
         ]) == 5
         assert "finite" in capsys.readouterr().err
+
+    def test_old_8bit_index_exits_5(self, pipeline, tmp_path, capsys):
+        raw = bytearray(pipeline["index"].read_bytes())
+        raw[IMPACT_FORMAT_BYTE] = 1  # the impact format an 8-bit file carried
+        old = tmp_path / "old.lsrx"
+        old.write_bytes(bytes(raw))
+        assert main([
+            "search", "--index", str(old), "--queries", str(pipeline["queries_vec"]),
+            "--output", str(tmp_path / "r.txt"),
+        ]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("lsrkit search: ") and "8-bit" in err
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_repeated_query_name_exits_5_without_output(self, pipeline, tmp_path, capsys):
         queries = tmp_path / "queries.vec"

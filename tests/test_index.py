@@ -87,6 +87,7 @@ WEIGHTS = st.one_of(
 )
 
 HEADER_BYTES = 25  # magic, then "<IBIIQ"
+IMPACT_FORMAT_BYTE = 8  # the "B" after the magic and the u32 version
 ENTRY_BYTES = 16  # one "<IQI" dictionary entry
 
 
@@ -299,33 +300,13 @@ class TestIndexFile:
         with pytest.raises(FormatError, match="offset"):
             load_index(path)
 
-    def test_quantized_mode_round_trips_and_approximates(self, tmp_path):
-        rng = np.random.default_rng(26)
-        docs = random_corpus(rng, 30, 20)
-        index = build_index(docs)
-        path = tmp_path / "q8.lsrx"
-        save_index(index, path, quantize8=True)
-        loaded = load_index(path)
-        assert loaded.doc_names == index.doc_names
-        for term, posting in index.postings.items():
-            approx = loaded.postings[term].impacts
-            span = posting.impacts.max() - posting.impacts.min()
-            tol = max(span / 255.0, 1e-6)
-            np.testing.assert_allclose(approx, posting.impacts, atol=tol * 1.01)
-
-    @pytest.mark.parametrize(
-        "quantize8,digest",
-        [
-            (False, "0399b4127441d5507cfdcf21f5150a8a21c8ba1f87ee67349db97e23cd9b0aa1"),
-            (True, "85dc8cf95933854b78f07db2a49375049546343979785958c0026e15f465be74"),
-        ],
-    )
-    def test_saved_bytes_are_pinned(self, tmp_path, spread_index, quantize8, digest):
+    def test_saved_bytes_are_pinned(self, tmp_path, spread_index):
         lists = spread_index.postings.values()
         deltas = np.concatenate([np.diff(p.doc_ids, prepend=0) for p in lists])
         assert set(np.searchsorted([2**7, 2**14, 2**21], deltas, side="right") + 1) == {1, 2, 3}
         path = tmp_path / "spread.lsrx"
-        save_index(spread_index, path, quantize8=quantize8)
+        save_index(spread_index, path)
+        digest = "0399b4127441d5507cfdcf21f5150a8a21c8ba1f87ee67349db97e23cd9b0aa1"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         loaded = load_index(path)
         assert loaded.doc_names == spread_index.doc_names
@@ -383,9 +364,9 @@ class TestIndexFileGuarantees:
     """load_index guarantees what top_k_search assumes, or raises FormatError."""
 
     @staticmethod
-    def saved(tmp_path, index, quantize8=False):
+    def saved(tmp_path, index):
         path = tmp_path / "idx.lsrx"
-        save_index(index, path, quantize8=quantize8)
+        save_index(index, path)
         return path, bytearray(path.read_bytes())
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
@@ -416,28 +397,19 @@ class TestIndexFileGuarantees:
         with pytest.raises(FormatError, match="where the previous list ended"):
             load_index(path)
 
-    @pytest.mark.parametrize("quantize8", [False, True])
-    def test_length_past_the_end_rejected_before_allocating(self, tmp_path, quantize8):
-        path, raw = self.saved(tmp_path, build_index(TWO_DOC_FIXTURE), quantize8)
+    def test_length_past_the_end_rejected_before_allocating(self, tmp_path):
+        path, raw = self.saved(tmp_path, build_index(TWO_DOC_FIXTURE))
         struct.pack_into("<I", raw, entry_offset(0) + 12, 0xFFFFFFFF)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="cannot fit"):
             load_index(path)
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [("lo", np.nan), ("lo", np.inf), ("lo", -1.0),
-         ("scale", np.nan), ("scale", np.inf), ("scale", -0.5),
-         ("scale", 3e38)],  # finite, but code 255 decodes to inf
-    )
-    def test_bad_8bit_lo_or_scale_rejected(self, tmp_path, field, value):
-        index = build_index([("d1", SparseVector({0: 1.0})), ("d2", SparseVector({0: 2.0}))])
-        path, raw = self.saved(tmp_path, index, quantize8=True)
-        # the blob follows one dictionary entry; lo and scale follow 2 varint bytes
-        at = entry_offset(1) + 2 + (4 if field == "scale" else 0)
-        struct.pack_into("<f", raw, at, value)
+    def test_old_8bit_file_is_refused(self, tmp_path):
+        path, raw = self.saved(tmp_path, build_index(TWO_DOC_FIXTURE))
+        assert raw[IMPACT_FORMAT_BYTE] == 0
+        raw[IMPACT_FORMAT_BYTE] = 1
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="8-bit lo"):
+        with pytest.raises(FormatError, match="8-bit"):
             load_index(path)
 
 
@@ -447,24 +419,18 @@ def fuzz_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def saved_files(fuzz_path):
-    """f32 and 8-bit files of one small random index, keyed by quantize8."""
-    index = build_index(random_corpus(np.random.default_rng(27), 12, 10))
-    files = {}
-    for quantize8 in (False, True):
-        save_index(index, fuzz_path, quantize8=quantize8)
-        files[quantize8] = fuzz_path.read_bytes()
-    return files
+def saved_file(fuzz_path):
+    """The file of one small random index."""
+    save_index(build_index(random_corpus(np.random.default_rng(27), 12, 10)), fuzz_path)
+    return fuzz_path.read_bytes()
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(quantize8=st.booleans(), truncate=st.booleans(), data=st.data())
-def test_mutated_index_file_is_rejected_or_sound(
-    fuzz_path, saved_files, quantize8, truncate, data
-):
+@given(truncate=st.booleans(), data=st.data())
+def test_mutated_index_file_is_rejected_or_sound(fuzz_path, saved_file, truncate, data):
     """A flipped or truncated file raises FormatError, or it loads an index
     that keeps the posting invariants and searches like the oracle."""
-    raw = bytearray(saved_files[quantize8])
+    raw = bytearray(saved_file)
     if truncate:
         raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="keep")]
     else:

@@ -26,8 +26,7 @@ from lsrkit.training import TrainConfig, TrainingTriplet, read_triplets, train
 class TestBuildVocab:
     def test_min_freq_filters(self):
         vocab = build_vocab({"d1": "a a b"}, min_freq=2)
-        assert "a" in vocab
-        assert "b" not in vocab
+        assert vocab.tokens == ["a"]
 
     def test_reserved_ids_always_present(self):
         vocab = build_vocab({"d1": "x"}, min_freq=5)
