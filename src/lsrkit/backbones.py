@@ -1,10 +1,10 @@
 """Four transformer backbone variants over one layer stack.
 
-``Backbone._run_stack`` runs every stack: token plus position rows (each an
-``autodiff.gather_rows``), pre-layer-norm blocks and a final layer norm; a
-variant makes one encoder call, one decoder call or both. The variants
-differ only in attention masking, decoder input wiring, and which hidden
-states they expose:
+One ``_Stack`` type, built twice, is the encoder and the decoder: token
+plus position rows (each an ``autodiff.gather_rows``), pre-layer-norm blocks
+and a final layer norm. A variant makes one encoder call, one decoder call
+or both; the variants differ only in attention masking, decoder input
+wiring, and which hidden states they expose:
 
   encoder_only          bidirectional stack, one state per input token
   decoder_multitokens   causal stack over [<s>, t_1..t_n], states for t_1..t_n
@@ -69,19 +69,11 @@ class BackboneConfig:
             raise ContractError("seed must be >= 0")
 
 
-class ParamRegistry:
-    """Flat, construction-ordered list of named parameter tensors."""
-
-    def __init__(self):
-        self._params: list[tuple[str, Tensor]] = []
-
-    def add(self, name: str, data: np.ndarray) -> Tensor:
-        t = Tensor(data, requires_grad=True)
-        self._params.append((name, t))
-        return t
-
-    def items(self) -> list[tuple[str, Tensor]]:
-        return list(self._params)
+def _param(params: list[tuple[str, Tensor]], name: str, data: np.ndarray) -> Tensor:
+    """Append ``(name, data)`` to ``params`` as a trainable tensor; return the tensor."""
+    t = Tensor(data, requires_grad=True)
+    params.append((name, t))
+    return t
 
 
 def _normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -89,43 +81,43 @@ def _normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 class MultiHeadAttention:
-    """Projected multi-head attention; q and k/v may come from different stacks."""
+    """Projected multi-head attention; q and kv may come from different stacks."""
 
-    def __init__(self, d_model: int, num_heads: int, rng, reg: ParamRegistry, prefix: str):
+    def __init__(self, d_model: int, num_heads: int, rng, params: list, prefix: str):
         self.num_heads = num_heads
-        self.wq = reg.add(f"{prefix}.wq", _normal(rng, (d_model, d_model)))
-        self.wk = reg.add(f"{prefix}.wk", _normal(rng, (d_model, d_model)))
-        self.wv = reg.add(f"{prefix}.wv", _normal(rng, (d_model, d_model)))
-        self.wo = reg.add(f"{prefix}.wo", _normal(rng, (d_model, d_model)))
-        self.bq = reg.add(f"{prefix}.bq", np.zeros(d_model))
-        self.bk = reg.add(f"{prefix}.bk", np.zeros(d_model))
-        self.bv = reg.add(f"{prefix}.bv", np.zeros(d_model))
-        self.bo = reg.add(f"{prefix}.bo", np.zeros(d_model))
+        self.wq = _param(params, f"{prefix}.wq", _normal(rng, (d_model, d_model)))
+        self.wk = _param(params, f"{prefix}.wk", _normal(rng, (d_model, d_model)))
+        self.wv = _param(params, f"{prefix}.wv", _normal(rng, (d_model, d_model)))
+        self.wo = _param(params, f"{prefix}.wo", _normal(rng, (d_model, d_model)))
+        self.bq = _param(params, f"{prefix}.bq", np.zeros(d_model))
+        self.bk = _param(params, f"{prefix}.bk", np.zeros(d_model))
+        self.bv = _param(params, f"{prefix}.bv", np.zeros(d_model))
+        self.bo = _param(params, f"{prefix}.bo", np.zeros(d_model))
 
-    def __call__(self, q: Tensor, k: Tensor, v: Tensor, layout: AttentionLayout) -> Tensor:
+    def __call__(self, q: Tensor, kv: Tensor, layout: AttentionLayout) -> Tensor:
         qp = ad.linear(q, self.wq, self.bq)
-        kp = ad.linear(k, self.wk, self.bk)
-        vp = ad.linear(v, self.wv, self.bv)
+        kp = ad.linear(kv, self.wk, self.bk)
+        vp = ad.linear(kv, self.wv, self.bv)
         ctx = ad.attention(qp, kp, vp, self.num_heads, layout)
         return ad.linear(ctx, self.wo, self.bo)
 
 
 class _LayerNorm:
-    def __init__(self, d_model: int, reg: ParamRegistry, prefix: str):
-        self.gain = reg.add(f"{prefix}.gain", np.ones(d_model))
-        self.bias = reg.add(f"{prefix}.bias", np.zeros(d_model))
+    def __init__(self, d_model: int, params: list, prefix: str):
+        self.gain = _param(params, f"{prefix}.gain", np.ones(d_model))
+        self.bias = _param(params, f"{prefix}.bias", np.zeros(d_model))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gain, self.bias)
 
 
 class _FeedForward:
-    def __init__(self, d_model: int, rng, reg: ParamRegistry, prefix: str):
+    def __init__(self, d_model: int, rng, params: list, prefix: str):
         d_ff = 4 * d_model
-        self.w1 = reg.add(f"{prefix}.w1", _normal(rng, (d_model, d_ff)))
-        self.b1 = reg.add(f"{prefix}.b1", np.zeros(d_ff))
-        self.w2 = reg.add(f"{prefix}.w2", _normal(rng, (d_ff, d_model)))
-        self.b2 = reg.add(f"{prefix}.b2", np.zeros(d_model))
+        self.w1 = _param(params, f"{prefix}.w1", _normal(rng, (d_model, d_ff)))
+        self.b1 = _param(params, f"{prefix}.b1", np.zeros(d_ff))
+        self.w2 = _param(params, f"{prefix}.w2", _normal(rng, (d_ff, d_model)))
+        self.b2 = _param(params, f"{prefix}.b2", np.zeros(d_model))
 
     def __call__(self, x: Tensor) -> Tensor:
         h = ad.relu(ad.linear(x, self.w1, self.b1))
@@ -135,26 +127,45 @@ class _FeedForward:
 class _Block:
     """Pre-LN transformer block: self-attention, optional cross-attention, FFN."""
 
-    def __init__(self, d_model, num_heads, rng, reg, prefix, cross: bool):
-        self.ln1 = _LayerNorm(d_model, reg, f"{prefix}.ln1")
-        self.attn = MultiHeadAttention(d_model, num_heads, rng, reg, f"{prefix}.attn")
+    def __init__(self, d_model, num_heads, rng, params, prefix, cross: bool):
+        self.ln1 = _LayerNorm(d_model, params, f"{prefix}.ln1")
+        self.attn = MultiHeadAttention(d_model, num_heads, rng, params, f"{prefix}.attn")
         self.cross_attn = None
         if cross:
-            self.ln_cross = _LayerNorm(d_model, reg, f"{prefix}.ln_cross")
-            self.cross_attn = MultiHeadAttention(
-                d_model, num_heads, rng, reg, f"{prefix}.cross"
-            )
-        self.ln2 = _LayerNorm(d_model, reg, f"{prefix}.ln2")
-        self.ffn = _FeedForward(d_model, rng, reg, f"{prefix}.ffn")
+            self.ln_cross = _LayerNorm(d_model, params, f"{prefix}.ln_cross")
+            self.cross_attn = MultiHeadAttention(d_model, num_heads, rng, params, f"{prefix}.cross")
+        self.ln2 = _LayerNorm(d_model, params, f"{prefix}.ln2")
+        self.ffn = _FeedForward(d_model, rng, params, f"{prefix}.ffn")
 
     def __call__(self, x, self_layout, memory=None, cross_layout=None):
         a = self.ln1(x)
-        x = ad.add(x, self.attn(a, a, a, self_layout))
+        x = ad.add(x, self.attn(a, a, self_layout))
         if self.cross_attn is not None:
             c = self.ln_cross(x)
-            x = ad.add(x, self.cross_attn(c, memory, memory, cross_layout))
+            x = ad.add(x, self.cross_attn(c, memory, cross_layout))
         f = self.ln2(x)
         return ad.add(x, self.ffn(f))
+
+
+class _Stack:
+    """An encoder or decoder: the position table ``{prefix}_pos``, blocks
+    ``{prefix}.{i}`` and the final layer norm ``{prefix}.ln_f``."""
+
+    def __init__(self, config: BackboneConfig, rng, params, prefix, positions, cross: bool):
+        d = config.d_model
+        self.pos = _param(params, f"{prefix}_pos", _normal(rng, (positions, d)))
+        self.blocks = [
+            _Block(d, config.num_heads, rng, params, f"{prefix}.{i}", cross)
+            for i in range(config.num_layers)
+        ]
+        self.ln_f = _LayerNorm(d, params, f"{prefix}.ln_f")
+
+    def __call__(self, tok_emb, ids, pos, layout, memory=None, cross=None):
+        """Embed ``ids`` at positions ``pos``, then run the blocks and ``ln_f``."""
+        x = ad.add(ad.gather_rows(tok_emb, ids), ad.gather_rows(self.pos, pos))
+        for block in self.blocks:
+            x = block(x, layout, memory=memory, cross_layout=cross)
+        return self.ln_f(x)
 
 
 class Backbone:
@@ -164,31 +175,17 @@ class Backbone:
         self.config = config
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        reg = ParamRegistry()
-        self._registry = reg
-        d = config.d_model
-        self.tok_emb = reg.add("tok_emb", _normal(rng, (config.vocab_size, d)))
-        self._has_encoder = config.variant != Variant.DECODER_MULTITOKENS
-        self._has_decoder = config.variant != Variant.ENCODER_ONLY
-        cross = self._has_encoder and self._has_decoder
-        if self._has_encoder:
-            self.enc_pos = reg.add("enc_pos", _normal(rng, (config.max_seq_len, d)))
-            self.enc_blocks = [
-                _Block(d, config.num_heads, rng, reg, f"enc.{i}", cross=False)
-                for i in range(config.num_layers)
-            ]
-            self.enc_ln = _LayerNorm(d, reg, "enc.ln_f")
-        if self._has_decoder:
-            # Row 0 of the decoder table is the <s> slot.
-            self.dec_pos = reg.add("dec_pos", _normal(rng, (config.max_seq_len + 1, d)))
-            self.dec_blocks = [
-                _Block(d, config.num_heads, rng, reg, f"dec.{i}", cross=cross)
-                for i in range(config.num_layers)
-            ]
-            self.dec_ln = _LayerNorm(d, reg, "dec.ln_f")
+        params = self._params = []
+        self.tok_emb = _param(params, "tok_emb", _normal(rng, (config.vocab_size, config.d_model)))
+        self.encoder = self.decoder = None
+        if config.variant != Variant.DECODER_MULTITOKENS:
+            self.encoder = _Stack(config, rng, params, "enc", config.max_seq_len, cross=False)
+        if config.variant != Variant.ENCODER_ONLY:  # row 0 of its position table is the <s> slot
+            cross = self.encoder is not None
+            self.decoder = _Stack(config, rng, params, "dec", config.max_seq_len + 1, cross)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        return self._registry.items()
+        return list(self._params)
 
     def _checked(self, sequences: list) -> tuple[np.ndarray, np.ndarray]:
         """Packed ids and per-sequence lengths of ``sequences``, or the error of
@@ -243,10 +240,9 @@ class Backbone:
         ids, lengths = self._pack(sequences)
         starts, pos = _offsets(lengths)
         memory = cross = None
-        if self._has_encoder:
-            layout = AttentionLayout(starts, starts)
-            memory = self._run_stack(self.enc_blocks, self.enc_ln, self.enc_pos, ids, pos, layout)
-        if not self._has_decoder:
+        if self.encoder is not None:
+            memory = self.encoder(self.tok_emb, ids, pos, AttentionLayout(starts, starts))
+        if self.decoder is None:
             return memory, starts, ids
 
         # The single-token decoder reads <s> alone; the multi-token one reads
@@ -260,19 +256,10 @@ class Backbone:
         if memory is not None:
             cross = AttentionLayout(d_starts, starts)
         layout = AttentionLayout(d_starts, d_starts, causal=True)
-        x = self._run_stack(
-            self.dec_blocks, self.dec_ln, self.dec_pos, d_ids, d_pos, layout, memory, cross
-        )
+        x = self.decoder(self.tok_emb, d_ids, d_pos, layout, memory, cross)
         if single:
             return x, d_starts, ids
         return ad.gather_rows(x, keep), starts, ids
-
-    def _run_stack(self, blocks, final_ln, pos_table, ids, pos, layout, memory=None, cross=None):
-        """Embed ``ids`` at positions ``pos`` and run ``blocks`` then ``final_ln``."""
-        x = ad.add(ad.gather_rows(self.tok_emb, ids), ad.gather_rows(pos_table, pos))
-        for block in blocks:
-            x = block(x, layout, memory=memory, cross_layout=cross)
-        return final_ln(x)
 
 
 def _holds_bool(tokens) -> bool:

@@ -1,8 +1,9 @@
 """Command-line pipeline: build-vocab, train, encode, index, search, eval,
 flops, gradcheck.
 
-Exit codes: 0 success, 2 usage or bad configuration, 3 numeric failure,
-4 artifact incompatibility, 5 malformed file.
+Exit codes: 0 success, 2 usage or bad configuration, 3 numeric failure
+(a floating-point overflow numpy reports among them), 4 artifact
+incompatibility, 5 malformed file. Every error is one stderr line.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import configparser
 import enum
 import sys
+import warnings
 from typing import get_type_hints
 
 import numpy as np
@@ -88,6 +90,8 @@ def _read_ini(path) -> dict[str, dict]:
         for key in section:
             if key not in _INI.get(name, {}):
                 raise ContractError(f"unknown config key [{name}] {key}")
+            if "\0" in section.get(key, raw=True):  # no path may hold one
+                raise ContractError(f"NUL character in config key [{name}] {key}")
     ini = {}
     for name, keys in _INI.items():
         if name in parser:
@@ -327,6 +331,7 @@ _EXIT_CODES = [
     (FormatError, EXIT_FORMAT),
     (CompatibilityError, EXIT_COMPAT),
     (NumericError, EXIT_NUMERIC),
+    (RuntimeWarning, EXIT_NUMERIC),  # an overflow or invalid value numpy reports
 ]
 
 
@@ -334,9 +339,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (LsrError, OSError) as exc:
-        print(f"lsrkit {args.command}: {exc}", file=sys.stderr)
+        with warnings.catch_warnings():  # process-wide, so ad.for_each's pool threads too
+            warnings.simplefilter("error", RuntimeWarning)
+            return args.func(args)
+    except (LsrError, OSError, RuntimeWarning) as exc:
+        print(f"lsrkit {args.command}: {' '.join(str(exc).split())}", file=sys.stderr)
         return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), EXIT_USAGE)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbones import ParamRegistry
+from .backbones import _normal, _param
 from .errors import ContractError, FormatError, ShapeError
 from .text import read_records, write_output
 
@@ -112,16 +112,15 @@ class SparseHead:
             rng = np.random.default_rng(0)
         self.pooling = pooling
         self.vocab_size = vocab_size
-        reg = ParamRegistry()
-        self._registry = reg
+        params = self._params = []
         if self.kind == HeadKind.MLP:
-            self.w = reg.add("w", rng.normal(0.0, 0.02, size=(d_model, 1)))
-            self.b = reg.add("b", np.zeros(1))
+            self.w = _param(params, "w", _normal(rng, (d_model, 1)))
+            self.b = _param(params, "b", np.zeros(1))
         else:
-            self.b_vocab = reg.add("b_vocab", np.zeros(vocab_size))
+            self.b_vocab = _param(params, "b_vocab", np.zeros(vocab_size))
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        return self._registry.items()
+        return list(self._params)
 
 
 def mlp_head(h: Tensor, tokens, cfg: SparseHead) -> SparseVector:

@@ -11,7 +11,6 @@ from lsrkit.backbones import (
     Backbone,
     BackboneConfig,
     MultiHeadAttention,
-    ParamRegistry,
     Variant,
 )
 from lsrkit.errors import (
@@ -62,7 +61,7 @@ def layout(rows, kv_rows=None, causal=False):
 
 class TestAttention:
     def _identity_attention(self, d):
-        reg = ParamRegistry()
+        reg = []
         attn = MultiHeadAttention(d, 1, np.random.default_rng(0), reg, "attn")
         eye = np.eye(d)
         for w in (attn.wq, attn.wk, attn.wv, attn.wo):
@@ -72,9 +71,9 @@ class TestAttention:
     @staticmethod
     def _both_paths(attn, q, kv, layout):
         """Outputs of the untaped per-sequence path and the taped masked path."""
-        untaped = attn(q, kv, kv, layout)
+        untaped = attn(q, kv, layout)
         with Tape():
-            taped = attn(q, kv, kv, layout)
+            taped = attn(q, kv, layout)
         return untaped.data, taped.data
 
     def test_single_position_returns_value_row(self):
@@ -98,11 +97,11 @@ class TestAttention:
             np.testing.assert_allclose(out[0], [0.7], atol=1e-12)
 
     def test_taped_call_records_five_entries(self):
-        reg = ParamRegistry()
+        reg = []
         attn = MultiHeadAttention(8, 2, np.random.default_rng(0), reg, "attn")
         x = Tensor(np.random.default_rng(1).normal(size=(5, 8)))
         with Tape() as tape:
-            attn(x, x, x, AttentionLayout(np.array([0, 2, 5]), np.array([0, 2, 5])))
+            attn(x, x, AttentionLayout(np.array([0, 2, 5]), np.array([0, 2, 5])))
         assert len(tape) == 5  # q, k, v projections, attention, output projection
 
     def test_layout_mask_is_block_diagonal_and_causal(self):
@@ -287,7 +286,7 @@ class TestAttentionWiring:
         # memory cannot leak into decoder states, so suffix perturbations
         # leave earlier states bitwise unchanged.
         backbone = Backbone(small_config(Variant.ENCDEC_MULTITOKENS))
-        for block in backbone.dec_blocks:
+        for block in backbone.decoder.blocks:
             block.cross_attn.wo.data = np.zeros_like(block.cross_attn.wo.data)
             block.cross_attn.bo.data = np.zeros_like(block.cross_attn.bo.data)
         rng = np.random.default_rng(60)

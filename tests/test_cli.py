@@ -1,20 +1,29 @@
 """End-to-end CLI tests: pipeline equivalences, golden files, exit codes."""
 
 import configparser
+import contextlib
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
+import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from test_index import IMPACT_FORMAT_BYTE
 from test_model import drop_field, rewrite_header
+from lsrkit import autodiff as ad
 from lsrkit import cli, errors, training
 from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.cli import main
@@ -62,6 +71,15 @@ def write_config(tmp_path, **overrides):
     with open(path, "w") as fh:
         parser.write(fh)
     return path
+
+
+def assert_one_error_line(err: str, command: str) -> None:
+    assert err.startswith(f"lsrkit {command}: ") and err.endswith("\n") and err.count("\n") == 1, err
+
+
+def alternating(value, shape):
+    """An array of ``shape`` whose entries are +value and -value in a checkerboard."""
+    return np.where(np.indices(shape).sum(axis=0) % 2, -value, value)
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +268,33 @@ class TestTrainCommand:
         assert f"unknown config {named}" in capsys.readouterr().err
         assert not (tmp_path / "ckpt.bin").exists() and not (tmp_path / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("key", list(cli._INI["data"]))
+    def test_nul_in_a_data_path_exits_2_before_any_file_is_read(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("a data file was read")
+
+        monkeypatch.setattr(Vocabulary, "load", fail)
+        monkeypatch.setattr(cli, "read_triplets", fail)
+        config = write_config(tmp_path, set=[("data", key, str(tmp_path / "a\0b"))])
+        assert main(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"lsrkit train: NUL character in config key [data] {key}\n"
+        assert not (tmp_path / "ckpt.bin").exists() and not (tmp_path / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "body",
+        ["[train]\ntotal_steps\n", "total_steps = 3\n[backbone]\nvariant = encoder_only\n"],
+        ids=["line-without-equals", "no-section-header"],
+    )
+    def test_multi_line_parser_message_is_one_stderr_line(self, tmp_path, capsys, body):
+        config = tmp_path / "bad.ini"
+        config.write_text(body)
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "train")
+        assert f"malformed config file {config}: " in err
+
     @pytest.mark.parametrize("key,value", [("std", "nan"), ("mean", "inf")])
     def test_non_finite_teacher_normalization_exits_2_and_names_key(
         self, tmp_path, capsys, key, value
@@ -430,6 +475,59 @@ class TestEncodeCommand:
         assert "vocabulary has 6 ids but the checkpoint's vocab_size is 40" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def _attention_poisoned(params):
+        params["backbone.enc.0.attn.wq"].data[:] = 1e300
+        params["backbone.enc.0.attn.wk"].data[:] = 1e300
+
+    @staticmethod
+    def _ffn_poisoned(params):
+        w2 = params["backbone.enc.0.ffn.w2"].data
+        w2[:] = alternating(1e300, w2.shape)
+
+    @pytest.mark.parametrize("poison", [_attention_poisoned, _ffn_poisoned], ids=["attention", "ffn"])
+    def test_overflow_exits_3_with_one_line(self, tmp_path, capsys, poison):
+        assert self._encode_poisoned(tmp_path, DATA / "vocab.txt", poison) == 3
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err, "encode")
+        assert captured.out == ""
+        assert not (tmp_path / "x.vec").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_overflow_in_a_vocabulary_block_exits_3_on_any_thread(
+        self, tmp_path, capsys, monkeypatch, cpus
+    ):
+        """|V| = 3,000 is two head blocks; the unused rows past 1,500 all lie
+        in the second, which a 3-CPU pool scores on a pool thread."""
+        vocab = tmp_path / "vocab.txt"
+        fillers = 3000 - len(Vocabulary.load(DATA / "vocab.txt"))
+        vocab.write_text((DATA / "vocab.txt").read_text() + "".join(f"zzfill{i}\n" for i in range(fillers)))
+
+        def poison(params):
+            emb = params["backbone.tok_emb"].data
+            emb[1500:] = alternating(1.5e308, emb[1500:].shape)
+
+        with ThreadPoolExecutor(2) as pool:
+            monkeypatch.setattr(ad, "_CPUS", cpus)
+            monkeypatch.setattr(ad, "_POOL", pool if cpus > 1 else None)
+            assert self._encode_poisoned(tmp_path, vocab, poison) == 3
+        assert_one_error_line(capsys.readouterr().err, "encode")
+        assert not (tmp_path / "x.vec").exists()
+
+    @staticmethod
+    def _encode_poisoned(tmp_path, vocab, poison) -> int:
+        """Exit code of encoding the corpus with a one-layer, d=16 encoder-only
+        MLM model for ``vocab`` whose parameters ``poison`` rewrote."""
+        config = BackboneConfig(Variant.ENCODER_ONLY, num_layers=1, d_model=16, num_heads=2,
+                                vocab_size=len(Vocabulary.load(vocab)), max_seq_len=12)
+        model = SparseEncoder.build(config, HeadKind.MLM_MULTITOKENS)
+        poison(dict(model.parameters()))
+        model.save(tmp_path / "poisoned.ckpt")
+        return main([
+            "encode", "--checkpoint", str(tmp_path / "poisoned.ckpt"), "--vocab", str(vocab),
+            "--input", str(DATA / "corpus.tsv"), "--output", str(tmp_path / "x.vec"), "--role", "doc",
+        ])
+
     def test_bad_checkpoint_header_exits_5(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         shutil.copyfile(pipeline["checkpoint"], bad)
@@ -531,6 +629,17 @@ class TestSearchCommand:
         assert f"queries.vec:{len(lines) + 1}: duplicate name {name!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_score_exits_3_without_a_run(self, tmp_path, capsys):
+        docs, queries = tmp_path / "docs.vec", tmp_path / "queries.vec"
+        docs.write_text("d1\t3:10.0 4:1.0\nd2\t4:2.0\n")
+        queries.write_text("q1\t3:1e308 4:1.0\n")
+        index, run = tmp_path / "index.lsrx", tmp_path / "run.txt"
+        assert main(["index", "--vectors", str(docs), "--output", str(index)]) == 0
+        capsys.readouterr()
+        assert main(["search", "--index", str(index), "--queries", str(queries), "--output", str(run)]) == 3
+        assert_one_error_line(capsys.readouterr().err, "search")
+        assert not run.exists()
+
     def test_doc_name_with_a_space_exits_2_and_keeps_the_old_run(self, tmp_path, capsys):
         docs, queries = tmp_path / "docs.vec", tmp_path / "queries.vec"
         index, out = tmp_path / "index.lsrx", tmp_path / "run.txt"
@@ -613,6 +722,64 @@ class TestEvalCommand:
         ]) == 0
         mrr_line = capsys.readouterr().out.splitlines()[0]
         assert float(mrr_line.split("\t")[1]) > 0.5
+
+
+def fuzz_base_ini() -> str:
+    """toy.ini cut to 3 steps, its [data] paths relative to the working directory."""
+    parser = configparser.ConfigParser()
+    parser.read(DATA / "toy.ini")
+    parser["train"].update(total_steps="3", warmup_steps="1")
+    parser["data"].update(vocab="vocab.txt", triplets="triplets.tsv",
+                          checkpoint="ckpt.bin", metrics_log="metrics.jsonl")
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+FUZZ_INI = fuzz_base_ini()
+# A byte edit of the INI: drop the byte at a position, truncate there, or insert.
+INI_EDITS = st.tuples(
+    st.sampled_from(["drop", "truncate", "insert"]),
+    st.integers(0, len(FUZZ_INI)),
+    st.sampled_from([*"=[]\n\t\0-.0123456789eE", "nan", "inf", "1e309"]),
+)
+
+
+class TestTrainIniFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+    @given(edits=st.lists(INI_EDITS, min_size=1, max_size=3))
+    def test_edited_ini_exits_with_a_code_and_at_most_one_stderr_line(self, edits):
+        """The exit code is one the command documents, stderr is empty on
+        success and one line otherwise, and no exception escapes ``main``."""
+        body = FUZZ_INI
+        for kind, at, insert in edits:
+            at = min(at, len(body))
+            if kind == "drop":
+                body = body[:at] + body[at + 1:]
+            elif kind == "truncate":
+                body = body[:at]
+            else:
+                body = body[:at] + insert + body[at:]
+        # Inserted digits could grow a size (d_model 16 to 2016) past what memory holds.
+        assume(all(len(digits) <= 3 for digits in re.findall(r"\d+", body)))
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            # Relative paths, and inserts without "/", keep every output in tmp.
+            os.chdir(tmp)
+            try:
+                shutil.copy(DATA / "vocab.txt", "vocab.txt")
+                shutil.copy(DATA / "triplets.tsv", "triplets.tsv")
+                pathlib.Path("config.ini").write_bytes(body.encode())
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(["train", "--config", "config.ini"])
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 2, 3, 4, 5)
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert_one_error_line(err.getvalue(), "train")
 
 
 class TestFlopsCommand:
