@@ -25,9 +25,10 @@ from .errors import (
     TapeStateError,
 )
 
-# Additive stand-in for -inf in attention masks; exp(x - 1e9) underflows
-# to exactly 0.0, so masked positions contribute nothing, bitwise.
+# Additive stand-in for -inf in attention masks. Softmax writes +0.0 for a
+# score below _EXP_ZERO without calling exp: np.exp is exactly +0.0 there.
 MASK_NEG = -1e9
+_EXP_ZERO = -1000.0  # np.exp underflows to +0.0 below about -745.13
 
 _ACTIVE_TAPE: "Tape | None" = None
 
@@ -301,6 +302,21 @@ class AttentionLayout:
         return np.where(np.tri(longest, dtype=bool), 0.0, MASK_NEG)
 
 
+def _softmax(z: np.ndarray, scale: float, mask: np.ndarray | None) -> np.ndarray:
+    """Softmax over the last axis of ``z * scale + mask``, computed in ``z``."""
+    z *= scale
+    if mask is not None:
+        z += mask
+    z -= z.max(axis=-1, keepdims=True)
+    if mask is None:
+        np.exp(z, out=z)
+    else:  # exp skips only scores below _EXP_ZERO, never a NaN
+        skip = z < _EXP_ZERO
+        np.exp(z, out=z, where=~skip)
+        np.copyto(z, 0.0, where=skip)
+    return np.divide(z, z.sum(axis=-1, keepdims=True), out=z)
+
+
 def attention(
     qp: Tensor, kp: Tensor, vp: Tensor, num_heads: int, layout: AttentionLayout
 ) -> Tensor:
@@ -318,8 +334,8 @@ def attention(
     Under a tape it runs once over the whole batch with ``layout.mask`` and
     records one entry with a hand-written backward. With no tape it loops
     over the sequences, masking only causal segments, and builds no N x N
-    array; masked scores become 0 after exp either way, so on one sequence
-    both paths give the same bits.
+    array. Scores below ``_EXP_ZERO``, masked ones among them, get exp's +0.0
+    without calling it; on one sequence both paths give the same bits.
     """
     if (
         qp.data.ndim != 2 or kp.data.ndim != 2 or vp.data.shape != kp.data.shape
@@ -350,14 +366,7 @@ def attention(
         return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], d)
 
     def weights(q, k, mask):  # softmax over keys of the scaled, masked scores
-        z = np.matmul(q, k.transpose(0, 2, 1))
-        z *= scale
-        if mask is not None:
-            z += mask
-        z -= z.max(axis=2, keepdims=True)
-        p = np.exp(z, out=z)
-        p /= p.sum(axis=2, keepdims=True)
-        return p
+        return _softmax(np.matmul(q, k.transpose(0, 2, 1)), scale, mask)
 
     if not recording():
         ctx = np.empty((nq, d))

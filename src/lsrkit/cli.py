@@ -1,9 +1,9 @@
 """Command-line pipeline: build-vocab, train, encode, index, search, eval,
 flops, gradcheck.
 
-Exit codes: 0 success, 2 usage or bad configuration, 3 numeric failure
-(a floating-point overflow numpy reports among them), 4 artifact
-incompatibility, 5 malformed file. Every error is one stderr line.
+Exit codes: 0 success, 2 usage or bad configuration (or a model too large
+for memory), 3 numeric failure (or a floating-point overflow numpy reports),
+4 artifact incompatibility, 5 malformed file. Every error is one stderr line.
 """
 
 from __future__ import annotations
@@ -342,8 +342,9 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():  # process-wide, so ad.for_each's pool threads too
             warnings.simplefilter("error", RuntimeWarning)
             return args.func(args)
-    except (LsrError, OSError, RuntimeWarning) as exc:
-        print(f"lsrkit {args.command}: {' '.join(str(exc).split())}", file=sys.stderr)
+    except (LsrError, OSError, RuntimeWarning, MemoryError) as exc:
+        message = " ".join(str(exc).split()) or "out of memory"  # only a bare MemoryError is empty
+        print(f"lsrkit {args.command}: {message}", file=sys.stderr)
         return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), EXIT_USAGE)
 
 

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -423,6 +424,102 @@ class TestFusedOps:
     def test_linear_shape_mismatch(self):
         with pytest.raises(ShapeError):
             ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+
+
+def _skip_cases(rng, shape, name):
+    """Score arrays [H, N, N] for the exp skip. The near-cut and subnormal
+    draws put 0.0 on the diagonal, which every layout leaves open, so each
+    row's max is 0.0 and exp sees the drawn values themselves."""
+    z = rng.normal(scale=3.0, size=shape)
+    cut = ad._EXP_ZERO
+    near_cut = np.array([cut, np.nextafter(cut, 0.0), np.nextafter(cut, -np.inf),
+                         cut + 1e-9, cut - 1e-9, cut + 0.5, cut - 0.5, -745.13, -745.14])
+    spots = rng.random(shape)
+    if name == "nan":
+        z[spots < 0.02] = np.nan
+    elif name == "inf":
+        z[spots < 0.03] = np.inf
+        z[spots > 0.97] = -np.inf
+    elif name == "shifted":  # scores already pushed out by a mask
+        z[spots < 0.5] += ad.MASK_NEG
+    elif name == "near_cut":
+        z = rng.choice(near_cut, size=shape)
+    elif name == "subnormal":  # exp of these is subnormal, or near it
+        z = rng.uniform(-745.0, -708.0, size=shape)
+    if name in ("near_cut", "subnormal"):
+        z[:, np.arange(shape[1]), np.arange(shape[1])] = 0.0
+    return z
+
+
+class TestSoftmaxSkip:
+    """``attention``'s softmax writes +0.0 for scores below ``_EXP_ZERO``
+    instead of calling exp; these hold it to the full-exp composition."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.125])
+    @pytest.mark.parametrize("mask", ["none", "packed", "causal"])
+    @pytest.mark.parametrize("name", ["nan", "inf", "shifted", "near_cut", "subnormal"])
+    def test_weights_equal_full_exp_composition_bitwise(self, name, mask, scale):
+        mask = None if mask == "none" else _LAYOUTS[mask].mask
+        rng = np.random.default_rng(sum(map(ord, name)))
+        for _ in range(5):
+            z = _skip_cases(rng, (3, 30, 30), name) / scale  # a power of two: exact
+            with np.errstate(invalid="ignore"):  # inf - inf, in both
+                got = ad._softmax(z.copy(), scale, mask)
+                want = np.stack([softmax_rows(Tensor(zh * scale), mask).data for zh in z])
+            np.testing.assert_array_equal(got, want)  # NaN where NaN, bit for bit elsewhere
+            assert got.tobytes() == np.where(np.isnan(want), got, want).tobytes()
+
+    def test_exp_is_exactly_plus_zero_below_the_cut(self):
+        """The skip's platform assumption: if this numpy's exp returned -0.0
+        or a subnormal below the cut, skipping exp would move bits."""
+        cut = ad._EXP_ZERO
+        x = np.concatenate([
+            cut - np.linspace(0.0, 1000.0, 100_001),
+            -np.geomspace(-cut, 1e300, 100_001),
+            [np.nextafter(cut, -np.inf), ad.MASK_NEG, -1e300, -np.inf],
+        ])
+        for sweep in (x, x[::3], x[::-1]):  # contiguous and strided loops
+            y = np.exp(sweep)
+            assert not y.any() and not np.signbit(y).any()
+
+    @pytest.mark.parametrize("num_heads", [1, 2])
+    def test_nan_key_of_another_sequence_propagates_taped(self, num_heads):
+        """A NaN key row reaches every query row through the dense mask, as in
+        the reference composition, and numpy warns of nothing on the way."""
+        layout = _LAYOUTS["packed"]
+        rng = np.random.default_rng(31)
+        q, k, v, g = (rng.normal(size=(30, 4)) for _ in range(4))
+        k[20] = np.nan  # a key row of the second sequence
+        scale = 1.0 / math.sqrt(4 // num_heads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            with Tape() as tape:
+                out = ad.attention(*ts, num_heads, layout)
+                tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+            expected = _per_head_attention(q, k, v, num_heads, layout.mask, scale, g)
+        assert np.isnan(out.data[:13]).any()  # the first sequence's rows see it
+        for got, want in zip([out.data] + [t.grad for t in ts], expected):
+            np.testing.assert_array_equal(got, want)  # NaN where NaN
+
+    @pytest.mark.parametrize("num_heads", [1, 2])
+    def test_nan_key_propagates_untaped_causal(self, num_heads):
+        starts = np.array([0, 5, 17, 30])
+        layout = AttentionLayout(starts, starts, causal=True)
+        rng = np.random.default_rng(32)
+        q, k, v = (rng.normal(size=(30, 4)) for _ in range(3))
+        k[10] = np.nan  # a later position of the second sequence
+        scale = 1.0 / math.sqrt(4 // num_heads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.attention(Tensor(q), Tensor(k), Tensor(v), num_heads, layout)
+            for a, b in zip(starts[:-1], starts[1:]):
+                mask = np.where(np.tri(b - a, dtype=bool), 0.0, ad.MASK_NEG)
+                want, *_ = _per_head_attention(
+                    q[a:b], k[a:b], v[a:b], num_heads, mask, scale, np.zeros((b - a, 4))
+                )
+                np.testing.assert_array_equal(out.data[a:b], want)
+        assert np.isnan(out.data[5:17]).all() and not np.isnan(out.data[:5]).any()
 
 
 def _layer_norm_by_mean(x, gain, bias, g):

@@ -145,6 +145,20 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config)]) == 2
         assert "learning_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "message", ["", "Unable to allocate 31.0 GiB for an array"], ids=["bare", "numpy"]
+    )
+    def test_model_too_large_for_memory_exits_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, message
+    ):
+        def build(cls, *args, **kwargs):  # stands in for a mistyped d_model = 2016
+            raise MemoryError(message)
+
+        monkeypatch.setattr(SparseEncoder, "build", classmethod(build))
+        assert main(["train", "--config", str(write_config(tmp_path))]) == 2
+        assert capsys.readouterr().err == f"lsrkit train: {message or 'out of memory'}\n"
+        assert not (tmp_path / "ckpt.bin").exists()
+
     def test_unknown_variant_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, set=[("backbone", "variant", "bigram_lstm")])
         assert main(["train", "--config", str(config)]) == 2
@@ -849,10 +863,11 @@ class TestEntryPoint:
 
 
 class TestBenchmarkSmoke:
-    def test_encode_long_run_exits_zero_and_correct(self):
+    @pytest.mark.parametrize("workload", ["encode-long", "train-variants"])
+    def test_run_exits_zero_and_correct(self, workload):
         """A short benchmark run: exit 0 and outputs that match expected.json."""
         proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", "encode-long",
+            [sys.executable, "perfbench/run.py", "--workload", workload,
              "--seed", "1", "--seconds", "1", "--trace", "0"],
             cwd=DATA.parents[1],
             capture_output=True,
