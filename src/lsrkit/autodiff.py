@@ -25,11 +25,6 @@ from .errors import (
     TapeStateError,
 )
 
-# Additive stand-in for -inf in attention masks. Softmax writes +0.0 for a
-# score below _EXP_ZERO without calling exp: np.exp is exactly +0.0 there.
-MASK_NEG = -1e9
-_EXP_ZERO = -1000.0  # np.exp underflows to +0.0 below about -745.13
-
 _ACTIVE_TAPE: "Tape | None" = None
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -287,34 +282,31 @@ class AttentionLayout:
 
     @cached_property
     def mask(self) -> np.ndarray:
-        """Dense [Nq, Nkv] additive mask, built once per layout from the
-        untaped loop's blocks: each sequence's own block is open or causal."""
-        mask = np.full((self.q_starts[-1], self.kv_starts[-1]), MASK_NEG)
+        """[Nq, Nkv], True where a query row may not see a key row: built once
+        from the untaped loop's blocks, each sequence's own open or causal."""
+        mask = np.ones((self.q_starts[-1], self.kv_starts[-1]), dtype=bool)
         for q0, q1, k0, k1 in self.segments():
-            mask[q0:q1, k0:k1] = self.causal_block[: q1 - q0, : q1 - q0] if self.causal else 0.0
+            mask[q0:q1, k0:k1] = self.causal_block[: q1 - q0, : q1 - q0] if self.causal else False
         return mask
 
     @cached_property
     def causal_block(self) -> np.ndarray:
-        """Additive causal mask of the longest sequence; a sequence of n rows
-        takes its top-left [n, n] block."""
-        longest = int(np.diff(self.q_starts).max())
-        return np.where(np.tri(longest, dtype=bool), 0.0, MASK_NEG)
+        """Causal ``mask`` of the longest sequence, True above the diagonal;
+        a sequence of n rows takes its top-left [n, n] block."""
+        return ~np.tri(int(np.diff(self.q_starts).max()), dtype=bool)
 
 
 def _softmax(z: np.ndarray, scale: float, mask: np.ndarray | None) -> np.ndarray:
-    """Softmax over the last axis of ``z * scale + mask``, computed in ``z``."""
+    """Softmax over the last axis of ``z * scale``, computed in ``z``. Where
+    ``mask`` (broadcast against ``z``) is True an entry is hidden: it takes no
+    part in its row's max and gets weight +0.0 without a call to exp."""
     z *= scale
+    visible = True if mask is None else ~mask  # where=True runs numpy's unmasked loops
+    z -= z.max(axis=-1, keepdims=True, where=visible, initial=-np.inf)
+    np.exp(z, out=z, where=visible)
     if mask is not None:
-        z += mask
-    z -= z.max(axis=-1, keepdims=True)
-    if mask is None:
-        np.exp(z, out=z)
-    else:  # exp skips only scores below _EXP_ZERO, never a NaN
-        skip = z < _EXP_ZERO
-        np.exp(z, out=z, where=~skip)
-        np.copyto(z, 0.0, where=skip)
-    return np.divide(z, z.sum(axis=-1, keepdims=True), out=z)
+        np.copyto(z, 0.0, where=mask)
+    return np.divide(z, z.sum(axis=-1, keepdims=True), out=z, where=visible)
 
 
 def attention(
@@ -325,17 +317,18 @@ def attention(
     ``qp`` is [Nq, d] and ``kp``/``vp`` are [Nkv, d]; head h owns columns
     ``h*d_head:(h+1)*d_head``, and ``layout`` says which key rows each query
     row sees. A query row that sees no key row is an error. Per head this is
-    ``softmax_rows(scale(qh @ kh.T, 1/sqrt(d_head)), mask) @ vh`` (reference
-    ops in ``tests/reference.py``), with heads stacked as C-ordered
+    ``softmax_rows(scale(qh @ kh.T, 1/sqrt(d_head)), -1e9 where hidden) @ vh``
+    (reference ops in ``tests/reference.py``), with heads stacked as C-ordered
     [H, N, d_head] arrays for one np.matmul per product: each head's operands
     keep the layout of a copied column slice, so numpy picks the same BLAS
-    calls and the bits equal that per-head composition.
+    calls and the bits equal that composition where no hidden score nears
+    its row's max.
 
     Under a tape it runs once over the whole batch with ``layout.mask`` and
     records one entry with a hand-written backward. With no tape it loops
     over the sequences, masking only causal segments, and builds no N x N
-    array. Scores below ``_EXP_ZERO``, masked ones among them, get exp's +0.0
-    without calling it; on one sequence both paths give the same bits.
+    array; on one sequence both paths give the same bits. A hidden key gets
+    weight +0.0 and no gradient: a NaN key row reaches only rows that see it.
     """
     if (
         qp.data.ndim != 2 or kp.data.ndim != 2 or vp.data.shape != kp.data.shape
@@ -389,13 +382,14 @@ def attention(
         if not (qp.requires_grad or kp.requires_grad):
             return
         dp = np.matmul(g, v.transpose(0, 2, 1))
-        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True))
+        dp -= (dp * p).sum(axis=2, keepdims=True)
+        ds = np.multiply(p, dp, out=np.zeros_like(p), where=~layout.mask)  # +0.0 if hidden
         ds *= scale
         if kp.requires_grad:
             # (q.T @ ds).T: the product the per-head graph computes for k
             _accum_owned(kp, merge(np.matmul(q.transpose(0, 2, 1), ds).transpose(0, 2, 1)))
-        if qp.requires_grad:
-            _accum_owned(qp, merge(np.matmul(ds, k)))
+        if qp.requires_grad:  # a NaN key row is NaN in every row that sees it anyway
+            _accum_owned(qp, merge(np.matmul(ds, np.where(np.isnan(k), 0.0, k))))
 
     return _record(out, backward)
 

@@ -41,8 +41,6 @@ EXIT_FORMAT = 5
 
 
 def _cmd_build_vocab(args) -> int:
-    if args.min_freq < 1:
-        raise ContractError(f"--min-freq must be >= 1, not {args.min_freq}")
     corpus = text.read_tsv_texts(args.corpus)
     vocab = text.build_vocab(corpus, min_freq=args.min_freq)
     vocab.save(args.output)
@@ -258,8 +256,6 @@ def _gradcheck_cases(rng: np.random.Generator):
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.seed < 0:
-        raise ContractError(f"--seed must be >= 0, not {args.seed}")
     failed = False
     for name, fn, x in _gradcheck_cases(np.random.default_rng(args.seed)):
         err = ad.finite_difference_check(fn, x, eps=1e-6)
@@ -327,6 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The least value of each integer flag, checked before any command runs.
+_FLOORS = {"--min-freq": 1, "--seed": 0, "--k": 0, "--mrr-k": 1, "--ndcg-k": 1, "--recall-k": 1}
+
 _EXIT_CODES = [
     (FormatError, EXIT_FORMAT),
     (CompatibilityError, EXIT_COMPAT),
@@ -339,6 +338,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, floor in _FLOORS.items():
+            value = getattr(args, flag[2:].replace("-", "_"), floor)
+            if value < floor:
+                raise ContractError(f"{flag} must be >= {floor}, not {value}")
         with warnings.catch_warnings():  # process-wide, so ad.for_each's pool threads too
             warnings.simplefilter("error", RuntimeWarning)
             return args.func(args)

@@ -335,6 +335,8 @@ def train(
     for path in (metrics_path, checkpoint_path):  # fail before the first step, not after the last
         if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ContractError(f"the directory of output {path} does not exist")
+        if path is not None and os.path.isdir(path):
+            raise ContractError(f"output {path} is a directory")
     stream = _shuffled_indices(len(dataset), np.random.default_rng(cfg.seed))
     optimizer = Adam(model.parameters(), cfg)
     reports: list[StepReport] = []

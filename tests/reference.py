@@ -5,11 +5,15 @@ from itertools import pairwise
 import numpy as np
 
 from lsrkit import autodiff as ad
-from lsrkit.autodiff import MASK_NEG, Tensor, _accum, _accum_owned, _record, recording
+from lsrkit.autodiff import Tensor, _accum, _accum_owned, _record, recording
 from lsrkit.backbones import Backbone, Variant
 from lsrkit.errors import ContractError, DegenerateMaskError, ShapeError
 from lsrkit.heads import HeadKind, SparseHead, SparseVector, mlm_head
 from lsrkit.text import NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary
+
+# Additive stand-in for -inf in ``softmax_rows`` masks: a score this far
+# below its row's max has exp exactly +0.0.
+MASK_NEG = -1e9
 
 
 def mlm_multitoken_equals_positionwise_max(
@@ -138,19 +142,19 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 def attention_mask(layout) -> np.ndarray:
     """Oracle for ``AttentionLayout.mask``, one entry at a time: query row i
-    may see key row j when both belong to one sequence and, in a causal
-    layout, j's place in that sequence is at most i's."""
+    may see key row j (False) when both belong to one sequence and, in a
+    causal layout, j's place in that sequence is at most i's."""
     q_starts, kv_starts = layout.q_starts.tolist(), layout.kv_starts.tolist()
 
     def owners(starts):  # the sequence of each row
         return [s for s in range(len(starts) - 1) for _ in range(starts[s], starts[s + 1])]
 
     q_owner, kv_owner = owners(q_starts), owners(kv_starts)
-    mask = np.full((q_starts[-1], kv_starts[-1]), MASK_NEG)
+    mask = np.ones((q_starts[-1], kv_starts[-1]), dtype=bool)
     for i, s in enumerate(q_owner):
         for j, t in enumerate(kv_owner):
             if s == t and not (layout.causal and j - kv_starts[t] > i - q_starts[s]):
-                mask[i, j] = 0.0
+                mask[i, j] = False
     return mask
 
 

@@ -135,12 +135,12 @@ class TestForwardFixtures:
         np.testing.assert_allclose(out.data, [[0.25, 0.75]], atol=1e-15)
 
     def test_softmax_mask_hides_column(self):
-        mask = np.array([[0.0, ad.MASK_NEG]])
+        mask = np.array([[0.0, reference.MASK_NEG]])
         out = softmax_rows(Tensor([[5.0, 100.0]]), mask)
         np.testing.assert_array_equal(out.data, [[1.0, 0.0]])
 
     def test_softmax_fully_masked_row(self):
-        mask = np.full((1, 2), ad.MASK_NEG)
+        mask = np.full((1, 2), reference.MASK_NEG)
         with pytest.raises(DegenerateMaskError):
             softmax_rows(Tensor([[1.0, 2.0]]), mask)
 
@@ -285,6 +285,11 @@ class TestGradientSuite:
         assert not unused, f"taped ops that only tests call: {unused}"
 
 
+def _additive(mask):
+    """The ``softmax_rows`` mask that hides what a boolean layout mask hides."""
+    return np.where(mask, reference.MASK_NEG, 0.0)
+
+
 def _per_head_attention(q, k, v, num_heads, mask, scale, g):
     """Reference for ``attention``: one head at a time with rank-2 taped ops.
 
@@ -334,7 +339,7 @@ class TestFusedOps:
     @given(attention_layouts())
     def test_attention_mask_equals_elementwise_oracle(self, layout):
         mask, want = layout.mask, reference.attention_mask(layout)
-        assert mask.dtype == want.dtype and mask.shape == want.shape
+        assert mask.dtype == want.dtype == bool and mask.shape == want.shape
         assert mask.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("num_heads", [1, 2, 8])
@@ -351,7 +356,7 @@ class TestFusedOps:
             with Tape() as tape:
                 out = ad.attention(*ts, num_heads, layout)
                 tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
-            expected = _per_head_attention(q, k, v, num_heads, layout.mask, scale, g)
+            expected = _per_head_attention(q, k, v, num_heads, _additive(layout.mask), scale, g)
             for got, want in zip([out.data] + [t.grad for t in ts], expected):
                 np.testing.assert_array_equal(got, want)
                 # bias gradients sum these over rows, in another order if not C-ordered
@@ -366,7 +371,7 @@ class TestFusedOps:
         out = ad.attention(Tensor(q), Tensor(k), Tensor(v), num_heads, layout)
         scale = 1.0 / math.sqrt(4 // num_heads)
         for a, b in zip(starts[:-1], starts[1:]):
-            mask = np.where(np.tri(b - a, dtype=bool), 0.0, ad.MASK_NEG)
+            mask = _additive(~np.tri(b - a, dtype=bool))
             want, *_ = _per_head_attention(
                 q[a:b], k[a:b], v[a:b], num_heads, mask, scale, np.zeros((b - a, 4))
             )
@@ -426,12 +431,18 @@ class TestFusedOps:
             ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
 
 
+# A score this far below its row's max has exp exactly +0.0 (np.exp
+# underflows below about -745.13): a hidden score at least this far down gets
+# weight +0.0 from the additive composition, as from the boolean mask.
+_EXP_CUT = -1000.0
+
+
 def _skip_cases(rng, shape, name):
-    """Score arrays [H, N, N] for the exp skip. The near-cut and subnormal
-    draws put 0.0 on the diagonal, which every layout leaves open, so each
-    row's max is 0.0 and exp sees the drawn values themselves."""
+    """Score arrays [H, N, N] for the masked softmax. The near-cut and
+    subnormal draws put 0.0 on the diagonal, which every layout leaves open,
+    so each row's max is 0.0 and exp sees the drawn values themselves."""
     z = rng.normal(scale=3.0, size=shape)
-    cut = ad._EXP_ZERO
+    cut = _EXP_CUT
     near_cut = np.array([cut, np.nextafter(cut, 0.0), np.nextafter(cut, -np.inf),
                          cut + 1e-9, cut - 1e-9, cut + 0.5, cut - 0.5, -745.13, -745.14])
     spots = rng.random(shape)
@@ -440,8 +451,8 @@ def _skip_cases(rng, shape, name):
     elif name == "inf":
         z[spots < 0.03] = np.inf
         z[spots > 0.97] = -np.inf
-    elif name == "shifted":  # scores already pushed out by a mask
-        z[spots < 0.5] += ad.MASK_NEG
+    elif name == "shifted":  # scores already pushed out by an additive mask
+        z[spots < 0.5] += reference.MASK_NEG
     elif name == "near_cut":
         z = rng.choice(near_cut, size=shape)
     elif name == "subnormal":  # exp of these is subnormal, or near it
@@ -451,75 +462,109 @@ def _skip_cases(rng, shape, name):
     return z
 
 
+def _hidden_may_count(z, mask):
+    """Rows of scaled scores ``z`` [H, N, N] where the additive composition
+    may weight a hidden key: the hidden entries' max, shifted by the mask,
+    is NaN or within ``_EXP_CUT`` of the visible entries' max, so its exp
+    need not be +0.0."""
+    hidden_max = np.where(mask, z + reference.MASK_NEG, -np.inf).max(axis=-1)
+    visible_max = np.where(mask, -np.inf, z).max(axis=-1)
+    return np.isnan(hidden_max) | (hidden_max >= visible_max + _EXP_CUT)
+
+
 class TestSoftmaxSkip:
-    """``attention``'s softmax writes +0.0 for scores below ``_EXP_ZERO``
-    instead of calling exp; these hold it to the full-exp composition."""
+    """``attention``'s softmax hides masked entries without calling exp on
+    them; these hold it to the full-exp additive composition where no hidden
+    entry can reach a row's max, and to the hiding rule where one can."""
 
     @pytest.mark.parametrize("scale", [1.0, 0.125])
     @pytest.mark.parametrize("mask", ["none", "packed", "causal"])
     @pytest.mark.parametrize("name", ["nan", "inf", "shifted", "near_cut", "subnormal"])
     def test_weights_equal_full_exp_composition_bitwise(self, name, mask, scale):
         mask = None if mask == "none" else _LAYOUTS[mask].mask
+        additive = None if mask is None else _additive(mask)
         rng = np.random.default_rng(sum(map(ord, name)))
         for _ in range(5):
             z = _skip_cases(rng, (3, 30, 30), name) / scale  # a power of two: exact
             with np.errstate(invalid="ignore"):  # inf - inf, in both
                 got = ad._softmax(z.copy(), scale, mask)
-                want = np.stack([softmax_rows(Tensor(zh * scale), mask).data for zh in z])
+                want = np.stack([softmax_rows(Tensor(zh * scale), additive).data for zh in z])
+            if mask is not None:  # hidden weights are +0.0; a NaN row's too
+                assert not got[:, mask].any() and not np.signbit(got[:, mask]).any()
+                leaky = _hidden_may_count(z * scale, mask)
+                assert name in ("nan", "inf", "shifted") or not leaky.any()
+                got, want = got[~leaky], np.where(mask, 0.0, want)[~leaky]
             np.testing.assert_array_equal(got, want)  # NaN where NaN, bit for bit elsewhere
             assert got.tobytes() == np.where(np.isnan(want), got, want).tobytes()
 
     def test_exp_is_exactly_plus_zero_below_the_cut(self):
-        """The skip's platform assumption: if this numpy's exp returned -0.0
-        or a subnormal below the cut, skipping exp would move bits."""
-        cut = ad._EXP_ZERO
+        """The platform assumption behind hiding entries as +0.0: if this
+        numpy's exp returned -0.0 or a subnormal far below a row's max, the
+        additive composition would not give hidden keys weight +0.0."""
+        cut = _EXP_CUT
         x = np.concatenate([
             cut - np.linspace(0.0, 1000.0, 100_001),
             -np.geomspace(-cut, 1e300, 100_001),
-            [np.nextafter(cut, -np.inf), ad.MASK_NEG, -1e300, -np.inf],
+            [np.nextafter(cut, -np.inf), reference.MASK_NEG, -1e300, -np.inf],
         ])
         for sweep in (x, x[::3], x[::-1]):  # contiguous and strided loops
             y = np.exp(sweep)
             assert not y.any() and not np.signbit(y).any()
 
     @pytest.mark.parametrize("num_heads", [1, 2])
-    def test_nan_key_of_another_sequence_propagates_taped(self, num_heads):
-        """A NaN key row reaches every query row through the dense mask, as in
-        the reference composition, and numpy warns of nothing on the way."""
+    def test_nan_key_of_another_sequence_stays_in_its_sequence_taped(self, num_heads):
+        """A NaN key row of the second sequence leaves the first sequence's
+        context rows and q, k, v gradient rows as a finite key row leaves
+        them, bit for bit, and numpy warns of nothing on the way."""
         layout = _LAYOUTS["packed"]
         rng = np.random.default_rng(31)
         q, k, v, g = (rng.normal(size=(30, 4)) for _ in range(4))
-        k[20] = np.nan  # a key row of the second sequence
-        scale = 1.0 / math.sqrt(4 // num_heads)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-            with Tape() as tape:
-                out = ad.attention(*ts, num_heads, layout)
-                tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
-            expected = _per_head_attention(q, k, v, num_heads, layout.mask, scale, g)
-        assert np.isnan(out.data[:13]).any()  # the first sequence's rows see it
-        for got, want in zip([out.data] + [t.grad for t in ts], expected):
-            np.testing.assert_array_equal(got, want)  # NaN where NaN
+        results = []
+        for key in (k[20].copy(), np.nan):
+            k[20] = key  # a key row of the second sequence
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+                with Tape() as tape:
+                    out = ad.attention(*ts, num_heads, layout)
+                    tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+            results.append([out.data] + [t.grad for t in ts])
+        for clean, got in zip(*results):
+            assert np.isfinite(got[:13]).all()
+            assert clean[:13].tobytes() == got[:13].tobytes()
+        assert np.isnan(results[1][0][13:]).all()  # every row that sees the NaN key
 
+    @pytest.mark.parametrize("taped", [False, True])
     @pytest.mark.parametrize("num_heads", [1, 2])
-    def test_nan_key_propagates_untaped_causal(self, num_heads):
+    def test_nan_key_at_a_later_causal_position_hides_from_earlier_rows(self, num_heads, taped):
         starts = np.array([0, 5, 17, 30])
         layout = AttentionLayout(starts, starts, causal=True)
         rng = np.random.default_rng(32)
         q, k, v = (rng.normal(size=(30, 4)) for _ in range(3))
         k[10] = np.nan  # a later position of the second sequence
-        scale = 1.0 / math.sqrt(4 // num_heads)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = ad.attention(Tensor(q), Tensor(k), Tensor(v), num_heads, layout)
-            for a, b in zip(starts[:-1], starts[1:]):
-                mask = np.where(np.tri(b - a, dtype=bool), 0.0, ad.MASK_NEG)
-                want, *_ = _per_head_attention(
-                    q[a:b], k[a:b], v[a:b], num_heads, mask, scale, np.zeros((b - a, 4))
-                )
-                np.testing.assert_array_equal(out.data[a:b], want)
-        assert np.isnan(out.data[5:17]).all() and not np.isnan(out.data[:5]).any()
+            with Tape() if taped else contextlib.nullcontext():
+                out = ad.attention(Tensor(q), Tensor(k), Tensor(v), num_heads, layout)
+        sees_nan = (np.arange(30) >= 10) & (np.arange(30) < 17)
+        np.testing.assert_array_equal(np.isnan(out.data).any(axis=1), sees_nan)
+        assert np.isnan(out.data[sees_nan]).all()
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_own_scores_far_below_another_sequences_key_give_it_weight_0(self, taped):
+        """Query row 0 scores -2e9 against each of its own 13 keys and 0.0
+        against the second sequence's: under the additive mask that hidden
+        0.0 - 1e9 was its row's max and took all the weight."""
+        layout = _LAYOUTS["packed"]
+        z = np.zeros((1, 30, 30))
+        z[0, 0, :13] = -2e9
+        p = ad._softmax(z, 1.0, layout.mask)
+        np.testing.assert_array_equal(p[0, 0], [1.0 / 13] * 13 + [0.0] * 17)
+        q, k, v = np.zeros((30, 4)), np.zeros((30, 4)), np.random.default_rng(33).normal(size=(30, 4))
+        q[0, 0], k[:13, 0] = -4e9, 1.0  # scale 1/2 with one head of width 4
+        with Tape() if taped else contextlib.nullcontext():
+            out = ad.attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v), 1, layout)
+        np.testing.assert_allclose(out.data[0], v[:13].mean(axis=0), rtol=1e-12)
 
 
 def _layer_norm_by_mean(x, gain, bias, g):

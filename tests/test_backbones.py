@@ -106,11 +106,11 @@ class TestAttention:
 
     def test_layout_mask_is_block_diagonal_and_causal(self):
         starts = np.array([0, 2, 3])
-        causal = AttentionLayout(starts, starts, causal=True).mask == 0.0
+        causal = ~AttentionLayout(starts, starts, causal=True).mask
         np.testing.assert_array_equal(
             causal, [[True, False, False], [True, True, False], [False, False, True]]
         )
-        cross = AttentionLayout(np.array([0, 1, 2]), starts).mask == 0.0
+        cross = ~AttentionLayout(np.array([0, 1, 2]), starts).mask
         np.testing.assert_array_equal(cross, [[True, True, False], [False, False, True]])
 
 

@@ -380,6 +380,22 @@ class TestTrainCommand:
         assert f"the directory of output {absent / missing[-1]} does not exist" in capsys.readouterr().err
         assert not (tmp_path / "metrics.jsonl").exists() and not absent.exists()
 
+    @pytest.mark.parametrize("key", ["checkpoint", "metrics_log"])
+    def test_output_path_that_is_a_directory_exits_2_before_any_step(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "train_step", fail)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        config = write_config(tmp_path, set=[("data", key, str(folder))])
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"output {folder} is a directory" in capsys.readouterr().err
+        assert not any(folder.iterdir())
+        assert not (tmp_path / "metrics.jsonl").exists() and not (tmp_path / "ckpt.bin").exists()
+
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_teacher_score_exits_5_without_checkpoint(self, tmp_path, capsys, score):
         bad_triplets = tmp_path / "bad.tsv"
@@ -666,6 +682,17 @@ class TestSearchCommand:
         ]) == 2
         assert "run doc name 'd one' is empty or holds whitespace" in capsys.readouterr().err
         assert out.read_text() == "q1 Q0 d1 1 1.000000 old\n"
+
+
+    def test_negative_k_exits_2_without_a_run(self, pipeline, tmp_path, capsys):
+        queries, out = tmp_path / "queries.vec", tmp_path / "run.txt"
+        queries.write_text("")
+        assert main([
+            "search", "--index", str(pipeline["index"]), "--queries", str(queries),
+            "--output", str(out), "--k", "-1",
+        ]) == 2
+        assert capsys.readouterr().err == "lsrkit search: --k must be >= 0, not -1\n"
+        assert not out.exists()
 
 
 class TestEvalCommand:
