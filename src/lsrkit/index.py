@@ -7,35 +7,34 @@ no pruning, so results match the brute-force oracle (in
 tests/reference.py) exactly. Only docs with a positive score are returned;
 ties break by ascending doc id everywhere.
 
-On-disk format (little-endian):
-  magic b"LSRX" | u32 version | u8 impact format (always 0 = f32; 1, the old 8-bit, is refused)
-  | u32 doc_count | u32 term_count | u64 posting_count
-  | term_count * (u32 term id, u64 offset, u32 length)  -- offsets into blob
-  | postings blob: per term, varint-delta doc ids then impacts
-  | doc_count * (varint length, utf-8 doc name)
+On-disk format (little-endian), fixed-width columns that load as numpy arrays:
+  magic b"LSRX" | u32 version 2 | u32 doc_count | u32 term_count | u64 posting_count
+  | term_count * u32 term id | term_count * u32 list length
+  | posting_count * u32 doc id | posting_count * f32 impact  -- lists back to back
+  | doc_count * u32 name byte length | utf-8 doc names
 
-load_index raises FormatError unless term ids ascend strictly, each posting
-list starts where the previous one ended, doc ids ascend strictly below
-doc_count, every impact is a finite positive float32 and doc names are
-unique: the conditions under which search matches the oracle and a run
-names each doc once.
+load_index raises FormatError unless term ids ascend strictly, the list
+lengths sum to posting_count, doc ids ascend strictly below doc_count
+within each list, every impact is a finite positive float32 and doc names
+are unique: the conditions under which search matches the oracle and a run
+names each doc once. Version 1 files are refused: rebuild them from the
+vector file with `lsrkit index`.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import ContractError, FormatError
 from .heads import SparseVector
-from .text import ByteReader, write_output, write_varint
+from .text import ByteReader, write_output
 
 INDEX_MAGIC = b"LSRX"
-INDEX_VERSION = 1
-IMPACTS_F32 = 0
+INDEX_VERSION = 2
 
 
 @dataclass
@@ -68,18 +67,23 @@ def build_index(docs) -> InvertedIndex:
     seen: set[str] = set()
     acc_ids: dict[int, list[int]] = {}
     acc_imp: dict[int, list[float]] = {}
-    for name, vec in docs:
-        if name in seen:
-            raise ContractError(f"duplicate document name {name!r}")
-        seen.add(name)
-        doc_id = len(doc_names)
-        doc_names.append(name)
-        for term, weight in vec.entries.items():
-            impact = np.float32(weight)
-            if impact == 0.0:  # sub-float32 weights vanish; never store zeros
-                continue
-            acc_ids.setdefault(term, []).append(doc_id)
-            acc_imp.setdefault(term, []).append(float(impact))
+    with np.errstate(over="ignore"):  # an overflow is refused below, naming doc and term
+        for name, vec in docs:
+            if name in seen:
+                raise ContractError(f"duplicate document name {name!r}")
+            seen.add(name)
+            doc_id = len(doc_names)
+            doc_names.append(name)
+            for term, weight in vec.entries.items():
+                impact = float(np.float32(weight))
+                if impact == 0.0:  # sub-float32 weights vanish; never store zeros
+                    continue
+                if impact == math.inf:
+                    raise ContractError(
+                        f"doc {name!r}: weight {weight} of term {term} overflows float32"
+                    )
+                acc_ids.setdefault(term, []).append(doc_id)
+                acc_imp.setdefault(term, []).append(impact)
     postings = {
         term: Posting(
             np.asarray(acc_ids[term], dtype=np.int64),
@@ -121,89 +125,72 @@ def flops_metric(queries: list[SparseVector], index: InvertedIndex) -> float:
     return total / (len(queries) * index.doc_count)
 
 
+def _check_lists(terms, lengths, doc_ids, doc_count: int, error: type) -> None:
+    """Raise ``error`` naming the first of the lists, ``lengths`` back to back in
+    ``doc_ids``, whose ids do not ascend strictly within [0, doc_count)."""
+    list_of = np.repeat(np.arange(len(lengths)), lengths)
+    bad = (doc_ids < 0) | (doc_ids >= doc_count)
+    bad[1:] |= (np.diff(doc_ids) <= 0) & (np.diff(list_of) == 0)
+    if bad.any():
+        term = terms[list_of[bad.argmax()]]
+        raise error(f"term {term}: doc ids must ascend strictly within [0, {doc_count})")
+
+
 def save_index(index: InvertedIndex, path) -> None:
-    blob = bytearray()
-    dictionary = []
-    for term in sorted(index.postings):
-        if not 0 <= term < 2**32:
-            raise ContractError(f"term id {term} does not fit the index's u32 term field")
-        posting = index.postings[term]
-        offset = len(blob)
-        prev = 0
-        for doc_id in map(int, posting.doc_ids):
-            write_varint(blob, doc_id - prev)
-            prev = doc_id
-        blob += posting.impacts.astype("<f4", copy=False).tobytes()
-        dictionary.append((term, offset, len(posting.doc_ids)))
-    header = struct.pack(
-        "<IBIIQ",
-        INDEX_VERSION,
-        IMPACTS_F32,
-        index.doc_count,
-        index.term_count,
-        index.posting_count,
-    )
-    names = bytearray()
-    for name in index.doc_names:
-        encoded = name.encode("utf-8")
-        write_varint(names, len(encoded))
-        names += encoded
-    entries = b"".join(struct.pack("<IQI", *entry) for entry in dictionary)
-    write_output(path, [INDEX_MAGIC, header, entries, blob, names])
+    terms = sorted(index.postings)
+    if terms and not (0 <= terms[0] and terms[-1] < 2**32):
+        term = terms[0] if terms[0] < 0 else terms[-1]
+        raise ContractError(f"term id {term} does not fit the index's u32 term field")
+    lists = [index.postings[term] for term in terms]
+    lengths = np.array([len(p.doc_ids) for p in lists], dtype=np.int64)
+    if any(len(p.impacts) != n for p, n in zip(lists, lengths)):
+        raise ContractError("every posting list needs one impact per doc id")
+    doc_ids = np.concatenate([np.empty(0, np.int64), *(p.doc_ids for p in lists)])
+    _check_lists(terms, lengths, doc_ids, index.doc_count, ContractError)
+    impacts = np.concatenate([np.empty(0, np.float32), *(p.impacts for p in lists)])
+    names = [name.encode("utf-8") for name in index.doc_names]
+    write_output(path, [
+        INDEX_MAGIC,
+        struct.pack("<IIIQ", INDEX_VERSION, index.doc_count, len(terms), len(doc_ids)),
+        np.array(terms, "<u4").tobytes(),
+        lengths.astype("<u4").tobytes(),
+        doc_ids.astype("<u4").tobytes(),
+        impacts.astype("<f4").tobytes(),
+        np.array([len(name) for name in names], "<u4").tobytes(),
+        *names,
+    ])
 
 
 def load_index(path) -> InvertedIndex:
     reader = ByteReader(path, "index", INDEX_MAGIC, INDEX_VERSION)
-    impact_format, doc_count, term_count, posting_count = reader.unpack("<BIIQ")
-    if impact_format != IMPACTS_F32:
-        hint = "8-bit files are no longer read; re-run `lsrkit index` on the vector file"
-        raise FormatError(f"impact format {impact_format} is not f32: {hint}")
-    dictionary = [reader.unpack("<IQI") for _ in range(term_count)]
-    terms = [term for term, _, _ in dictionary]
-    if any(a >= b for a, b in zip(terms, terms[1:])):
+    doc_count, term_count, posting_count = reader.unpack("<IIQ")
+    terms = reader.array("<u4", term_count).astype(np.int64)
+    lengths = reader.array("<u4", term_count).astype(np.int64)
+    doc_ids = reader.array("<u4", posting_count).astype(np.int64)
+    impacts = reader.array("<f4", posting_count).astype(np.float32)
+    name_lengths = reader.array("<u4", doc_count)
+    if (np.diff(terms) <= 0).any():
         raise FormatError("term ids must ascend strictly")
-    blob_start = reader.offset
-    postings: dict[int, Posting] = {}
-    total = 0
-    for term, offset, length in dictionary:
-        if blob_start + offset != reader.offset:
-            raise FormatError(
-                f"term {term}: postings start at blob offset {offset}, "
-                f"not where the previous list ended ({reader.offset - blob_start})"
-            )
-        if 5 * length > reader.remaining():  # >= 1 varint byte + one f32 per posting
-            raise FormatError(
-                f"term {term}: {length} postings cannot fit in the "
-                f"{reader.remaining()} bytes left at offset {reader.offset}"
-            )
-        deltas = (reader.varint() for _ in range(length))
-        try:
-            doc_ids = np.fromiter(accumulate(deltas), np.int64, length)
-        except OverflowError:
-            raise FormatError(f"term {term}: doc id overflows 64 bits") from None
-        if length and (doc_ids[-1] >= doc_count or (np.diff(doc_ids) <= 0).any()):
-            raise FormatError(
-                f"term {term}: doc ids must ascend strictly and stay below {doc_count}"
-            )
-        impacts = reader.array("<f4", length).astype(np.float32)
-        if not (np.isfinite(impacts) & (impacts > 0.0)).all():
-            raise FormatError(f"term {term}: impacts must be finite and > 0")
-        postings[term] = Posting(doc_ids, impacts)
-        total += length
-    if total != posting_count:
-        raise FormatError(
-            f"posting count mismatch: header says {posting_count}, found {total}"
-        )
+    if lengths.sum() != posting_count:
+        raise FormatError(f"list lengths do not sum to the header's {posting_count} postings")
+    _check_lists(terms, lengths, doc_ids, doc_count, FormatError)
+    if not (np.isfinite(impacts) & (impacts > 0.0)).all():
+        raise FormatError("impacts must be finite and > 0")
+    ends = np.cumsum(lengths).tolist()
+    postings = {
+        term: Posting(doc_ids[start:end], impacts[start:end])
+        for term, start, end in zip(terms.tolist(), [0, *ends], ends)
+    }
+    name_ends = np.cumsum(name_lengths, dtype=np.int64).tolist()
+    base, blob = reader.offset, reader.take(name_ends[-1] if name_ends else 0)
     doc_names: dict[str, None] = {}
-    for _ in range(doc_count):
-        n = reader.varint()
-        start = reader.offset
+    for start, end in zip([0, *name_ends], name_ends):
         try:
-            name = reader.take(n).decode("utf-8")
+            name = blob[start:end].decode("utf-8")
         except UnicodeDecodeError:
-            raise FormatError(f"doc name at offset {start} is not UTF-8") from None
+            raise FormatError(f"doc name at offset {base + start} is not UTF-8") from None
         if name in doc_names:
-            raise FormatError(f"doc name {name!r} at offset {start} is repeated")
+            raise FormatError(f"doc name {name!r} at offset {base + start} is repeated")
         doc_names[name] = None
     reader.finish()
     return InvertedIndex(list(doc_names), postings)

@@ -1,8 +1,7 @@
 """Word-level tokenizer, corpus-derived vocabulary, read_records, the one
 reader behind every line-based input file (these, triplets, vectors, TREC),
 ByteReader, the one reader behind every binary input file (checkpoints,
-indexes), write_varint, the writer of the LEB128 integers ByteReader reads,
-and write_output, the one writer behind every output file.
+indexes), and write_output, the one writer behind every output file.
 
 File formats (all tab-separated, UTF-8):
   corpus / queries  ``name<TAB>text`` one record per line
@@ -20,7 +19,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import FormatError
 
 PAD_ID = 0
 START_ID = 1
@@ -117,20 +116,6 @@ def read_records(path, fields: int, form: str, sep: str | None = "\t"):
             yield lineno, parts
 
 
-def write_varint(buf: bytearray, value: int) -> None:
-    """Append ``value`` as the unsigned LEB128 integer ``ByteReader.varint`` reads."""
-    if value < 0:
-        raise ContractError(f"cannot write negative varint {value}; doc ids must ascend")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.append(byte | 0x80)
-        else:
-            buf.append(byte)
-            return
-
-
 class ByteReader:
     """Bounds-checked cursor over a binary file that opens with a 4-byte
     magic and a u32 version, both checked here. Every failure is a
@@ -167,18 +152,6 @@ class ByteReader:
         """The next ``count`` items as a read-only view of the file's bytes."""
         return np.frombuffer(self.raw, dtype, count, self._skip(count * np.dtype(dtype).itemsize))
 
-    def varint(self) -> int:
-        """An unsigned LEB128 integer of at most 64 bits."""
-        start, shift, value = self.offset, 0, 0
-        while True:
-            byte = self.raw[self._skip(1)]
-            value |= (byte & 0x7F) << shift
-            if byte < 0x80:
-                return value
-            shift += 7
-            if shift > 63:
-                raise FormatError(f"{self.kind} varint overflow at offset {start}")
-
     def finish(self) -> None:
         if self.remaining():
             raise FormatError(f"{self.kind}: trailing bytes after offset {self.offset}")
@@ -202,8 +175,8 @@ def write_output(path, chunks) -> None:
     takes the old file's permission bits, the old file is unlinked and the
     temp file renamed onto the path. Rewriting a file in place, by
     truncation or by renaming over it, makes ext4 (``auto_da_alloc``) flush
-    it on close; this way pays no such flush. If the chunks or a write
-    raise, the temp file is removed and the old file is left as it was.
+    it on close; this way pays no such flush. If any step raises, the temp
+    file is removed and the old file, unless already unlinked, is kept.
 
     A symlink, a file with other hard links or a non-regular file (a
     device, a FIFO) is written in place, as ``open(path, "wb")`` would, so
@@ -230,7 +203,7 @@ def write_output(path, chunks) -> None:
         if old is not None:
             os.chmod(tmp, stat.S_IMODE(old.st_mode))
             os.unlink(path)
+        os.rename(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    os.rename(tmp, path)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from test_index import IMPACT_FORMAT_BYTE
+from test_index import v1_file
 from test_model import drop_field, rewrite_header
 from lsrkit import autodiff as ad
 from lsrkit import cli, errors, training
@@ -137,6 +137,20 @@ class TestBuildVocab:
         ]) == 2
         assert capsys.readouterr().err == f"lsrkit build-vocab: --min-freq must be >= 1, not {min_freq}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build-vocab", "index"])
+def test_empty_output_path_exits_2_and_leaves_the_directory_as_it_was(
+    tmp_path, monkeypatch, capsys, command
+):
+    """The temp file is written, then renaming it onto "" fails: it is removed."""
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("docs.vec").write_text("d0\t5:1.0\n")
+    before = sorted(os.listdir())
+    inputs = {"build-vocab": ["--corpus", str(DATA / "corpus.tsv")], "index": ["--vectors", "docs.vec"]}
+    assert main([command, *inputs[command], "--output", ""]) == 2
+    assert_one_error_line(capsys.readouterr().err, command)
+    assert sorted(os.listdir()) == before
 
 
 class TestTrainCommand:
@@ -578,6 +592,16 @@ class TestIndexCommand:
         assert "4294967296" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_weight_past_float32_range_exits_2_naming_doc_and_term(self, tmp_path, capsys):
+        vectors = tmp_path / "docs.vec"
+        vectors.write_text("d0\t5:1.0\nd1\t3:0.5 5:1e300\n")
+        out = tmp_path / "index.lsrx"
+        assert main(["index", "--vectors", str(vectors), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "index")
+        assert "doc 'd1': weight 1e+300 of term 5 overflows float32" in err
+        assert not out.exists()
+
     def test_quantize8_is_no_longer_an_option(self):
         with pytest.raises(SystemExit) as exc:
             main(["index", "--vectors", "docs.vec", "--output", "index.lsrx", "--quantize8"])
@@ -633,18 +657,19 @@ class TestSearchCommand:
         ]) == 5
         assert "finite" in capsys.readouterr().err
 
-    def test_old_8bit_index_exits_5(self, pipeline, tmp_path, capsys):
-        raw = bytearray(pipeline["index"].read_bytes())
-        raw[IMPACT_FORMAT_BYTE] = 1  # the impact format an 8-bit file carried
+    @pytest.mark.parametrize("impact_format", [0, 1], ids=["f32", "8-bit"])
+    def test_v1_index_exits_5_without_a_run(self, pipeline, tmp_path, capsys, impact_format):
         old = tmp_path / "old.lsrx"
-        old.write_bytes(bytes(raw))
+        old.write_bytes(v1_file(impact_format))
+        out = tmp_path / "r.txt"
         assert main([
             "search", "--index", str(old), "--queries", str(pipeline["queries_vec"]),
-            "--output", str(tmp_path / "r.txt"),
+            "--output", str(out),
         ]) == 5
         err = capsys.readouterr().err
-        assert err.startswith("lsrkit search: ") and "8-bit" in err
-        assert err.count("\n") == 1 and err.endswith("\n")
+        assert_one_error_line(err, "search")
+        assert "unsupported index version 1" in err
+        assert not out.exists()
 
     def test_repeated_query_name_exits_5_without_output(self, pipeline, tmp_path, capsys):
         queries = tmp_path / "queries.vec"
@@ -832,6 +857,54 @@ class TestFlopsCommand:
         name, value = line.split("\t")
         assert name == "FLOPs"
         assert float(value) >= 0.0
+
+
+# What --index and --queries are drawn as: the pipeline's own file, a cut or
+# a byte-flipped copy of it, an empty file, a directory, no file at all, or
+# a version-1 index.
+FILE_KINDS = ["valid", "truncated", "flipped", "empty", "directory", "missing", "v1"]
+
+
+def draw_file(data, path, raw, label):
+    kind = data.draw(st.sampled_from(FILE_KINDS), label=label)
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "truncated":
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label=f"{label} keep")])
+    elif kind == "flipped":
+        body = bytearray(raw)
+        flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255))
+        for position, mask in data.draw(st.lists(flips, min_size=1, max_size=3), label=f"{label} flips"):
+            body[position] ^= mask
+        path.write_bytes(bytes(body))
+    elif kind != "missing":
+        path.write_bytes({"valid": raw, "empty": b"", "v1": v1_file(0)}[kind])
+
+
+class TestSearchAndFlopsFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+    @given(command=st.sampled_from(["search", "flops"]), data=st.data())
+    def test_damaged_inputs_exit_with_a_code_and_at_most_one_stderr_line(
+        self, pipeline, command, data
+    ):
+        """Whatever the index and query files hold, or whether they exist,
+        the exit code is one the command documents, stderr is empty on
+        success and one line otherwise, and no exception escapes ``main``."""
+        with tempfile.TemporaryDirectory() as tmp:
+            index, queries = pathlib.Path(tmp, "index.lsrx"), pathlib.Path(tmp, "queries.vec")
+            draw_file(data, index, pipeline["index"].read_bytes(), "index")
+            draw_file(data, queries, pipeline["queries_vec"].read_bytes(), "queries")
+            argv = [command, "--index", str(index), "--queries", str(queries)]
+            if command == "search":
+                argv += ["--output", str(pathlib.Path(tmp, "run.txt"))]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3, 4, 5)
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert_one_error_line(err.getvalue(), command)
 
 
 GRADCHECK_ROWS = [

@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,8 +42,8 @@ def random_corpus(rng, num_docs, vocab_size, max_terms=10):
 
 @pytest.fixture(scope="module")
 def spread_index():
-    """20,000 docs of 1-5 Zipf-drawn terms: rare terms leave gaps of 2**14
-    docs and more, so posting deltas take 1, 2 and 3 varint bytes."""
+    """20,000 docs of 1-5 Zipf-drawn terms: lists from one doc long to
+    thousands of docs long, and doc ids well past 2**16."""
     rng = np.random.default_rng(41)
     docs = []
     for i in range(20_000):
@@ -86,13 +87,28 @@ WEIGHTS = st.one_of(
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, width=32),
 )
 
-HEADER_BYTES = 25  # magic, then "<IBIIQ"
-IMPACT_FORMAT_BYTE = 8  # the "B" after the magic and the u32 version
-ENTRY_BYTES = 16  # one "<IQI" dictionary entry
+HEADER_BYTES = 24  # magic, then "<IIIQ"
 
 
-def entry_offset(i):
-    return HEADER_BYTES + ENTRY_BYTES * i
+def column_offset(raw, column):
+    """Where a column of the index file in ``raw`` starts: "terms",
+    "lengths", "doc_ids", "impacts" or "name_lengths", all 4 bytes wide."""
+    doc_count, term_count, posting_count = struct.unpack_from("<IIQ", raw, 8)
+    counts = {"terms": term_count, "lengths": term_count, "doc_ids": posting_count,
+              "impacts": posting_count, "name_lengths": doc_count}
+    columns = list(counts)
+    return HEADER_BYTES + 4 * sum(counts[c] for c in columns[: columns.index(column)])
+
+
+def v1_file(impact_format):
+    """TWO_DOC_FIXTURE as a version-1 file (varint-delta doc ids), byte for
+    byte as the version-1 writer saved it; format 1 is the old 8-bit one."""
+    return (
+        b"LSRX" + struct.pack("<IBIIQ", 1, impact_format, 2, 2, 3)
+        + struct.pack("<IQI", 0, 0, 2) + struct.pack("<IQI", 1, 10, 1)
+        + b"\x00\x01" + struct.pack("<2f", 1.0, 2.0) + b"\x01" + struct.pack("<f", 1.0)
+        + b"\x02d1\x02d2"
+    )
 
 
 TWO_DOC_FIXTURE = [
@@ -113,6 +129,16 @@ class TestBuildIndex:
         np.testing.assert_array_equal(index.postings[0].impacts, [1.0, 2.0])
         np.testing.assert_array_equal(index.postings[1].doc_ids, [1])
         np.testing.assert_array_equal(index.postings[1].impacts, [1.0])
+
+    def test_weight_past_float32_range_rejected_naming_doc_and_term(self):
+        docs = [("d0", SparseVector({5: 1.0})), ("d1", SparseVector({5: 1e300}))]
+        with pytest.raises(ContractError, match=r"doc 'd1': weight 1e\+300 of term 5 overflows"):
+            build_index(docs)
+
+    def test_largest_float32_weight_is_kept(self):
+        big = float(np.finfo(np.float32).max)
+        index = build_index([("d", SparseVector({5: big}))])
+        assert index.postings[5].impacts.tolist() == [big]
 
     def test_zero_entries_never_stored(self):
         docs = [("d1", SparseVector({3: 0.0, 4: 1.0})), ("d2", SparseVector({4: 2.0, 5: 1e-50}))]
@@ -301,56 +327,92 @@ class TestIndexFile:
             load_index(path)
 
     def test_saved_bytes_are_pinned(self, tmp_path, spread_index):
-        lists = spread_index.postings.values()
-        deltas = np.concatenate([np.diff(p.doc_ids, prepend=0) for p in lists])
-        assert set(np.searchsorted([2**7, 2**14, 2**21], deltas, side="right") + 1) == {1, 2, 3}
         path = tmp_path / "spread.lsrx"
         save_index(spread_index, path)
-        digest = "0399b4127441d5507cfdcf21f5150a8a21c8ba1f87ee67349db97e23cd9b0aa1"
+        digest = "c2d7704dd1e3b49dcaadeb25c8a93be9b9342f6fd956fb0b71ec646d172cd8b6"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         loaded = load_index(path)
         assert loaded.doc_names == spread_index.doc_names
+        assert list(loaded.postings) == list(spread_index.postings)
         for term, posting in spread_index.postings.items():
             np.testing.assert_array_equal(loaded.postings[term].doc_ids, posting.doc_ids)
+            np.testing.assert_array_equal(loaded.postings[term].impacts, posting.impacts)
+
+    def test_layout_of_the_two_doc_fixture(self, tmp_path):
+        path = tmp_path / "fixture.lsrx"
+        save_index(build_index(TWO_DOC_FIXTURE), path)
+        assert path.read_bytes() == (
+            b"LSRX" + struct.pack("<IIIQ", 2, 2, 2, 3)
+            + struct.pack("<2I", 0, 1) + struct.pack("<2I", 2, 1)
+            + struct.pack("<3I", 0, 1, 1) + struct.pack("<3f", 1.0, 2.0, 1.0)
+            + struct.pack("<2I", 2, 2) + b"d1d2"
+        )
+
+    @staticmethod
+    def patched_fixture(tmp_path, position, doc_id):
+        """TWO_DOC_FIXTURE's file (term 0: docs [0, 1], term 1: [1]) with
+        the doc id at ``position`` of the doc id column set to ``doc_id``."""
+        path = tmp_path / "patched.lsrx"
+        save_index(build_index(TWO_DOC_FIXTURE), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, column_offset(raw, "doc_ids") + 4 * position, doc_id)
+        path.write_bytes(bytes(raw))
+        return path
 
     @pytest.mark.parametrize(
-        "doc_ids,pattern",
+        "position,doc_id,term",
         [
-            ([0, 0], "ascend"),  # a zero delta: doc d1 listed twice
-            ([0, 2], "below 2"),  # only docs 0 and 1 exist
-            ([0, 2**64], "overflows"),
+            (1, 0, 0),  # term 0 lists doc 0 twice
+            (1, 2, 0),  # only docs 0 and 1 exist
+            (2, 2, 1),
         ],
     )
-    def test_bad_posting_doc_ids_rejected(self, tmp_path, doc_ids, pattern):
-        # save_index writes whatever deltas the postings imply, unchecked
-        impacts = np.ones(len(doc_ids), dtype=np.float32)
-        index = InvertedIndex(["d1", "d2"], {0: Posting(doc_ids, impacts)})
-        path = tmp_path / "bad.lsrx"
-        save_index(index, path)
-        with pytest.raises(FormatError, match=pattern):
+    def test_bad_posting_doc_ids_rejected(self, tmp_path, position, doc_id, term):
+        path = self.patched_fixture(tmp_path, position, doc_id)
+        with pytest.raises(FormatError, match=rf"term {term}: doc ids must ascend strictly within \[0, 2\)"):
             load_index(path)
+
+    def test_a_list_may_start_below_where_the_previous_ended(self, tmp_path):
+        path = self.patched_fixture(tmp_path, 2, 0)
+        assert load_index(path).postings[1].doc_ids.tolist() == [0]
 
     def test_non_utf8_doc_name_rejected(self, tmp_path):
         path = tmp_path / "bad.lsrx"
         save_index(build_index(TWO_DOC_FIXTURE), path)
         raw = path.read_bytes()
-        assert raw.endswith(b"\x02d2")
+        assert raw.endswith(b"d1d2")
         path.write_bytes(raw[:-1] + b"\xff")
-        with pytest.raises(FormatError, match="UTF-8"):
+        with pytest.raises(FormatError, match=f"doc name at offset {len(raw) - 2} is not UTF-8"):
             load_index(path)
 
     def test_repeated_doc_name_rejected(self, tmp_path):
         # save_index writes the names it is given, unchecked
         path = tmp_path / "dup.lsrx"
         save_index(InvertedIndex(["d1", "d2", "d1"], {}), path)
-        with pytest.raises(FormatError, match="doc name 'd1' at offset 32 is repeated"):
+        with pytest.raises(FormatError, match="doc name 'd1' at offset 40 is repeated"):
             load_index(path)
 
-    def test_descending_doc_ids_cannot_be_saved(self, tmp_path):
+    @pytest.mark.parametrize(
+        "doc_ids",
+        [[1, 0], [0, 0], [0, 2], [-1, 0], [2**32, 2**32 + 1]],
+        ids=["descending", "repeated", "past-doc-count", "negative", "past-u32"],
+    )
+    def test_doc_ids_that_do_not_ascend_within_the_docs_cannot_be_saved(self, tmp_path, doc_ids):
         impacts = np.ones(2, dtype=np.float32)
-        index = InvertedIndex(["d1", "d2"], {0: Posting(np.array([1, 0]), impacts)})
-        with pytest.raises(ContractError, match="negative"):
-            save_index(index, tmp_path / "bad.lsrx")
+        index = InvertedIndex(["d1", "d2"], {7: Posting(np.array(doc_ids), impacts)})
+        path = tmp_path / "bad.lsrx"
+        with pytest.raises(ContractError, match=r"term 7: doc ids must ascend strictly within \[0, 2\)"):
+            save_index(index, path)
+        assert not path.exists()
+
+    def test_list_without_one_impact_per_doc_id_cannot_be_saved(self, tmp_path):
+        """The columns would line the impacts up with the wrong doc ids."""
+        ones = np.ones(2, dtype=np.float32)
+        lists = {0: Posting(np.array([0, 1]), ones[:1]), 1: Posting(np.array([1]), ones)}
+        path = tmp_path / "bad.lsrx"
+        with pytest.raises(ContractError, match="one impact per doc id"):
+            save_index(InvertedIndex(["d1", "d2"], lists), path)
+        assert not path.exists()
 
     def test_term_id_past_u32_cannot_be_saved(self, tmp_path):
         path = tmp_path / "bad.lsrx"
@@ -381,35 +443,42 @@ class TestIndexFileGuarantees:
     def test_term_ids_must_ascend_strictly(self, tmp_path, second_term):
         index = build_index([("d1", SparseVector({0: 1.0, 1: 1.0, 2: 1.0}))])
         path, raw = self.saved(tmp_path, index)
-        struct.pack_into("<I", raw, entry_offset(1), second_term)
+        struct.pack_into("<I", raw, column_offset(raw, "terms") + 4, second_term)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="term ids must ascend strictly"):
             load_index(path)
 
-    @pytest.mark.parametrize("shift", [-5, 1])  # an overlap, then a gap
-    def test_posting_list_must_start_where_the_previous_ended(self, tmp_path, shift):
-        index = build_index([("d1", SparseVector({0: 1.0, 1: 2.0}))])
-        path, raw = self.saved(tmp_path, index)
-        (offset,) = struct.unpack_from("<Q", raw, entry_offset(1) + 4)
-        assert offset == 5  # one varint byte and one f32 impact
-        struct.pack_into("<Q", raw, entry_offset(1) + 4, offset + shift)
+    @pytest.mark.parametrize("shift", [-1, 1])  # the lists would hold 2 or 4 postings
+    def test_list_lengths_must_sum_to_the_posting_count(self, tmp_path, shift):
+        path, raw = self.saved(tmp_path, build_index(TWO_DOC_FIXTURE))
+        struct.pack_into("<I", raw, column_offset(raw, "lengths"), 2 + shift)
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="where the previous list ended"):
+        with pytest.raises(FormatError, match="list lengths do not sum to the header's 3 postings"):
             load_index(path)
 
-    def test_length_past_the_end_rejected_before_allocating(self, tmp_path):
+    @pytest.mark.parametrize(
+        "field,fmt,value",
+        [(8, "<I", 0xFFFFFFFF), (12, "<I", 0xFFFFFFFF), (16, "<Q", 2**64 - 1), (16, "<Q", 2**40)],
+        ids=["doc-count", "term-count", "posting-count", "posting-count-2**40"],
+    )
+    def test_count_past_the_end_rejected_before_allocating(self, tmp_path, field, fmt, value):
         path, raw = self.saved(tmp_path, build_index(TWO_DOC_FIXTURE))
-        struct.pack_into("<I", raw, entry_offset(0) + 12, 0xFFFFFFFF)
+        struct.pack_into(fmt, raw, field, value)
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="cannot fit"):
-            load_index(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="index truncated at offset"):
+                load_index(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
-    def test_old_8bit_file_is_refused(self, tmp_path):
-        path, raw = self.saved(tmp_path, build_index(TWO_DOC_FIXTURE))
-        assert raw[IMPACT_FORMAT_BYTE] == 0
-        raw[IMPACT_FORMAT_BYTE] = 1
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="8-bit"):
+    @pytest.mark.parametrize("impact_format", [0, 1], ids=["f32", "8-bit"])
+    def test_v1_file_is_refused(self, tmp_path, impact_format):
+        path = tmp_path / "v1.lsrx"
+        path.write_bytes(v1_file(impact_format))
+        with pytest.raises(FormatError, match="unsupported index version 1 at offset 4"):
             load_index(path)
 
 

@@ -248,6 +248,12 @@ class TestOutputWriter:
             text.write_output(tmp_path / "out", chunks())
         assert list(tmp_path.iterdir()) == []
 
+    def test_failing_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError):  # "" names no file to rename onto
+            text.write_output("", [b"x"])
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_directory_error_names_the_output(self, tmp_path):
         path = tmp_path / "missing" / "out.vec"
         with pytest.raises(FileNotFoundError) as exc:
@@ -370,11 +376,10 @@ class TestByteReader:
         return text.ByteReader(path, "artifact", self.MAGIC, 3)
 
     def test_reads_advance_the_offset(self, tmp_path):
-        body = struct.pack("<HQ", 7, 2**40) + b"\x96\x01xyz" + struct.pack("<2d", 1.5, -2.0)
+        body = struct.pack("<HQ", 7, 2**40) + b"xyz" + struct.pack("<2d", 1.5, -2.0)
         reader = self.reader(tmp_path, body)
         assert reader.offset == 8
         assert reader.unpack("<HQ") == (7, 2**40)
-        assert reader.varint() == 150
         assert reader.take(3) == b"xyz"
         assert reader.remaining() == 16
         np.testing.assert_array_equal(reader.array("<f8", 2), [1.5, -2.0])
@@ -412,14 +417,13 @@ class TestByteReader:
             lambda r: r.take(4),
             lambda r: r.unpack("<I"),
             lambda r: r.array("<f4", 1),
-            lambda r: r.varint(),
         ],
-        ids=["take", "unpack", "array", "varint"],
+        ids=["take", "unpack", "array"],
     )
     def test_read_past_the_end_names_kind_and_offset(self, tmp_path, read):
-        reader = self.reader(tmp_path, b"\x01\x80\x80")
+        reader = self.reader(tmp_path, b"abc")
         reader.take(1)
-        with pytest.raises(FormatError, match="artifact truncated at offset (9|11)"):
+        with pytest.raises(FormatError, match="artifact truncated at offset 9"):
             read(reader)
 
     def test_failed_read_does_not_move_the_offset(self, tmp_path):
@@ -427,12 +431,6 @@ class TestByteReader:
         with pytest.raises(FormatError):
             reader.take(3)
         assert reader.offset == 8 and reader.take(2) == b"ab"
-
-    def test_varint_longer_than_64_bits_rejected(self, tmp_path):
-        reader = self.reader(tmp_path, b"\x01" + b"\xff" * 10 + b"\x01")
-        reader.take(1)
-        with pytest.raises(FormatError, match="artifact varint overflow at offset 9"):
-            reader.varint()
 
     def test_finish_rejects_trailing_bytes(self, tmp_path):
         reader = self.reader(tmp_path, b"abc")
