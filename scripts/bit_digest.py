@@ -61,10 +61,11 @@ def _index(h, index) -> None:
     for name in index.doc_names:
         encoded = name.encode("utf-8")
         h.update(struct.pack("<Q", len(encoded)) + encoded)
-    for term in sorted(index.postings):
-        posting = index.postings[term]
-        h.update(struct.pack("<QQ", term, len(posting.doc_ids)))
-        h.update(posting.doc_ids.astype("<i8").tobytes() + posting.impacts.astype("<f4").tobytes())
+    bounds = index.starts.tolist()
+    for term, start, end in zip(index.terms.tolist(), bounds, bounds[1:]):
+        h.update(struct.pack("<QQ", term, end - start))
+        h.update(index.doc_ids[start:end].astype("<i8").tobytes()
+                 + index.impacts[start:end].astype("<f4").tobytes())
 
 
 def _training(h, tmp: pathlib.Path) -> None:

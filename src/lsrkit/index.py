@@ -1,9 +1,10 @@
 """Inverted index over sparse vectors with exact top-k dot-product search.
 
-Postings keep ascending internal doc ids (assigned in input order) and
-32-bit float impacts. Search is term-at-a-time: each query term adds its
-posting list into one float64 score array, in ascending term-id order;
-no pruning, so results match the brute-force oracle (in
+An index holds its file's columns: term i's list is doc_ids and impacts
+[starts[i]:starts[i+1]], internal doc ids (assigned in input order) strictly
+ascending, impacts 32-bit floats. Search is term-at-a-time: each query term
+adds its posting list into one float64 score array, in ascending term-id
+order; no pruning, so results match the brute-force oracle (in
 tests/reference.py) exactly. Only docs with a positive score are returned;
 ties break by ascending doc id everywhere.
 
@@ -23,9 +24,8 @@ vector file with `lsrkit index`.
 
 from __future__ import annotations
 
-import math
 import struct
-from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -37,16 +37,15 @@ INDEX_MAGIC = b"LSRX"
 INDEX_VERSION = 2
 
 
-@dataclass
-class Posting:
-    doc_ids: np.ndarray  # int64, strictly ascending
-    impacts: np.ndarray  # float32, no zeros
-
-
 class InvertedIndex:
-    def __init__(self, doc_names: list[str], postings: dict[int, Posting]):
+    """The posting columns of the module docstring; ``starts`` has term_count + 1 entries."""
+
+    def __init__(self, doc_names: list[str], terms, starts, doc_ids, impacts):
         self.doc_names = doc_names
-        self.postings = postings
+        self.terms = terms
+        self.starts = starts
+        self.doc_ids = doc_ids
+        self.impacts = impacts
 
     @property
     def doc_count(self) -> int:
@@ -54,44 +53,55 @@ class InvertedIndex:
 
     @property
     def term_count(self) -> int:
-        return len(self.postings)
+        return len(self.terms)
 
     @property
     def posting_count(self) -> int:
-        return sum(len(p.doc_ids) for p in self.postings.values())
+        return len(self.doc_ids)
+
+    def spans(self, terms) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end, in the posting columns, of each term id in ``terms``;
+        a term the index lacks, or any id outside [0, 2**32), has an empty span."""
+        ids = np.fromiter((t if 0 <= t < 2**32 else -1 for t in terms), np.int64)
+        return (self.starts[np.searchsorted(self.terms, ids, "left")],
+                self.starts[np.searchsorted(self.terms, ids, "right")])
 
 
 def build_index(docs) -> InvertedIndex:
-    """Build an index from (doc name, SparseVector) pairs; names must be unique."""
-    doc_names: list[str] = []
-    seen: set[str] = set()
-    acc_ids: dict[int, list[int]] = {}
-    acc_imp: dict[int, list[float]] = {}
+    """Build an index from (doc name, SparseVector) pairs. Raises ContractError
+    at the first doc, in input order, that repeats a name, holds a term id
+    outside [0, 2**32) or a weight past float32 range."""
+    entries: dict[str, dict[int, float]] = {}
+    repeated = None
+    for name, vec in docs:
+        if name in entries:
+            repeated = name  # the docs before it may hold an earlier fault
+            break
+        entries[name] = vec.entries
+    doc_names, vectors = list(entries), list(entries.values())
+    sizes = np.fromiter(map(len, vectors), np.int64)
+    try:
+        terms = np.fromiter(chain.from_iterable(vectors), np.int64)
+    except OverflowError:  # an id past int64, out of range anyway
+        terms = np.fromiter((t if 0 <= t < 2**32 else -1 for v in vectors for t in v), np.int64)
+    weights = np.fromiter(chain.from_iterable(v.values() for v in vectors), np.float64)
     with np.errstate(over="ignore"):  # an overflow is refused below, naming doc and term
-        for name, vec in docs:
-            if name in seen:
-                raise ContractError(f"duplicate document name {name!r}")
-            seen.add(name)
-            doc_id = len(doc_names)
-            doc_names.append(name)
-            for term, weight in vec.entries.items():
-                impact = float(np.float32(weight))
-                if impact == 0.0:  # sub-float32 weights vanish; never store zeros
-                    continue
-                if impact == math.inf:
-                    raise ContractError(
-                        f"doc {name!r}: weight {weight} of term {term} overflows float32"
-                    )
-                acc_ids.setdefault(term, []).append(doc_id)
-                acc_imp.setdefault(term, []).append(impact)
-    postings = {
-        term: Posting(
-            np.asarray(acc_ids[term], dtype=np.int64),
-            np.asarray(acc_imp[term], dtype=np.float32),
-        )
-        for term in sorted(acc_ids)
-    }
-    return InvertedIndex(doc_names, postings)
+        impacts = weights.astype(np.float32)
+    bad = (terms < 0) | (terms >= 2**32) | np.isinf(impacts)
+    if bad.any():
+        at = int(bad.argmax())
+        doc = int(np.searchsorted(np.cumsum(sizes), at, "right"))
+        term, weight = list(vectors[doc].items())[at - int(sizes[:doc].sum())]
+        fault = (f"term id {term} outside [0, 2**32)" if not 0 <= term < 2**32
+                 else f"weight {weight} of term {term} overflows float32")
+        raise ContractError(f"doc {doc_names[doc]!r}: {fault}")
+    if repeated is not None:
+        raise ContractError(f"duplicate document name {repeated!r}")
+    kept = np.flatnonzero(impacts != 0.0)  # sub-float32 weights vanish; never store zeros
+    order = kept[np.argsort(terms[kept], kind="stable")]  # doc ids ascend within each term
+    terms, firsts = np.unique(terms[order], return_index=True)
+    doc_ids = np.repeat(np.arange(len(vectors), dtype=np.int64), sizes)[order]
+    return InvertedIndex(doc_names, terms, np.append(firsts, len(order)), doc_ids, impacts[order])
 
 
 def top_k_search(index: InvertedIndex, query: SparseVector, k: int) -> list[tuple[str, float]]:
@@ -105,10 +115,10 @@ def top_k_search(index: InvertedIndex, query: SparseVector, k: int) -> list[tupl
     scores = np.zeros(index.doc_count)
     # Ascending term ids, so each doc's sum runs in term-id order as in the
     # oracle; doc ids within a list are unique, so += adds each impact once.
-    for term in sorted(query.entries):
-        posting = index.postings.get(term)
-        if posting is not None:
-            scores[posting.doc_ids] += query.entries[term] * posting.impacts.astype(np.float64)
+    terms = sorted(query.entries)
+    starts, ends = index.spans(terms)
+    for term, a, b in zip(terms, starts.tolist(), ends.tolist()):
+        scores[index.doc_ids[a:b]] += query.entries[term] * index.impacts[a:b].astype(np.float64)
     docs = np.flatnonzero(scores > 0.0)
     top = docs[np.lexsort((docs, -scores[docs]))[:k]]
     return [(index.doc_names[d], float(scores[d])) for d in top]
@@ -120,15 +130,20 @@ def flops_metric(queries: list[SparseVector], index: InvertedIndex) -> float:
         raise ContractError("index is empty")
     if not queries:
         raise ContractError("query set is empty")
-    postings = index.postings
-    total = sum(len(postings[t].doc_ids) for q in queries for t in q.entries if t in postings)
-    return total / (len(queries) * index.doc_count)
+    starts, ends = index.spans(t for q in queries for t in q.entries)
+    return int((ends - starts).sum()) / (len(queries) * index.doc_count)
 
 
-def _check_lists(terms, lengths, doc_ids, doc_count: int, error: type) -> None:
-    """Raise ``error`` naming the first of the lists, ``lengths`` back to back in
-    ``doc_ids``, whose ids do not ascend strictly within [0, doc_count)."""
-    list_of = np.repeat(np.arange(len(lengths)), lengths)
+def _check_lists(terms, starts, doc_ids, doc_count: int, error: type) -> None:
+    """Raise ``error`` unless ``terms`` ascend strictly in u32, ``starts`` split the
+    doc ids into one list per term, and each list's doc ids ascend strictly
+    within [0, doc_count), naming the first list that breaks it."""
+    if (np.diff(terms) <= 0).any() or ((terms < 0) | (terms >= 2**32)).any():
+        raise error("term ids must ascend strictly within [0, 2**32)")
+    if (len(starts) != len(terms) + 1 or starts[0] != 0 or starts[-1] != len(doc_ids)
+            or (np.diff(starts) < 0).any()):
+        raise error(f"list lengths do not sum to the header's {len(doc_ids)} postings")
+    list_of = np.repeat(np.arange(len(terms)), np.diff(starts))
     bad = (doc_ids < 0) | (doc_ids >= doc_count)
     bad[1:] |= (np.diff(doc_ids) <= 0) & (np.diff(list_of) == 0)
     if bad.any():
@@ -137,25 +152,17 @@ def _check_lists(terms, lengths, doc_ids, doc_count: int, error: type) -> None:
 
 
 def save_index(index: InvertedIndex, path) -> None:
-    terms = sorted(index.postings)
-    if terms and not (0 <= terms[0] and terms[-1] < 2**32):
-        term = terms[0] if terms[0] < 0 else terms[-1]
-        raise ContractError(f"term id {term} does not fit the index's u32 term field")
-    lists = [index.postings[term] for term in terms]
-    lengths = np.array([len(p.doc_ids) for p in lists], dtype=np.int64)
-    if any(len(p.impacts) != n for p, n in zip(lists, lengths)):
-        raise ContractError("every posting list needs one impact per doc id")
-    doc_ids = np.concatenate([np.empty(0, np.int64), *(p.doc_ids for p in lists)])
-    _check_lists(terms, lengths, doc_ids, index.doc_count, ContractError)
-    impacts = np.concatenate([np.empty(0, np.float32), *(p.impacts for p in lists)])
+    if len(index.doc_ids) != len(index.impacts):
+        raise ContractError("the doc id and impact columns must be of equal length")
+    _check_lists(index.terms, index.starts, index.doc_ids, index.doc_count, ContractError)
     names = [name.encode("utf-8") for name in index.doc_names]
     write_output(path, [
         INDEX_MAGIC,
-        struct.pack("<IIIQ", INDEX_VERSION, index.doc_count, len(terms), len(doc_ids)),
-        np.array(terms, "<u4").tobytes(),
-        lengths.astype("<u4").tobytes(),
-        doc_ids.astype("<u4").tobytes(),
-        impacts.astype("<f4").tobytes(),
+        struct.pack("<IIIQ", INDEX_VERSION, index.doc_count, index.term_count, index.posting_count),
+        index.terms.astype("<u4").tobytes(),
+        np.diff(index.starts).astype("<u4").tobytes(),
+        index.doc_ids.astype("<u4").tobytes(),
+        index.impacts.astype("<f4").tobytes(),
         np.array([len(name) for name in names], "<u4").tobytes(),
         *names,
     ])
@@ -165,22 +172,13 @@ def load_index(path) -> InvertedIndex:
     reader = ByteReader(path, "index", INDEX_MAGIC, INDEX_VERSION)
     doc_count, term_count, posting_count = reader.unpack("<IIQ")
     terms = reader.array("<u4", term_count).astype(np.int64)
-    lengths = reader.array("<u4", term_count).astype(np.int64)
+    starts = np.append(0, reader.array("<u4", term_count)).cumsum(dtype=np.int64)
     doc_ids = reader.array("<u4", posting_count).astype(np.int64)
     impacts = reader.array("<f4", posting_count).astype(np.float32)
     name_lengths = reader.array("<u4", doc_count)
-    if (np.diff(terms) <= 0).any():
-        raise FormatError("term ids must ascend strictly")
-    if lengths.sum() != posting_count:
-        raise FormatError(f"list lengths do not sum to the header's {posting_count} postings")
-    _check_lists(terms, lengths, doc_ids, doc_count, FormatError)
+    _check_lists(terms, starts, doc_ids, doc_count, FormatError)
     if not (np.isfinite(impacts) & (impacts > 0.0)).all():
         raise FormatError("impacts must be finite and > 0")
-    ends = np.cumsum(lengths).tolist()
-    postings = {
-        term: Posting(doc_ids[start:end], impacts[start:end])
-        for term, start, end in zip(terms.tolist(), [0, *ends], ends)
-    }
     name_ends = np.cumsum(name_lengths, dtype=np.int64).tolist()
     base, blob = reader.offset, reader.take(name_ends[-1] if name_ends else 0)
     doc_names: dict[str, None] = {}
@@ -193,4 +191,4 @@ def load_index(path) -> InvertedIndex:
             raise FormatError(f"doc name {name!r} at offset {base + start} is repeated")
         doc_names[name] = None
     reader.finish()
-    return InvertedIndex(list(doc_names), postings)
+    return InvertedIndex(list(doc_names), terms, starts, doc_ids, impacts)

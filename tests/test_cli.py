@@ -648,7 +648,7 @@ class TestSearchCommand:
 
     def test_nan_impact_exits_5(self, pipeline, tmp_path, capsys):
         index = load_index(pipeline["index"])
-        next(iter(index.postings.values())).impacts[0] = np.nan
+        index.impacts[0] = np.nan  # the first impact of the first list
         bad = tmp_path / "nan.lsrx"
         save_index(index, bad)
         assert main([
@@ -905,6 +905,27 @@ class TestSearchAndFlopsFuzz:
             assert err.getvalue() == ""
         else:
             assert_one_error_line(err.getvalue(), command)
+
+
+class TestIndexFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+    @given(data=st.data())
+    def test_damaged_vectors_exit_with_a_code_and_at_most_one_stderr_line(self, pipeline, data):
+        """Whatever the vector file holds, or whether it exists, `lsrkit index`
+        exits with a documented code, stderr is empty on success and one line
+        otherwise, and no exception escapes ``main``."""
+        with tempfile.TemporaryDirectory() as tmp:
+            vectors = pathlib.Path(tmp, "docs.vec")
+            draw_file(data, vectors, pipeline["docs_vec"].read_bytes(), "vectors")
+            argv = ["index", "--vectors", str(vectors), "--output", str(pathlib.Path(tmp, "i.lsrx"))]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3, 4, 5)
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert_one_error_line(err.getvalue(), "index")
 
 
 GRADCHECK_ROWS = [

@@ -1,6 +1,7 @@
 """Inverted index tests: construction invariants, oracle equivalence, I/O."""
 
 import hashlib
+import itertools
 import struct
 import tracemalloc
 
@@ -14,7 +15,6 @@ from lsrkit.errors import ContractError, FormatError
 from lsrkit.heads import SparseVector
 from lsrkit.index import (
     InvertedIndex,
-    Posting,
     build_index,
     flops_metric,
     load_index,
@@ -59,24 +59,45 @@ def random_query(rng, vocab_size, max_terms=6):
     return SparseVector({int(t): grid_weight(rng) for t in terms})
 
 
+def index_of(doc_names, terms, starts, doc_ids, impacts):
+    """An InvertedIndex of the given columns as they are, in build_index's dtypes."""
+    return InvertedIndex(doc_names, np.array(terms, np.int64), np.array(starts, np.int64),
+                         np.array(doc_ids, np.int64), np.array(impacts, np.float32))
+
+
+def lists_of(index):
+    """{term: (doc ids, impacts)} of every posting list in ``index``."""
+    bounds = index.starts.tolist()
+    return {term: (index.doc_ids[start:end], index.impacts[start:end])
+            for term, start, end in zip(index.terms.tolist(), bounds, bounds[1:])}
+
+
+def assert_same_columns(index, other):
+    for column in ("terms", "starts", "doc_ids", "impacts"):
+        np.testing.assert_array_equal(getattr(index, column), getattr(other, column))
+
+
 def assert_posting_invariants(index):
-    """What top_k_search relies on: each list ascends strictly within the
+    """What top_k_search relies on: term ids ascend strictly, the starts
+    run from 0 to the posting count, each list ascends strictly within the
     doc range, and every impact is a finite, positive float32."""
-    assert list(index.postings) == sorted(set(index.postings))
-    for posting in index.postings.values():
-        assert posting.doc_ids.dtype == np.int64
-        assert posting.impacts.dtype == np.float32
-        assert len(posting.doc_ids) == len(posting.impacts)
-        assert (np.diff(posting.doc_ids) > 0).all()
-        assert ((posting.doc_ids >= 0) & (posting.doc_ids < index.doc_count)).all()
-        assert (np.isfinite(posting.impacts) & (posting.impacts > 0.0)).all()
+    assert index.terms.dtype == index.starts.dtype == index.doc_ids.dtype == np.int64
+    assert index.impacts.dtype == np.float32
+    assert (np.diff(index.terms) > 0).all()
+    assert len(index.starts) == index.term_count + 1 and index.starts[0] == 0
+    assert (np.diff(index.starts) >= 0).all()
+    assert index.starts[-1] == index.posting_count == len(index.impacts)
+    for doc_ids, _ in lists_of(index).values():
+        assert (np.diff(doc_ids) > 0).all()
+        assert ((doc_ids >= 0) & (doc_ids < index.doc_count)).all()
+    assert (np.isfinite(index.impacts) & (index.impacts > 0.0)).all()
 
 
 def docs_of(index):
     """The (name, SparseVector) pairs an index holds, for the brute-force oracle."""
     entries = [{} for _ in index.doc_names]
-    for term, posting in index.postings.items():
-        for doc_id, impact in zip(posting.doc_ids, posting.impacts):
+    for term, (doc_ids, impacts) in lists_of(index).items():
+        for doc_id, impact in zip(doc_ids, impacts):
             entries[doc_id][term] = float(impact)
     return [(name, SparseVector(e)) for name, e in zip(index.doc_names, entries)]
 
@@ -86,6 +107,9 @@ WEIGHTS = st.one_of(
     st.sampled_from([0.5, 1.0, 2.0]),
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, width=32),
 )
+# Doc weights also take values off the float32 grid: 2**-150 and 1e-300
+# round to 0 in float32, 2**-149 is its least subnormal, 0.1 is inexact.
+DOC_WEIGHTS = st.one_of(WEIGHTS, st.sampled_from([2.0**-150, 1e-300, 2.0**-149, 0.1]))
 
 HEADER_BYTES = 24  # magic, then "<IIIQ"
 
@@ -122,13 +146,25 @@ class TestBuildIndex:
         index = build_index([])
         assert index.doc_count == 0
         assert index.posting_count == 0
+        assert index.term_count == 0 and index.starts.tolist() == [0]
+        assert_posting_invariants(index)
+
+    def test_docs_with_empty_vectors_hold_no_postings(self):
+        docs = [("a", SparseVector()), ("b", SparseVector({1: 2.0})), ("c", SparseVector())]
+        index = build_index(docs)
+        assert index.doc_names == ["a", "b", "c"]
+        assert index.terms.tolist() == [1] and index.starts.tolist() == [0, 1]
+        assert index.doc_ids.tolist() == [1] and index.impacts.tolist() == [2.0]
+        assert_posting_invariants(index)
+        assert top_k_search(index, SparseVector({1: 1.0}), 3) == [("b", 2.0)]
+        assert flops_metric([SparseVector({1: 1.0})], index) == 1 / 3
 
     def test_two_doc_fixture_postings(self):
         index = build_index(TWO_DOC_FIXTURE)
-        np.testing.assert_array_equal(index.postings[0].doc_ids, [0, 1])
-        np.testing.assert_array_equal(index.postings[0].impacts, [1.0, 2.0])
-        np.testing.assert_array_equal(index.postings[1].doc_ids, [1])
-        np.testing.assert_array_equal(index.postings[1].impacts, [1.0])
+        assert index.terms.tolist() == [0, 1]
+        assert index.starts.tolist() == [0, 2, 3]
+        assert index.doc_ids.tolist() == [0, 1, 1]
+        assert index.impacts.tolist() == [1.0, 2.0, 1.0]
 
     def test_weight_past_float32_range_rejected_naming_doc_and_term(self):
         docs = [("d0", SparseVector({5: 1.0})), ("d1", SparseVector({5: 1e300}))]
@@ -138,18 +174,48 @@ class TestBuildIndex:
     def test_largest_float32_weight_is_kept(self):
         big = float(np.finfo(np.float32).max)
         index = build_index([("d", SparseVector({5: big}))])
-        assert index.postings[5].impacts.tolist() == [big]
+        assert index.terms.tolist() == [5] and index.impacts.tolist() == [big]
 
     def test_zero_entries_never_stored(self):
         docs = [("d1", SparseVector({3: 0.0, 4: 1.0})), ("d2", SparseVector({4: 2.0, 5: 1e-50}))]
         index = build_index(docs)  # 1e-50 rounds to 0 in float32
-        assert 3 not in index.postings and 5 not in index.postings
-        assert index.postings[4].doc_ids.tolist() == [0, 1]
+        assert index.terms.tolist() == [4]
+        assert index.doc_ids.tolist() == [0, 1]
         assert index.posting_count == 2
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ContractError):
             build_index([("d", SparseVector({0: 1.0})), ("d", SparseVector({1: 1.0}))])
+
+    @pytest.mark.parametrize("term", [2**32, 2**63, 2**70, -3, -(2**64)])
+    def test_term_id_outside_u32_rejected_naming_doc_and_term(self, term):
+        docs = [("d0", SparseVector({5: 1.0})), ("d1", SparseVector({5: 1.0, term: 1.0}))]
+        with pytest.raises(ContractError, match=rf"doc 'd1': term id {term} outside \[0, 2\*\*32\)"):
+            build_index(docs)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_first_bad_doc_in_input_order_is_the_one_named(self, order):
+        faults = [
+            (("d0", SparseVector({9: 1.0})), "duplicate document name 'd0'"),
+            (("w", SparseVector({1: 1.0, 2: 1e300})), r"doc 'w': weight 1e\+300 of term 2 overflows"),
+            (("t", SparseVector({1: 1.0, 2**40: 1.0})), f"doc 't': term id {2**40} outside"),
+        ]
+        docs = [("d0", SparseVector({1: 1.0}))] + [faults[i][0] for i in order]
+        with pytest.raises(ContractError, match=faults[order[0]][1]):
+            build_index(iter(docs))
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            (("d0", SparseVector({2**40: 1.0})), "duplicate document name 'd0'"),
+            (("d1", SparseVector({2**40: 1.0, 3: 1e300})), f"term id {2**40} outside"),
+            (("d1", SparseVector({3: 1e300, 2**40: 1.0})), r"weight 1e\+300 of term 3"),
+        ],
+        ids=["name-before-entries", "term-first", "weight-first"],
+    )
+    def test_within_a_doc_the_name_then_the_first_bad_entry_is_named(self, doc, message):
+        with pytest.raises(ContractError, match=message):
+            build_index([("d0", SparseVector({1: 1.0})), doc])
 
     def test_invariants_on_random_corpus(self):
         rng = np.random.default_rng(20)
@@ -157,15 +223,23 @@ class TestBuildIndex:
         index = build_index(docs)
         total = sum(len(v.entries) for _, v in docs)
         assert index.posting_count == total
-        for posting in index.postings.values():
-            assert (np.diff(posting.doc_ids) > 0).all()
-            assert (posting.impacts != 0.0).all()
+        for doc_ids, impacts in lists_of(index).values():
+            assert (np.diff(doc_ids) > 0).all()
+            assert (impacts != 0.0).all()
 
 
 class TestTopKSearch:
     def test_disjoint_query_empty(self):
         index = build_index(TWO_DOC_FIXTURE)
         assert top_k_search(index, SparseVector({9: 1.0}), 5) == []
+
+    @pytest.mark.parametrize("term", [2**32, 2**63, 2**70, -3])
+    def test_query_term_outside_u32_matches_nothing(self, term):
+        index = build_index(TWO_DOC_FIXTURE)
+        query = SparseVector({term: 5.0, 1: 1.0})
+        result = top_k_search(index, query, 5)
+        assert result == brute_force_search(TWO_DOC_FIXTURE, query, 5) == [("d2", 1.0)]
+        assert flops_metric([query], index) == 0.5
 
     def test_k_zero_empty(self):
         index = build_index(TWO_DOC_FIXTURE)
@@ -182,14 +256,28 @@ class TestTopKSearch:
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
-        vectors=st.lists(st.dictionaries(st.integers(0, 15), WEIGHTS, max_size=8), max_size=25),
+        vectors=st.lists(st.dictionaries(st.integers(0, 15), DOC_WEIGHTS, max_size=8), max_size=25),
         query=st.dictionaries(st.integers(0, 15), WEIGHTS, max_size=8),
         k=st.integers(0, 30),
     )
     def test_matches_brute_force_on_float32_weights(self, vectors, query, k):
-        docs = [(f"d{i}", SparseVector(v)) for i, v in enumerate(vectors)]
+        """Each term's list holds, in input order, the docs whose weight is
+        nonzero in float32, with impact bytes np.float32(weight); and search
+        over them matches the oracle over the same float32 weights."""
+        index = build_index((f"d{i}", SparseVector(v)) for i, v in enumerate(vectors))
+        assert_posting_invariants(index)
+        expected = {}
+        for doc_id, vector in enumerate(vectors):
+            for term, weight in vector.items():
+                if np.float32(weight) != 0.0:
+                    expected.setdefault(term, []).append((doc_id, np.float32(weight).tobytes()))
+        lists = {term: list(zip(doc_ids.tolist(), [impact.tobytes() for impact in impacts]))
+                 for term, (doc_ids, impacts) in lists_of(index).items()}
+        assert lists == dict(sorted(expected.items()))
+        docs = [(f"d{i}", SparseVector({t: float(np.float32(w)) for t, w in v.items()}))
+                for i, v in enumerate(vectors)]
         query = SparseVector(query)
-        assert top_k_search(build_index(docs), query, k) == brute_force_search(docs, query, k)
+        assert top_k_search(index, query, k) == brute_force_search(docs, query, k)
 
     def test_equal_score_tie_broken_by_doc_id(self):
         docs = [
@@ -285,10 +373,7 @@ class TestIndexFile:
         save_index(index, path)
         loaded = load_index(path)
         assert loaded.doc_names == index.doc_names
-        assert set(loaded.postings) == set(index.postings)
-        for term, posting in index.postings.items():
-            np.testing.assert_array_equal(loaded.postings[term].doc_ids, posting.doc_ids)
-            np.testing.assert_array_equal(loaded.postings[term].impacts, posting.impacts)
+        assert_same_columns(loaded, index)
 
     def test_round_trip_preserves_search_results(self, tmp_path):
         rng = np.random.default_rng(25)
@@ -301,12 +386,14 @@ class TestIndexFile:
             query = random_query(rng, 25)
             assert top_k_search(loaded, query, 10) == top_k_search(index, query, 10)
 
-    def test_empty_index_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("names", [[], ["a", "b"]], ids=["no-docs", "empty-docs"])
+    def test_empty_index_round_trip(self, tmp_path, names):
         path = tmp_path / "empty.lsrx"
-        save_index(build_index([]), path)
+        save_index(build_index((name, SparseVector()) for name in names), path)
         loaded = load_index(path)
-        assert loaded.doc_count == 0
+        assert loaded.doc_names == names
         assert loaded.term_count == 0
+        assert_posting_invariants(loaded)
 
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "bad.lsrx"
@@ -333,10 +420,7 @@ class TestIndexFile:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         loaded = load_index(path)
         assert loaded.doc_names == spread_index.doc_names
-        assert list(loaded.postings) == list(spread_index.postings)
-        for term, posting in spread_index.postings.items():
-            np.testing.assert_array_equal(loaded.postings[term].doc_ids, posting.doc_ids)
-            np.testing.assert_array_equal(loaded.postings[term].impacts, posting.impacts)
+        assert_same_columns(loaded, spread_index)
 
     def test_layout_of_the_two_doc_fixture(self, tmp_path):
         path = tmp_path / "fixture.lsrx"
@@ -374,7 +458,7 @@ class TestIndexFile:
 
     def test_a_list_may_start_below_where_the_previous_ended(self, tmp_path):
         path = self.patched_fixture(tmp_path, 2, 0)
-        assert load_index(path).postings[1].doc_ids.tolist() == [0]
+        assert lists_of(load_index(path))[1][0].tolist() == [0]
 
     def test_non_utf8_doc_name_rejected(self, tmp_path):
         path = tmp_path / "bad.lsrx"
@@ -388,7 +472,7 @@ class TestIndexFile:
     def test_repeated_doc_name_rejected(self, tmp_path):
         # save_index writes the names it is given, unchecked
         path = tmp_path / "dup.lsrx"
-        save_index(InvertedIndex(["d1", "d2", "d1"], {}), path)
+        save_index(index_of(["d1", "d2", "d1"], [], [0], [], []), path)
         with pytest.raises(FormatError, match="doc name 'd1' at offset 40 is repeated"):
             load_index(path)
 
@@ -398,27 +482,41 @@ class TestIndexFile:
         ids=["descending", "repeated", "past-doc-count", "negative", "past-u32"],
     )
     def test_doc_ids_that_do_not_ascend_within_the_docs_cannot_be_saved(self, tmp_path, doc_ids):
-        impacts = np.ones(2, dtype=np.float32)
-        index = InvertedIndex(["d1", "d2"], {7: Posting(np.array(doc_ids), impacts)})
+        index = index_of(["d1", "d2"], [7], [0, 2], doc_ids, [1.0, 1.0])
         path = tmp_path / "bad.lsrx"
         with pytest.raises(ContractError, match=r"term 7: doc ids must ascend strictly within \[0, 2\)"):
             save_index(index, path)
         assert not path.exists()
 
-    def test_list_without_one_impact_per_doc_id_cannot_be_saved(self, tmp_path):
-        """The columns would line the impacts up with the wrong doc ids."""
-        ones = np.ones(2, dtype=np.float32)
-        lists = {0: Posting(np.array([0, 1]), ones[:1]), 1: Posting(np.array([1]), ones)}
+    @pytest.mark.parametrize("impacts", [[1.0], [1.0, 1.0, 1.0, 1.0]], ids=["short", "long"])
+    def test_columns_of_unequal_length_cannot_be_saved(self, tmp_path, impacts):
+        """The file would line the impacts up with the wrong doc ids."""
         path = tmp_path / "bad.lsrx"
-        with pytest.raises(ContractError, match="one impact per doc id"):
-            save_index(InvertedIndex(["d1", "d2"], lists), path)
+        with pytest.raises(ContractError, match="equal length"):
+            save_index(index_of(["d1", "d2"], [0, 1], [0, 2, 3], [0, 1, 1], impacts), path)
         assert not path.exists()
 
-    def test_term_id_past_u32_cannot_be_saved(self, tmp_path):
+    @pytest.mark.parametrize(
+        "terms", [[2**32], [-3], [3, 1], [1, 1]], ids=["past-u32", "negative", "descending", "repeated"]
+    )
+    def test_term_ids_that_do_not_ascend_within_u32_cannot_be_saved(self, tmp_path, terms):
+        """build_index refuses such ids; save_index refuses columns built by hand."""
         path = tmp_path / "bad.lsrx"
-        index = build_index([("d1", SparseVector({2**32: 1.0}))])
-        with pytest.raises(ContractError, match="u32"):
-            save_index(index, path)
+        starts, doc_ids = list(range(len(terms) + 1)), [0] * len(terms)
+        with pytest.raises(ContractError, match=r"term ids must ascend strictly within \[0, 2\*\*32\)"):
+            save_index(index_of(["d1"], terms, starts, doc_ids, [1.0] * len(terms)), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "terms,starts",
+        [([0], [0, 5]), ([0], [1, 1]), ([0, 1], [0, 2, 1]), ([0], [0]), ([0], [0, 1, 1])],
+        ids=["past-the-end", "not-from-0", "descending", "too-few", "too-many"],
+    )
+    def test_starts_that_do_not_split_the_columns_cannot_be_saved(self, tmp_path, terms, starts):
+        """One doc id, one impact: the starts must run 0 to 1, one list per term."""
+        path = tmp_path / "bad.lsrx"
+        with pytest.raises(ContractError, match="list lengths do not sum to the header's 1 postings"):
+            save_index(index_of(["d1"], terms, starts, [0], [1.0]), path)
         assert not path.exists()
 
 
@@ -433,8 +531,7 @@ class TestIndexFileGuarantees:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
     def test_non_finite_or_non_positive_impact_rejected(self, tmp_path, value):
-        impacts = np.array([1.0, value], dtype=np.float32)
-        index = InvertedIndex(["d1", "d2"], {0: Posting(np.array([0, 1]), impacts)})
+        index = index_of(["d1", "d2"], [0], [0, 2], [0, 1], [1.0, value])
         path, _ = self.saved(tmp_path, index)
         with pytest.raises(FormatError, match="finite and > 0"):
             load_index(path)
@@ -512,5 +609,5 @@ def test_mutated_index_file_is_rejected_or_sound(fuzz_path, saved_file, truncate
     except FormatError:
         return
     assert_posting_invariants(index)
-    query = SparseVector({term: 1.0 for term in index.postings})
+    query = SparseVector({term: 1.0 for term in index.terms.tolist()})
     assert top_k_search(index, query, 10) == brute_force_search(docs_of(index), query, 10)
