@@ -1,8 +1,10 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
 Everything trains in float64 so finite-difference gradient checks stay
-tight. Operations record a backward rule on the active :class:`Tape`;
-with no active tape they run as plain numpy forward passes.
+tight. Under an active :class:`Tape` every operation records one backward
+rule, and backward accumulates a gradient into every :class:`Tensor` the
+operation read: nothing is frozen, so a constant input gets ``.grad`` too.
+With no active tape operations run as plain numpy forward passes.
 """
 
 from __future__ import annotations
@@ -44,11 +46,10 @@ if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but no t
 class Tensor:
     """A dense float64 array plus an optional same-shape gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
 
     @property
@@ -59,7 +60,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 class Tape:
@@ -136,7 +137,7 @@ def for_each(fn: Callable, items: Sequence) -> None:
 
 def _record(out: Tensor, backward: Callable[[np.ndarray], None]) -> Tensor:
     tape = _ACTIVE_TAPE
-    if tape is not None and out.requires_grad:
+    if tape is not None:
         tape._entries.append((out, backward))
     return out
 
@@ -168,15 +169,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear shape mismatch: {xd.shape} x {wd.shape} + {b.data.shape}")
     y = xd @ wd
     y += b.data
-    out = Tensor(y, x.requires_grad or w.requires_grad or b.requires_grad)
+    out = Tensor(y)
 
     def backward(g):
-        if b.requires_grad:
-            _accum_owned(b, g.sum(axis=0))
-        if x.requires_grad:
-            _accum_owned(x, g @ wd.T)
-        if w.requires_grad:
-            _accum_owned(w, xd.T @ g)
+        _accum_owned(b, g.sum(axis=0))
+        _accum_owned(x, g @ wd.T)
+        _accum_owned(w, xd.T @ g)
 
     return _record(out, backward)
 
@@ -185,13 +183,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of same shapes."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
+    out = Tensor(a.data + b.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g)
+        _accum(a, g)
+        _accum(b, g)
 
     return _record(out, backward)
 
@@ -200,13 +196,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise difference of same shapes."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"sub shape mismatch: {a.data.shape} - {b.data.shape}")
-    out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
+    out = Tensor(a.data - b.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -g)
+        _accum(a, g)
+        _accum(b, -g)
 
     return _record(out, backward)
 
@@ -215,13 +209,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same shapes."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul shape mismatch: {a.data.shape} * {b.data.shape}")
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
+    out = Tensor(a.data * b.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accum_owned(a, g * b.data)
-        if b.requires_grad:
-            _accum_owned(b, g * a.data)
+        _accum_owned(a, g * b.data)
+        _accum_owned(b, g * a.data)
 
     return _record(out, backward)
 
@@ -229,7 +221,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar."""
     c = float(c)
-    out = Tensor(x.data * c, x.requires_grad)
+    out = Tensor(x.data * c)
 
     def backward(g):
         _accum_owned(x, g * c)
@@ -239,7 +231,7 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient at 0 is 0."""
-    out = Tensor(np.maximum(x.data, 0.0), x.requires_grad)
+    out = Tensor(np.maximum(x.data, 0.0))
 
     def backward(g):
         _accum_owned(x, g * (x.data > 0.0))
@@ -251,7 +243,7 @@ def log1p(x: Tensor) -> Tensor:
     """Elementwise log(1 + x); defined for x > -1."""
     if x.data.size and np.min(x.data) <= -1.0:
         raise DomainError("log1p requires all elements > -1")
-    out = Tensor(np.log1p(x.data), x.requires_grad)
+    out = Tensor(np.log1p(x.data))
 
     def backward(g):
         _accum_owned(x, g / (1.0 + x.data))
@@ -350,7 +342,6 @@ def attention(
         raise DegenerateMaskError("softmax row has all positions masked")
     dh = d // num_heads
     scale = 1.0 / math.sqrt(dh)
-    requires_grad = qp.requires_grad or kp.requires_grad or vp.requires_grad
 
     def split(a):  # [N, d] -> [H, N, d_head]
         return np.ascontiguousarray(a.reshape(len(a), num_heads, dh).transpose(1, 0, 2))
@@ -369,27 +360,23 @@ def attention(
             mask = layout.causal_block[: q1 - q0, : q1 - q0] if layout.causal else None
             p = weights(split(qp.data[q0:q1]), split(kp.data[k0:k1]), mask)
             ctx[q0:q1] = merge(np.matmul(p, split(vp.data[k0:k1])))
-        return Tensor(ctx, requires_grad)
+        return Tensor(ctx)
 
     q, k, v = split(qp.data), split(kp.data), split(vp.data)
     p = weights(q, k, layout.mask)
-    out = Tensor(merge(np.matmul(p, v)), requires_grad)
+    out = Tensor(merge(np.matmul(p, v)))
 
     def backward(g):
         g = split(g)
-        if vp.requires_grad:
-            _accum_owned(vp, merge(np.matmul(p.transpose(0, 2, 1), g)))
-        if not (qp.requires_grad or kp.requires_grad):
-            return
+        _accum_owned(vp, merge(np.matmul(p.transpose(0, 2, 1), g)))
         dp = np.matmul(g, v.transpose(0, 2, 1))
         dp -= (dp * p).sum(axis=2, keepdims=True)
         ds = np.multiply(p, dp, out=np.zeros_like(p), where=~layout.mask)  # +0.0 if hidden
         ds *= scale
-        if kp.requires_grad:
-            # (q.T @ ds).T: the product the per-head graph computes for k
-            _accum_owned(kp, merge(np.matmul(q.transpose(0, 2, 1), ds).transpose(0, 2, 1)))
-        if qp.requires_grad:  # a NaN key row is NaN in every row that sees it anyway
-            _accum_owned(qp, merge(np.matmul(ds, np.where(np.isnan(k), 0.0, k))))
+        # (q.T @ ds).T: the product the per-head graph computes for k
+        _accum_owned(kp, merge(np.matmul(q.transpose(0, 2, 1), ds).transpose(0, 2, 1)))
+        # a NaN key row is NaN in every row that sees it anyway
+        _accum_owned(qp, merge(np.matmul(ds, np.where(np.isnan(k), 0.0, k))))
 
     return _record(out, backward)
 
@@ -404,7 +391,7 @@ def _scatter_sum(flat_ids: np.ndarray, weights: np.ndarray, shape) -> np.ndarray
 def gather_rows(x: Tensor, idx) -> Tensor:
     """Select rows by index (duplicates allowed); backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(x.data[idx], x.requires_grad)
+    out = Tensor(x.data[idx])
 
     def backward(g):
         rows = idx.reshape(-1, 1) % len(x.data)  # negative ids: the rows x.data[idx] read
@@ -417,7 +404,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose expects rank 2, got {x.data.shape}")
-    out = Tensor(x.data.T, x.requires_grad)
+    out = Tensor(x.data.T)
 
     def backward(g):
         _accum(x, g.T)
@@ -426,22 +413,18 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    out = Tensor(
-        np.concatenate([p.data for p in parts], axis=0),
-        any(p.requires_grad for p in parts),
-    )
+    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
     splits = np.cumsum([p.data.shape[0] for p in parts])[:-1]
 
     def backward(g):
         for p, piece in zip(parts, np.split(g, splits, axis=0)):
-            if p.requires_grad:
-                _accum(p, piece)
+            _accum(p, piece)
 
     return _record(out, backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum(), x.requires_grad)
+    out = Tensor(x.data.sum())
 
     def backward(g):
         _accum(x, np.broadcast_to(g, x.data.shape))
@@ -452,7 +435,7 @@ def sum_all(x: Tensor) -> Tensor:
 def sum_over_axis(x: Tensor, axis: int) -> Tensor:
     if not 0 <= axis < x.data.ndim:
         raise ShapeError(f"axis {axis} out of range for shape {x.data.shape}")
-    out = Tensor(x.data.sum(axis=axis), x.requires_grad)
+    out = Tensor(x.data.sum(axis=axis))
 
     def backward(g):
         _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
@@ -473,21 +456,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = (xc * xc).sum(axis=1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
-    out = Tensor(
-        xhat * gain.data + bias.data,
-        x.requires_grad or gain.requires_grad or bias.requires_grad,
-    )
+    out = Tensor(xhat * gain.data + bias.data)
 
     def backward(g):
-        if gain.requires_grad:
-            _accum(gain, (g * xhat).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=0))
-        if x.requires_grad:
-            dxhat = g * gain.data
-            m1 = dxhat.sum(axis=1, keepdims=True) / n
-            m2 = (dxhat * xhat).sum(axis=1, keepdims=True) / n
-            _accum_owned(x, inv * (dxhat - m1 - xhat * m2))
+        _accum(gain, (g * xhat).sum(axis=0))
+        _accum(bias, g.sum(axis=0))
+        dxhat = g * gain.data
+        m1 = dxhat.sum(axis=1, keepdims=True) / n
+        m2 = (dxhat * xhat).sum(axis=1, keepdims=True) / n
+        _accum_owned(x, inv * (dxhat - m1 - xhat * m2))
 
     return _record(out, backward)
 
@@ -501,7 +478,7 @@ def scatter_add_pairs(values: Tensor, rows, cols, shape: tuple[int, int]) -> Ten
     if rows.ndim != 1 or cols.shape != pairs or values.data.shape not in (pairs, pairs + (1,)):
         raise ShapeError("scatter_add_pairs: rows, cols must be [P] and values [P] or [P, 1]")
     flat = np.ravel_multi_index((rows, cols), shape)
-    out = Tensor(_scatter_sum(flat, values.data, shape), values.requires_grad)
+    out = Tensor(_scatter_sum(flat, values.data, shape))
 
     def backward(g):
         _accum_owned(values, g[rows, cols].reshape(values.data.shape))
@@ -522,7 +499,7 @@ def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
     bounds = starts.tolist()
     rows = np.stack([data[a:b].argmax(axis=0) + a for a, b in zip(bounds[:-1], bounds[1:])])
     cols = np.arange(data.shape[1])
-    out = Tensor(data[rows, cols], x.requires_grad)
+    out = Tensor(data[rows, cols])
 
     def backward(g):
         buf = np.zeros_like(data)
@@ -536,7 +513,7 @@ def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
 def segment_sum(x: Tensor, starts: np.ndarray) -> Tensor:
     """Column-wise sums over contiguous row segments."""
     counts = np.diff(starts)
-    out = Tensor(np.add.reduceat(x.data, starts[:-1], axis=0), x.requires_grad)
+    out = Tensor(np.add.reduceat(x.data, starts[:-1], axis=0))
 
     def backward(g):
         _accum_owned(x, np.repeat(g, counts, axis=0))
@@ -552,8 +529,6 @@ def finite_difference_check(
     Returns the max over coordinates of |analytic - numeric| / max(1, |analytic|).
     """
     x.grad = None
-    prev_rg = x.requires_grad
-    x.requires_grad = True
     try:
         with Tape() as tape:
             out = f(x)
@@ -563,22 +538,21 @@ def finite_difference_check(
             np.zeros_like(x.data) if x.grad is None else np.array(x.grad, copy=True)
         )
     finally:
-        x.requires_grad = prev_rg
         x.grad = None
 
     worst = 0.0
-    flat = x.data.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
+    data = x.data  # perturbed in place by index: a reshape of a strided view is a copy
+    for i in np.ndindex(data.shape):
+        orig = data[i]
+        data[i] = orig + eps
         fp = f(x).item()
-        flat[i] = orig - eps
+        data[i] = orig - eps
         fm = f(x).item()
-        flat[i] = orig
+        data[i] = orig
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NumericError("non-finite value during finite-difference evaluation")
         numeric = (fp - fm) / (2.0 * eps)
-        a = float(analytic.reshape(-1)[i])
+        a = float(analytic[i])
         err = abs(a - numeric) / max(1.0, abs(a))
         if err > worst:
             worst = err

@@ -71,7 +71,7 @@ class BackboneConfig:
 
 def _param(params: list[tuple[str, Tensor]], name: str, data: np.ndarray) -> Tensor:
     """Append ``(name, data)`` to ``params`` as a trainable tensor; return the tensor."""
-    t = Tensor(data, requires_grad=True)
+    t = Tensor(data)
     params.append((name, t))
     return t
 

@@ -93,11 +93,11 @@ def _evaluated_queries(run: Run, qrels: Qrels, k: int = 1) -> list[str]:
     if k < 1:
         raise ContractError(f"metric cutoff k must be >= 1, got {k}")
     evaluated = [qid for qid in run if qid in qrels]
+    if not evaluated:
+        raise ContractError("no run query has judgments")
     skipped = len(run) - len(evaluated)
     if skipped:
         logger.warning("skipped %d run queries without judgments", skipped)
-    if not evaluated:
-        raise ContractError("no run query has judgments")
     return evaluated
 
 
@@ -152,17 +152,19 @@ def recall_at_k(run: Run, qrels: Qrels, k: int = 1000) -> float:
         retrieved = {doc for doc, _ in run[qid][:k]}
         total += len(relevant & retrieved) / len(relevant)
         counted += 1
-    if skipped:
-        logger.warning("recall: excluded %d queries with no relevant documents", skipped)
     if counted == 0:
         raise ContractError("no evaluated query has a relevant document")
+    if skipped:
+        logger.warning("recall: excluded %d queries with no relevant documents", skipped)
     return total / counted
 
 
 def evaluate(run: Run, qrels: Qrels, mrr_k=10, ndcg_k=10, recall_k=1000) -> dict[str, float]:
-    run = {qid: run[qid] for qid in _evaluated_queries(run, qrels)}  # one skip warning, not three
-    return {
-        f"MRR@{mrr_k}": mrr_at_k(run, qrels, mrr_k),
-        f"nDCG@{ndcg_k}": ndcg_at_k(run, qrels, ndcg_k),
-        f"Recall@{recall_k}": recall_at_k(run, qrels, recall_k),
+    judged = {qid: ranked for qid, ranked in run.items() if qid in qrels}
+    metrics = {
+        f"MRR@{mrr_k}": mrr_at_k(judged, qrels, mrr_k),
+        f"nDCG@{ndcg_k}": ndcg_at_k(judged, qrels, ndcg_k),
+        f"Recall@{recall_k}": recall_at_k(judged, qrels, recall_k),
     }
+    _evaluated_queries(run, qrels)  # one skip warning, and none before an error
+    return metrics

@@ -87,13 +87,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
+    out = Tensor(a.data @ b.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accum_owned(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum_owned(b, a.data.T @ g)
+        _accum_owned(a, g @ b.data.T)
+        _accum_owned(b, a.data.T @ g)
 
     return _record(out, backward)
 
@@ -102,13 +100,11 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
     """Sum of a rank-2 tensor and a trailing-axis bias."""
     if not (a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]):
         raise ShapeError(f"add_bias shape mismatch: {a.data.shape} + {b.data.shape}")
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
+    out = Tensor(a.data + b.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g.sum(axis=0))
+        _accum(a, g)
+        _accum(b, g.sum(axis=0))
 
     return _record(out, backward)
 
@@ -131,7 +127,7 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(p, x.requires_grad)
+    out = Tensor(p)
 
     def backward(g):
         dot = (g * p).sum(axis=1, keepdims=True)
@@ -171,8 +167,8 @@ def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
     # One max per segment: exact like np.maximum.reduceat, and several
     # times faster on [N, |V|] rows.
     vals = np.stack([data[a:b].max(axis=0) for a, b in zip(bounds[:-1], bounds[1:])])
-    out = Tensor(vals, x.requires_grad)
-    if not recording() or not x.requires_grad:
+    out = Tensor(vals)
+    if not recording():
         return out  # no backward will run, so skip the argmax routing
     n_rows, n_cols = data.shape
     n_seg = len(starts) - 1

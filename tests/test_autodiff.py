@@ -47,7 +47,7 @@ def _op_cases(rng):
         ("add_bias", lambda x: add_bias(x, w4)),
         ("softmax_rows", softmax_rows),
     ]:
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 4)))
         w = Tensor(rng.normal(size=op(x).shape))
         cases.append((name, lambda t, op=op, w=w: ad.sum_all(ad.mul(op(t), w)), x))
     return cases
@@ -109,7 +109,7 @@ class TestForwardFixtures:
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_relu_all_negative_zero_gradient(self):
-        x = Tensor([-1.0, -2.0], requires_grad=True)
+        x = Tensor([-1.0, -2.0])
         with Tape() as tape:
             out = ad.sum_all(ad.relu(x))
             tape.backward(out)
@@ -153,7 +153,7 @@ class TestForwardFixtures:
         np.testing.assert_array_equal(out.data, [[1.0, 7.0, -2.0]])
 
     def test_segment_max_tie_routes_to_lowest_row(self):
-        x = Tensor([[2.0], [2.0], [1.0], [1.0]], requires_grad=True)
+        x = Tensor([[2.0], [2.0], [1.0], [1.0]])
         with Tape() as tape:
             vals = ad.segment_max(x, np.array([0, 2, 4]))
             tape.backward(ad.sum_all(vals))
@@ -172,7 +172,7 @@ class TestForwardFixtures:
         assert out.data.shape == (0, 3)
 
     def test_embedding_repeated_ids_accumulate(self):
-        table = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        table = Tensor(np.arange(6.0).reshape(2, 3))
         with Tape() as tape:
             out = ad.gather_rows(table, np.array([1, 1]))
             tape.backward(ad.sum_all(out))
@@ -182,35 +182,35 @@ class TestForwardFixtures:
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
-        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        x = Tensor([1.0, 2.0, 3.0])
         with Tape() as tape:
             tape.backward(ad.sum_all(x))
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_relu_square_chain(self):
         # d/dx sum(relu(x)^2) = 2x for x > 0, 0 for x < 0
-        x = Tensor([2.0, -1.0], requires_grad=True)
+        x = Tensor([2.0, -1.0])
         with Tape() as tape:
             r = ad.relu(x)
             tape.backward(ad.sum_all(ad.mul(r, r)))
         np.testing.assert_array_equal(x.grad, [4.0, 0.0])
 
     def test_matmul_gradient_hand_case(self):
-        a = Tensor([[1.0, 1.0]], requires_grad=True)
+        a = Tensor([[1.0, 1.0]])
         b = Tensor([[2.0], [5.0]])
         with Tape() as tape:
             tape.backward(ad.sum_all(matmul(a, b)))
         np.testing.assert_array_equal(a.grad, [[2.0, 5.0]])
 
     def test_non_scalar_loss_rejected(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0])
         with Tape() as tape:
             out = ad.relu(x)
             with pytest.raises(ShapeError):
                 tape.backward(out)
 
     def test_double_backward_rejected(self):
-        x = Tensor([1.0], requires_grad=True)
+        x = Tensor([1.0])
         with Tape() as tape:
             out = ad.sum_all(x)
             tape.backward(out)
@@ -223,38 +223,66 @@ class TestBackward:
                 tape.backward(Tensor(1.0))
 
     def test_fanout_accumulates(self):
-        x = Tensor([3.0], requires_grad=True)
+        x = Tensor([3.0])
         with Tape() as tape:
             y = ad.add(ad.mul(x, x), x)  # x^2 + x
             tape.backward(ad.sum_all(y))
         np.testing.assert_allclose(x.grad, [7.0])
 
     def test_nested_tapes_are_independent(self):
-        x = Tensor([2.0], requires_grad=True)
+        x = Tensor([2.0])
         with Tape() as outer:
             a = ad.mul(x, x)
             with Tape() as inner:
-                y = Tensor([5.0], requires_grad=True)
+                y = Tensor([5.0])
                 inner.backward(ad.sum_all(ad.mul(y, y)))
             np.testing.assert_allclose(y.grad, [10.0])
             outer.backward(ad.sum_all(a))
         np.testing.assert_allclose(x.grad, [4.0])
 
+    def test_every_tensor_a_taped_op_reads_gets_a_gradient(self):
+        a, b = Tensor([1.0, 2.0]), Tensor([5.0, -3.0])
+        g = np.array([0.5, -4.0])
+        with Tape() as tape:
+            diff = ad.sub(a, b)
+            assert len(tape) == 1
+            tape.backward(ad.sum_all(ad.mul(diff, Tensor(g))))
+        np.testing.assert_array_equal(a.grad, g)
+        np.testing.assert_array_equal(b.grad, -g)
+
+    def test_op_on_constants_only_records_its_entry(self):
+        with Tape() as tape:
+            ad.relu(Tensor([1.0, -1.0]))
+        assert len(tape) == 1
+
 
 class TestFiniteDifferenceOracle:
     def test_quadratic(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0])
         err = finite_difference_check(lambda t: ad.sum_all(ad.mul(t, t)), x, eps=EPS)
         assert err < 1e-7
 
     def test_constant_function(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0])
         err = finite_difference_check(lambda t: ad.sum_all(ad.scale(t, 0.0)), x, eps=EPS)
         assert err == 0.0
 
+    def test_strided_view_is_perturbed_in_place(self):
+        rng = np.random.default_rng(8)
+        w = Tensor(rng.normal(size=(3, 4)))
+        view = rng.normal(size=(4, 3)).T  # not C-contiguous: reshape(-1) copies it
+        before, strided = view.copy(), Tensor(view)
+        errors = [
+            finite_difference_check(lambda t: ad.sum_all(ad.mul(t, w)), x, eps=EPS)
+            for x in (strided, Tensor(view.copy()))
+        ]
+        assert errors[0] == errors[1] < GRADCHECK_TOL
+        assert strided.data is view
+        np.testing.assert_array_equal(view, before)
+
     def test_log1p_relu_composite(self):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.uniform(0.5, 2.0, size=5), requires_grad=True)
+        x = Tensor(rng.uniform(0.5, 2.0, size=5))
         err = finite_difference_check(
             lambda t: ad.sum_all(ad.log1p(ad.relu(t))), x, eps=EPS
         )
@@ -299,7 +327,7 @@ def _per_head_attention(q, k, v, num_heads, mask, scale, g):
     dh = q.shape[1] // num_heads
     results = [[], [], [], []]
     for lo in range(0, q.shape[1], dh):
-        qh, kh, vh = (Tensor(a[:, lo:lo + dh].copy(), requires_grad=True) for a in (q, k, v))
+        qh, kh, vh = (Tensor(a[:, lo:lo + dh].copy()) for a in (q, k, v))
         with Tape() as tape:
             weights = softmax_rows(ad.scale(matmul(qh, ad.transpose(kh)), scale), mask)
             out = matmul(weights, vh)
@@ -352,7 +380,7 @@ class TestFusedOps:
             q, k, v = rng.normal(size=(nq, 8)), rng.normal(size=(nkv, 8)), rng.normal(size=(nkv, 8))
             g = rng.normal(size=(nq, 8))
             scale = 1.0 / math.sqrt(8 // num_heads)
-            ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            ts = [Tensor(a) for a in (q, k, v)]
             with Tape() as tape:
                 out = ad.attention(*ts, num_heads, layout)
                 tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
@@ -417,7 +445,7 @@ class TestFusedOps:
         x, w, b, g = (rng.normal(size=s) for s in ((7, 5), (5, 3), (3,), (7, 3)))
         results = []
         for fused in (True, False):
-            ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+            ts = [Tensor(a) for a in (x, w, b)]
             with Tape() as tape:
                 out = ad.linear(*ts) if fused else add_bias(matmul(ts[0], ts[1]), ts[2])
                 assert len(tape) == (1 if fused else 2)
@@ -524,7 +552,7 @@ class TestSoftmaxSkip:
             k[20] = key  # a key row of the second sequence
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+                ts = [Tensor(a) for a in (q, k, v)]
                 with Tape() as tape:
                     out = ad.attention(*ts, num_heads, layout)
                     tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
@@ -563,7 +591,7 @@ class TestSoftmaxSkip:
         q, k, v = np.zeros((30, 4)), np.zeros((30, 4)), np.random.default_rng(33).normal(size=(30, 4))
         q[0, 0], k[:13, 0] = -4e9, 1.0  # scale 1/2 with one head of width 4
         with Tape() if taped else contextlib.nullcontext():
-            out = ad.attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v), 1, layout)
+            out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 1, layout)
         np.testing.assert_allclose(out.data[0], v[:13].mean(axis=0), rtol=1e-12)
 
 
@@ -593,7 +621,7 @@ class TestLayerNormBits:
             x = rng.normal(3.0, 5.0, size=(9, 48))
             gain, bias = rng.normal(size=48), rng.normal(size=48)
             g = rng.normal(size=(9, 48))
-        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
+        xt, gt, bt = (Tensor(a) for a in (x, gain, bias))
         with Tape() as tape:
             out = ad.layer_norm(xt, gt, bt)
             tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
@@ -618,7 +646,7 @@ class TestScatterBits:
         rows, width, n = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(0, 30))
         ids = rng.integers(-rows, rows, n)  # negative ids read rows from the end
         g = self.weights(rng, (n, width))
-        table = Tensor(np.zeros((rows, width)), requires_grad=True)
+        table = Tensor(np.zeros((rows, width)))
         with Tape() as tape:
             tape.backward(ad.sum_all(ad.mul(ad.gather_rows(table, ids), Tensor(g))))
         want = np.zeros((rows, width))
@@ -637,7 +665,7 @@ class TestScatterBits:
         np.add.at(want, (rows, cols), values)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         # One value per pair as a [P, 1] column: same sums, gradient in its shape.
-        column = Tensor(values[:, None], requires_grad=True)
+        column = Tensor(values[:, None])
         g = self.weights(rng, shape)
         with Tape() as tape:
             got = ad.scatter_add_pairs(column, rows, cols, shape)
@@ -648,7 +676,7 @@ class TestScatterBits:
 
 def _segment_max_bits(op, x, starts, g):
     """Forward and gradient bytes of ``op`` on ``x`` for output gradient ``g``."""
-    t = Tensor(x, requires_grad=True)
+    t = Tensor(x)
     with Tape() as tape:
         vals = op(t, starts)
         tape.backward(ad.sum_all(ad.mul(vals, Tensor(g))))
@@ -659,7 +687,7 @@ class TestSegmentMax:
     """segment_max takes each segment's first argmax row, forward and backward."""
 
     def test_nan_column_routes_to_its_nan_row(self):
-        x = Tensor([[1.0, np.nan], [2.0, 0.5], [0.0, 3.0]], requires_grad=True)
+        x = Tensor([[1.0, np.nan], [2.0, 0.5], [0.0, 3.0]])
         with Tape() as tape:
             vals = ad.segment_max(x, np.array([0, 2, 3]))
             tape.backward(ad.sum_all(ad.mul(vals, Tensor([[10.0, 20.0], [30.0, 40.0]]))))
@@ -683,7 +711,7 @@ class TestSegmentMax:
     def test_taped_forward_memory_is_per_segment(self):
         """Routing the gradient holds no [N, |V|] array beside the input."""
         vocab, rows = 20_000, 8 * 32
-        x = Tensor(np.random.default_rng(5).normal(size=(rows, vocab)), requires_grad=True)
+        x = Tensor(np.random.default_rng(5).normal(size=(rows, vocab)))
         starts = np.arange(0, rows + 1, 32)
         with Tape():
             tracemalloc.start()
@@ -731,7 +759,7 @@ class TestInvariants:
     def test_max_backward_conserves_gradient_mass(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+            x = Tensor(rng.normal(size=(4, 6)))
             g_in = rng.uniform(0.5, 1.5, size=6)
             with Tape() as tape:
                 vals = ad.segment_max(x, np.array([0, 4]))
@@ -750,23 +778,20 @@ class TestInvariants:
     def test_segment_max_outside_tape_matches_taped_and_records_nothing(self):
         rng = np.random.default_rng(7)
         # small integers, so every segment has ties for the argmax rule
-        x = Tensor(rng.integers(-3, 4, size=(9, 6)).astype(float), requires_grad=True)
+        x = Tensor(rng.integers(-3, 4, size=(9, 6)).astype(float))
         starts = np.array([0, 4, 5, 9])
         untaped = ad.segment_max(x, starts)
         with Tape() as tape:
             taped = ad.segment_max(x, starts)
             assert len(tape) == 1
-            frozen = ad.segment_max(Tensor(x.data), starts)
-            assert len(tape) == 1
         np.testing.assert_array_equal(untaped.data, taped.data)
-        np.testing.assert_array_equal(frozen.data, taped.data)
-        assert untaped.requires_grad and x.grad is None
+        assert x.grad is None
 
     def test_tape_replay_is_bitwise_deterministic(self):
         def run():
             rng = np.random.default_rng(5)
-            x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-            w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+            x = Tensor(rng.normal(size=(4, 3)))
+            w = Tensor(rng.normal(size=(3, 2)))
             with Tape() as tape:
                 out = ad.sum_all(ad.relu(matmul(x, w)))
                 tape.backward(out)

@@ -7,6 +7,7 @@ import hashlib
 import inspect
 import io
 import json
+import logging
 import os
 import pathlib
 import re
@@ -75,6 +76,20 @@ def write_config(tmp_path, **overrides):
 
 def assert_one_error_line(err: str, command: str) -> None:
     assert err.startswith(f"lsrkit {command}: ") and err.endswith("\n") and err.count("\n") == 1, err
+
+
+def main_with_stderr(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr, where log records print as
+    Python's last-resort handler prints them outside pytest."""
+    err = io.StringIO()
+    handler, logger = logging.StreamHandler(err), logging.getLogger("lsrkit")
+    handler.setLevel(logging.WARNING)
+    logger.addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            return main(argv), err.getvalue()
+    finally:
+        logger.removeHandler(handler)
 
 
 def alternating(value, shape):
@@ -774,6 +789,18 @@ class TestEvalCommand:
         assert "nDCG@10 is not finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("judgments, error", [
+        ("", "no run query has judgments"),
+        ("q1 0 good 0\n", "no evaluated query has a relevant document"),
+    ])
+    def test_error_after_skipped_queries_is_the_only_stderr_line(self, tmp_path, judgments, error):
+        run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
+        run.write_text("q1 Q0 good 1 2.000000 t\nq2 Q0 d 1 1.000000 t\n")
+        qrels.write_text(judgments)
+        assert main_with_stderr(["eval", "--run", str(run), "--qrels", str(qrels)]) == (
+            2, f"lsrkit eval: {error}\n"
+        )
+
     def test_skipped_queries_are_reported_once(self, tmp_path, capsys, caplog):
         run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
         run.write_text("q1 Q0 good 1 2.000000 t\nq2 Q0 d 1 1.000000 t\n")
@@ -928,6 +955,26 @@ class TestIndexFuzz:
             assert_one_error_line(err.getvalue(), "index")
 
 
+class TestEvalFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+    @given(data=st.data())
+    def test_damaged_run_and_qrels_exit_with_a_code_and_at_most_one_stderr_line(self, data):
+        """Whatever the run and qrels files hold, or whether they exist,
+        `lsrkit eval` exits with a documented code, no exception escapes
+        ``main``, and stderr is one line on failure and at most the skip
+        warning on success."""
+        with tempfile.TemporaryDirectory() as tmp:
+            run, qrels = pathlib.Path(tmp, "run.txt"), pathlib.Path(tmp, "qrels.txt")
+            draw_file(data, run, (DATA / "golden_run.txt").read_bytes(), "run")
+            draw_file(data, qrels, (DATA / "qrels.txt").read_bytes(), "qrels")
+            code, err = main_with_stderr(["eval", "--run", str(run), "--qrels", str(qrels)])
+        assert code in (0, 2, 3, 4, 5)
+        if code == 0:
+            assert re.fullmatch(r"(skipped \d+ run queries without judgments\n)?", err)
+        else:
+            assert_one_error_line(err, "eval")
+
+
 GRADCHECK_ROWS = [
     "linear_x", "linear_w", "linear_b", "add", "sub", "mul", "scale", "relu", "log1p",
     "gather_rows", "transpose", "concat_rows", "sum_all", "sum_over_axis",
@@ -964,6 +1011,29 @@ class TestExitCodes:
         documented = {errors.FormatError: 5, errors.CompatibilityError: 4, errors.NumericError: 3}
         assert main(["gradcheck"]) == documented.get(error, 2)
         assert capsys.readouterr().err == "lsrkit gradcheck: stub failure\n"
+
+
+class TestIntegerFlagBounds:
+    @pytest.mark.parametrize("flag, floor", cli._FLOORS.items())
+    def test_floor_minus_one_exits_2_and_the_floor_and_huge_values_exit_0(
+        self, pipeline, tmp_path, flag, floor
+    ):
+        command = {
+            "--min-freq": ["build-vocab", "--corpus", str(DATA / "corpus.tsv"), "--output", str(tmp_path / "v.txt")],
+            "--seed": ["gradcheck"],
+            "--k": [
+                "search", "--index", str(pipeline["index"]), "--queries", str(pipeline["queries_vec"]),
+                "--output", str(tmp_path / "run.txt"),
+            ],
+        }.get(flag, ["eval", "--run", str(DATA / "golden_run.txt"), "--qrels", str(DATA / "qrels.txt")])
+        for value in (floor - 1, floor, 2**31, 2**63, 2**64):
+            code, err = main_with_stderr(command + [flag, str(value)])
+            if value < floor:
+                assert code == 2
+                assert_one_error_line(err, command[0])
+                assert flag in err
+            else:
+                assert (code, err) == (0, ""), value
 
 
 class TestEntryPoint:

@@ -248,13 +248,13 @@ class TestBatchActivations:
     @pytest.mark.parametrize("kind", [HeadKind.MLM_MULTITOKENS, HeadKind.MLM_SINGLETOKEN])
     def test_untaped_pool_first_matches_taped_bits(self, kind):
         rng = np.random.default_rng(31)
-        emb = Tensor(np.abs(rng.normal(size=(V, D))), requires_grad=True)
+        emb = Tensor(np.abs(rng.normal(size=(V, D))))
         data = rng.normal(size=(7, D))
         data[2:4] = -np.abs(data[2:4])  # every logit of these rows is negative
         cfg = mlm_cfg(kind, bias=-np.abs(rng.normal(0.0, 0.2, size=V)))
         multi = kind == HeadKind.MLM_MULTITOKENS
         starts = np.array([0, 2, 4, 7]) if multi else np.arange(8)
-        states = Tensor(data, requires_grad=True)
+        states = Tensor(data)
         untaped = mlm_batch_activations(states, starts, emb, cfg)
         with Tape():
             taped = mlm_batch_activations(states, starts, emb, cfg)
@@ -306,7 +306,7 @@ class TestVocabularyBlocks:
 
 def _taped_head_bits(head, states, starts, emb, cfg, g):
     """Activation and parameter-gradient bytes of ``head`` for output gradient ``g``."""
-    params = [Tensor(states, requires_grad=True), Tensor(emb, requires_grad=True), cfg.b_vocab]
+    params = [Tensor(states), Tensor(emb), cfg.b_vocab]
     cfg.b_vocab.grad = None
     with Tape() as tape:
         acts = head(params[0], starts, params[1], cfg)
@@ -347,8 +347,8 @@ class TestPoolThenActivate:
         lengths = rng.integers(16, 65, size=8)
         starts = np.concatenate([[0], np.cumsum(lengths)])
         rows = int(starts[-1])
-        states = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
-        emb = Tensor(rng.normal(0.0, 0.1, size=(vocab, d)), requires_grad=True)
+        states = Tensor(rng.normal(size=(rows, d)))
+        emb = Tensor(rng.normal(0.0, 0.1, size=(vocab, d)))
         cfg = SparseHead(HeadKind.MLM_MULTITOKENS, d, vocab)
         g = Tensor(rng.normal(size=(len(lengths), vocab)))
         tracemalloc.start()
