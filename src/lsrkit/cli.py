@@ -69,8 +69,7 @@ _INI = {
     "data": dict.fromkeys(("vocab", "triplets", "checkpoint", "metrics_log"), str),
     "teacher_normalization": get_type_hints(ScoreStats),
 }
-_OPTIONAL = {"head.pooling", "train.beta1", "train.beta2", "train.eps", "train.log_every",
-             "teacher_normalization"}
+_OPTIONAL = {"head.pooling", "train.log_every", "teacher_normalization"}
 
 
 def _read_ini(path) -> dict[str, dict]:

@@ -18,7 +18,7 @@ import math
 import sys
 
 from .errors import ContractError, FormatError, NumericError
-from .text import read_records, write_output
+from .text import is_name, read_records, write_output
 
 logger = logging.getLogger(__name__)
 
@@ -72,7 +72,7 @@ def read_run(path) -> Run:
 
 def _run_field(kind: str, value: str) -> str:
     """``value`` if read_run can split it back out of a run line."""
-    if value.split() != [value]:
+    if not is_name(value):
         raise ContractError(f"run {kind} {value!r} is empty or holds whitespace")
     return value
 

@@ -35,7 +35,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .backbones import _normal, _param
 from .errors import ContractError, FormatError, ShapeError
-from .text import read_records, write_output
+from .text import is_name, read_records, write_output
 
 
 class SparseVector:
@@ -232,10 +232,12 @@ def write_vectors(path, items) -> None:
 
 
 def read_vectors(path) -> list[tuple[str, SparseVector]]:
-    """Read (name, SparseVector) records in file order; names must be unique."""
+    """Read (name, SparseVector) records in file order; names are unique and pass ``is_name``."""
     vectors: dict[str, SparseVector] = {}
     for lineno, (name, body) in read_records(path, 2, "'name<TAB>entries'"):
         where = f"{path}:{lineno}"
+        if not is_name(name):
+            raise FormatError(f"{where}: name {name!r} is empty or holds whitespace")
         if name in vectors:
             raise FormatError(f"{where}: duplicate name {name!r}")
         entries: dict[int, float] = {}

@@ -157,10 +157,18 @@ class ByteReader:
             raise FormatError(f"{self.kind}: trailing bytes after offset {self.offset}")
 
 
+def is_name(value: str) -> bool:
+    """Whether ``value`` is non-empty and holds no whitespace, so that a
+    whitespace-split line, such as a TREC run line, gives it back whole."""
+    return value.split() == [value]
+
+
 def read_tsv_texts(path) -> dict[str, str]:
-    """Read ``name<TAB>text`` records; names must be unique."""
+    """Read ``name<TAB>text`` records; names are unique and pass ``is_name``."""
     out: dict[str, str] = {}
     for lineno, (name, text) in read_records(path, 2, "2 tab-separated fields"):
+        if not is_name(name):
+            raise FormatError(f"{path}:{lineno}: name {name!r} is empty or holds whitespace")
         if name in out:
             raise FormatError(f"{path}:{lineno}: duplicate name {name!r}")
         out[name] = text

@@ -25,6 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ContractError, DegenerateDistributionError, FormatError, NumericError, ShapeError
+from .errors import TapeStateError
 from .model import SparseEncoder
 from .text import Vocabulary, read_records, tokenize, write_output
 
@@ -61,9 +62,6 @@ class TrainConfig:
     lambda_d: float = 0.0
     lambda_ramp_steps: int = 1
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     log_every: int = 100
 
     def __post_init__(self):
@@ -76,12 +74,8 @@ class TrainConfig:
         for name in ("lambda_q", "lambda_d"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ContractError(f"{name} must be finite and >= 0")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ContractError(f"{name} must be in [0, 1)")
-        for name in ("learning_rate", "eps"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ContractError(f"{name} must be finite and > 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ContractError("learning_rate must be finite and > 0")
 
 
 @dataclass
@@ -196,8 +190,9 @@ def normalize_teacher_scores(
 class Adam:
     """Adam with linear learning-rate warmup; step counter starts at 1.
 
-    Learning rate, warmup steps, betas and eps come from ``cfg``. The
-    moments of all parameters live in two flat buffers, a slice each.
+    Learning rate and warmup steps come from ``cfg``; betas and eps are
+    Kingma & Ba's defaults (ICLR 2015). The moments of all parameters live
+    in two flat buffers, a slice each.
     """
 
     def __init__(self, params: list[tuple[str, Tensor]], cfg: TrainConfig):
@@ -209,41 +204,34 @@ class Adam:
         self._v = np.zeros(self._offsets[-1])
 
     def step(self) -> float:
-        """Update each parameter that has a grad, bit for bit as a per-parameter
-        loop would, and release the grads; the others keep data and moments."""
+        """Update every parameter from its grad, bit for bit as a per-parameter
+        loop would, and release the grads. A parameter without a grad raises
+        TapeStateError before anything changes."""
+        for name, p in self.params:
+            if p.grad is None:
+                raise TapeStateError(f"parameter {name} has no gradient")
         self.t += 1
         lr = warmup_lr(self.t, self.cfg.warmup_steps, self.cfg.learning_rate)
-        b1, b2 = self.cfg.beta1, self.cfg.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        g = np.empty(self._offsets[-1])
-        live, runs = [], []  # runs: maximal [start, end) spans of live parameters
+        m, v = self._m, self._v
+        g = np.concatenate([p.grad.reshape(-1) for _, p in self.params])
+        tmp = (1.0 - b1) * g
+        m *= b1
+        m += tmp
+        v *= b2
+        g *= g
+        g *= 1.0 - b2
+        v += g
+        # g becomes lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.sqrt(np.divide(v, c2, out=g), out=g)
+        g += eps
+        np.multiply(lr, np.divide(m, c1, out=tmp), out=tmp)
+        np.divide(tmp, g, out=g)
         for (_, p), a, b in zip(self.params, self._offsets, self._offsets[1:]):
-            if p.grad is None:
-                continue
-            g[a:b].reshape(p.grad.shape)[...] = p.grad
-            p.grad = None
-            live.append((a, b, p))
-            if runs and runs[-1][1] == a:
-                runs[-1][1] = b
-            else:
-                runs.append([a, b])
-        for a, b in runs:
-            m, v, gr = self._m[a:b], self._v[a:b], g[a:b]
-            tmp = (1.0 - b1) * gr
-            m *= b1
-            m += tmp
-            v *= b2
-            gr *= gr
-            gr *= 1.0 - b2
-            v += gr
-            # gr becomes lr * (m / c1) / (sqrt(v / c2) + eps)
-            np.sqrt(np.divide(v, c2, out=gr), out=gr)
-            gr += self.cfg.eps
-            np.multiply(lr, np.divide(m, c1, out=tmp), out=tmp)
-            np.divide(tmp, gr, out=gr)
-        for a, b, p in live:
             p.data -= g[a:b].reshape(p.data.shape)
+            p.grad = None
         return lr
 
 
@@ -295,8 +283,7 @@ def train_step(
 
     sq = 0.0
     for _, p in model.parameters():
-        if p.grad is not None:
-            sq += float((p.grad * p.grad).sum())
+        sq += float((p.grad * p.grad).sum())
     grad_norm = math.sqrt(sq)
     lr = optimizer.step()
     return StepReport(

@@ -28,8 +28,8 @@ from lsrkit import autodiff as ad
 from lsrkit import cli, errors, training
 from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.cli import main
-from lsrkit.heads import HeadKind, read_vectors
-from lsrkit.index import load_index, save_index
+from lsrkit.heads import HeadKind, SparseVector, read_vectors
+from lsrkit.index import build_index, load_index, save_index
 from lsrkit.model import SparseEncoder
 from lsrkit.text import Vocabulary, read_tsv_texts, tokenize
 from lsrkit.training import ScoreStats, TrainConfig, normalize_teacher_scores, read_triplets, train
@@ -135,6 +135,16 @@ class TestBuildVocab:
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_bytes() == (DATA / "vocab.txt").read_bytes()
 
+    def test_doc_name_with_whitespace_exits_5_without_output(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("d1\tcat\ndoc one\tdog\n")
+        out = tmp_path / "vocab.txt"
+        assert main(["build-vocab", "--corpus", str(corpus), "--output", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            f"lsrkit build-vocab: {corpus}:2: name 'doc one' is empty or holds whitespace\n"
+        )
+        assert not out.exists()
+
     def test_non_utf8_corpus_exits_5_and_names_file(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.tsv"
         corpus.write_bytes(b"d1\tcaf\xe9 au lait\n")
@@ -215,8 +225,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("beta1", "1.0"), ("beta2", "-0.5"), ("eps", "0"), ("learning_rate", "nan"),
-         ("lambda_q", "-0.5"), ("lambda_d", "nan"), ("lambda_d", "inf")],
+        [("learning_rate", "nan"), ("lambda_q", "-0.5"), ("lambda_d", "nan"), ("lambda_d", "inf")],
     )
     def test_out_of_range_optimizer_key_exits_2_and_names_it(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, set=[
@@ -295,8 +304,12 @@ class TestTrainCommand:
             ("teacher_normalisation", "mean", "section [teacher_normalisation]"),
             ("backbone", "vocab_size", "key [backbone] vocab_size"),
             ("DEFAULT", "seed", "key [DEFAULT] seed"),
+            ("train", "beta1", "key [train] beta1"),  # Adam's betas and eps are fixed
+            ("train", "beta2", "key [train] beta2"),
+            ("train", "eps", "key [train] eps"),
         ],
-        ids=["poolng", "lamda_q", "teacher_normalisation", "vocab_size", "DEFAULT"],
+        ids=["poolng", "lamda_q", "teacher_normalisation", "vocab_size", "DEFAULT",
+             "beta1", "beta2", "eps"],
     )
     def test_undeclared_section_or_key_exits_2_before_any_file_is_read(
         self, tmp_path, capsys, monkeypatch, section, key, named
@@ -509,6 +522,21 @@ class TestEncodeCommand:
         assert "doc 'd2' tokenizes to zero tokens" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("role,line", [("query", "q 1\tcat"), ("doc", "\tcat")])
+    def test_name_a_run_file_cannot_hold_exits_5_without_output(
+        self, pipeline, tmp_path, capsys, role, line
+    ):
+        records, out = tmp_path / "in.tsv", tmp_path / "x.vec"
+        records.write_text(f"r1\tdog\n{line}\n")
+        assert main([
+            "encode", "--checkpoint", str(pipeline["checkpoint"]), "--vocab", str(DATA / "vocab.txt"),
+            "--input", str(records), "--output", str(out), "--role", role,
+        ]) == 5
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "encode")
+        assert f"in.tsv:2: name {line.split(chr(9))[0]!r} is empty or holds whitespace" in err
+        assert not out.exists()
+
     def test_vocab_digest_mismatch_exits_4(self, pipeline, tmp_path):
         other_vocab = tmp_path / "other_vocab.txt"
         other_vocab.write_text("completely\ndifferent\ntokens\n")
@@ -630,6 +658,14 @@ class TestIndexCommand:
         assert "docs.vec: not UTF-8 at byte 10" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_doc_name_with_whitespace_exits_5_without_output(self, tmp_path, capsys):
+        vectors = tmp_path / "docs.vec"
+        vectors.write_text("d1\t3:0.5\ndoc one\t4:1.0\n")
+        out = tmp_path / "index.lsrx"
+        assert main(["index", "--vectors", str(vectors), "--output", str(out)]) == 5
+        assert "docs.vec:2: name 'doc one' is empty or holds whitespace" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_doc_name_exits_5_and_names_line(self, tmp_path, capsys):
         vectors = tmp_path / "docs.vec"
         vectors.write_text("d1\t3:0.5\nd2\t4:1.0\nd1\t5:1.0\n")
@@ -711,12 +747,12 @@ class TestSearchCommand:
         assert not run.exists()
 
     def test_doc_name_with_a_space_exits_2_and_keeps_the_old_run(self, tmp_path, capsys):
-        docs, queries = tmp_path / "docs.vec", tmp_path / "queries.vec"
-        index, out = tmp_path / "index.lsrx", tmp_path / "run.txt"
-        docs.write_text("d1\t4:1.0\nd one\t4:0.5\n")
+        # `lsrkit index` refuses such a name, so the index is saved by the library.
+        queries, index, out = tmp_path / "queries.vec", tmp_path / "index.lsrx", tmp_path / "run.txt"
+        docs = [("d1", SparseVector({4: 1.0})), ("d one", SparseVector({4: 0.5}))]
+        save_index(build_index(docs), index)
         queries.write_text("q1\t4:1.0\n")
         out.write_text("q1 Q0 d1 1 1.000000 old\n")
-        assert main(["index", "--vectors", str(docs), "--output", str(index)]) == 0
         assert main([
             "search", "--index", str(index), "--queries", str(queries), "--output", str(out),
         ]) == 2
@@ -817,6 +853,20 @@ class TestEvalCommand:
         assert float(mrr_line.split("\t")[1]) > 0.5
 
 
+def assert_documented_exit(argv) -> None:
+    """``main(argv)`` exits with a code the CLI documents, stderr is empty on
+    success and one ``lsrkit <command>: `` line otherwise, and no exception
+    escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert_one_error_line(err.getvalue(), argv[0])
+
+
 def fuzz_base_ini() -> str:
     """toy.ini cut to 3 steps, its [data] paths relative to the working directory."""
     parser = configparser.ConfigParser()
@@ -863,16 +913,9 @@ class TestTrainIniFuzz:
                 shutil.copy(DATA / "vocab.txt", "vocab.txt")
                 shutil.copy(DATA / "triplets.tsv", "triplets.tsv")
                 pathlib.Path("config.ini").write_bytes(body.encode())
-                err = io.StringIO()
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                    code = main(["train", "--config", "config.ini"])
+                assert_documented_exit(["train", "--config", "config.ini"])
             finally:
                 os.chdir(cwd)
-        assert code in (0, 2, 3, 4, 5)
-        if code == 0:
-            assert err.getvalue() == ""
-        else:
-            assert_one_error_line(err.getvalue(), "train")
 
 
 class TestFlopsCommand:
@@ -924,14 +967,7 @@ class TestSearchAndFlopsFuzz:
             argv = [command, "--index", str(index), "--queries", str(queries)]
             if command == "search":
                 argv += ["--output", str(pathlib.Path(tmp, "run.txt"))]
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-        assert code in (0, 2, 3, 4, 5)
-        if code == 0:
-            assert err.getvalue() == ""
-        else:
-            assert_one_error_line(err.getvalue(), command)
+            assert_documented_exit(argv)
 
 
 class TestIndexFuzz:
@@ -944,15 +980,61 @@ class TestIndexFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             vectors = pathlib.Path(tmp, "docs.vec")
             draw_file(data, vectors, pipeline["docs_vec"].read_bytes(), "vectors")
-            argv = ["index", "--vectors", str(vectors), "--output", str(pathlib.Path(tmp, "i.lsrx"))]
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-        assert code in (0, 2, 3, 4, 5)
-        if code == 0:
-            assert err.getvalue() == ""
-        else:
-            assert_one_error_line(err.getvalue(), "index")
+            assert_documented_exit(
+                ["index", "--vectors", str(vectors), "--output", str(pathlib.Path(tmp, "i.lsrx"))]
+            )
+
+
+class TestEncodeFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+    @given(role=st.sampled_from(["query", "doc"]), data=st.data())
+    def test_damaged_inputs_exit_with_a_code_and_at_most_one_stderr_line(self, pipeline, role, data):
+        """Whatever the checkpoint, vocabulary and input files hold, or whether
+        they exist, `lsrkit encode` exits with a documented code, stderr is
+        empty on success and one line otherwise, and no exception escapes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [pathlib.Path(tmp, name) for name in ("ckpt.bin", "vocab.txt", "in.tsv")]
+            sources = [pipeline["checkpoint"], DATA / "vocab.txt",
+                       DATA / ("queries.tsv" if role == "query" else "corpus.tsv")]
+            for path, source, label in zip(paths, sources, ("checkpoint", "vocab", "input")):
+                draw_file(data, path, source.read_bytes(), label)
+            assert_documented_exit([
+                "encode", "--checkpoint", str(paths[0]), "--vocab", str(paths[1]),
+                "--input", str(paths[2]), "--output", str(pathlib.Path(tmp, "x.vec")), "--role", role,
+            ])
+
+
+class TestBuildVocabFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+    @given(data=st.data())
+    def test_damaged_corpus_exits_with_a_code_and_at_most_one_stderr_line(self, data):
+        """Whatever the corpus file holds, or whether it exists, `lsrkit
+        build-vocab` exits with a documented code, stderr is empty on success
+        and one line otherwise, and no exception escapes ``main``."""
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = pathlib.Path(tmp, "corpus.tsv")
+            draw_file(data, corpus, (DATA / "corpus.tsv").read_bytes(), "corpus")
+            assert_documented_exit(
+                ["build-vocab", "--corpus", str(corpus), "--output", str(pathlib.Path(tmp, "v.txt"))]
+            )
+
+
+class TestTrainDataFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=800, database=None)
+    @given(data=st.data())
+    def test_damaged_data_files_exit_with_a_code_and_at_most_one_stderr_line(self, data):
+        """Whatever the vocabulary and triplet files of a 2-step `lsrkit train`
+        hold, or whether they exist, it exits with a documented code, stderr
+        is empty on success and one line otherwise, and no exception escapes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            for key, source in (("vocab", "vocab.txt"), ("triplets", "triplets.tsv")):
+                draw_file(data, tmp / source, (DATA / source).read_bytes(), key)
+            config = write_config(tmp, set=[
+                ("data", "vocab", str(tmp / "vocab.txt")), ("data", "triplets", str(tmp / "triplets.tsv")),
+                ("train", "total_steps", "2"), ("train", "warmup_steps", "1"), ("train", "batch_size", "4"),
+            ])
+            assert_documented_exit(["train", "--config", str(config)])
 
 
 class TestEvalFuzz:

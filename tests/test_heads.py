@@ -409,3 +409,10 @@ class TestVectorFiles:
         path.write_text("q1\t1:0.5\nq2\t2:0.5\nq1\t3:0.5\n")
         with pytest.raises(FormatError, match=r"vecs\.tsv:3: duplicate name 'q1'"):
             read_vectors(path)
+
+    @pytest.mark.parametrize("name", ["", "q 1", "q1 ", "q\u00a01"])
+    def test_name_a_run_file_cannot_hold_names_its_line(self, tmp_path, name):
+        path = tmp_path / "vecs.tsv"
+        path.write_text(f"q0\t1:0.5\n{name}\t2:0.5\n")
+        with pytest.raises(FormatError, match=r"vecs\.tsv:2: name .* is empty or holds whitespace"):
+            read_vectors(path)

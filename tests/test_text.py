@@ -131,6 +131,16 @@ class TestTsvFiles:
         with pytest.raises(FormatError, match=":2"):
             text.read_tsv_texts(path)
 
+    # names that a whitespace-split TREC run line cannot give back whole
+    @pytest.mark.parametrize(
+        "name", ["", "q 1", " q1", "q1 ", "q\x0b1", "q\x1c1", "q\u00a01", "q\u20031", "q\r1"]
+    )
+    def test_name_a_run_file_cannot_hold_names_its_line(self, tmp_path, name):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"d1\ta\n{name}\tb\n")
+        with pytest.raises(FormatError, match=rf"corpus\.tsv:2: name {re.escape(repr(name))} is empty"):
+            text.read_tsv_texts(path)
+
 
 # one valid line for every loader behind read_records
 LOADERS = [

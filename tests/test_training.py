@@ -3,13 +3,16 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from lsrkit.autodiff import Tape, Tensor, finite_difference_check
 from lsrkit.backbones import BackboneConfig, Variant
-from lsrkit.errors import ContractError, DegenerateDistributionError, FormatError, ShapeError
+from lsrkit.errors import (
+    ContractError, DegenerateDistributionError, FormatError, ShapeError, TapeStateError,
+)
 from lsrkit.heads import HeadKind
 from lsrkit.model import SparseEncoder
 from lsrkit.text import Vocabulary
@@ -295,7 +298,6 @@ class LoopAdam:
     def __init__(self, params, cfg):
         self.params = params
         self.learning_rate = cfg.learning_rate
-        self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.eps
         self.warmup_steps = cfg.warmup_steps
         self.t = 0
         self._m = [np.zeros_like(t.data) for _, t in params]
@@ -304,49 +306,18 @@ class LoopAdam:
     def step(self) -> float:
         self.t += 1
         lr = warmup_lr(self.t, self.warmup_steps, self.learning_rate)
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         for (_, p), m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            if g is None:
-                continue
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-        for _, p in self.params:
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
             p.grad = None
         return lr
-
-    def moments(self, i):
-        return self._m[i], self._v[i]
-
-
-class FlatAdam(Adam):
-    def moments(self, i):
-        a, b = self._offsets[i], self._offsets[i + 1]
-        shape = self.params[i][1].data.shape
-        return self._m[a:b].reshape(shape), self._v[a:b].reshape(shape)
-
-
-def dropping_grad(cls, index, at_step):
-    """``cls`` with parameter ``index``'s grad dropped just before step ``at_step``."""
-
-    class Dropping(cls):
-        def step(self):
-            if self.t + 1 != at_step:
-                return super().step()
-            p = self.params[index][1]
-            assert p.grad is not None and np.any(p.grad != 0.0)
-            p.grad = None
-            before = p.data.copy()
-            lr = super().step()
-            assert p.data.tobytes() == before.tobytes()
-            return lr
-
-    return Dropping
 
 
 PAIRINGS = [
@@ -357,11 +328,30 @@ PAIRINGS = [
 ]
 
 
-def run_steps(optimizer_cls, variant, head, steps=20, **settings):
-    config = BackboneConfig(
+def tiny_config(variant):
+    return BackboneConfig(
         variant, num_layers=1, d_model=8, num_heads=2, vocab_size=V, max_seq_len=8, seed=5
     )
-    model = SparseEncoder.build(config, head)
+
+
+def builds(variant, head, pooling):
+    try:
+        SparseEncoder.build(tiny_config(variant), head, pooling=pooling)
+    except ContractError:
+        return False
+    return True
+
+
+# Every backbone/head/pooling combination SparseEncoder builds.
+BUILDABLE = [
+    (variant, head, pooling)
+    for variant in Variant for head in HeadKind for pooling in ("max", "sum")
+    if builds(variant, head, pooling)
+]
+
+
+def run_steps(optimizer_cls, variant, head, steps=20, **settings):
+    model = SparseEncoder.build(tiny_config(variant), head)
     cfg = TrainConfig(
         total_steps=20, learning_rate=5e-3, batch_size=4, warmup_steps=5,
         lambda_q=0.05, lambda_d=0.05, lambda_ramp_steps=10,
@@ -386,8 +376,8 @@ class TestAdam:
         for (name, t), (_, ref) in zip(model.parameters(), ref_model.parameters()):
             assert t.data.tobytes() == ref.data.tobytes(), name
 
-    def test_reads_rate_warmup_betas_and_eps_from_the_config(self):
-        settings = dict(learning_rate=2e-2, warmup_steps=3, beta1=0.5, beta2=0.9, eps=1e-3)
+    def test_reads_rate_and_warmup_from_the_config(self):
+        settings = dict(learning_rate=2e-2, warmup_steps=3)
         model, opt, reports = run_steps(Adam, *PAIRINGS[0], steps=5, **settings)
         ref_model, _, ref_reports = run_steps(LoopAdam, *PAIRINGS[0], steps=5, **settings)
         assert [r.lr for r in reports] == pytest.approx([2e-2 / 3, 4e-2 / 3, 2e-2, 2e-2, 2e-2])
@@ -395,19 +385,41 @@ class TestAdam:
         for (name, t), (_, ref) in zip(model.parameters(), ref_model.parameters()):
             assert t.data.tobytes() == ref.data.tobytes(), name
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0], ids=["lambda0", "lambda1"])
     @pytest.mark.parametrize(
-        "variant,head", [PAIRINGS[0], PAIRINGS[3]], ids=["encoder_only", "encdec_multitokens"]
+        "variant,head,pooling", BUILDABLE, ids=[f"{v.value}-{h.value}-{p}" for v, h, p in BUILDABLE]
     )
-    def test_missing_grad_on_step_2_leaves_data_and_moments(self, variant, head):
-        # Index 7 lies mid-list, so the live parameters form two runs.
-        index = 7
-        model, opt, _ = run_steps(dropping_grad(FlatAdam, index, 2), variant, head, steps=3)
-        ref_model, ref, _ = run_steps(dropping_grad(LoopAdam, index, 2), variant, head, steps=3)
-        for (name, t), (_, r) in zip(model.parameters(), ref_model.parameters()):
-            assert t.data.tobytes() == r.data.tobytes(), name
-        for i in range(len(opt.params)):
-            for got, want in zip(opt.moments(i), ref.moments(i)):
-                assert bits(got) == bits(want), opt.params[i][0]
+    def test_every_parameter_has_a_grad_when_the_step_runs(
+        self, monkeypatch, variant, head, pooling, lam
+    ):
+        missing = []
+        step = Adam.step
+
+        def spying(opt):
+            missing.extend(name for name, p in opt.params if p.grad is None)
+            return step(opt)
+
+        monkeypatch.setattr(Adam, "step", spying)
+        model = SparseEncoder.build(tiny_config(variant), head, pooling=pooling)
+        cfg = TrainConfig(total_steps=1, learning_rate=1e-3, batch_size=4, lambda_q=lam, lambda_d=lam)
+        opt = Adam(model.parameters(), cfg)
+        train_step(model, opt, tiny_batch(np.random.default_rng(3)), cfg, 1)
+        assert opt.t == 1 and missing == []
+
+    def test_missing_grad_raises_and_changes_nothing(self):
+        model, opt, _ = run_steps(Adam, *PAIRINGS[3], steps=2)
+        for _, p in opt.params:
+            p.grad = np.ones_like(p.data)
+        name, dropped = opt.params[7]
+        dropped.grad = None
+
+        def state():
+            return opt.t, bits(opt._m), bits(opt._v), [bits(p.data) for _, p in opt.params]
+
+        before = state()
+        with pytest.raises(TapeStateError, match=f"^parameter {re.escape(name)} has no gradient$"):
+            opt.step()
+        assert state() == before
 
     def test_train_step_releases_every_grad(self):
         model, _, _ = run_steps(Adam, Variant.ENCDEC_MULTITOKENS, HeadKind.MLM_MULTITOKENS, 1)
