@@ -18,7 +18,7 @@ import math
 import sys
 
 from .errors import ContractError, FormatError, NumericError
-from .text import is_name, read_records, write_output
+from .text import checked_name, read_records, write_output
 
 logger = logging.getLogger(__name__)
 
@@ -70,19 +70,13 @@ def read_run(path) -> Run:
     return run
 
 
-def _run_field(kind: str, value: str) -> str:
-    """``value`` if read_run can split it back out of a run line."""
-    if not is_name(value):
-        raise ContractError(f"run {kind} {value!r} is empty or holds whitespace")
-    return value
-
-
 def write_run(path, run: Run, tag: str) -> None:
     """Write a run file; a qid, doc name or tag that is empty or holds
     whitespace raises ContractError and leaves any old file as it was."""
-    _run_field("tag", tag)
+    checked_name("run tag", tag)
     lines = (
-        f"{_run_field('qid', qid)} Q0 {_run_field('doc name', doc)} {rank} {score:.6f} {tag}\n"
+        f"{checked_name('run qid', qid)} Q0 {checked_name('run doc name', doc)}"
+        f" {rank} {score:.6f} {tag}\n"
         for qid, ranked in run.items()
         for rank, (doc, score) in enumerate(ranked, start=1)
     )

@@ -35,7 +35,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .backbones import _normal, _param
 from .errors import ContractError, FormatError, ShapeError
-from .text import is_name, read_records, write_output
+from .text import checked_name, is_name, read_records, write_output
 
 
 class SparseVector:
@@ -226,9 +226,11 @@ def format_vector_line(name: str, vec: SparseVector) -> str:
 
 
 def write_vectors(path, items) -> None:
-    """Write (name, SparseVector) records, one per line, in input order."""
-    lines = (format_vector_line(name, vec) + "\n" for name, vec in items)
-    write_output(path, (line.encode("utf-8") for line in lines))
+    """Write (name, SparseVector) records, one per line, in input order; a
+    name that is empty or holds whitespace raises ContractError and leaves
+    any old file as it was."""
+    lines = (format_vector_line(checked_name("vector name", name), vec) for name, vec in items)
+    write_output(path, (line.encode("utf-8") + b"\n" for line in lines))
 
 
 def read_vectors(path) -> list[tuple[str, SparseVector]]:

@@ -156,39 +156,37 @@ def save_index(index: InvertedIndex, path) -> None:
         raise ContractError("the doc id and impact columns must be of equal length")
     _check_lists(index.terms, index.starts, index.doc_ids, index.doc_count, ContractError)
     names = [name.encode("utf-8") for name in index.doc_names]
-    write_output(path, [
-        INDEX_MAGIC,
-        struct.pack("<IIIQ", INDEX_VERSION, index.doc_count, index.term_count, index.posting_count),
-        index.terms.astype("<u4").tobytes(),
-        np.diff(index.starts).astype("<u4").tobytes(),
-        index.doc_ids.astype("<u4").tobytes(),
-        index.impacts.astype("<f4").tobytes(),
-        np.array([len(name) for name in names], "<u4").tobytes(),
-        *names,
-    ])
+    lengths = np.array([len(name) for name in names], "<u4")
+    columns = [(index.terms, "<u4"), (np.diff(index.starts), "<u4"), (index.doc_ids, "<u4"),
+               (index.impacts, "<f4"), (lengths, "<u4")]
+    # One column cast at a time, each written from its own memory.
+    payload = (np.ascontiguousarray(column, dtype).data for column, dtype in columns)
+    header = struct.pack(
+        "<IIIQ", INDEX_VERSION, index.doc_count, index.term_count, index.posting_count)
+    write_output(path, chain([INDEX_MAGIC, header], payload, names))
 
 
 def load_index(path) -> InvertedIndex:
-    reader = ByteReader(path, "index", INDEX_MAGIC, INDEX_VERSION)
-    doc_count, term_count, posting_count = reader.unpack("<IIQ")
-    terms = reader.array("<u4", term_count).astype(np.int64)
-    starts = np.append(0, reader.array("<u4", term_count)).cumsum(dtype=np.int64)
-    doc_ids = reader.array("<u4", posting_count).astype(np.int64)
-    impacts = reader.array("<f4", posting_count).astype(np.float32)
-    name_lengths = reader.array("<u4", doc_count)
-    _check_lists(terms, starts, doc_ids, doc_count, FormatError)
-    if not (np.isfinite(impacts) & (impacts > 0.0)).all():
-        raise FormatError("impacts must be finite and > 0")
-    name_ends = np.cumsum(name_lengths, dtype=np.int64).tolist()
-    base, blob = reader.offset, reader.take(name_ends[-1] if name_ends else 0)
-    doc_names: dict[str, None] = {}
-    for start, end in zip([0, *name_ends], name_ends):
-        try:
-            name = blob[start:end].decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"doc name at offset {base + start} is not UTF-8") from None
-        if name in doc_names:
-            raise FormatError(f"doc name {name!r} at offset {base + start} is repeated")
-        doc_names[name] = None
-    reader.finish()
+    with ByteReader(path, "index", INDEX_MAGIC, INDEX_VERSION) as reader:
+        doc_count, term_count, posting_count = reader.unpack("<IIQ")
+        terms = reader.array("<u4", term_count).astype(np.int64)
+        starts = np.append(0, reader.array("<u4", term_count)).cumsum(dtype=np.int64)
+        doc_ids = reader.array("<u4", posting_count).astype(np.int64)
+        impacts = reader.array("<f4", posting_count)
+        name_lengths = reader.array("<u4", doc_count)
+        _check_lists(terms, starts, doc_ids, doc_count, FormatError)
+        if not (np.isfinite(impacts) & (impacts > 0.0)).all():
+            raise FormatError("impacts must be finite and > 0")
+        name_ends = np.cumsum(name_lengths, dtype=np.int64).tolist()
+        base, blob = reader.offset, reader.take(name_ends[-1] if name_ends else 0)
+        doc_names: dict[str, None] = {}
+        for start, end in zip([0, *name_ends], name_ends):
+            try:
+                name = str(blob[start:end], "utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"doc name at offset {base + start} is not UTF-8") from None
+            if name in doc_names:
+                raise FormatError(f"doc name {name!r} at offset {base + start} is repeated")
+            doc_names[name] = None
+        reader.finish()
     return InvertedIndex(list(doc_names), terms, starts, doc_ids, impacts)

@@ -6,7 +6,9 @@ Checkpoint layout (little-endian):
 
 The JSON header carries the backbone config, head config, the vocabulary
 digest the model was trained against, and per-array shape records, so a
-round trip is bit-exact and mismatches fail loudly.
+round trip is bit-exact and mismatches fail loudly. A load reads each array
+from the file into the array the model keeps, and a save writes each from
+its own memory, so neither holds a second copy of the model.
 """
 
 from __future__ import annotations
@@ -124,29 +126,30 @@ class SparseEncoder:
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         prefix = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(blob)), blob]
-        # One array's bytes at a time: saving never holds a second copy of the model.
-        payload = (a.astype("<f8", copy=False).tobytes() for _, a in arrays)
+        # Each array's own memory, one at a time: saving holds no copy of the model.
+        payload = (np.ascontiguousarray(a, "<f8").data for _, a in arrays)
         write_output(path, chain(prefix, payload))
 
     @classmethod
     def load(cls, path) -> tuple["SparseEncoder", str]:
         """Rebuild a model from a checkpoint; returns (model, vocab_digest)."""
-        reader = ByteReader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-        (header_len,) = reader.unpack("<I")
-        try:  # not UTF-8 or not JSON: ValueError; nested too deep for json: RecursionError
-            header = json.loads(reader.take(header_len).decode("utf-8"))
-            model, records, digest = cls._from_header(header, reader.remaining())
-        except (KeyError, TypeError, ValueError, RecursionError, ContractError) as exc:
-            raise FormatError(f"bad checkpoint header: {type(exc).__name__}: {exc}") from None
-        params = model.parameters()
-        expected = [(name, tensor.data.shape) for name, tensor in params]
-        if records != expected:
-            raise FormatError(f"checkpoint arrays {records} do not match the model's {expected}")
-        for name, tensor in params:
-            tensor.data = reader.array("<f8", tensor.data.size).reshape(tensor.data.shape).copy()
-            if not np.isfinite(tensor.data).all():
-                raise FormatError(f"array {name} holds a non-finite value")
-        reader.finish()
+        with ByteReader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as reader:
+            (header_len,) = reader.unpack("<I")
+            try:  # not UTF-8 or not JSON: ValueError; nested too deep for json: RecursionError
+                header = json.loads(str(reader.take(header_len), "utf-8"))
+                model, records, digest = cls._from_header(header, reader.remaining())
+            except (KeyError, TypeError, ValueError, RecursionError, ContractError) as exc:
+                raise FormatError(f"bad checkpoint header: {type(exc).__name__}: {exc}") from None
+            params = model.parameters()
+            expected = [(name, tensor.data.shape) for name, tensor in params]
+            if records != expected:
+                raise FormatError(
+                    f"checkpoint arrays {records} do not match the model's {expected}")
+            for name, tensor in params:
+                tensor.data = reader.array("<f8", tensor.data.size).reshape(tensor.data.shape)
+                if not np.isfinite(tensor.data).all():
+                    raise FormatError(f"array {name} holds a non-finite value")
+            reader.finish()
         return model, digest
 
     @classmethod

@@ -1,7 +1,8 @@
 """Word-level tokenizer, corpus-derived vocabulary, read_records, the one
 reader behind every line-based input file (these, triplets, vectors, TREC),
 ByteReader, the one reader behind every binary input file (checkpoints,
-indexes), and write_output, the one writer behind every output file.
+indexes), which reads from the file straight into fresh arrays, and
+write_output, the one writer behind every output file.
 
 File formats (all tab-separated, UTF-8):
   corpus / queries  ``name<TAB>text`` one record per line
@@ -11,6 +12,7 @@ File formats (all tab-separated, UTF-8):
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import stat
 import string
@@ -19,7 +21,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ContractError, FormatError
 
 PAD_ID = 0
 START_ID = 1
@@ -119,38 +121,58 @@ def read_records(path, fields: int, form: str, sep: str | None = "\t"):
 class ByteReader:
     """Bounds-checked cursor over a binary file that opens with a 4-byte
     magic and a u32 version, both checked here. Every failure is a
-    FormatError that names ``kind`` and the byte offset."""
+    FormatError that names ``kind`` and the byte offset. Reads go from the
+    file straight into fresh arrays, with no whole-file buffer; a pipe is
+    read whole first. A ``with`` block closes the file."""
 
     def __init__(self, path, kind: str, magic: bytes, version: int):
-        with open(path, "rb") as fh:
-            self.raw = fh.read()
-        self.kind, self.offset = kind, 4
-        if self.raw[:4] != magic:
-            raise FormatError(f"bad {kind} magic at offset 0: {self.raw[:4]!r}")
-        (found,) = self.unpack("<I")
-        if found != version:
-            raise FormatError(f"unsupported {kind} version {found} at offset 4")
+        self._file, self.kind, self.offset = open(path, "rb"), kind, 4
+        try:
+            info = os.fstat(self._file.fileno())
+            if not stat.S_ISREG(info.st_mode):  # a pipe's size is known once it is read
+                with self._file:
+                    self._file = io.BytesIO(self._file.read())
+            self.size = info.st_size if stat.S_ISREG(info.st_mode) else len(self._file.getbuffer())
+            found = self._file.read(4)
+            if found != magic:
+                raise FormatError(f"bad {kind} magic at offset 0: {found!r}")
+            (found,) = self.unpack("<I")
+            if found != version:
+                raise FormatError(f"unsupported {kind} version {found} at offset 4")
+        except BaseException:
+            self._file.close()
+            raise
+
+    def __enter__(self) -> "ByteReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
 
     def remaining(self) -> int:
-        return len(self.raw) - self.offset
+        return self.size - self.offset
 
     def _skip(self, n: int) -> int:
         """Move past the next ``n`` bytes; returns the offset they start at."""
-        if n > len(self.raw) - self.offset:
+        if n > self.size - self.offset:
             raise FormatError(f"{self.kind} truncated at offset {self.offset}")
         self.offset += n
         return self.offset - n
 
-    def take(self, n: int) -> bytes:
-        start = self._skip(n)
-        return self.raw[start : start + n]
+    def take(self, n: int) -> memoryview:
+        return self.array(np.uint8, n).data
 
     def unpack(self, fmt: str) -> tuple:
-        return struct.unpack_from(fmt, self.raw, self._skip(struct.calcsize(fmt)))
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, dtype, count: int) -> np.ndarray:
-        """The next ``count`` items as a read-only view of the file's bytes."""
-        return np.frombuffer(self.raw, dtype, count, self._skip(count * np.dtype(dtype).itemsize))
+        """The next ``count`` items as a fresh, writable array, allocated
+        once the file is known to hold them."""
+        start = self._skip(count * np.dtype(dtype).itemsize)
+        out = np.empty(count, dtype)
+        if self._file.readinto(out) != out.nbytes:  # the file was cut after it was opened
+            raise FormatError(f"{self.kind} truncated at offset {start}")
+        return out
 
     def finish(self) -> None:
         if self.remaining():
@@ -161,6 +183,13 @@ def is_name(value: str) -> bool:
     """Whether ``value`` is non-empty and holds no whitespace, so that a
     whitespace-split line, such as a TREC run line, gives it back whole."""
     return value.split() == [value]
+
+
+def checked_name(kind: str, value: str) -> str:
+    """``value`` if it passes ``is_name``; else ContractError naming ``kind``."""
+    if not is_name(value):
+        raise ContractError(f"{kind} {value!r} is empty or holds whitespace")
+    return value
 
 
 def read_tsv_texts(path) -> dict[str, str]:
@@ -176,7 +205,8 @@ def read_tsv_texts(path) -> dict[str, str]:
 
 
 def write_output(path, chunks) -> None:
-    """Write the ``bytes`` chunks of an iterable as the file at ``path``.
+    """Write the bytes-like chunks of an iterable (``bytes``, or the
+    ``memoryview`` of an array) as the file at ``path``.
 
     A regular file with one link, or a path that does not exist yet, is
     replaced whole: the chunks go to a sibling ``<path>.<pid>.tmp``, which

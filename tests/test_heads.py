@@ -1,6 +1,7 @@
 """Sparse head tests: hand fixtures, support laws, pooling decomposition."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -386,6 +387,20 @@ class TestVectorFiles:
         assert [name for name, _ in loaded] == ["d1", "d2", "d3"]
         for (_, a), (_, b) in zip(items, loaded):
             assert a == b
+
+    @pytest.mark.parametrize("name", ["", "d one", "a\tb", "d1 ", "d\u00a01", "d\n1"])
+    def test_name_the_reader_refuses_is_not_written(self, tmp_path, name):
+        path = tmp_path / "vecs.tsv"
+        items = [("d0", SparseVector({1: 0.5})), (name, SparseVector({2: 0.5}))]
+        with pytest.raises(ContractError, match=f"vector name {re.escape(repr(name))} is empty"):
+            write_vectors(path, items)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_names_the_reader_accepts_round_trip(self, tmp_path):
+        path = tmp_path / "vecs.tsv"
+        items = [("d\u00e9:1", SparseVector({1: 0.5})), ("q#2", SparseVector())]
+        write_vectors(path, items)
+        assert read_vectors(path) == items
 
     def test_malformed_entry_reports_line(self, tmp_path):
         path = tmp_path / "vecs.tsv"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from reference import brute_force_search
 from lsrkit.errors import ContractError, FormatError
+from lsrkit import index as index_module
 from lsrkit.heads import SparseVector
 from lsrkit.index import (
     InvertedIndex,
@@ -431,6 +432,42 @@ class TestIndexFile:
             + struct.pack("<3I", 0, 1, 1) + struct.pack("<3f", 1.0, 2.0, 1.0)
             + struct.pack("<2I", 2, 2) + b"d1d2"
         )
+
+    def test_save_writes_each_column_from_one_cast_at_a_time(self, tmp_path, monkeypatch):
+        """write_output gets no ``bytes`` copy of any column: each column is
+        cast as it is written, and the float32 impacts are not copied."""
+        docs = terms = 1000
+        index = index_of([f"d{i}" for i in range(docs)], range(terms),
+                         range(0, docs * terms + 1, docs), np.tile(np.arange(docs), terms),
+                         np.ones(docs * terms))
+        column = 4 * index.posting_count  # bytes of the doc id column, as u4
+        seen = {"chunks": []}
+
+        def spy(path, chunks):
+            seen["held"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+
+            def noted():
+                for chunk in chunks:
+                    seen["chunks"].append((type(chunk), memoryview(chunk).nbytes))
+                    yield chunk
+
+            write_output(path, noted())
+            seen["written"] = tracemalloc.get_traced_memory()[1] - seen["held"]
+
+        monkeypatch.setattr(index_module, "write_output", spy)
+        path = tmp_path / "big.lsrx"
+        tracemalloc.start()
+        try:
+            save_index(index, path)
+        finally:
+            tracemalloc.stop()
+        assert seen["held"] < column / 2
+        assert seen["written"] < 1.5 * column
+        assert [size for kind, size in seen["chunks"] if kind is bytes and size > 1024] == []
+        assert sum(size for _, size in seen["chunks"]) == path.stat().st_size
+        names = sum(4 + len(name) for name in index.doc_names)
+        assert path.stat().st_size == 24 + 8 * terms + 2 * column + names
 
     @staticmethod
     def patched_fixture(tmp_path, position, doc_id):

@@ -42,10 +42,10 @@ def dense(vec, size=16):
     return out
 
 
-def build(variant=Variant.ENCDEC_MULTITOKENS, head=HeadKind.MLM_MULTITOKENS, seed=0, layers=1):
-    cfg = BackboneConfig(
-        variant, num_layers=layers, d_model=8, num_heads=2, vocab_size=16, max_seq_len=8, seed=seed
-    )
+def build(variant=Variant.ENCDEC_MULTITOKENS, head=HeadKind.MLM_MULTITOKENS, seed=0, layers=1,
+          vocab=16, d_model=8, num_heads=2):
+    cfg = BackboneConfig(variant, num_layers=layers, d_model=d_model, num_heads=num_heads,
+                         vocab_size=vocab, max_seq_len=8, seed=seed)
     return SparseEncoder.build(cfg, head)
 
 
@@ -520,6 +520,48 @@ class TestCheckpoint:
         monkeypatch.setattr(np.random, "default_rng", no_build)
         loaded, _ = SparseEncoder.load(path)
         assert all(t.data.flags.writeable for _, t in loaded.parameters())
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        """Peak bytes that tracemalloc sees allocated while ``call()`` runs."""
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_holds_one_copy_of_the_parameters(self, tmp_path):
+        model = build(layers=1, vocab=16384, d_model=64)  # tok_emb 8 MiB
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        param_bytes = sum(t.data.nbytes for _, t in model.parameters())
+        assert model.backbone.tok_emb.data.nbytes >= 8 * 2**20
+        loaded = []
+        peak = self.traced_peak(lambda: loaded.append(SparseEncoder.load(path)))
+        assert peak <= 1.1 * param_bytes + 2**20
+        for (name, a), (_, b) in zip(model.parameters(), loaded[0][0].parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+
+    def test_save_holds_no_copy_of_the_parameters(self, tmp_path):
+        model = build(layers=1, vocab=16384, d_model=64)
+        assert model.backbone.tok_emb.data.nbytes >= 8 * 2**20
+        assert self.traced_peak(lambda: model.save(tmp_path / "model.ckpt")) < 2**20
+
+    def test_last_array_cut_short_is_refused_before_it_is_allocated(self, tmp_path):
+        model = build(layers=1, vocab=2**17, d_model=1, num_heads=1)
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        last = model.head.b_vocab.data.nbytes  # 1 MiB, as large as tok_emb
+        param_bytes = sum(t.data.nbytes for _, t in model.parameters())
+        raw = path.read_bytes()
+        assert array_offset(path, "head.b_vocab") == len(raw) - last
+        write_output(path, [raw[:-8]])
+        peak = self.traced_peak(lambda: pytest.raises(FormatError, SparseEncoder.load, path))
+        # Building the model holds a zero placeholder for the last array, so
+        # the parameters' bytes are held before it is read; reading it would
+        # allocate its bytes again.
+        assert peak < param_bytes + last / 2
 
     def test_loaded_model_encodes_identically(self, tmp_path):
         model = build(seed=5)

@@ -2,10 +2,12 @@
 output-writer tests."""
 
 import ast
+import contextlib
 import os
 import re
 import stat
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.errors import FormatError
 from lsrkit.evaluation import read_qrels, read_run, write_run
 from lsrkit.heads import HeadKind, SparseVector, read_vectors, write_vectors
-from lsrkit.index import build_index, save_index
+from lsrkit.index import build_index, load_index, save_index
 from lsrkit.model import SparseEncoder
 from lsrkit.text import NUM_SPECIALS, PAD_ID, START_ID, UNK_ID, Vocabulary, build_vocab, tokenize
 from lsrkit.training import TrainConfig, TrainingTriplet, read_triplets, train
@@ -348,6 +350,92 @@ def _opens_for_writing(node) -> bool:
     )
 
 
+@contextlib.contextmanager
+def _fed(fifo, data: bytes):
+    """Write ``data`` into the FIFO at ``fifo`` from a thread while the block runs."""
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
+def _saved_checkpoint(path):
+    _tiny_model().save(path, vocab_digest="abc")
+
+
+def _saved_index(path):
+    save_index(build_index(_vectors(1)), path)
+
+
+def _same_checkpoint(a, b):
+    assert a[1] == b[1]
+    for (name, x), (_, y) in zip(a[0].parameters(), b[0].parameters(), strict=True):
+        assert x.data.tobytes() == y.data.tobytes(), name
+
+
+def _same_index(a, b):
+    assert a.doc_names == b.doc_names
+    for column in ("terms", "starts", "doc_ids", "impacts"):
+        assert getattr(a, column).tobytes() == getattr(b, column).tobytes(), column
+
+
+# every binary input lsrkit reads: (save to path, load from path, assert two loads equal)
+BINARY_INPUTS = [
+    pytest.param(_saved_checkpoint, SparseEncoder.load, _same_checkpoint, id="checkpoint"),
+    pytest.param(_saved_index, load_index, _same_index, id="index"),
+]
+
+
+@pytest.mark.parametrize("save,load,same", BINARY_INPUTS)
+class TestBinaryInputs:
+    def test_a_pipe_loads_like_the_file(self, tmp_path, save, load, same):
+        path, fifo = tmp_path / "saved", tmp_path / "fifo"
+        save(path)
+        os.mkfifo(fifo)
+        with _fed(fifo, path.read_bytes()):
+            piped = load(fifo)
+        same(piped, load(path))
+
+    def test_a_pipe_cut_short_fails_like_a_truncated_file(self, tmp_path, save, load, same):
+        path, fifo = tmp_path / "saved", tmp_path / "fifo"
+        save(path)
+        cut = path.read_bytes()[:-3]
+        path.write_bytes(cut)
+        with pytest.raises(FormatError) as from_file:
+            load(path)
+        os.mkfifo(fifo)
+        with _fed(fifo, cut), pytest.raises(FormatError) as from_pipe:
+            load(fifo)
+        assert "truncated at offset" in str(from_file.value)
+        assert str(from_pipe.value) == str(from_file.value)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_damaged_loads_leave_no_file_open(self, tmp_path, save, load, same):
+        path = tmp_path / "saved"
+        save(path)
+        raw = path.read_bytes()
+        rng = np.random.default_rng(35)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(200):
+            damaged = bytearray(raw[: int(rng.integers(0, len(raw) + 1))])
+            if damaged:
+                damaged[int(rng.integers(len(damaged)))] ^= int(rng.integers(1, 256))
+            text.write_output(path, [bytes(damaged)])  # fresh: truncating in place flushes on close
+            try:
+                load(path)
+            except FormatError:
+                pass
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 def _binary_reads(tree) -> list[str]:
     """Qualified names of the functions that hold an ``open(path, "rb")``,
     ``x.open("rb")`` or ``x.read_bytes()`` call."""
@@ -387,19 +475,48 @@ class TestByteReader:
 
     def test_reads_advance_the_offset(self, tmp_path):
         body = struct.pack("<HQ", 7, 2**40) + b"xyz" + struct.pack("<2d", 1.5, -2.0)
-        reader = self.reader(tmp_path, body)
-        assert reader.offset == 8
-        assert reader.unpack("<HQ") == (7, 2**40)
-        assert reader.take(3) == b"xyz"
-        assert reader.remaining() == 16
-        np.testing.assert_array_equal(reader.array("<f8", 2), [1.5, -2.0])
-        reader.finish()
+        with self.reader(tmp_path, body) as reader:
+            assert reader.offset == 8
+            assert reader.unpack("<HQ") == (7, 2**40)
+            assert reader.take(3) == b"xyz"
+            assert reader.remaining() == 16
+            np.testing.assert_array_equal(reader.array("<f8", 2), [1.5, -2.0])
+            reader.finish()
 
-    def test_array_is_a_read_only_view_of_the_file_bytes(self, tmp_path):
-        reader = self.reader(tmp_path, bytes(range(6)))
-        view = reader.array(np.uint8, 4)
-        assert view.base is reader.raw and not view.flags.writeable
-        assert view.tolist() == [0, 1, 2, 3] and reader.offset == 12
+    def test_array_is_a_fresh_writable_aligned_array(self, tmp_path):
+        with self.reader(tmp_path, bytes(range(5)) + struct.pack("<d", 2.5)) as reader:
+            array = reader.array(np.uint8, 4)
+            assert array.base is None and array.flags.owndata and array.flags.writeable
+            assert array.tolist() == [0, 1, 2, 3] and reader.offset == 12
+            reader.take(1)
+            floats = reader.array("<f8", 1)  # at offset 13: a view of the bytes would be unaligned
+            assert floats.flags.aligned and floats.flags.owndata and floats.tolist() == [2.5]
+
+    def test_file_cut_after_opening_reads_as_truncated(self, tmp_path):
+        """A read that comes up short, past what the reader buffered, fails as
+        a file that was short from the start would."""
+        body = np.arange(4096, dtype="<f8").tobytes()
+        with self.reader(tmp_path, body) as reader:
+            os.truncate(tmp_path / "artifact.bin", 16)
+            with pytest.raises(FormatError, match="artifact truncated at offset 8$"):
+                reader.array("<f8", 4096)
+
+    def test_with_block_closes_the_file(self, tmp_path):
+        with self.reader(tmp_path) as reader:
+            pass
+        assert reader._file.closed
+
+    def test_a_pipe_reads_like_the_file(self, tmp_path):
+        body = struct.pack("<H", 7) + b"xyz"
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        data = self.MAGIC + struct.pack("<I", 3) + body
+        with _fed(fifo, data), text.ByteReader(fifo, "artifact", self.MAGIC, 3) as reader:
+            assert reader.remaining() == 5 and reader.unpack("<H") == (7,)
+            with pytest.raises(FormatError, match="artifact truncated at offset 10"):
+                reader.take(4)
+            assert reader.take(3) == b"xyz"
+            reader.finish()
 
     @pytest.mark.parametrize(
         "magic,version,pattern",
@@ -431,22 +548,22 @@ class TestByteReader:
         ids=["take", "unpack", "array"],
     )
     def test_read_past_the_end_names_kind_and_offset(self, tmp_path, read):
-        reader = self.reader(tmp_path, b"abc")
-        reader.take(1)
-        with pytest.raises(FormatError, match="artifact truncated at offset 9"):
-            read(reader)
+        with self.reader(tmp_path, b"abc") as reader:
+            reader.take(1)
+            with pytest.raises(FormatError, match="artifact truncated at offset 9"):
+                read(reader)
 
     def test_failed_read_does_not_move_the_offset(self, tmp_path):
-        reader = self.reader(tmp_path, b"ab")
-        with pytest.raises(FormatError):
-            reader.take(3)
-        assert reader.offset == 8 and reader.take(2) == b"ab"
+        with self.reader(tmp_path, b"ab") as reader:
+            with pytest.raises(FormatError):
+                reader.take(3)
+            assert reader.offset == 8 and reader.take(2) == b"ab"
 
     def test_finish_rejects_trailing_bytes(self, tmp_path):
-        reader = self.reader(tmp_path, b"abc")
-        reader.take(1)
-        with pytest.raises(FormatError, match="artifact: trailing bytes after offset 9"):
-            reader.finish()
+        with self.reader(tmp_path, b"abc") as reader:
+            reader.take(1)
+            with pytest.raises(FormatError, match="artifact: trailing bytes after offset 9"):
+                reader.finish()
 
     def test_only_byte_reader_opens_files_for_binary_reading(self):
         """Every binary input goes through text.ByteReader, so magic, version,
