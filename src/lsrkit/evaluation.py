@@ -18,7 +18,7 @@ import math
 import sys
 
 from .errors import ContractError, FormatError, NumericError
-from .text import checked_name, read_records, write_output
+from .text import checked_name, parse_number, read_records, write_output
 
 logger = logging.getLogger(__name__)
 
@@ -30,7 +30,7 @@ def read_qrels(path) -> Qrels:
     qrels: Qrels = {}
     for lineno, (qid, _, doc, raw_rel) in read_records(path, 4, "'qid 0 docname rel'", None):
         try:
-            rel = int(raw_rel)
+            rel = parse_number(int, raw_rel)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: bad relevance {raw_rel!r}") from None
         if rel < 0:
@@ -49,7 +49,7 @@ def read_run(path) -> Run:
     form = "'qid Q0 docname rank score tag'"
     for lineno, (qid, _, doc, raw_rank, raw_score, _) in read_records(path, 6, form, None):
         try:
-            rank, score = int(raw_rank), float(raw_score)
+            rank, score = parse_number(int, raw_rank), parse_number(float, raw_score)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: bad rank or score") from None
         if not math.isfinite(score):  # NaN compares false, so it would pass the order check

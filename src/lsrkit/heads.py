@@ -35,7 +35,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .backbones import _normal, _param
 from .errors import ContractError, FormatError, ShapeError
-from .text import checked_name, is_name, read_records, write_output
+from .text import checked_name, is_name, parse_number, read_records, write_output
 
 
 class SparseVector:
@@ -246,7 +246,7 @@ def read_vectors(path) -> list[tuple[str, SparseVector]]:
         for chunk in body.split():
             term, _, weight = chunk.partition(":")
             try:
-                t, w = int(term), float(weight)
+                t, w = parse_number(int, term), parse_number(float, weight)
             except ValueError:
                 raise FormatError(f"{where}: bad entry {chunk!r}") from None
             if not 0 <= t < 2**32:  # index files store term ids as u32

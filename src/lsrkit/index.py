@@ -14,12 +14,14 @@ On-disk format (little-endian), fixed-width columns that load as numpy arrays:
   | posting_count * u32 doc id | posting_count * f32 impact  -- lists back to back
   | doc_count * u32 name byte length | utf-8 doc names
 
-load_index raises FormatError unless term ids ascend strictly, the list
-lengths sum to posting_count, doc ids ascend strictly below doc_count
-within each list, every impact is a finite positive float32 and doc names
-are unique: the conditions under which search matches the oracle and a run
-names each doc once. Version 1 files are refused: rebuild them from the
-vector file with `lsrkit index`.
+An InvertedIndex holds what search assumes: doc id and impact columns of
+equal length, term ids ascending strictly within [0, 2**32), starts that cut
+the doc ids into one list per term, doc ids ascending strictly below
+doc_count within each list, every impact a finite float32 > 0, and unique
+doc names, so a run names each doc once. Its constructor raises
+ContractError naming the first fault; load_index raises FormatError with
+the same text. Version 1 files are refused: rebuild them from the vector
+file with `lsrkit index`.
 """
 
 from __future__ import annotations
@@ -41,11 +43,31 @@ class InvertedIndex:
     """The posting columns of the module docstring; ``starts`` has term_count + 1 entries."""
 
     def __init__(self, doc_names: list[str], terms, starts, doc_ids, impacts):
-        self.doc_names = doc_names
-        self.terms = terms
-        self.starts = starts
-        self.doc_ids = doc_ids
-        self.impacts = impacts
+        if len(doc_ids) != len(impacts):
+            raise ContractError("the doc id and impact columns must be of equal length")
+        if (np.diff(terms) <= 0).any() or ((terms < 0) | (terms >= 2**32)).any():
+            raise ContractError("term ids must ascend strictly within [0, 2**32)")
+        if (len(starts) != len(terms) + 1 or starts[0] != 0 or starts[-1] != len(doc_ids)
+                or (np.diff(starts) < 0).any()):
+            raise ContractError(f"list lengths do not sum to the header's {len(doc_ids)} postings")
+        bad = np.zeros(len(doc_ids), bool)
+        bad[1:] = doc_ids[1:] <= doc_ids[:-1]
+        bad[starts[:-1][np.diff(starts) > 0]] = False  # a list's first posting follows another list
+        bad |= (doc_ids < 0) | (doc_ids >= len(doc_names))
+        if bad.any():
+            term = terms[np.searchsorted(starts, bad.argmax(), "right") - 1]
+            raise ContractError(
+                f"term {term}: doc ids must ascend strictly within [0, {len(doc_names)})")
+        if not (np.isfinite(impacts) & (impacts > 0.0)).all():
+            raise ContractError("impacts must be finite and > 0")
+        if len(set(doc_names)) != len(doc_names):
+            seen: set[str] = set()
+            for name in doc_names:
+                if name in seen:
+                    raise ContractError(f"doc name {name!r} is repeated")
+                seen.add(name)
+        self.doc_names, self.terms, self.starts = doc_names, terms, starts
+        self.doc_ids, self.impacts = doc_ids, impacts
 
     @property
     def doc_count(self) -> int:
@@ -134,27 +156,7 @@ def flops_metric(queries: list[SparseVector], index: InvertedIndex) -> float:
     return int((ends - starts).sum()) / (len(queries) * index.doc_count)
 
 
-def _check_lists(terms, starts, doc_ids, doc_count: int, error: type) -> None:
-    """Raise ``error`` unless ``terms`` ascend strictly in u32, ``starts`` split the
-    doc ids into one list per term, and each list's doc ids ascend strictly
-    within [0, doc_count), naming the first list that breaks it."""
-    if (np.diff(terms) <= 0).any() or ((terms < 0) | (terms >= 2**32)).any():
-        raise error("term ids must ascend strictly within [0, 2**32)")
-    if (len(starts) != len(terms) + 1 or starts[0] != 0 or starts[-1] != len(doc_ids)
-            or (np.diff(starts) < 0).any()):
-        raise error(f"list lengths do not sum to the header's {len(doc_ids)} postings")
-    list_of = np.repeat(np.arange(len(terms)), np.diff(starts))
-    bad = (doc_ids < 0) | (doc_ids >= doc_count)
-    bad[1:] |= (np.diff(doc_ids) <= 0) & (np.diff(list_of) == 0)
-    if bad.any():
-        term = terms[list_of[bad.argmax()]]
-        raise error(f"term {term}: doc ids must ascend strictly within [0, {doc_count})")
-
-
 def save_index(index: InvertedIndex, path) -> None:
-    if len(index.doc_ids) != len(index.impacts):
-        raise ContractError("the doc id and impact columns must be of equal length")
-    _check_lists(index.terms, index.starts, index.doc_ids, index.doc_count, ContractError)
     names = [name.encode("utf-8") for name in index.doc_names]
     lengths = np.array([len(name) for name in names], "<u4")
     columns = [(index.terms, "<u4"), (np.diff(index.starts), "<u4"), (index.doc_ids, "<u4"),
@@ -173,20 +175,16 @@ def load_index(path) -> InvertedIndex:
         starts = np.append(0, reader.array("<u4", term_count)).cumsum(dtype=np.int64)
         doc_ids = reader.array("<u4", posting_count).astype(np.int64)
         impacts = reader.array("<f4", posting_count)
-        name_lengths = reader.array("<u4", doc_count)
-        _check_lists(terms, starts, doc_ids, doc_count, FormatError)
-        if not (np.isfinite(impacts) & (impacts > 0.0)).all():
-            raise FormatError("impacts must be finite and > 0")
-        name_ends = np.cumsum(name_lengths, dtype=np.int64).tolist()
+        name_ends = np.cumsum(reader.array("<u4", doc_count), dtype=np.int64).tolist()
         base, blob = reader.offset, reader.take(name_ends[-1] if name_ends else 0)
-        doc_names: dict[str, None] = {}
+        doc_names = []
         for start, end in zip([0, *name_ends], name_ends):
             try:
-                name = str(blob[start:end], "utf-8")
+                doc_names.append(str(blob[start:end], "utf-8"))
             except UnicodeDecodeError:
                 raise FormatError(f"doc name at offset {base + start} is not UTF-8") from None
-            if name in doc_names:
-                raise FormatError(f"doc name {name!r} at offset {base + start} is repeated")
-            doc_names[name] = None
         reader.finish()
-    return InvertedIndex(list(doc_names), terms, starts, doc_ids, impacts)
+    try:
+        return InvertedIndex(doc_names, terms, starts, doc_ids, impacts)
+    except ContractError as exc:
+        raise FormatError(str(exc)) from None

@@ -179,6 +179,14 @@ class ByteReader:
             raise FormatError(f"{self.kind}: trailing bytes after offset {self.offset}")
 
 
+def parse_number(cast, field: str):
+    """``cast(field)``, int or float, for a field of plain ASCII without "_":
+    Python's casts also take digit separators and non-ASCII digits. Raises ValueError."""
+    if "_" in field or not field.isascii():
+        raise ValueError(f"not a plain ASCII number: {field!r}")
+    return cast(field)
+
+
 def is_name(value: str) -> bool:
     """Whether ``value`` is non-empty and holds no whitespace, so that a
     whitespace-split line, such as a TREC run line, gives it back whole."""

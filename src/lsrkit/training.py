@@ -27,7 +27,7 @@ from .autodiff import Tape, Tensor
 from .errors import ContractError, DegenerateDistributionError, FormatError, NumericError, ShapeError
 from .errors import TapeStateError
 from .model import SparseEncoder
-from .text import Vocabulary, read_records, tokenize, write_output
+from .text import Vocabulary, parse_number, read_records, tokenize, write_output
 
 
 @dataclass(frozen=True)
@@ -347,7 +347,7 @@ def read_triplets(path, vocab: Vocabulary, max_seq_len: int) -> list[TrainingTri
     triplets: list[TrainingTriplet] = []
     for lineno, parts in read_records(path, 5, "5 tab-separated fields"):
         try:
-            teacher_pos, teacher_neg = float(parts[3]), float(parts[4])
+            teacher_pos, teacher_neg = parse_number(float, parts[3]), parse_number(float, parts[4])
         except ValueError:
             raise FormatError(f"{path}:{lineno}: bad teacher scores") from None
         if not (math.isfinite(teacher_pos) and math.isfinite(teacher_neg)):

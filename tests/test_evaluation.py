@@ -171,6 +171,14 @@ class TestTrecFiles:
         with pytest.raises(FormatError, match=rf"qrels\.txt:2: {message}"):
             read_qrels(path)
 
+    @pytest.mark.parametrize("rel", ["1_0", "\u0661", "\uff12"])
+    def test_relevance_that_is_not_plain_ascii_names_its_line(self, tmp_path, rel):
+        """Python's int takes "_" separators and non-ASCII digits."""
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"q1 0 d7 2\nq1 0 d8 {rel}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"qrels\.txt:2: bad relevance {rel!r}"):
+            read_qrels(path)
+
     def test_empty_files_are_empty_structures(self, tmp_path):
         qrels_path = tmp_path / "qrels.txt"
         run_path = tmp_path / "run.txt"
@@ -232,6 +240,17 @@ class TestTrecFiles:
         path = tmp_path / "run.txt"
         path.write_text(f"q1 Q0 d1 1 2.0 t\n{line}\n")
         with pytest.raises(FormatError, match=message):
+            read_run(path)
+
+    @pytest.mark.parametrize(
+        "rank,score", [("0_2", "1.0"), ("\u0662", "1.0"), ("2", "1_0"), ("2", "\u0661.5")],
+        ids=["rank-separator", "arabic-rank", "score-separator", "arabic-score"],
+    )
+    def test_rank_or_score_that_is_not_plain_ascii_names_its_line(self, tmp_path, rank, score):
+        """Python's int and float take "_" separators and non-ASCII digits."""
+        path = tmp_path / "run.txt"
+        path.write_text(f"q1 Q0 d1 1 20.0 t\nq1 Q0 d2 {rank} {score} t\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"run\.txt:2: bad rank or score"):
             read_run(path)
 
     def test_malformed_run_line_reports_number(self, tmp_path):

@@ -419,6 +419,18 @@ class TestVectorFiles:
         with pytest.raises(FormatError, match=r"vecs\.tsv:4: "):
             read_vectors(path)
 
+    @pytest.mark.parametrize(
+        "entry", ["1_0:0.5", "3:2_5", "3:0.2_5", "\u0665:1.0", "3:\u0661.5", "\uff13:1.0"],
+        ids=["term-separator", "weight-separator", "fraction-separator", "arabic-term",
+             "arabic-weight", "fullwidth-term"],
+    )
+    def test_number_that_is_not_plain_ascii_is_a_bad_entry(self, tmp_path, entry):
+        """Python's int and float take "_" separators and non-ASCII digits."""
+        path = tmp_path / "vecs.tsv"
+        path.write_text(f"d0\t1:0.5\nd1\t2:1.0 {entry}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"vecs\.tsv:2: bad entry {entry!r}"):
+            read_vectors(path)
+
     def test_repeated_name_names_its_line(self, tmp_path):
         path = tmp_path / "vecs.tsv"
         path.write_text("q1\t1:0.5\nq2\t2:0.5\nq1\t3:0.5\n")

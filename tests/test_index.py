@@ -507,54 +507,84 @@ class TestIndexFile:
             load_index(path)
 
     def test_repeated_doc_name_rejected(self, tmp_path):
-        # save_index writes the names it is given, unchecked
         path = tmp_path / "dup.lsrx"
-        save_index(index_of(["d1", "d2", "d1"], [], [0], [], []), path)
-        with pytest.raises(FormatError, match="doc name 'd1' at offset 40 is repeated"):
+        save_index(index_of(["d1", "d2", "d3"], [], [0], [], []), path)
+        raw = path.read_bytes()
+        assert raw.endswith(b"d1d2d3")
+        path.write_bytes(raw[:-1] + b"1")
+        with pytest.raises(FormatError, match="doc name 'd1' is repeated"):
             load_index(path)
+
+
+class TestInvertedIndex:
+    """The constructor refuses columns that break what search assumes, so an
+    index built by hand holds the same invariants as one built or loaded."""
 
     @pytest.mark.parametrize(
         "doc_ids",
         [[1, 0], [0, 0], [0, 2], [-1, 0], [2**32, 2**32 + 1]],
         ids=["descending", "repeated", "past-doc-count", "negative", "past-u32"],
     )
-    def test_doc_ids_that_do_not_ascend_within_the_docs_cannot_be_saved(self, tmp_path, doc_ids):
-        index = index_of(["d1", "d2"], [7], [0, 2], doc_ids, [1.0, 1.0])
-        path = tmp_path / "bad.lsrx"
+    def test_constructor_refuses_doc_ids_that_do_not_ascend_within_the_docs(self, doc_ids):
         with pytest.raises(ContractError, match=r"term 7: doc ids must ascend strictly within \[0, 2\)"):
-            save_index(index, path)
-        assert not path.exists()
+            index_of(["d1", "d2"], [7], [0, 2], doc_ids, [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "terms,starts,doc_ids,term",
+        [
+            ([3, 5], [0, 2, 4], [0, 1, 1, 1], 5),
+            ([3, 5], [0, 2, 3], [0, 1, 2], 5),
+            ([3, 5], [0, 1, 2], [0, 2], 5),
+            ([3, 5], [0, 2, 3], [1, 0, 1], 3),
+            ([3, 4, 9], [0, 1, 1, 3], [1, 1, 0], 9),
+        ],
+        ids=["repeat", "past-doc-count", "past-doc-count-first", "descent-first-list", "after-empty-list"],
+    )
+    def test_the_list_that_breaks_the_rule_is_named(self, terms, starts, doc_ids, term):
+        with pytest.raises(ContractError, match=rf"term {term}: doc ids must ascend strictly within \[0, 2\)"):
+            index_of(["d1", "d2"], terms, starts, doc_ids, [1.0] * len(doc_ids))
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["below", "at"])
+    def test_a_list_may_start_at_or_below_where_the_previous_ended(self, first):
+        index = index_of(["d1", "d2"], [3, 4, 5], [0, 2, 2, 3], [0, 1, first], [1.0, 2.0, 3.0])
+        assert lists_of(index)[5][0].tolist() == [first]
 
     @pytest.mark.parametrize("impacts", [[1.0], [1.0, 1.0, 1.0, 1.0]], ids=["short", "long"])
-    def test_columns_of_unequal_length_cannot_be_saved(self, tmp_path, impacts):
-        """The file would line the impacts up with the wrong doc ids."""
-        path = tmp_path / "bad.lsrx"
+    def test_constructor_refuses_columns_of_unequal_length(self, impacts):
+        """Search would line the impacts up with the wrong doc ids."""
         with pytest.raises(ContractError, match="equal length"):
-            save_index(index_of(["d1", "d2"], [0, 1], [0, 2, 3], [0, 1, 1], impacts), path)
-        assert not path.exists()
+            index_of(["d1", "d2"], [0, 1], [0, 2, 3], [0, 1, 1], impacts)
 
     @pytest.mark.parametrize(
         "terms", [[2**32], [-3], [3, 1], [1, 1]], ids=["past-u32", "negative", "descending", "repeated"]
     )
-    def test_term_ids_that_do_not_ascend_within_u32_cannot_be_saved(self, tmp_path, terms):
-        """build_index refuses such ids; save_index refuses columns built by hand."""
-        path = tmp_path / "bad.lsrx"
+    def test_constructor_refuses_term_ids_that_do_not_ascend_within_u32(self, terms):
+        """build_index refuses such ids; the constructor refuses columns built by hand."""
         starts, doc_ids = list(range(len(terms) + 1)), [0] * len(terms)
         with pytest.raises(ContractError, match=r"term ids must ascend strictly within \[0, 2\*\*32\)"):
-            save_index(index_of(["d1"], terms, starts, doc_ids, [1.0] * len(terms)), path)
-        assert not path.exists()
+            index_of(["d1"], terms, starts, doc_ids, [1.0] * len(terms))
 
     @pytest.mark.parametrize(
         "terms,starts",
         [([0], [0, 5]), ([0], [1, 1]), ([0, 1], [0, 2, 1]), ([0], [0]), ([0], [0, 1, 1])],
         ids=["past-the-end", "not-from-0", "descending", "too-few", "too-many"],
     )
-    def test_starts_that_do_not_split_the_columns_cannot_be_saved(self, tmp_path, terms, starts):
+    def test_constructor_refuses_starts_that_do_not_split_the_columns(self, terms, starts):
         """One doc id, one impact: the starts must run 0 to 1, one list per term."""
-        path = tmp_path / "bad.lsrx"
         with pytest.raises(ContractError, match="list lengths do not sum to the header's 1 postings"):
-            save_index(index_of(["d1"], terms, starts, [0], [1.0]), path)
-        assert not path.exists()
+            index_of(["d1"], terms, starts, [0], [1.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0])
+    def test_constructor_refuses_non_finite_or_non_positive_impacts(self, value):
+        with pytest.raises(ContractError, match="impacts must be finite and > 0"):
+            index_of(["d1", "d2"], [0], [0, 2], [0, 1], [1.0, value])
+
+    @pytest.mark.parametrize(
+        "names,repeat", [(["d1", "d1"], "d1"), (["a", "b", "b", "a"], "b"), (["", "x", ""], "")]
+    )
+    def test_constructor_refuses_repeated_doc_names_naming_the_first_repeat(self, names, repeat):
+        with pytest.raises(ContractError, match=f"doc name {repeat!r} is repeated"):
+            index_of(names, [], [0], [], [])
 
 
 class TestIndexFileGuarantees:
@@ -568,8 +598,10 @@ class TestIndexFileGuarantees:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
     def test_non_finite_or_non_positive_impact_rejected(self, tmp_path, value):
-        index = index_of(["d1", "d2"], [0], [0, 2], [0, 1], [1.0, value])
-        path, _ = self.saved(tmp_path, index)
+        index = index_of(["d1", "d2"], [0], [0, 2], [0, 1], [1.0, 2.0])
+        path, raw = self.saved(tmp_path, index)
+        struct.pack_into("<f", raw, column_offset(raw, "impacts") + 4, value)
+        path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="finite and > 0"):
             load_index(path)
 
@@ -648,3 +680,92 @@ def test_mutated_index_file_is_rejected_or_sound(fuzz_path, saved_file, truncate
     assert_posting_invariants(index)
     query = SparseVector({term: 1.0 for term in index.terms.tolist()})
     assert top_k_search(index, query, 10) == brute_force_search(docs_of(index), query, 10)
+
+
+@st.composite
+def damaged_columns(draw):
+    """The columns of a small valid index with one or two changes, each of
+    which may leave them valid: a term id (past u32, negative, repeated or
+    out of order), a start, a doc id (out of range, repeated or out of
+    order), an impact (NaN, inf, 0 or -1), a doc name (set to another's), or
+    the impact column's length."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=5, unique=True))
+    lists = draw(st.dictionaries(st.integers(0, 9), st.sets(st.integers(0, len(names) - 1), min_size=1),
+                                 min_size=1, max_size=4))
+    terms = sorted(lists)
+    starts = [0, *itertools.accumulate(len(lists[term]) for term in terms)]
+    doc_ids = [doc for term in terms for doc in sorted(lists[term])]
+    impacts = draw(st.lists(WEIGHTS, min_size=len(doc_ids), max_size=len(doc_ids)))
+    values = {
+        "terms": st.one_of(st.integers(0, 9), st.sampled_from([-1, 2**32])),
+        "starts": st.integers(-1, len(doc_ids) + 1),
+        "doc_ids": st.one_of(st.integers(-1, len(names)), st.just(2**32)),
+        "impacts": st.sampled_from([np.nan, np.inf, 0.0, -1.0]),
+        "names": st.sampled_from(names),
+    }
+    columns = {"names": names, "terms": terms, "starts": starts, "doc_ids": doc_ids, "impacts": impacts}
+    for fault in draw(st.lists(st.sampled_from([*values, "length"]), min_size=1, max_size=2), label="faults"):
+        if fault == "length":
+            impacts[:] = impacts[1:] if draw(st.booleans()) else impacts + [1.0]
+        else:
+            column = columns[fault]
+            column[draw(st.integers(0, len(column) - 1))] = draw(values[fault])
+    return names, terms, starts, doc_ids, impacts
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(columns=damaged_columns(), k=st.integers(0, 6))
+def test_save_never_writes_what_load_refuses(fuzz_path, columns, k):
+    """The constructor refuses the columns, or the file save_index writes
+    loads back the same columns and names, and search over them matches the
+    oracle."""
+    try:
+        index = index_of(*columns)
+    except ContractError:
+        return
+    save_index(index, fuzz_path)
+    loaded = load_index(fuzz_path)
+    assert loaded.doc_names == index.doc_names
+    assert_same_columns(loaded, index)
+    assert_posting_invariants(loaded)
+    docs, terms = docs_of(index), index.terms.tolist()
+    for query in [{t: 1.0 for t in terms}, {t: i + 1.0 for i, t in enumerate(terms[::2])}, {99: 2.0}]:
+        query = SparseVector(query)
+        assert top_k_search(loaded, query, k) == brute_force_search(docs, query, k)
+
+
+@pytest.fixture(scope="module")
+def large_index():
+    """1,500,000 postings: 30,000 term ids with lists of 50 of 60,000 docs, built as columns."""
+    rng = np.random.default_rng(5)
+    terms = np.sort(rng.choice(2**20, 30_000, replace=False)).astype(np.int64)
+    doc_ids = (rng.integers(0, 1_200, (30_000, 1)) + 1_200 * np.arange(50)).ravel()
+    impacts = rng.uniform(0.01, 3.0, len(doc_ids)).astype(np.float32)
+    return InvertedIndex([f"d{i}" for i in range(60_000)], terms,
+                         np.arange(0, len(doc_ids) + 1, 50), doc_ids, impacts)
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak of the memory it allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestIndexFileMemory:
+    """save_index holds about one cast column; load_index about the columns it returns."""
+
+    def test_save_peaks_below_12_mb(self, tmp_path, large_index):
+        _, peak = traced_peak(save_index, large_index, tmp_path / "large.lsrx")
+        assert peak < 12e6
+
+    def test_load_peaks_below_36_mb(self, tmp_path, large_index):
+        path = tmp_path / "large.lsrx"
+        save_index(large_index, path)
+        loaded, peak = traced_peak(load_index, path)
+        assert peak < 36e6
+        assert loaded.doc_names == large_index.doc_names
+        assert_same_columns(loaded, large_index)

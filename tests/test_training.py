@@ -519,6 +519,14 @@ class TestTripletFile:
         with pytest.raises(FormatError, match=r"triplets\.tsv:2: bad teacher scores"):
             read_triplets(path, Vocabulary(["a"]), 8)
 
+    @pytest.mark.parametrize("scores", ["1_0\t0.0", "1.0\t0.2_5", "\u0661.0\t0.0", "1.0\t\uff10"])
+    def test_teacher_score_that_is_not_plain_ascii_names_its_line(self, tmp_path, scores):
+        """Python's float takes "_" separators and non-ASCII digits."""
+        path = tmp_path / "triplets.tsv"
+        path.write_text(f"a\ta\ta\t1.0\t0.0\na\ta\ta\t{scores}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"triplets\.tsv:2: bad teacher scores"):
+            read_triplets(path, Vocabulary(["a"]), 8)
+
     def test_empty_tokenization_rejected(self, tmp_path):
         path = tmp_path / "triplets.tsv"
         path.write_text("...\tdoc text\tother\t1.0\t0.0\n")
