@@ -19,13 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateMaskError,
-    DomainError,
-    NumericError,
-    ShapeError,
-    TapeStateError,
-)
+from .errors import DegenerateMaskError, NumericError, ShapeError, TapeStateError
 
 _ACTIVE_TAPE: "Tape | None" = None
 
@@ -239,14 +233,15 @@ def relu(x: Tensor) -> Tensor:
     return _record(out, backward)
 
 
-def log1p(x: Tensor) -> Tensor:
-    """Elementwise log(1 + x); defined for x > -1."""
-    if x.data.size and np.min(x.data) <= -1.0:
-        raise DomainError("log1p requires all elements > -1")
-    out = Tensor(np.log1p(x.data))
+def log1p_relu(x: Tensor) -> Tensor:
+    """Elementwise log(1 + max(0, x)), the heads' saturation, as one tape
+    entry; subgradient at 0 is 0. Forward and backward do the arithmetic of
+    ``log1p(relu(x))`` with the taped reference ``log1p`` in ``tests/reference.py``."""
+    r = np.maximum(x.data, 0.0)
+    out = Tensor(np.log1p(r))
 
     def backward(g):
-        _accum_owned(x, g / (1.0 + x.data))
+        _accum_owned(x, g / (1.0 + r) * (x.data > 0.0))
 
     return _record(out, backward)
 

@@ -215,7 +215,7 @@ def _gradcheck_cases(rng: np.random.Generator):
         ("mul", lambda x: ad.mul(x, w34), (3, 4), off_kink),
         ("scale", lambda x: ad.scale(x, 2.5), (3, 4), off_kink),
         ("relu", ad.relu, (3, 4), off_kink),
-        ("log1p", ad.log1p, (3, 4), uniform(-0.5, 2.0)),
+        ("log1p_relu", ad.log1p_relu, (3, 4), uniform(-0.5, 2.0)),
         ("gather_rows", lambda x: ad.gather_rows(x, ids), (3, 4), off_kink),
         ("transpose", ad.transpose, (3, 4), off_kink),
         ("concat_rows", lambda x: ad.concat_rows([x, x]), (3, 4), off_kink),

@@ -9,10 +9,6 @@ class ShapeError(LsrError):
     """Tensor shapes do not satisfy an operation's contract."""
 
 
-class DomainError(LsrError):
-    """Input values outside an operation's mathematical domain."""
-
-
 class VocabError(LsrError):
     """Token or term id outside the vocabulary."""
 

@@ -26,6 +26,7 @@ SparseVector.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from itertools import pairwise
 
@@ -39,7 +40,7 @@ from .text import checked_name, is_name, parse_number, read_records, write_outpu
 
 
 class SparseVector:
-    """Map from vocabulary term id to a strictly positive weight."""
+    """Map from an int term id (as ``operator.index`` takes it, not bool) to a weight > 0."""
 
     __slots__ = ("entries",)
 
@@ -47,11 +48,13 @@ class SparseVector:
         clean: dict[int, float] = {}
         if entries:
             for t, w in entries.items():
+                if isinstance(t, bool) or not hasattr(type(t), "__index__"):
+                    raise ContractError(f"term {t!r} is not an integer id")
                 w = float(w)
                 if w < 0.0 or not math.isfinite(w):
                     raise ContractError(f"weight for term {t} must be finite and >= 0")
                 if w > 0.0:
-                    clean[int(t)] = w
+                    clean[operator.index(t)] = w
         self.entries = clean
 
     def __len__(self) -> int:
@@ -65,12 +68,15 @@ class SparseVector:
 
     @classmethod
     def from_dense(cls, values: np.ndarray) -> "SparseVector":
-        """Vector of the strictly positive entries of a dense row.
+        """Vector of the strictly positive entries of one dense row.
 
         Zero and negative entries (-inf too) are dropped; NaN or +inf raises
         ContractError naming the lowest such term, as the constructor does.
+        Any shape but [|V|] raises ShapeError.
         """
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1:
+            raise ShapeError(f"from_dense takes one row, not an array of shape {values.shape}")
         nz = np.flatnonzero(values > 0.0)
         weights = values[nz]
         if np.isnan(values).any() or not np.isfinite(weights).all():
@@ -135,18 +141,13 @@ def mlp_head(h: Tensor, tokens, cfg: SparseHead) -> SparseVector:
         raise ShapeError(
             f"hidden states {h.data.shape} do not align with {tokens.shape[0]} tokens"
         )
-    scores = ad.log1p(ad.relu(ad.linear(h, cfg.w, cfg.b)))
+    scores = ad.log1p_relu(ad.linear(h, cfg.w, cfg.b))
     weights: dict[int, float] = {}
     for j, t in enumerate(tokens):
         s = float(scores.data[j, 0])
         if s > 0.0:
             weights[int(t)] = weights.get(int(t), 0.0) + s
     return SparseVector(weights)
-
-
-def _mlm_position_activations(h_row: Tensor, emb: Tensor, cfg: SparseHead) -> np.ndarray:
-    logits = ad.linear(h_row, ad.transpose(emb), cfg.b_vocab)
-    return ad.log1p(ad.relu(logits)).data[0]
 
 
 def mlm_head(h: Tensor, backbone_embeddings: Tensor, cfg: SparseHead) -> SparseVector:
@@ -161,10 +162,9 @@ def mlm_head(h: Tensor, backbone_embeddings: Tensor, cfg: SparseHead) -> SparseV
     m = h.data.shape[0]
     if cfg.kind == HeadKind.MLM_SINGLETOKEN and m != 1:
         raise ContractError(f"single-token MLM head got {m} hidden states")
-    rows = [
-        _mlm_position_activations(ad.gather_rows(h, [j]), backbone_embeddings, cfg)
-        for j in range(m)
-    ]
+    emb_t = ad.transpose(backbone_embeddings)
+    rows = [ad.log1p_relu(ad.linear(ad.gather_rows(h, [j]), emb_t, cfg.b_vocab)).data[0]
+            for j in range(m)]
     if cfg.pooling == "sum":
         dense = np.sum(rows, axis=0)
     else:
@@ -178,7 +178,7 @@ def mlp_batch_activations(
     """Dense [B, |V|] MLP activations for a packed batch (gradients flow)."""
     if states.data.shape[0] != token_ids.shape[0]:
         raise ContractError("MLP head requires token-aligned hidden states")
-    scores = ad.log1p(ad.relu(ad.linear(states, cfg.w, cfg.b)))
+    scores = ad.log1p_relu(ad.linear(states, cfg.w, cfg.b))
     num_seqs = len(starts) - 1
     rows = np.repeat(np.arange(num_seqs), np.diff(starts))
     return ad.scatter_add_pairs(scores, rows, token_ids, (num_seqs, cfg.vocab_size))
@@ -188,7 +188,7 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
     """Dense [B, |V|] MLM activations for a packed batch (gradients flow).
 
     Every max-pooled or single-state batch builds the pooled logits, then
-    applies log1p(relu(.)) to those [B, |V|] values only. Under a tape the
+    applies log1p_relu to those [B, |V|] values only. Under a tape the
     logits are one [N, d] @ [d, |V|] product, max-pooled by ``segment_max``;
     a single-state batch's pooling is the identity. With no tape, each
     sequence's [n, d] @ [d, block] product is max-pooled into its row for
@@ -202,7 +202,7 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
     if ad.recording() or one_state or sum_pooled:
         logits = ad.linear(states, ad.transpose(emb), cfg.b_vocab)
         if sum_pooled:
-            return ad.segment_sum(ad.log1p(ad.relu(logits)), starts)
+            return ad.segment_sum(ad.log1p_relu(logits), starts)
         pooled = logits if one_state else ad.segment_max(logits, starts)
     else:
         vocab = emb.data.shape[0]
@@ -217,7 +217,7 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
         ad.for_each(score, [slice(c0, c1) for c0, c1 in pairwise(cuts)])
         maxima += cfg.b_vocab.data
         pooled = Tensor(maxima)
-    return ad.log1p(ad.relu(pooled))
+    return ad.log1p_relu(pooled)
 
 
 def format_vector_line(name: str, vec: SparseVector) -> str:

@@ -40,7 +40,8 @@ INDEX_VERSION = 2
 
 
 class InvertedIndex:
-    """The posting columns of the module docstring; ``starts`` has term_count + 1 entries."""
+    """The posting columns of the module docstring; ``starts`` has term_count + 1
+    entries. The constructor makes the four column arrays it is given read-only."""
 
     def __init__(self, doc_names: list[str], terms, starts, doc_ids, impacts):
         if len(doc_ids) != len(impacts):
@@ -66,6 +67,8 @@ class InvertedIndex:
                 if name in seen:
                     raise ContractError(f"doc name {name!r} is repeated")
                 seen.add(name)
+        for column in (terms, starts, doc_ids, impacts):
+            column.setflags(write=False)
         self.doc_names, self.terms, self.starts = doc_names, terms, starts
         self.doc_ids, self.impacts = doc_ids, impacts
 

@@ -79,8 +79,8 @@ def write_tsv_texts(path, records: dict[str, str]) -> None:
             fh.write(f"{name}\t{text}\n")
 
 
-# Taped reference ops: fused linear and attention are checked bit for bit
-# against compositions of these.
+# Taped reference ops: fused linear, log1p_relu and attention are checked
+# bit for bit against compositions of these.
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -105,6 +105,16 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         _accum(a, g)
         _accum(b, g.sum(axis=0))
+
+    return _record(out, backward)
+
+
+def log1p(x: Tensor) -> Tensor:
+    """Elementwise log(1 + x), for x > -1."""
+    out = Tensor(np.log1p(x.data))
+
+    def backward(g):
+        _accum_owned(x, g / (1.0 + x.data))
 
     return _record(out, backward)
 

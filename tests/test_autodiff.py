@@ -21,17 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import add_bias, matmul, softmax_rows
+from reference import add_bias, log1p, matmul, softmax_rows
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import AttentionLayout, Tape, Tensor, finite_difference_check
 from lsrkit.cli import _gradcheck_cases
-from lsrkit.errors import (
-    DegenerateMaskError,
-    DomainError,
-    FormatError,
-    ShapeError,
-    TapeStateError,
-)
+from lsrkit.errors import DegenerateMaskError, FormatError, ShapeError, TapeStateError
 
 GRADCHECK_TOL = 1e-5
 EPS = 1e-6
@@ -46,6 +40,7 @@ def _op_cases(rng):
         ("matmul", lambda x: matmul(x, w45)),
         ("add_bias", lambda x: add_bias(x, w4)),
         ("softmax_rows", softmax_rows),
+        ("log1p", lambda x: log1p(ad.relu(x))),  # log1p's domain is x > -1
     ]:
         x = Tensor(rng.normal(size=(3, 4)))
         w = Tensor(rng.normal(size=op(x).shape))
@@ -116,15 +111,9 @@ class TestForwardFixtures:
         np.testing.assert_array_equal(out.data, 0.0)
         np.testing.assert_array_equal(x.grad, [0.0, 0.0])
 
-    def test_log1p_values(self):
-        np.testing.assert_allclose(ad.log1p(Tensor([0.0])).data, [0.0])
-        np.testing.assert_allclose(
-            ad.log1p(Tensor([math.e - 1.0])).data, [1.0], rtol=1e-15
-        )
-
-    def test_log1p_domain(self):
-        with pytest.raises(DomainError):
-            ad.log1p(Tensor([-1.0]))
+    def test_log1p_relu_values(self):
+        out = ad.log1p_relu(Tensor([0.0, math.e - 1.0, -3.0]))
+        np.testing.assert_allclose(out.data, [0.0, 1.0, 0.0], rtol=1e-15)
 
     def test_softmax_symmetry(self):
         out = softmax_rows(Tensor([[0.0, 0.0]]))
@@ -282,10 +271,8 @@ class TestFiniteDifferenceOracle:
 
     def test_log1p_relu_composite(self):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.uniform(0.5, 2.0, size=5))
-        err = finite_difference_check(
-            lambda t: ad.sum_all(ad.log1p(ad.relu(t))), x, eps=EPS
-        )
+        x = Tensor(rng.uniform(0.5, 2.0, size=5) * rng.choice([-1.0, 1.0], size=5))
+        err = finite_difference_check(lambda t: ad.sum_all(ad.log1p_relu(t)), x, eps=EPS)
         assert err < GRADCHECK_TOL
 
 
@@ -457,6 +444,23 @@ class TestFusedOps:
     def test_linear_shape_mismatch(self):
         with pytest.raises(ShapeError):
             ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+
+    def test_log1p_relu_equals_log1p_of_relu_bitwise(self):
+        rng = np.random.default_rng(9)
+        x = np.concatenate([
+            [-0.0, 0.0, -1.0, -1e300, np.inf, -np.inf, np.nan, 1e300, np.nextafter(1e300, 0.0)],
+            rng.normal(size=27),
+        ]).reshape(4, 9)
+        g = rng.normal(size=x.shape)
+        results = []
+        for fused in (True, False):
+            t = Tensor(x.copy())
+            with Tape() as tape:
+                out = ad.log1p_relu(t) if fused else log1p(ad.relu(t))
+                assert len(tape) == (1 if fused else 2)
+                tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+            results.append((out.data.tobytes(), t.grad.tobytes()))
+        assert results[0] == results[1]
 
 
 # A score this far below its row's max has exp exactly +0.0 (np.exp

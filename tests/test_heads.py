@@ -52,6 +52,25 @@ class TestSparseVector:
         with pytest.raises(ContractError):
             SparseVector({1: -0.1})
 
+    @pytest.mark.parametrize("term", [3.7, 3.0, True, False, "3", np.float64(2.0), np.True_, None])
+    def test_term_id_that_is_no_int_is_refused_by_name(self, term):
+        with pytest.raises(ContractError, match=f"term {re.escape(repr(term))} is not an integer id"):
+            SparseVector({term: 1.0})
+
+    def test_ids_that_would_collide_as_ints_are_refused(self):
+        with pytest.raises(ContractError, match="term 3.2 "):
+            SparseVector({3.2: 1.0, 3.7: 2.0})
+
+    def test_python_and_numpy_int_ids_become_python_ints(self):
+        vec = SparseVector({3: 1.0, np.int64(5): 2.0, np.uint32(7): 3.0, np.int8(9): 0.0})
+        assert vec.entries == {3: 1.0, 5: 2.0, 7: 3.0}
+        assert all(type(t) is int for t in vec.entries)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 1), ()])
+    def test_from_dense_refuses_all_but_one_row(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(f"shape {shape}")):
+            SparseVector.from_dense(np.ones(shape))
+
     def test_disjoint_dot_is_zero(self):
         assert sparse_dot(SparseVector({0: 2.0}), SparseVector({1: 3.0})) == 0.0
 
@@ -277,7 +296,7 @@ class TestVocabularyBlocks:
         cfg.b_vocab.data = rng.normal(-0.5, 1.0, size=vocab)
         starts = np.concatenate([[0], np.cumsum(np.arange(1, 129))])
         states = Tensor(rng.normal(size=(int(starts[-1]), d)))
-        want = ad.log1p(ad.relu(Tensor(per_sequence_max_logits(states, starts, emb, cfg)))).data
+        want = np.log1p(np.maximum(per_sequence_max_logits(states, starts, emb, cfg), 0.0))
         assert mlm_batch_activations(states, starts, emb, cfg).data.tobytes() == want.tobytes()
         for i, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
             alone = mlm_batch_activations(Tensor(states.data[a:b]), np.array([0, b - a]), emb, cfg)
@@ -317,7 +336,7 @@ def _taped_head_bits(head, states, starts, emb, cfg, g):
 
 def _activate_then_pool(states, starts, emb, cfg):
     logits = ad.linear(states, ad.transpose(emb), cfg.b_vocab)
-    return ad.segment_max(ad.log1p(ad.relu(logits)), starts)
+    return ad.segment_max(ad.log1p_relu(logits), starts)
 
 
 class TestPoolThenActivate:

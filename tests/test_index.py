@@ -586,6 +586,22 @@ class TestInvertedIndex:
         with pytest.raises(ContractError, match=f"doc name {repeat!r} is repeated"):
             index_of(names, [], [0], [], [])
 
+    @pytest.mark.parametrize("made", ["built", "loaded", "by hand"])
+    def test_columns_are_read_only(self, tmp_path, made):
+        """An index stays valid: no write into a column can break what the
+        constructor checked. Arrays passed by hand become read-only too."""
+        index = build_index(TWO_DOC_FIXTURE)
+        if made == "loaded":
+            save_index(index, tmp_path / "idx.lsrx")
+            index = load_index(tmp_path / "idx.lsrx")
+        elif made == "by hand":
+            columns = [np.array(c) for c in (index.terms, index.starts, index.doc_ids, index.impacts)]
+            index = InvertedIndex(index.doc_names, *columns)
+            assert not any(c.flags.writeable for c in columns)
+        for column in (index.terms, index.starts, index.doc_ids, index.impacts):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
 
 class TestIndexFileGuarantees:
     """load_index guarantees what top_k_search assumes, or raises FormatError."""

@@ -264,10 +264,10 @@ class TestTrainStep:
     @pytest.mark.parametrize(
         "variant,head,entries",
         [
-            (Variant.ENCODER_ONLY, HeadKind.MLP, 82),
-            (Variant.DECODER_MULTITOKENS, HeadKind.MLM_MULTITOKENS, 88),
-            (Variant.ENCDEC_SINGLETOKEN, HeadKind.MLM_SINGLETOKEN, 151),
-            (Variant.ENCDEC_MULTITOKENS, HeadKind.MLM_MULTITOKENS, 157),
+            (Variant.ENCODER_ONLY, HeadKind.MLP, 79),
+            (Variant.DECODER_MULTITOKENS, HeadKind.MLM_MULTITOKENS, 85),
+            (Variant.ENCDEC_SINGLETOKEN, HeadKind.MLM_SINGLETOKEN, 148),
+            (Variant.ENCDEC_MULTITOKENS, HeadKind.MLM_MULTITOKENS, 154),
         ],
     )
     def test_tape_entries_of_one_step(self, monkeypatch, variant, head, entries):
