@@ -187,30 +187,6 @@ class Backbone:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return list(self._params)
 
-    def _checked(self, sequences: list) -> tuple[np.ndarray, np.ndarray]:
-        """Packed ids and per-sequence lengths of ``sequences``, or the error of
-        the first token rule they break: each sequence is a non-empty 1-D run of
-        integer, non-bool ids, at most ``max_seq_len`` long and in the vocab."""
-        cfg = self.config
-        try:
-            ids = np.concatenate(sequences)
-            lengths = np.array([len(s) for s in sequences], dtype=np.intp)
-        except (TypeError, ValueError):  # ragged, 0-d or unconvertible input
-            ids = lengths = np.zeros((0, 0))  # fails the first rule, as 2-D input does
-        if ids.ndim != 1 or lengths.min() < 1:
-            raise EmptyInputError("encoder input must contain at least one token")
-        if ids.dtype.kind not in "iu":
-            raise VocabError(f"token ids must be integers, not {ids.dtype}")
-        if any(map(_holds_bool, sequences)):  # numpy would read True as id 1
-            raise VocabError("token ids must be integers, not bool")
-        if lengths.max() > cfg.max_seq_len:
-            raise SequenceLengthError(
-                f"sequence of {lengths.max()} tokens exceeds max_seq_len {cfg.max_seq_len}"
-            )
-        if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-            raise VocabError(f"token id out of range for vocab of size {cfg.vocab_size}")
-        return ids.astype(np.intp, copy=False), lengths
-
     def _pack(self, sequences) -> tuple[np.ndarray, np.ndarray]:
         """Packed ids and per-sequence lengths, checked over the whole batch. A
         batch that fails is checked again per sequence: the first bad one
@@ -219,10 +195,11 @@ class Backbone:
         sequences = list(sequences)  # iterated more than once
         if not sequences:
             raise EmptyInputError("a batch must hold at least one sequence")
+        limits = self.config.vocab_size, self.config.max_seq_len
         try:
-            return self._checked(sequences)
+            return checked_tokens(sequences, *limits)
         except (EmptyInputError, SequenceLengthError, VocabError):
-            parts = [self._checked([s]) for s in sequences]
+            parts = [checked_tokens([s], *limits) for s in sequences]
             return tuple(np.concatenate(part) for part in zip(*parts))
 
     def encode(self, tokens) -> Tensor:
@@ -260,6 +237,29 @@ class Backbone:
         if single:
             return x, d_starts, ids
         return ad.gather_rows(x, keep), starts, ids
+
+
+def checked_tokens(sequences, vocab_size: int, max_seq_len: float) -> tuple[np.ndarray, np.ndarray]:
+    """Packed ids and per-sequence lengths of ``sequences``, or the error of
+    the first token rule they break: each sequence is a non-empty 1-D run of
+    integer, non-bool ids, at most ``max_seq_len`` long and in the vocab."""
+    try:
+        ids = np.concatenate(sequences)
+        lengths = np.array([len(s) for s in sequences], dtype=np.intp)
+    except (TypeError, ValueError):  # ragged, 0-d or unconvertible input
+        ids = lengths = np.zeros((0, 0))  # fails the first rule, as 2-D input does
+    if ids.ndim != 1 or lengths.min() < 1:
+        raise EmptyInputError("encoder input must contain at least one token")
+    if ids.dtype.kind not in "iu":
+        raise VocabError(f"token ids must be integers, not {ids.dtype}")
+    if any(map(_holds_bool, sequences)):  # numpy would read True as id 1
+        raise VocabError("token ids must be integers, not bool")
+    if lengths.max() > max_seq_len:
+        raise SequenceLengthError(
+            f"sequence of {lengths.max()} tokens exceeds max_seq_len {max_seq_len}")
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        raise VocabError(f"token id out of range for vocab of size {vocab_size}")
+    return ids.astype(np.intp, copy=False), lengths
 
 
 def _holds_bool(tokens) -> bool:

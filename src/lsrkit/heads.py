@@ -34,13 +34,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbones import _normal, _param
-from .errors import ContractError, FormatError, ShapeError
+from .backbones import _normal, _param, checked_tokens
+from .errors import ContractError, EmptyInputError, FormatError, ShapeError
 from .text import checked_name, is_name, parse_number, read_records, write_output
 
 
 class SparseVector:
-    """Map from an int term id (as ``operator.index`` takes it, not bool) to a weight > 0."""
+    """Map from an int term id in [0, 2**32) (``operator.index``, no bool) to a weight > 0."""
 
     __slots__ = ("entries",)
 
@@ -50,11 +50,14 @@ class SparseVector:
             for t, w in entries.items():
                 if isinstance(t, bool) or not hasattr(type(t), "__index__"):
                     raise ContractError(f"term {t!r} is not an integer id")
+                t = operator.index(t)
+                if not 0 <= t < 2**32:
+                    raise ContractError(f"term id {t} outside [0, 2**32)")
                 w = float(w)
                 if w < 0.0 or not math.isfinite(w):
                     raise ContractError(f"weight for term {t} must be finite and >= 0")
                 if w > 0.0:
-                    clean[operator.index(t)] = w
+                    clean[t] = w
         self.entries = clean
 
     def __len__(self) -> int:
@@ -133,10 +136,11 @@ def mlp_head(h: Tensor, tokens, cfg: SparseHead) -> SparseVector:
     """Term-weighting head: only input tokens receive weight.
 
     Repeated occurrences of a term accumulate their log-saturated scores.
+    ``tokens`` follow the backbone's token rule (``checked_tokens``).
     """
     if cfg.kind != HeadKind.MLP:
         raise ContractError("mlp_head requires an MLP head")
-    tokens = np.asarray(tokens, dtype=np.intp)
+    tokens, _ = checked_tokens([tokens], cfg.vocab_size, math.inf)
     if h.data.ndim != 2 or h.data.shape[0] != tokens.shape[0]:
         raise ShapeError(
             f"hidden states {h.data.shape} do not align with {tokens.shape[0]} tokens"
@@ -160,6 +164,8 @@ def mlm_head(h: Tensor, backbone_embeddings: Tensor, cfg: SparseHead) -> SparseV
     if cfg.kind not in (HeadKind.MLM_SINGLETOKEN, HeadKind.MLM_MULTITOKENS):
         raise ContractError("mlm_head requires an MLM head")
     m = h.data.shape[0]
+    if m == 0:
+        raise EmptyInputError("mlm_head needs at least one hidden state")
     if cfg.kind == HeadKind.MLM_SINGLETOKEN and m != 1:
         raise ContractError(f"single-token MLM head got {m} hidden states")
     emb_t = ad.transpose(backbone_embeddings)
@@ -175,9 +181,8 @@ def mlm_head(h: Tensor, backbone_embeddings: Tensor, cfg: SparseHead) -> SparseV
 def mlp_batch_activations(
     states: Tensor, starts: np.ndarray, token_ids: np.ndarray, cfg: SparseHead
 ) -> Tensor:
-    """Dense [B, |V|] MLP activations for a packed batch (gradients flow)."""
-    if states.data.shape[0] != token_ids.shape[0]:
-        raise ContractError("MLP head requires token-aligned hidden states")
+    """Dense [B, |V|] MLP activations for a packed batch (gradients flow);
+    states, token ids and starts that do not align raise ShapeError."""
     scores = ad.log1p_relu(ad.linear(states, cfg.w, cfg.b))
     num_seqs = len(starts) - 1
     rows = np.repeat(np.arange(num_seqs), np.diff(starts))
@@ -249,8 +254,6 @@ def read_vectors(path) -> list[tuple[str, SparseVector]]:
                 t, w = parse_number(int, term), parse_number(float, weight)
             except ValueError:
                 raise FormatError(f"{where}: bad entry {chunk!r}") from None
-            if not 0 <= t < 2**32:  # index files store term ids as u32
-                raise FormatError(f"{where}: term id {t} outside [0, 2**32)")
             if t in entries:
                 raise FormatError(f"{where}: duplicate term {t}")
             entries[t] = w

@@ -85,43 +85,31 @@ class InvertedIndex:
         return len(self.doc_ids)
 
     def spans(self, terms) -> tuple[np.ndarray, np.ndarray]:
-        """Start and end, in the posting columns, of each term id in ``terms``;
-        a term the index lacks, or any id outside [0, 2**32), has an empty span."""
-        ids = np.fromiter((t if 0 <= t < 2**32 else -1 for t in terms), np.int64)
+        """Start and end, in the posting columns, of each term id in ``terms``,
+        ids in [0, 2**32) as a SparseVector holds; a term the index lacks has an empty span."""
+        ids = np.fromiter(terms, np.int64)
         return (self.starts[np.searchsorted(self.terms, ids, "left")],
                 self.starts[np.searchsorted(self.terms, ids, "right")])
 
 
 def build_index(docs) -> InvertedIndex:
     """Build an index from (doc name, SparseVector) pairs. Raises ContractError
-    at the first doc, in input order, that repeats a name, holds a term id
-    outside [0, 2**32) or a weight past float32 range."""
-    entries: dict[str, dict[int, float]] = {}
-    repeated = None
-    for name, vec in docs:
-        if name in entries:
-            repeated = name  # the docs before it may hold an earlier fault
-            break
-        entries[name] = vec.entries
-    doc_names, vectors = list(entries), list(entries.values())
+    at the first weight, in input order, past float32 range, naming its doc and
+    term; the constructor then refuses a repeated name."""
+    docs = list(docs)
+    doc_names, vectors = [name for name, _ in docs], [vec.entries for _, vec in docs]
     sizes = np.fromiter(map(len, vectors), np.int64)
-    try:
-        terms = np.fromiter(chain.from_iterable(vectors), np.int64)
-    except OverflowError:  # an id past int64, out of range anyway
-        terms = np.fromiter((t if 0 <= t < 2**32 else -1 for v in vectors for t in v), np.int64)
+    terms = np.fromiter(chain.from_iterable(vectors), np.int64)  # u32 ids, as SparseVector holds
     weights = np.fromiter(chain.from_iterable(v.values() for v in vectors), np.float64)
     with np.errstate(over="ignore"):  # an overflow is refused below, naming doc and term
         impacts = weights.astype(np.float32)
-    bad = (terms < 0) | (terms >= 2**32) | np.isinf(impacts)
-    if bad.any():
-        at = int(bad.argmax())
+    overflow = np.isinf(impacts)
+    if overflow.any():
+        at = int(overflow.argmax())
         doc = int(np.searchsorted(np.cumsum(sizes), at, "right"))
         term, weight = list(vectors[doc].items())[at - int(sizes[:doc].sum())]
-        fault = (f"term id {term} outside [0, 2**32)" if not 0 <= term < 2**32
-                 else f"weight {weight} of term {term} overflows float32")
-        raise ContractError(f"doc {doc_names[doc]!r}: {fault}")
-    if repeated is not None:
-        raise ContractError(f"duplicate document name {repeated!r}")
+        raise ContractError(
+            f"doc {doc_names[doc]!r}: weight {weight} of term {term} overflows float32")
     kept = np.flatnonzero(impacts != 0.0)  # sub-float32 weights vanish; never store zeros
     order = kept[np.argsort(terms[kept], kind="stable")]  # doc ids ascend within each term
     terms, firsts = np.unique(terms[order], return_index=True)

@@ -12,6 +12,7 @@ from lsrkit.backbones import (
     BackboneConfig,
     MultiHeadAttention,
     Variant,
+    checked_tokens,
 )
 from lsrkit.errors import (
     ContractError,
@@ -213,9 +214,9 @@ class TestBatchValidation:
         backbone = Backbone(small_config(Variant.ENCODER_ONLY))
         seqs = [np.array([4, 5], dtype=np.int32), np.array([6, 7, 8], dtype=np.uint64)]
         with pytest.raises(VocabError):  # together they concatenate to float64
-            backbone._checked(seqs)
+            checked_tokens(seqs, 24, 12)
         ids, lengths = backbone._pack(seqs)
-        apart = [backbone._checked([seq]) for seq in seqs]
+        apart = [checked_tokens([seq], 24, 12) for seq in seqs]
         assert ids.dtype == np.intp and ids.tolist() == [4, 5, 6, 7, 8]
         assert ids.tolist() == np.concatenate([part[0] for part in apart]).tolist()
         assert lengths.tolist() == [2, 3] == np.concatenate([part[1] for part in apart]).tolist()

@@ -10,7 +10,7 @@ import pytest
 from reference import mlm_multitoken_equals_positionwise_max, per_sequence_max_logits, sparse_dot
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tape, Tensor
-from lsrkit.errors import ContractError, FormatError, ShapeError
+from lsrkit.errors import ContractError, EmptyInputError, FormatError, ShapeError, VocabError
 from lsrkit.heads import (
     HeadKind,
     SparseHead,
@@ -65,6 +65,14 @@ class TestSparseVector:
         vec = SparseVector({3: 1.0, np.int64(5): 2.0, np.uint32(7): 3.0, np.int8(9): 0.0})
         assert vec.entries == {3: 1.0, 5: 2.0, 7: 3.0}
         assert all(type(t) is int for t in vec.entries)
+
+    @pytest.mark.parametrize("term", [2**32, 2**63, 2**70, -1, -(2**64), np.uint64(2**63)])
+    def test_term_id_outside_u32_is_refused(self, term):
+        with pytest.raises(ContractError, match=rf"^term id {int(term)} outside \[0, 2\*\*32\)$"):
+            SparseVector({1: 1.0, term: 1.0})
+
+    def test_u32_edge_ids_are_kept(self):
+        assert SparseVector({0: 1.0, 2**32 - 1: 2.0}).entries == {0: 1.0, 2**32 - 1: 2.0}
 
     @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 1), ()])
     def test_from_dense_refuses_all_but_one_row(self, shape):
@@ -148,6 +156,22 @@ class TestMlpHead:
         with pytest.raises(ShapeError):
             mlp_head(Tensor(np.zeros((2, D))), [5], cfg)
 
+    @pytest.mark.parametrize(
+        "tokens,error,message",
+        [
+            ([], EmptyInputError, "encoder input must contain at least one token"),
+            ([3.7, 1.2], VocabError, "token ids must be integers, not float64"),
+            ([30, -1], VocabError, f"token id out of range for vocab of size {V}"),
+            ([5, V], VocabError, f"token id out of range for vocab of size {V}"),
+            ([True, 5], VocabError, "token ids must be integers, not bool"),
+            (np.array([True, False]), VocabError, "token ids must be integers, not bool"),
+        ],
+        ids=["empty", "floats", "outside-vocab", "vocab-size", "bool-in-list", "bool-array"],
+    )
+    def test_tokens_follow_the_backbone_token_rule(self, tokens, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            mlp_head(Tensor(np.zeros((len(tokens), D))), tokens, mlp_cfg())
+
     def test_support_subset_of_input_tokens(self):
         rng = np.random.default_rng(11)
         cfg = SparseHead(HeadKind.MLP, D, V, rng=rng)
@@ -187,6 +211,15 @@ class TestMlmHead:
         cfg = mlm_cfg(HeadKind.MLM_SINGLETOKEN)
         with pytest.raises(ContractError):
             mlm_head(Tensor(np.zeros((2, D))), Tensor(np.zeros((V, D))), cfg)
+
+    @pytest.mark.parametrize(
+        "kind,pooling",
+        [(HeadKind.MLM_MULTITOKENS, "max"), (HeadKind.MLM_MULTITOKENS, "sum"),
+         (HeadKind.MLM_SINGLETOKEN, "max")],
+    )
+    def test_zero_hidden_states_is_an_empty_input_error(self, kind, pooling):
+        with pytest.raises(EmptyInputError, match="^mlm_head needs at least one hidden state$"):
+            mlm_head(Tensor(np.zeros((0, D))), Tensor(np.ones((V, D))), mlm_cfg(kind, pooling=pooling))
 
     def test_expansion_beyond_input_terms(self):
         # A term never present in any input still gets weight: constructed
@@ -264,6 +297,17 @@ class TestBatchActivations:
             block = Tensor(states.data[starts[i] : starts[i + 1]])
             single = mlp_head(block, seq, cfg)
             np.testing.assert_allclose(batch.data[i], _dense(single), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "num_states,num_ids,starts",
+        [(3, 2, [0, 2]), (3, 2, [0, 3]), (2, 3, [0, 3]), (3, 3, [0, 2]), (3, 3, [0, 1, 4])],
+        ids=["more-states-starts-as-ids", "more-states-starts-as-states", "more-ids",
+             "starts-short-of-both", "starts-past-both"],
+    )
+    def test_mlp_batch_misaligned_shapes_are_a_shape_error(self, num_states, num_ids, starts):
+        states = Tensor(np.ones((num_states, D)))
+        with pytest.raises(ShapeError):
+            mlp_batch_activations(states, np.array(starts), np.arange(num_ids), mlp_cfg())
 
     @pytest.mark.parametrize("kind", [HeadKind.MLM_MULTITOKENS, HeadKind.MLM_SINGLETOKEN])
     def test_untaped_pool_first_matches_taped_bits(self, kind):
