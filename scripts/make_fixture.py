@@ -2,12 +2,16 @@
 """Regenerate the committed CLI fixture under tests/data/.
 
 Writes the small corpus/queries/qrels/triplets files, the toy training
-config, and the golden TREC run file produced by the full CLI pipeline
-(train -> encode -> index -> search). Deterministic; rerunning must
-reproduce the committed bytes.
+config, the vocabulary, and the golden TREC run file produced by the full
+CLI pipeline (train -> encode -> index -> search). The task, config and
+pipeline are defined once in tests/toytask.py. Deterministic; rerunning
+must reproduce the committed bytes.
+
+    PYTHONPATH=src python3 scripts/make_fixture.py
 """
 
 import pathlib
+import shutil
 import sys
 import tempfile
 
@@ -19,80 +23,15 @@ from lsrkit.cli import main  # noqa: E402
 
 DATA = REPO / "tests" / "data"
 
-TOY_CONFIG = """\
-[backbone]
-variant = encdec_multitokens
-num_layers = 1
-d_model = 16
-num_heads = 2
-max_seq_len = 12
-seed = 11
-
-[head]
-kind = mlm_multitokens
-
-[train]
-batch_size = 16
-total_steps = 600
-warmup_steps = 50
-learning_rate = 0.003
-lambda_q = 0.02
-lambda_d = 0.02
-lambda_ramp_steps = 200
-seed = 3
-log_every = 100
-
-[data]
-vocab = tests/data/vocab.txt
-triplets = tests/data/triplets.tsv
-checkpoint = toy_checkpoint.bin
-metrics_log = toy_metrics.jsonl
-"""
-
-
-def run(argv):
-    code = main(argv)
-    if code != 0:
-        raise SystemExit(f"command failed ({code}): {argv}")
-
 
 def main_():
     DATA.mkdir(parents=True, exist_ok=True)
-    corpus, train_rows, dev_queries, qrels = toytask.make_toy_task(
-        seed=2024,
-        num_docs=30,
-        pool_size=40,
-        doc_len=5,
-        query_len=3,
-        num_train_queries=120,
-        num_dev_queries=8,
-    )
-    toytask.write_task_files(DATA, corpus, train_rows, dev_queries, qrels)
-    (DATA / "toy.ini").write_text(TOY_CONFIG)
-
-    run(["build-vocab", "--corpus", str(DATA / "corpus.tsv"), "--output", str(DATA / "vocab.txt")])
-
+    toytask.write_fixture_inputs(DATA)
+    argv = ["build-vocab", "--corpus", str(DATA / "corpus.tsv"), "--output", str(DATA / "vocab.txt")]
+    if main(argv) != 0:
+        raise SystemExit(f"command failed: {argv}")
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = pathlib.Path(tmp)
-        config = TOY_CONFIG.replace("tests/data/", str(DATA) + "/")
-        config = config.replace("toy_checkpoint.bin", str(tmp / "ckpt.bin"))
-        config = config.replace("toy_metrics.jsonl", str(tmp / "metrics.jsonl"))
-        cfg_path = tmp / "toy.ini"
-        cfg_path.write_text(config)
-        run(["train", "--config", str(cfg_path)])
-        run([
-            "encode", "--checkpoint", str(tmp / "ckpt.bin"), "--vocab", str(DATA / "vocab.txt"),
-            "--input", str(DATA / "corpus.tsv"), "--output", str(tmp / "docs.vec"), "--role", "doc",
-        ])
-        run([
-            "encode", "--checkpoint", str(tmp / "ckpt.bin"), "--vocab", str(DATA / "vocab.txt"),
-            "--input", str(DATA / "queries.tsv"), "--output", str(tmp / "queries.vec"), "--role", "query",
-        ])
-        run(["index", "--vectors", str(tmp / "docs.vec"), "--output", str(tmp / "index.lsrx")])
-        run([
-            "search", "--index", str(tmp / "index.lsrx"), "--queries", str(tmp / "queries.vec"),
-            "--output", str(DATA / "golden_run.txt"), "--k", "10", "--tag", "lsrkit-toy",
-        ])
+        shutil.copyfile(toytask.run_pipeline(DATA, tmp)["run"], DATA / "golden_run.txt")
     print("fixture written to", DATA)
 
 

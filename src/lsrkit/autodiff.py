@@ -350,8 +350,6 @@ def attention(
     if not recording():
         ctx = np.empty((nq, d))
         for q0, q1, k0, k1 in layout.segments():
-            if q0 == q1:  # no query rows: nothing to attend from
-                continue
             mask = layout.causal_block[: q1 - q0, : q1 - q0] if layout.causal else None
             p = weights(split(qp.data[q0:q1]), split(kp.data[k0:k1]), mask)
             ctx[q0:q1] = merge(np.matmul(p, split(vp.data[k0:k1])))
@@ -481,17 +479,28 @@ def scatter_add_pairs(values: Tensor, rows, cols, shape: tuple[int, int]) -> Ten
     return _record(out, backward)
 
 
+def _check_offsets(starts: np.ndarray, x: np.ndarray) -> list[int]:
+    """``starts`` as Python ints; ShapeError unless they cut the rows of ``x``
+    into S >= 1 non-empty segments: 1-D integers from 0 to the row count, strictly ascending."""
+    s = np.asarray(starts)
+    bounds = s.tolist()  # a few Python ints check faster than numpy ops on them
+    if not (s.ndim == 1 and s.dtype.kind in "iu" and len(bounds) > 1 and bounds[0] == 0
+            and x.shape[:1] == (bounds[-1],) and bounds == sorted(set(bounds))):
+        raise ShapeError(f"offsets {bounds} do not cut rows of {x.shape} into non-empty segments")
+    return bounds
+
+
 def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
     """Column-wise maxima over contiguous row segments.
 
-    ``starts`` has S+1 monotone offsets delimiting S non-empty segments
-    covering all rows of ``x``. Each maximum is taken at ``np.argmax``'s
-    first occurrence in its segment: the lowest row attaining the maximum,
-    or the first NaN of a column holding one. The backward pass sends each
-    output gradient to that row.
+    ``starts`` has S+1 offsets delimiting S non-empty segments covering all
+    rows of ``x``; others raise ShapeError. Each maximum is taken at
+    ``np.argmax``'s first occurrence in its segment: the lowest row attaining
+    the maximum, or the first NaN of a column holding one. The backward pass
+    sends each output gradient to that row.
     """
+    bounds = _check_offsets(starts, x.data)
     data = x.data
-    bounds = starts.tolist()
     rows = np.stack([data[a:b].argmax(axis=0) + a for a, b in zip(bounds[:-1], bounds[1:])])
     cols = np.arange(data.shape[1])
     out = Tensor(data[rows, cols])
@@ -506,7 +515,8 @@ def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
 
 
 def segment_sum(x: Tensor, starts: np.ndarray) -> Tensor:
-    """Column-wise sums over contiguous row segments."""
+    """Column-wise sums over contiguous row segments, cut as ``segment_max`` cuts."""
+    _check_offsets(starts, x.data)
     counts = np.diff(starts)
     out = Tensor(np.add.reduceat(x.data, starts[:-1], axis=0))
 

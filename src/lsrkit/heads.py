@@ -9,18 +9,21 @@ sparse vectors:
         log(1 + ReLU(h_j . e_i + b_i)), pooled over positions by
         entrywise max (single-token mode uses the one available state).
 
-The *_batch_activations functions are the one encode path: they score a
-packed batch and keep the dense pre-sparsification activations inside the
-gradient graph. Training calls them directly and SparseEncoder.encode calls
-them on a batch of one. The max-pooled MLM head projects, pools, then
-activates: ReLU, log1p and float rounding are monotone, so activating the
-pooled logits gives the bits of pooling activated ones, and only [B, |V|]
-values pass through the activation and its backward. Sum pooling is not
-monotone-compatible and activates every position first. Untaped max pooling
-scores fixed vocabulary blocks on all CPUs, or inline in a packed batch's
-units. The per-position mlp_head and mlm_head functions are the reference
-implementations the head laws and tests compare against; they return a
-SparseVector.
+The *_batch_activations functions are each head's one implementation: they
+score a packed batch whose ``starts`` cut the states into non-empty
+sequences (1-D integers from 0 to the row count, strictly ascending, else
+ShapeError) and keep the dense activations in the gradient graph. Training
+and SparseEncoder.encode call them. The max-pooled MLM head projects, pools,
+then activates: ReLU, log1p and float rounding are monotone, so activating
+the pooled logits gives the bits of pooling activated ones. Sum pooling
+activates every position first. Untaped max pooling scores fixed vocabulary
+blocks on all CPUs, or inline in a packed batch's units. mlp_head and
+mlm_head return one sequence's SparseVector from these batch heads (the
+per-position MLP oracle is in tests/reference.py). mlm_head scores each
+position as a batch of one: an n-row logit product differs in the last bit
+from n one-row products (in nearly every random draw of n >= 2 rows), and the
+law that the multi-token head is the positionwise max of single-token heads
+is exact only per row.
 """
 
 from __future__ import annotations
@@ -133,34 +136,21 @@ class SparseHead:
 
 
 def mlp_head(h: Tensor, tokens, cfg: SparseHead) -> SparseVector:
-    """Term-weighting head: only input tokens receive weight.
-
-    Repeated occurrences of a term accumulate their log-saturated scores.
-    ``tokens`` follow the backbone's token rule (``checked_tokens``).
-    """
+    """Term-weighting head on one sequence: only input tokens receive weight,
+    and repeated occurrences of a term add up their log-saturated scores.
+    ``tokens`` follow the backbone's token rule (``checked_tokens``)."""
     if cfg.kind != HeadKind.MLP:
         raise ContractError("mlp_head requires an MLP head")
     tokens, _ = checked_tokens([tokens], cfg.vocab_size, math.inf)
-    if h.data.ndim != 2 or h.data.shape[0] != tokens.shape[0]:
-        raise ShapeError(
-            f"hidden states {h.data.shape} do not align with {tokens.shape[0]} tokens"
-        )
-    scores = ad.log1p_relu(ad.linear(h, cfg.w, cfg.b))
-    weights: dict[int, float] = {}
-    for j, t in enumerate(tokens):
-        s = float(scores.data[j, 0])
-        if s > 0.0:
-            weights[int(t)] = weights.get(int(t), 0.0) + s
-    return SparseVector(weights)
+    acts = mlp_batch_activations(h, np.array([0, len(tokens)]), tokens, cfg)
+    return SparseVector.from_dense(acts.data[0])
 
 
 def mlm_head(h: Tensor, backbone_embeddings: Tensor, cfg: SparseHead) -> SparseVector:
-    """Expansion head: any vocabulary term may receive weight.
-
-    Positions are scored independently and pooled entrywise, so the
-    multi-token output equals the exact positionwise max (or sum) of
-    single-token outputs.
-    """
+    """Expansion head on one sequence: any vocabulary term may receive
+    weight. Positions are scored one at a time and pooled entrywise, so the
+    multi-token output is the exact positionwise max (or sum) of single-token
+    outputs."""
     if cfg.kind not in (HeadKind.MLM_SINGLETOKEN, HeadKind.MLM_MULTITOKENS):
         raise ContractError("mlm_head requires an MLM head")
     m = h.data.shape[0]
@@ -168,14 +158,11 @@ def mlm_head(h: Tensor, backbone_embeddings: Tensor, cfg: SparseHead) -> SparseV
         raise EmptyInputError("mlm_head needs at least one hidden state")
     if cfg.kind == HeadKind.MLM_SINGLETOKEN and m != 1:
         raise ContractError(f"single-token MLM head got {m} hidden states")
-    emb_t = ad.transpose(backbone_embeddings)
-    rows = [ad.log1p_relu(ad.linear(ad.gather_rows(h, [j]), emb_t, cfg.b_vocab)).data[0]
+    one = np.array([0, 1])
+    rows = [mlm_batch_activations(ad.gather_rows(h, [j]), one, backbone_embeddings, cfg).data[0]
             for j in range(m)]
-    if cfg.pooling == "sum":
-        dense = np.sum(rows, axis=0)
-    else:
-        dense = np.maximum.reduce(rows)
-    return SparseVector.from_dense(dense)
+    pool = np.sum if cfg.pooling == "sum" else np.max
+    return SparseVector.from_dense(pool(rows, axis=0))
 
 
 def mlp_batch_activations(
@@ -183,6 +170,7 @@ def mlp_batch_activations(
 ) -> Tensor:
     """Dense [B, |V|] MLP activations for a packed batch (gradients flow);
     states, token ids and starts that do not align raise ShapeError."""
+    ad._check_offsets(starts, states.data)
     scores = ad.log1p_relu(ad.linear(states, cfg.w, cfg.b))
     num_seqs = len(starts) - 1
     rows = np.repeat(np.arange(num_seqs), np.diff(starts))
@@ -202,7 +190,8 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
     ``ad.for_each`` spreads the blocks over the CPUs; head memory is one
     block of one sequence's logits per CPU plus the output.
     """
-    one_state = len(starts) - 1 == states.data.shape[0]
+    bounds = ad._check_offsets(starts, states.data)
+    one_state = len(bounds) - 1 == states.data.shape[0]
     sum_pooled = cfg.pooling == "sum" and not one_state
     if ad.recording() or one_state or sum_pooled:
         logits = ad.linear(states, ad.transpose(emb), cfg.b_vocab)
@@ -216,7 +205,7 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
         maxima = np.empty((len(starts) - 1, vocab))
 
         def score(cut):
-            for i, (a, b) in enumerate(pairwise(starts.tolist())):
+            for i, (a, b) in enumerate(pairwise(bounds)):
                 np.max(states.data[a:b] @ emb.data[cut].T, axis=0, out=maxima[i, cut])
 
         ad.for_each(score, [slice(c0, c1) for c0, c1 in pairwise(cuts)])

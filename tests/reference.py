@@ -36,6 +36,18 @@ def mlm_multitoken_equals_positionwise_max(
     return multi == SparseVector(best)
 
 
+def mlp_head_per_position(h: Tensor, tokens, cfg: SparseHead) -> SparseVector:
+    """Oracle for ``mlp_head``: each position's log-saturated score, added
+    into its own token's weight one position at a time."""
+    scores = ad.log1p_relu(ad.linear(h, cfg.w, cfg.b))
+    weights: dict[int, float] = {}
+    for j, t in enumerate(tokens):
+        s = float(scores.data[j, 0])
+        if s > 0.0:
+            weights[int(t)] = weights.get(int(t), 0.0) + s
+    return SparseVector(weights)
+
+
 def per_sequence_max_logits(
     states: Tensor, starts: np.ndarray, emb: Tensor, cfg: SparseHead
 ) -> np.ndarray:

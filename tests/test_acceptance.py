@@ -21,7 +21,6 @@ from test_autodiff import _op_cases
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tensor, finite_difference_check
 from lsrkit.backbones import Backbone, BackboneConfig, Variant
-from lsrkit.cli import main as cli_main
 from lsrkit.evaluation import mrr_at_k, ndcg_at_k, recall_at_k
 from lsrkit.heads import (
     HeadKind,
@@ -363,33 +362,8 @@ class TestCriterion6Metrics:
         report(6, ok, f"nDCG err {ndcg_err:.1e}, MRR err {mrr_err:.1e}, recall err {recall_err:.1e}")
 
     def test_golden_pipeline_byte_for_byte(self, tmp_path):
-        import configparser
-
-        parser = configparser.ConfigParser()
-        parser.read(DATA / "toy.ini")
-        parser["data"]["vocab"] = str(DATA / "vocab.txt")
-        parser["data"]["triplets"] = str(DATA / "triplets.tsv")
-        parser["data"]["checkpoint"] = str(tmp_path / "ckpt.bin")
-        parser["data"]["metrics_log"] = str(tmp_path / "metrics.jsonl")
-        config = tmp_path / "config.ini"
-        with open(config, "w") as fh:
-            parser.write(fh)
-        assert cli_main(["train", "--config", str(config)]) == 0
-        assert cli_main([
-            "encode", "--checkpoint", str(tmp_path / "ckpt.bin"), "--vocab", str(DATA / "vocab.txt"),
-            "--input", str(DATA / "corpus.tsv"), "--output", str(tmp_path / "docs.vec"), "--role", "doc",
-        ]) == 0
-        assert cli_main([
-            "encode", "--checkpoint", str(tmp_path / "ckpt.bin"), "--vocab", str(DATA / "vocab.txt"),
-            "--input", str(DATA / "queries.tsv"), "--output", str(tmp_path / "queries.vec"), "--role", "query",
-        ]) == 0
-        assert cli_main(["index", "--vectors", str(tmp_path / "docs.vec"), "--output", str(tmp_path / "index.lsrx")]) == 0
-        assert cli_main([
-            "search", "--index", str(tmp_path / "index.lsrx"), "--queries", str(tmp_path / "queries.vec"),
-            "--output", str(tmp_path / "run.txt"), "--k", "10", "--tag", "lsrkit-toy",
-        ]) == 0
+        produced = toytask.run_pipeline(DATA, tmp_path)["run"].read_bytes()
         golden = (DATA / "golden_run.txt").read_bytes()
-        produced = (tmp_path / "run.txt").read_bytes()
         report(6, produced == golden, "golden TREC run reproduced byte-for-byte")
 
 

@@ -402,14 +402,15 @@ class TestFusedOps:
                     ad.attention(x, x, x, 2, layout)
 
     def test_attention_empty_sequence_same_with_and_without_tape(self):
-        # the first sequence has no query rows and no key rows
-        layout = AttentionLayout(np.array([0, 0, 2]), np.array([0, 0, 2]))
+        # the first sequence has no query rows, and no key rows or one
         x = Tensor(np.random.default_rng(3).normal(size=(2, 4)))
-        contexts = []
-        for taped in (False, True):
-            with Tape() if taped else contextlib.nullcontext():
-                contexts.append(ad.attention(x, x, x, 2, layout).data)
-        np.testing.assert_array_equal(*contexts)
+        for kv_starts in ([0, 0, 2], [0, 1, 2]):
+            layout = AttentionLayout(np.array([0, 0, 2]), np.array(kv_starts))
+            contexts = []
+            for taped in (False, True):
+                with Tape() if taped else contextlib.nullcontext():
+                    contexts.append(ad.attention(x, x, x, 2, layout).data)
+            np.testing.assert_array_equal(*contexts)
 
     def test_attention_shape_contracts(self):
         x = Tensor(np.ones((2, 4)))

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import toytask
 from test_index import column_offset, v1_file
 from test_model import drop_field, rewrite_header
 from lsrkit import autodiff as ad
@@ -101,31 +102,14 @@ def alternating(value, shape):
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Train once on the bundled fixture and run encode/index/search."""
-    tmp = tmp_path_factory.mktemp("pipeline")
-    assert main(["train", "--config", str(write_config(tmp))]) == 0
-    paths = {
-        "checkpoint": tmp / "ckpt.bin",
-        "metrics": tmp / "metrics.jsonl",
-        "docs_vec": tmp / "docs.vec",
-        "queries_vec": tmp / "queries.vec",
-        "index": tmp / "index.lsrx",
-        "run": tmp / "run.txt",
-        "tmp": tmp,
-    }
-    assert main([
-        "encode", "--checkpoint", str(paths["checkpoint"]), "--vocab", str(DATA / "vocab.txt"),
-        "--input", str(DATA / "corpus.tsv"), "--output", str(paths["docs_vec"]), "--role", "doc",
-    ]) == 0
-    assert main([
-        "encode", "--checkpoint", str(paths["checkpoint"]), "--vocab", str(DATA / "vocab.txt"),
-        "--input", str(DATA / "queries.tsv"), "--output", str(paths["queries_vec"]), "--role", "query",
-    ]) == 0
-    assert main(["index", "--vectors", str(paths["docs_vec"]), "--output", str(paths["index"])]) == 0
-    assert main([
-        "search", "--index", str(paths["index"]), "--queries", str(paths["queries_vec"]),
-        "--output", str(paths["run"]), "--k", "10", "--tag", "lsrkit-toy",
-    ]) == 0
-    return paths
+    return toytask.run_pipeline(DATA, tmp_path_factory.mktemp("pipeline"))
+
+
+class TestFixtureFiles:
+    def test_task_files_regenerate_byte_for_byte(self, tmp_path):
+        toytask.write_fixture_inputs(tmp_path)
+        for name in ("corpus.tsv", "queries.tsv", "qrels.txt", "triplets.tsv", "toy.ini"):
+            assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
 class TestBuildVocab:

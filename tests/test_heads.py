@@ -1,5 +1,6 @@
 """Sparse head tests: hand fixtures, support laws, pooling decomposition."""
 
+import contextlib
 import math
 import re
 import tracemalloc
@@ -7,7 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import mlm_multitoken_equals_positionwise_max, per_sequence_max_logits, sparse_dot
+from reference import (
+    mlm_multitoken_equals_positionwise_max,
+    mlp_head_per_position,
+    per_sequence_max_logits,
+    sparse_dot,
+)
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tape, Tensor
 from lsrkit.errors import ContractError, EmptyInputError, FormatError, ShapeError, VocabError
@@ -295,8 +301,9 @@ class TestBatchActivations:
         batch = mlp_batch_activations(states, starts, token_ids, cfg)
         for i, seq in enumerate(seqs):
             block = Tensor(states.data[starts[i] : starts[i + 1]])
-            single = mlp_head(block, seq, cfg)
-            np.testing.assert_allclose(batch.data[i], _dense(single), rtol=1e-12, atol=1e-14)
+            oracle = mlp_head_per_position(block, seq, cfg)
+            np.testing.assert_array_equal(batch.data[i], _dense(oracle))
+            assert mlp_head(block, seq, cfg) == oracle
 
     @pytest.mark.parametrize(
         "num_states,num_ids,starts",
@@ -326,6 +333,37 @@ class TestBatchActivations:
         dead = untaped.data[1] if multi else untaped.data[2:4]
         assert not dead.any()
         assert untaped.data.any()
+
+
+# Offsets that do not cut 5 rows into non-empty segments, by the rule they break.
+MALFORMED_OFFSETS = {
+    "descending": [0, 4, 3, 5],
+    "empty-segment": [0, 2, 2, 5],
+    "not-from-zero": [1, 3, 5],
+    "past-the-rows": [0, 2, 5, 7],
+    "short-of-the-rows": [0, 2, 4],
+    "two-dimensional": [[0, 2, 5]],
+    "not-integers": [0.0, 2.0, 5.0],
+}
+SEGMENTED = {
+    "segment_max": ad.segment_max,
+    "segment_sum": ad.segment_sum,
+    "mlp": lambda x, starts: mlp_batch_activations(x, starts, np.arange(5), mlp_cfg()),
+    "mlm-max": lambda x, starts: mlm_batch_activations(x, starts, Tensor(np.ones((V, D))), mlm_cfg()),
+    "mlm-sum": lambda x, starts: mlm_batch_activations(
+        x, starts, Tensor(np.ones((V, D))), mlm_cfg(pooling="sum")),
+}
+
+
+class TestMalformedOffsets:
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize("fn", SEGMENTED.values(), ids=SEGMENTED.keys())
+    @pytest.mark.parametrize("starts", MALFORMED_OFFSETS.values(), ids=MALFORMED_OFFSETS.keys())
+    def test_every_segmented_function_refuses_them(self, starts, fn, taped):
+        x = Tensor(np.random.default_rng(32).normal(size=(5, D)))
+        with Tape() if taped else contextlib.nullcontext():
+            with pytest.raises(ShapeError, match=r"^offsets .* into non-empty segments$"):
+                fn(x, np.array(starts))
 
 
 class TestVocabularyBlocks:

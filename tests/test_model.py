@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import mlp_head_per_position
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tape, Tensor, finite_difference_check
 from lsrkit.backbones import BackboneConfig, Variant
@@ -197,7 +198,8 @@ class TestComposition:
             assert len(single) > 0
             states = model.backbone.encode(list(seq))
             if head == HeadKind.MLP:
-                assert single == mlp_head(states, list(seq), model.head)
+                reference = mlp_head_per_position(states, list(seq), model.head)
+                assert single == reference == mlp_head(states, list(seq), model.head)
             else:
                 reference = mlm_head(states, model.backbone.tok_emb, model.head)
                 assert set(single.entries) == set(reference.entries)

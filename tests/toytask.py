@@ -4,10 +4,17 @@ Documents are short bags of pseudo-words drawn from a small pool; each
 query samples a couple of words from one source document, which is its
 single relevant document. Teacher scores separate positives from sampled
 negatives by a wide margin.
+
+The committed CLI fixture under tests/data is defined here once: its task
+(``FIXTURE_TASK``), its training config (``TOY_CONFIG``) and the pipeline
+that produces its golden run (``run_pipeline``).
 """
+
+import pathlib
 
 import numpy as np
 
+from lsrkit.cli import main
 from lsrkit.evaluation import mrr_at_k
 from lsrkit.heads import SparseVector
 from lsrkit.index import build_index, top_k_search
@@ -154,3 +161,78 @@ def dev_mrr(model, vocab, corpus, dev_queries, qrels, k: int = 10) -> float:
 def mean_doc_density(model, vocab, corpus) -> float:
     vectors = encode_corpus(model, vocab, corpus)
     return float(np.mean([len(vec) for _, vec in vectors]))
+
+
+FIXTURE_TASK = dict(
+    seed=2024, num_docs=30, pool_size=40, doc_len=5, query_len=3,
+    num_train_queries=120, num_dev_queries=8,
+)
+
+TOY_CONFIG = """\
+[backbone]
+variant = encdec_multitokens
+num_layers = 1
+d_model = 16
+num_heads = 2
+max_seq_len = 12
+seed = 11
+
+[head]
+kind = mlm_multitokens
+
+[train]
+batch_size = 16
+total_steps = 600
+warmup_steps = 50
+learning_rate = 0.003
+lambda_q = 0.02
+lambda_d = 0.02
+lambda_ramp_steps = 200
+seed = 3
+log_every = 100
+
+[data]
+vocab = tests/data/vocab.txt
+triplets = tests/data/triplets.tsv
+checkpoint = toy_checkpoint.bin
+metrics_log = toy_metrics.jsonl
+"""
+
+
+def write_fixture_inputs(directory) -> None:
+    """Write the fixture's corpus, queries, qrels, triplets and toy.ini into ``directory``."""
+    directory = pathlib.Path(directory)
+    write_task_files(directory, *make_toy_task(**FIXTURE_TASK))
+    (directory / "toy.ini").write_text(TOY_CONFIG)
+
+
+def run_pipeline(data, tmp) -> dict[str, pathlib.Path]:
+    """Run the fixture's CLI pipeline on the files in ``data``, writing under
+    ``tmp``: train with TOY_CONFIG, encode the corpus and the queries, index
+    the doc vectors and search them with ``--k 10 --tag lsrkit-toy``.
+
+    Returns the paths written, by name; a command that exits nonzero raises
+    RuntimeError.
+    """
+    data, tmp = pathlib.Path(data), pathlib.Path(tmp)
+    files = [("config", "config.ini"), ("checkpoint", "ckpt.bin"), ("metrics", "metrics.jsonl"),
+             ("docs_vec", "docs.vec"), ("queries_vec", "queries.vec"), ("index", "index.lsrx"),
+             ("run", "run.txt")]
+    paths = {name: tmp / file for name, file in files}
+    config = TOY_CONFIG.replace("tests/data/", f"{data}/")
+    config = config.replace("toy_checkpoint.bin", str(paths["checkpoint"]))
+    paths["config"].write_text(config.replace("toy_metrics.jsonl", str(paths["metrics"])))
+    ckpt, vocab = str(paths["checkpoint"]), str(data / "vocab.txt")
+    for argv in (
+        ["train", "--config", str(paths["config"])],
+        ["encode", "--checkpoint", ckpt, "--vocab", vocab, "--input", str(data / "corpus.tsv"),
+         "--output", str(paths["docs_vec"]), "--role", "doc"],
+        ["encode", "--checkpoint", ckpt, "--vocab", vocab, "--input", str(data / "queries.tsv"),
+         "--output", str(paths["queries_vec"]), "--role", "query"],
+        ["index", "--vectors", str(paths["docs_vec"]), "--output", str(paths["index"])],
+        ["search", "--index", str(paths["index"]), "--queries", str(paths["queries_vec"]),
+         "--output", str(paths["run"]), "--k", "10", "--tag", "lsrkit-toy"],
+    ):
+        if main(argv) != 0:
+            raise RuntimeError(f"lsrkit {' '.join(argv)} failed")
+    return paths
