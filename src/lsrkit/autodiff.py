@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateMaskError, NumericError, ShapeError, TapeStateError
+from .errors import NumericError, ShapeError, TapeStateError
 
 _ACTIVE_TAPE: "Tape | None" = None
 
@@ -303,7 +303,8 @@ def attention(
 
     ``qp`` is [Nq, d] and ``kp``/``vp`` are [Nkv, d]; head h owns columns
     ``h*d_head:(h+1)*d_head``, and ``layout`` says which key rows each query
-    row sees. A query row that sees no key row is an error. Per head this is
+    row sees: both offsets cut their rows as ``segment_max`` cuts, into equally
+    many sequences, and are equal in a causal layout. Per head this is
     ``softmax_rows(scale(qh @ kh.T, 1/sqrt(d_head)), -1e9 where hidden) @ vh``
     (reference ops in ``tests/reference.py``), with heads stacked as C-ordered
     [H, N, d_head] arrays for one np.matmul per product: each head's operands
@@ -324,17 +325,13 @@ def attention(
         raise ShapeError(
             f"attention shapes: q {qp.data.shape}, k {kp.data.shape}, v {vp.data.shape}"
         )
-    (nq, d), nkv = qp.data.shape, kp.data.shape[0]
+    nq, d = qp.data.shape
     if num_heads < 1 or d % num_heads:
         raise ShapeError(f"width {d} does not split into {num_heads} heads")
-    q_starts, kv_starts = layout.q_starts, layout.kv_starts
-    if len(q_starts) != len(kv_starts) or (q_starts[-1], kv_starts[-1]) != (nq, nkv):
-        raise ShapeError(
-            f"layout offsets {q_starts.tolist()} x {kv_starts.tolist()} "
-            f"do not cover scores shape {(nq, nkv)}"
-        )
-    if np.any((np.diff(q_starts) > 0) & (np.diff(kv_starts) == 0)):
-        raise DegenerateMaskError("softmax row has all positions masked")
+    q_bounds = _check_offsets(layout.q_starts, qp.data)
+    kv_bounds = _check_offsets(layout.kv_starts, kp.data)
+    if len(q_bounds) != len(kv_bounds) or (layout.causal and q_bounds != kv_bounds):
+        raise ShapeError(f"layout offsets {q_bounds} x {kv_bounds} do not pair sequences")
     dh = d // num_heads
     scale = 1.0 / math.sqrt(dh)
 

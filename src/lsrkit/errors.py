@@ -17,10 +17,6 @@ class TapeStateError(LsrError):
     """Gradient tape used in an invalid state (empty, or already consumed)."""
 
 
-class DegenerateMaskError(LsrError):
-    """Attention mask leaves a softmax row with no admissible position."""
-
-
 class EmptyInputError(LsrError):
     """An encoder received zero tokens."""
 

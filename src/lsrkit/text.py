@@ -93,6 +93,8 @@ def build_vocab(corpus: dict[str, str], min_freq: int = 1) -> Vocabulary:
 
 def tokenize(vocab: Vocabulary, text: str, max_len: int) -> list[int]:
     """Term ids of the first ``max_len`` words; unknown words become <unk>."""
+    if max_len < 0:
+        raise ContractError(f"max_len must be >= 0, not {max_len}")
     return [vocab.id_of(w) for w in split_words(text)[:max_len]]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import Tensor, _accum, _accum_owned, _record, recording
 from lsrkit.backbones import Backbone, Variant
-from lsrkit.errors import ContractError, DegenerateMaskError, ShapeError
+from lsrkit.errors import ContractError, ShapeError
 from lsrkit.heads import HeadKind, SparseHead, SparseVector, mlm_head
 from lsrkit.text import NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary
 
@@ -144,7 +144,7 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         if mask.shape != z.shape:
             raise ShapeError(f"mask shape {mask.shape} != input shape {z.shape}")
         if float(mask.max(axis=1).min()) <= MASK_NEG:
-            raise DegenerateMaskError("softmax row has all positions masked")
+            raise ShapeError("softmax row has all positions masked")
         z = z + mask
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)

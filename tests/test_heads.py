@@ -162,6 +162,11 @@ class TestMlpHead:
         with pytest.raises(ShapeError):
             mlp_head(Tensor(np.zeros((2, D))), [5], cfg)
 
+    @pytest.mark.parametrize("kind", [HeadKind.MLM_MULTITOKENS, HeadKind.MLM_SINGLETOKEN])
+    def test_mlm_head_config_rejected(self, kind):
+        with pytest.raises(ContractError, match="^mlp_head requires an MLP head$"):
+            mlp_head(Tensor(np.zeros((1, D))), [5], mlm_cfg(kind))
+
     @pytest.mark.parametrize(
         "tokens,error,message",
         [
@@ -212,6 +217,10 @@ class TestMlmHead:
         h = Tensor([[1.0, 0, 0, 0], [3.0, 0, 0, 0]])
         vec = mlm_head(h, emb, cfg)
         assert vec.entries[0] == pytest.approx(math.log(4.0), abs=1e-12)
+
+    def test_mlp_head_config_rejected(self):
+        with pytest.raises(ContractError, match="^mlm_head requires an MLM head$"):
+            mlm_head(Tensor(np.zeros((1, D))), Tensor(np.zeros((V, D))), mlp_cfg())
 
     def test_singletoken_rejects_multiple_states(self):
         cfg = mlm_cfg(HeadKind.MLM_SINGLETOKEN)

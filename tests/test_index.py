@@ -251,6 +251,11 @@ class TestTopKSearch:
         index = build_index(TWO_DOC_FIXTURE)
         assert top_k_search(index, SparseVector({0: 1.0}), 0) == []
 
+    def test_negative_k_rejected(self):
+        index = build_index(TWO_DOC_FIXTURE)
+        with pytest.raises(ContractError, match="^k must be >= 0$"):
+            top_k_search(index, SparseVector({0: 1.0}), -1)
+
     def test_matches_brute_force_on_seeded_cases(self):
         rng = np.random.default_rng(21)
         for _ in range(100):

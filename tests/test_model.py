@@ -155,6 +155,11 @@ class TestComposition:
         with pytest.raises(ContractError):
             build(Variant.ENCDEC_SINGLETOKEN, HeadKind.MLP)
 
+    def test_head_of_another_vocabulary_rejected(self):
+        backbone = build(Variant.ENCODER_ONLY).backbone
+        with pytest.raises(ContractError, match="^head and backbone vocabulary sizes differ$"):
+            SparseEncoder(backbone, SparseHead(HeadKind.MLM_MULTITOKENS, 8, 17))
+
     def test_mlp_head_of_another_width_rejected(self):
         # Such a model would save a checkpoint that load refuses and fail to encode.
         backbone = build(Variant.ENCODER_ONLY, HeadKind.MLP).backbone

@@ -16,7 +16,7 @@ import pytest
 from reference import token_of, write_tsv_texts
 from lsrkit import text
 from lsrkit.backbones import BackboneConfig, Variant
-from lsrkit.errors import FormatError
+from lsrkit.errors import ContractError, FormatError
 from lsrkit.evaluation import read_qrels, read_run, write_run
 from lsrkit.heads import HeadKind, SparseVector, read_vectors, write_vectors
 from lsrkit.index import build_index, load_index, save_index
@@ -80,6 +80,10 @@ class TestTokenize:
         ids = tokenize(vocab, "some unseen words !!!", 64)
         assert all(0 <= i < len(vocab) for i in ids)
 
+    def test_negative_max_len_rejected(self):
+        with pytest.raises(ContractError, match="^max_len must be >= 0, not -1$"):
+            tokenize(Vocabulary(["a", "b"]), "a a b", -1)
+
 
 class TestVocabularyFile:
     def test_round_trip(self, tmp_path):
@@ -103,6 +107,10 @@ class TestVocabularyFile:
         path.write_text("a\nb\na\n")
         with pytest.raises(FormatError, match=r"^.*vocab\.txt:3: repeated vocabulary token 'a'$"):
             Vocabulary.load(path)
+
+    def test_repeated_token_in_memory_rejected(self):
+        with pytest.raises(FormatError, match="^vocabulary tokens must be unique$"):
+            Vocabulary(["a", "a"])
 
     def test_non_unk_ids_round_trip_to_unique_tokens(self):
         vocab = build_vocab({"d": "alpha beta gamma"})

@@ -71,6 +71,10 @@ class TestMarginMse:
         with pytest.raises(ContractError):
             margin_mse([], [])
 
+    def test_matrix_of_student_margins_rejected(self):
+        with pytest.raises(ContractError, match=r"expected a vector, got shape \(2, 1\)"):
+            margin_mse(Tensor(np.ones((2, 1))), [1.0, 2.0])
+
     def test_gradient_matches_analytic(self):
         teacher = [1.0, -0.5, 2.0]
         x = Tensor([2.0, 0.0, 1.0])
@@ -170,9 +174,17 @@ class TestAffineTransform:
         with pytest.raises(ContractError, match=f"^{field} must be finite$"):
             ScoreStats(**{"mean": 0.0, "std": 1.0, field: value})
 
+    def test_negative_std_rejected(self):
+        with pytest.raises(ContractError, match="^std must be >= 0$"):
+            ScoreStats(mean=0.0, std=-1.0)
+
     def test_constant_scores_rejected(self):
         with pytest.raises(DegenerateDistributionError):
             affine_transform_scores([5.0, 5.0], ScoreStats(mean=0.0, std=1.0))
+
+    def test_single_score_rejected(self):
+        with pytest.raises(ContractError, match="^need at least 2 scores$"):
+            affine_transform_scores([5.0], ScoreStats(mean=0.0, std=1.0))
 
     def test_output_stats_match_reference(self):
         rng = np.random.default_rng(4)
@@ -212,6 +224,12 @@ class TestWarmup:
 
 
 class TestTrainStep:
+    def test_empty_batch_rejected(self):
+        model = tiny_model()
+        cfg = TrainConfig(total_steps=1, learning_rate=1e-3)
+        with pytest.raises(ContractError, match="^batch must be non-empty$"):
+            train_step(model, Adam(model.parameters(), cfg), [], cfg, 0)
+
     def test_zero_loss_when_margins_match_and_no_reg(self):
         # Equal positive and negative docs force student margin 0; teacher
         # margin 0 matches, so the loss and margin-path gradients vanish.
@@ -491,6 +509,18 @@ class TestTrainLoop:
     def test_negative_steps_and_zero_log_interval_rejected(self, bad):
         with pytest.raises(ContractError):
             TrainConfig(**{"total_steps": 1, "learning_rate": 1e-3, **bad})
+
+    def test_warmup_longer_than_training_rejected(self):
+        with pytest.raises(ContractError, match="^warmup_steps must be <= total_steps$"):
+            TrainConfig(total_steps=3, learning_rate=1e-3, warmup_steps=4)
+
+    def test_on_report_gets_the_returned_reports_in_order(self):
+        seen = []
+        dataset = tiny_batch(np.random.default_rng(6))
+        cfg = TrainConfig(total_steps=8, learning_rate=1e-3, batch_size=2, log_every=3)
+        reports = train(tiny_model(), dataset, cfg, on_report=seen.append)
+        assert [r.step for r in reports] == [0, 3, 6, 7]
+        assert len(seen) == len(reports) and all(a is b for a, b in zip(seen, reports))
 
 
 class TestTripletFile:
