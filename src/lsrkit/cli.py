@@ -341,7 +341,7 @@ def main(argv=None) -> int:
             value = getattr(args, flag[2:].replace("-", "_"), floor)
             if value < floor:
                 raise ContractError(f"{flag} must be >= {floor}, not {value}")
-        with warnings.catch_warnings():  # process-wide, so ad.for_each's pool threads too
+        with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             return args.func(args)
     except (LsrError, OSError, RuntimeWarning, MemoryError) as exc:

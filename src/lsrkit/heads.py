@@ -17,13 +17,12 @@ and SparseEncoder.encode call them. The max-pooled MLM head projects, pools,
 then activates: ReLU, log1p and float rounding are monotone, so activating
 the pooled logits gives the bits of pooling activated ones. Sum pooling
 activates every position first. Untaped max pooling scores fixed vocabulary
-blocks on all CPUs, or inline in a packed batch's units. mlp_head and
-mlm_head return one sequence's SparseVector from these batch heads (the
-per-position MLP oracle is in tests/reference.py). mlm_head scores each
-position as a batch of one: an n-row logit product differs in the last bit
-from n one-row products (in nearly every random draw of n >= 2 rows), and the
-law that the multi-token head is the positionwise max of single-token heads
-is exact only per row.
+blocks in turn, in the calling thread. mlp_head and mlm_head return one
+sequence's SparseVector from these batch heads (the per-position MLP oracle
+is in tests/reference.py). mlm_head scores each position as a batch of one:
+an n-row logit product differs in the last bit from n one-row products (in
+nearly every random draw of n >= 2 rows), and the law that the multi-token
+head is the positionwise max of single-token heads is exact only per row.
 """
 
 from __future__ import annotations
@@ -187,8 +186,8 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
     sequence's [n, d] @ [d, block] product is max-pooled into its row for
     each of max(1, |V| // 1024) column blocks: each starts on a multiple of
     64 and is 1,024 to 2,111 wide, so OpenBLAS keeps the whole product's bits.
-    ``ad.for_each`` spreads the blocks over the CPUs; head memory is one
-    block of one sequence's logits per CPU plus the output.
+    The blocks run in the calling thread, so head memory is one block of one
+    sequence's logits plus the output.
     """
     bounds = ad._check_offsets(starts, states.data)
     one_state = len(bounds) - 1 == states.data.shape[0]
@@ -203,12 +202,10 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
         blocks = max(1, vocab // 1024)
         cuts = [64 * (c * vocab // (64 * blocks)) for c in range(blocks)] + [vocab]
         maxima = np.empty((len(starts) - 1, vocab))
-
-        def score(cut):
+        for c0, c1 in pairwise(cuts):
+            block = emb.data[c0:c1].T
             for i, (a, b) in enumerate(pairwise(bounds)):
-                np.max(states.data[a:b] @ emb.data[cut].T, axis=0, out=maxima[i, cut])
-
-        ad.for_each(score, [slice(c0, c1) for c0, c1 in pairwise(cuts)])
+                np.max(states.data[a:b] @ block, axis=0, out=maxima[i, c0:c1])
         maxima += cfg.b_vocab.data
         pooled = Tensor(maxima)
     return ad.log1p_relu(pooled)

@@ -6,7 +6,7 @@ write_output, the one writer behind every output file.
 
 File formats (all tab-separated, UTF-8):
   corpus / queries  ``name<TAB>text`` one record per line
-  vocabulary        one token per line; 1-based line number = id - 3
+  vocabulary        one token per line, blank lines skipped; the n-th token has id n + 3
 """
 
 from __future__ import annotations

@@ -86,6 +86,26 @@ def _autodiff_calls() -> set[str]:
     return called
 
 
+def _for_each_callers() -> list[str]:
+    """Qualified names of the ``src/lsrkit`` functions whose own body (not a
+    function nested in it) calls ``autodiff.for_each``."""
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, [*scope, child.name])
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if getattr(func, "attr", getattr(func, "id", None)) == "for_each":
+                callers.append(".".join(scope))
+            visit(child, scope)
+
+    for file in sorted(Path(ad.__file__).parent.glob("*.py")):
+        visit(ast.parse(file.read_text(encoding="utf-8")), [])
+    return callers
+
+
 class TestForwardFixtures:
     def test_matmul_identity(self):
         out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0, 0.0], [0.0, 1.0]]))
@@ -941,6 +961,10 @@ class TestForEach:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_packed_units_are_the_one_fork_join(self):
+        """No fork-join nests: a second caller must be added here on purpose."""
+        assert _for_each_callers() == ["SparseEncoder.batch_activations"]
 
     def test_import_and_one_sequence_encode_start_no_thread(self):
         script = (

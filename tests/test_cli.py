@@ -570,7 +570,8 @@ class TestEncodeCommand:
         self, tmp_path, capsys, monkeypatch, cpus
     ):
         """|V| = 3,000 is two head blocks; the unused rows past 1,500 all lie
-        in the second, which a 3-CPU pool scores on a pool thread."""
+        in the second, which the head scores in the calling thread whatever
+        the CPU count."""
         vocab = tmp_path / "vocab.txt"
         fillers = 3000 - len(Vocabulary.load(DATA / "vocab.txt"))
         vocab.write_text((DATA / "vocab.txt").read_text() + "".join(f"zzfill{i}\n" for i in range(fillers)))

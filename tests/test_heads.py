@@ -2,8 +2,12 @@
 
 import contextlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,39 +379,57 @@ class TestMalformedOffsets:
                 fn(x, np.array(starts))
 
 
+def assert_blocked_head_is_oracle(vocab, d):
+    """Every sequence length from 1 to 128, in one packed batch and alone."""
+    rng = np.random.default_rng(vocab + d)
+    emb = Tensor(rng.normal(size=(vocab, d)))
+    cfg = SparseHead(HeadKind.MLM_MULTITOKENS, d, vocab)
+    cfg.b_vocab.data = rng.normal(-0.5, 1.0, size=vocab)
+    starts = np.concatenate([[0], np.cumsum(np.arange(1, 129))])
+    states = Tensor(rng.normal(size=(int(starts[-1]), d)))
+    want = np.log1p(np.maximum(per_sequence_max_logits(states, starts, emb, cfg), 0.0))
+    assert mlm_batch_activations(states, starts, emb, cfg).data.tobytes() == want.tobytes()
+    for i, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+        alone = mlm_batch_activations(Tensor(states.data[a:b]), np.array([0, b - a]), emb, cfg)
+        assert alone.data.tobytes() == want[i].tobytes(), f"n = {b - a}"
+
+
 class TestVocabularyBlocks:
     """The untaped max-pooled head scores fixed vocabulary column blocks."""
 
-    @pytest.mark.parametrize("vocab,d", [(2048, 32), (2048, 64), (5000, 32), (5000, 64)])
+    @pytest.mark.parametrize(
+        "vocab,d", [(2048, 32), (2048, 64), (3000, 8), (5000, 32), (5000, 64), (8000, 8), (8000, 128)]
+    )
     def test_blocked_head_equals_whole_vocabulary_oracle_bitwise(self, vocab, d):
-        """Every sequence length from 1 to 128, in one packed batch and alone."""
-        rng = np.random.default_rng(vocab + d)
-        emb = Tensor(rng.normal(size=(vocab, d)))
-        cfg = SparseHead(HeadKind.MLM_MULTITOKENS, d, vocab)
-        cfg.b_vocab.data = rng.normal(-0.5, 1.0, size=vocab)
-        starts = np.concatenate([[0], np.cumsum(np.arange(1, 129))])
-        states = Tensor(rng.normal(size=(int(starts[-1]), d)))
-        want = np.log1p(np.maximum(per_sequence_max_logits(states, starts, emb, cfg), 0.0))
-        assert mlm_batch_activations(states, starts, emb, cfg).data.tobytes() == want.tobytes()
-        for i, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
-            alone = mlm_batch_activations(Tensor(states.data[a:b]), np.array([0, b - a]), emb, cfg)
-            assert alone.data.tobytes() == want[i].tobytes(), f"n = {b - a}"
+        assert_blocked_head_is_oracle(vocab, d)
 
-    def test_block_rule(self, monkeypatch):
+    def test_bert_sized_vocabulary_equals_oracle_with_one_blas_thread(self):
+        """At |V| = 30,522 the whole product's own bits depend on OpenBLAS's
+        thread count, so this case runs in a child that has one BLAS thread."""
+        script = "import test_heads\ntest_heads.assert_blocked_head_is_oracle(30_522, 8)\n"
+        path = os.pathsep.join([str(Path(__file__).parent), str(Path(ad.__file__).parents[1])])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_block_rule(self):
         """max(1, |V| // 1024) blocks cover the vocabulary in order: one below
         |V| = 2,048, else each starts on a multiple of 64 and is 1,024 to
-        2,111 columns wide."""
-        blocks, for_each = [], ad.for_each
+        2,111 columns wide. The blocks are the slices the head takes of the
+        embedding table."""
+        blocks = []
 
-        def spy(fn, items):
-            blocks.extend(items)
-            for_each(fn, items)
+        class SliceLog(np.ndarray):
+            def __getitem__(self, key):
+                blocks.append(key)
+                return super().__getitem__(key)
 
-        monkeypatch.setattr(ad, "for_each", spy)
         for vocab in [*range(1, 40_000, 61), 2047, 2048, 30_522]:
             blocks.clear()
             cfg = SparseHead(HeadKind.MLM_MULTITOKENS, 2, vocab)
-            mlm_batch_activations(Tensor(np.ones((2, 2))), np.array([0, 2]), Tensor(np.ones((vocab, 2))), cfg)
+            emb = Tensor(np.ones((vocab, 2)))
+            emb.data = emb.data.view(SliceLog)
+            mlm_batch_activations(Tensor(np.ones((2, 2))), np.array([0, 2]), emb, cfg)
             assert len(blocks) == max(1, vocab // 1024), vocab
             assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
             assert blocks[-1].stop == vocab
