@@ -15,6 +15,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -166,7 +167,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = Tensor(y)
 
     def backward(g):
-        _accum_owned(b, g.sum(axis=0))
+        _accum_owned(b, np.add.reduce(g, 0))
         _accum_owned(x, g @ wd.T)
         _accum_owned(w, xd.T @ g)
 
@@ -253,7 +254,7 @@ class AttentionLayout:
     Sequence s owns query rows ``q_starts[s]:q_starts[s + 1]`` and key/value
     rows ``kv_starts[s]:kv_starts[s + 1]``; a causal layout (self-attention,
     so both offsets are equal) also hides each row's later positions. The
-    first taped ``attention`` call over a layout builds its dense ``mask``.
+    first taped ``attention`` call builds its dense ``mask`` and ``visible``.
     """
 
     q_starts: np.ndarray
@@ -269,31 +270,41 @@ class AttentionLayout:
 
     @cached_property
     def mask(self) -> np.ndarray:
-        """[Nq, Nkv], True where a query row may not see a key row: built once
-        from the untaped loop's blocks, each sequence's own open or causal."""
-        mask = np.ones((self.q_starts[-1], self.kv_starts[-1]), dtype=bool)
-        for q0, q1, k0, k1 in self.segments():
-            mask[q0:q1, k0:k1] = self.causal_block[: q1 - q0, : q1 - q0] if self.causal else False
+        """[Nq, Nkv], True where a query row may not see a key row: a row of another
+        sequence or, if causal, a later row (a sequence's rows run in position order)."""
+        q, kv = (np.arange(len(s) - 1).repeat(s[1:] - s[:-1])  # each row's sequence
+                 for s in (self.q_starts, self.kv_starts))
+        mask = q[:, None] != kv
+        if self.causal:
+            mask |= np.arange(len(q))[:, None] < np.arange(len(q))
         return mask
+
+    @cached_property
+    def visible(self) -> np.ndarray:
+        """``~mask``: True where a query row sees a key row."""
+        return ~self.mask
 
     @cached_property
     def causal_block(self) -> np.ndarray:
         """Causal ``mask`` of the longest sequence, True above the diagonal;
         a sequence of n rows takes its top-left [n, n] block."""
-        return ~np.tri(int(np.diff(self.q_starts).max()), dtype=bool)
+        rows = np.arange(np.maximum.reduce(self.q_starts[1:] - self.q_starts[:-1]))
+        return rows[:, None] < rows
 
 
-def _softmax(z: np.ndarray, scale: float, mask: np.ndarray | None) -> np.ndarray:
+def _softmax(z: np.ndarray, scale: float, mask: np.ndarray | None, visible=None) -> np.ndarray:
     """Softmax over the last axis of ``z * scale``, computed in ``z``. Where
     ``mask`` (broadcast against ``z``) is True an entry is hidden: it takes no
-    part in its row's max and gets weight +0.0 without a call to exp."""
+    part in its row's max and gets weight +0.0 without a call to exp.
+    A caller that holds ``~mask`` passes it as ``visible``."""
     z *= scale
-    visible = True if mask is None else ~mask  # where=True runs numpy's unmasked loops
-    z -= z.max(axis=-1, keepdims=True, where=visible, initial=-np.inf)
+    if visible is None:
+        visible = True if mask is None else ~mask  # where=True runs numpy's unmasked loops
+    z -= np.maximum.reduce(z, -1, keepdims=True, where=visible, initial=-np.inf)
     np.exp(z, out=z, where=visible)
     if mask is not None:
         np.copyto(z, 0.0, where=mask)
-    return np.divide(z, z.sum(axis=-1, keepdims=True), out=z, where=visible)
+    return np.divide(z, np.add.reduce(z, -1, keepdims=True), out=z, where=visible)
 
 
 def attention(
@@ -341,8 +352,8 @@ def attention(
     def merge(a):  # [H, N, d_head] -> [N, d] in C order, as bias-gradient row sums need
         return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], d)
 
-    def weights(q, k, mask):  # softmax over keys of the scaled, masked scores
-        return _softmax(np.matmul(q, k.transpose(0, 2, 1)), scale, mask)
+    def weights(q, k, mask, visible=None):  # softmax over keys of the scaled, masked scores
+        return _softmax(np.matmul(q, k.transpose(0, 2, 1)), scale, mask, visible)
 
     if not recording():
         ctx = np.empty((nq, d))
@@ -353,15 +364,15 @@ def attention(
         return Tensor(ctx)
 
     q, k, v = split(qp.data), split(kp.data), split(vp.data)
-    p = weights(q, k, layout.mask)
+    p = weights(q, k, layout.mask, layout.visible)
     out = Tensor(merge(np.matmul(p, v)))
 
     def backward(g):
         g = split(g)
         _accum_owned(vp, merge(np.matmul(p.transpose(0, 2, 1), g)))
         dp = np.matmul(g, v.transpose(0, 2, 1))
-        dp -= (dp * p).sum(axis=2, keepdims=True)
-        ds = np.multiply(p, dp, out=np.zeros_like(p), where=~layout.mask)  # +0.0 if hidden
+        dp -= np.add.reduce(dp * p, 2, keepdims=True)
+        ds = np.multiply(p, dp, out=np.zeros(p.shape), where=layout.visible)  # +0.0 if hidden
         ds *= scale
         # (q.T @ ds).T: the product the per-head graph computes for k
         _accum_owned(kp, merge(np.matmul(q.transpose(0, 2, 1), ds).transpose(0, 2, 1)))
@@ -404,20 +415,20 @@ def transpose(x: Tensor) -> Tensor:
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    splits = np.cumsum([p.data.shape[0] for p in parts])[:-1]
+    bounds = [0, *accumulate(p.data.shape[0] for p in parts)]
 
     def backward(g):
-        for p, piece in zip(parts, np.split(g, splits, axis=0)):
-            _accum(p, piece)
+        for p, a, b in zip(parts, bounds, bounds[1:]):
+            _accum(p, g[a:b])
 
     return _record(out, backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum())
+    out = Tensor(np.add.reduce(x.data, None))
 
     def backward(g):
-        _accum(x, np.broadcast_to(g, x.data.shape))
+        _accum_owned(x, np.full(x.data.shape, g))
 
     return _record(out, backward)
 
@@ -425,10 +436,10 @@ def sum_all(x: Tensor) -> Tensor:
 def sum_over_axis(x: Tensor, axis: int) -> Tensor:
     if not 0 <= axis < x.data.ndim:
         raise ShapeError(f"axis {axis} out of range for shape {x.data.shape}")
-    out = Tensor(x.data.sum(axis=axis))
+    out = Tensor(np.add.reduce(x.data, axis))
 
     def backward(g):
-        _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
+        _accum_owned(x, np.full(x.data.shape, g.reshape(g.shape[:axis] + (1,) + g.shape[axis:])))
 
     return _record(out, backward)
 
@@ -441,19 +452,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         )
     # sum / n is numpy's own mean arithmetic, without its Python wrapper.
     n = x.data.shape[1]
-    mu = x.data.sum(axis=1, keepdims=True) / n
+    mu = np.add.reduce(x.data, 1, keepdims=True) / n
     xc = x.data - mu
-    var = (xc * xc).sum(axis=1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, 1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     out = Tensor(xhat * gain.data + bias.data)
 
     def backward(g):
-        _accum(gain, (g * xhat).sum(axis=0))
-        _accum(bias, g.sum(axis=0))
+        _accum_owned(gain, np.add.reduce(g * xhat, 0))
+        _accum_owned(bias, np.add.reduce(g, 0))
         dxhat = g * gain.data
-        m1 = dxhat.sum(axis=1, keepdims=True) / n
-        m2 = (dxhat * xhat).sum(axis=1, keepdims=True) / n
+        m1 = np.add.reduce(dxhat, 1, keepdims=True) / n
+        m2 = np.add.reduce(dxhat * xhat, 1, keepdims=True) / n
         _accum_owned(x, inv * (dxhat - m1 - xhat * m2))
 
     return _record(out, backward)
@@ -498,12 +509,12 @@ def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
     """
     bounds = _check_offsets(starts, x.data)
     data = x.data
-    rows = np.stack([data[a:b].argmax(axis=0) + a for a, b in zip(bounds[:-1], bounds[1:])])
+    rows = np.array([data[a:b].argmax(axis=0) + a for a, b in zip(bounds[:-1], bounds[1:])])
     cols = np.arange(data.shape[1])
     out = Tensor(data[rows, cols])
 
     def backward(g):
-        buf = np.zeros_like(data)
+        buf = np.zeros(data.shape)
         # (rows[s, c], c) pairs are unique, so assignment == accumulation.
         buf[rows, cols] = g
         _accum_owned(x, buf)
@@ -513,12 +524,12 @@ def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
 
 def segment_sum(x: Tensor, starts: np.ndarray) -> Tensor:
     """Column-wise sums over contiguous row segments, cut as ``segment_max`` cuts."""
-    _check_offsets(starts, x.data)
-    counts = np.diff(starts)
-    out = Tensor(np.add.reduceat(x.data, starts[:-1], axis=0))
+    bounds = _check_offsets(starts, x.data)
+    counts = np.subtract(bounds[1:], bounds[:-1])
+    out = Tensor(np.add.reduceat(x.data, bounds[:-1], axis=0))
 
     def backward(g):
-        _accum_owned(x, np.repeat(g, counts, axis=0))
+        _accum_owned(x, g.repeat(counts, axis=0))
 
     return _record(out, backward)
 

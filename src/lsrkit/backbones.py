@@ -76,8 +76,25 @@ def _param(params: list[tuple[str, Tensor]], name: str, data: np.ndarray) -> Ten
     return t
 
 
+class _NoDraws:
+    """Random-generator stand-in for building a model that a checkpoint fills.
+
+    Each ``normal`` draw, like each ``_constant`` built with it, is a read-only
+    view of the requested shape, so building samples and allocates nothing
+    for the arrays the file replaces.
+    """
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.broadcast_to(0.0, size)
+
+
 def _normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.normal(0.0, 0.02, size=shape)
+
+
+def _constant(rng, shape, value: float) -> np.ndarray:
+    return np.broadcast_to(value, shape) if rng is _NoDraws else np.full(shape, value)
 
 
 class MultiHeadAttention:
@@ -89,10 +106,10 @@ class MultiHeadAttention:
         self.wk = _param(params, f"{prefix}.wk", _normal(rng, (d_model, d_model)))
         self.wv = _param(params, f"{prefix}.wv", _normal(rng, (d_model, d_model)))
         self.wo = _param(params, f"{prefix}.wo", _normal(rng, (d_model, d_model)))
-        self.bq = _param(params, f"{prefix}.bq", np.zeros(d_model))
-        self.bk = _param(params, f"{prefix}.bk", np.zeros(d_model))
-        self.bv = _param(params, f"{prefix}.bv", np.zeros(d_model))
-        self.bo = _param(params, f"{prefix}.bo", np.zeros(d_model))
+        self.bq = _param(params, f"{prefix}.bq", _constant(rng, d_model, 0.0))
+        self.bk = _param(params, f"{prefix}.bk", _constant(rng, d_model, 0.0))
+        self.bv = _param(params, f"{prefix}.bv", _constant(rng, d_model, 0.0))
+        self.bo = _param(params, f"{prefix}.bo", _constant(rng, d_model, 0.0))
 
     def __call__(self, q: Tensor, kv: Tensor, layout: AttentionLayout) -> Tensor:
         qp = ad.linear(q, self.wq, self.bq)
@@ -103,9 +120,9 @@ class MultiHeadAttention:
 
 
 class _LayerNorm:
-    def __init__(self, d_model: int, params: list, prefix: str):
-        self.gain = _param(params, f"{prefix}.gain", np.ones(d_model))
-        self.bias = _param(params, f"{prefix}.bias", np.zeros(d_model))
+    def __init__(self, d_model: int, rng, params: list, prefix: str):
+        self.gain = _param(params, f"{prefix}.gain", _constant(rng, d_model, 1.0))
+        self.bias = _param(params, f"{prefix}.bias", _constant(rng, d_model, 0.0))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gain, self.bias)
@@ -115,9 +132,9 @@ class _FeedForward:
     def __init__(self, d_model: int, rng, params: list, prefix: str):
         d_ff = 4 * d_model
         self.w1 = _param(params, f"{prefix}.w1", _normal(rng, (d_model, d_ff)))
-        self.b1 = _param(params, f"{prefix}.b1", np.zeros(d_ff))
+        self.b1 = _param(params, f"{prefix}.b1", _constant(rng, d_ff, 0.0))
         self.w2 = _param(params, f"{prefix}.w2", _normal(rng, (d_ff, d_model)))
-        self.b2 = _param(params, f"{prefix}.b2", np.zeros(d_model))
+        self.b2 = _param(params, f"{prefix}.b2", _constant(rng, d_model, 0.0))
 
     def __call__(self, x: Tensor) -> Tensor:
         h = ad.relu(ad.linear(x, self.w1, self.b1))
@@ -128,13 +145,13 @@ class _Block:
     """Pre-LN transformer block: self-attention, optional cross-attention, FFN."""
 
     def __init__(self, d_model, num_heads, rng, params, prefix, cross: bool):
-        self.ln1 = _LayerNorm(d_model, params, f"{prefix}.ln1")
+        self.ln1 = _LayerNorm(d_model, rng, params, f"{prefix}.ln1")
         self.attn = MultiHeadAttention(d_model, num_heads, rng, params, f"{prefix}.attn")
         self.cross_attn = None
         if cross:
-            self.ln_cross = _LayerNorm(d_model, params, f"{prefix}.ln_cross")
+            self.ln_cross = _LayerNorm(d_model, rng, params, f"{prefix}.ln_cross")
             self.cross_attn = MultiHeadAttention(d_model, num_heads, rng, params, f"{prefix}.cross")
-        self.ln2 = _LayerNorm(d_model, params, f"{prefix}.ln2")
+        self.ln2 = _LayerNorm(d_model, rng, params, f"{prefix}.ln2")
         self.ffn = _FeedForward(d_model, rng, params, f"{prefix}.ffn")
 
     def __call__(self, x, self_layout, memory=None, cross_layout=None):
@@ -158,7 +175,7 @@ class _Stack:
             _Block(d, config.num_heads, rng, params, f"{prefix}.{i}", cross)
             for i in range(config.num_layers)
         ]
-        self.ln_f = _LayerNorm(d, params, f"{prefix}.ln_f")
+        self.ln_f = _LayerNorm(d, rng, params, f"{prefix}.ln_f")
 
     def __call__(self, tok_emb, ids, pos, layout, memory=None, cross=None):
         """Embed ``ids`` at positions ``pos``, then run the blocks and ``ln_f``."""
@@ -227,7 +244,7 @@ class Backbone:
         single = self.config.variant == Variant.ENCDEC_SINGLETOKEN
         d_starts, d_pos = _offsets(np.ones_like(lengths) if single else lengths + 1)
         d_ids = np.full(len(d_pos), START_ID, dtype=np.intp)
-        keep = np.flatnonzero(d_pos)  # every row but the <s> rows
+        keep = d_pos.nonzero()[0]  # every row but the <s> rows
         if not single:
             d_ids[keep] = ids
         if memory is not None:
@@ -248,16 +265,16 @@ def checked_tokens(sequences, vocab_size: int, max_seq_len: float) -> tuple[np.n
         lengths = np.array([len(s) for s in sequences], dtype=np.intp)
     except (TypeError, ValueError):  # ragged, 0-d or unconvertible input
         ids = lengths = np.zeros((0, 0))  # fails the first rule, as 2-D input does
-    if ids.ndim != 1 or lengths.min() < 1:
+    if ids.ndim != 1 or np.minimum.reduce(lengths) < 1:
         raise EmptyInputError("encoder input must contain at least one token")
     if ids.dtype.kind not in "iu":
         raise VocabError(f"token ids must be integers, not {ids.dtype}")
     if any(map(_holds_bool, sequences)):  # numpy would read True as id 1
         raise VocabError("token ids must be integers, not bool")
-    if lengths.max() > max_seq_len:
-        raise SequenceLengthError(
-            f"sequence of {lengths.max()} tokens exceeds max_seq_len {max_seq_len}")
-    if ids.min() < 0 or ids.max() >= vocab_size:
+    longest = np.maximum.reduce(lengths)
+    if longest > max_seq_len:
+        raise SequenceLengthError(f"sequence of {longest} tokens exceeds max_seq_len {max_seq_len}")
+    if np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= vocab_size:
         raise VocabError(f"token id out of range for vocab of size {vocab_size}")
     return ids.astype(np.intp, copy=False), lengths
 
@@ -270,5 +287,5 @@ def _holds_bool(tokens) -> bool:
 
 def _offsets(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The B+1 row offsets of packed sequences and each row's position."""
-    starts = np.concatenate([[0], np.cumsum(lengths)])
-    return starts, np.arange(starts[-1]) - np.repeat(starts[:-1], lengths)
+    starts = np.concatenate([[0], lengths.cumsum()])
+    return starts, np.arange(starts[-1]) - starts[:-1].repeat(lengths)

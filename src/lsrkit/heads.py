@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbones import _normal, _param, checked_tokens
+from .backbones import _constant, _normal, _param, checked_tokens
 from .errors import ContractError, EmptyInputError, FormatError, ShapeError
 from .text import checked_name, is_name, parse_number, read_records, write_output
 
@@ -126,9 +126,9 @@ class SparseHead:
         params = self._params = []
         if self.kind == HeadKind.MLP:
             self.w = _param(params, "w", _normal(rng, (d_model, 1)))
-            self.b = _param(params, "b", np.zeros(1))
+            self.b = _param(params, "b", _constant(rng, 1, 0.0))
         else:
-            self.b_vocab = _param(params, "b_vocab", np.zeros(vocab_size))
+            self.b_vocab = _param(params, "b_vocab", _constant(rng, vocab_size, 0.0))
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return list(self._params)
@@ -160,8 +160,8 @@ def mlm_head(h: Tensor, backbone_embeddings: Tensor, cfg: SparseHead) -> SparseV
     one = np.array([0, 1])
     rows = [mlm_batch_activations(ad.gather_rows(h, [j]), one, backbone_embeddings, cfg).data[0]
             for j in range(m)]
-    pool = np.sum if cfg.pooling == "sum" else np.max
-    return SparseVector.from_dense(pool(rows, axis=0))
+    pool = np.add if cfg.pooling == "sum" else np.maximum
+    return SparseVector.from_dense(pool.reduce(rows, 0))
 
 
 def mlp_batch_activations(
@@ -169,10 +169,10 @@ def mlp_batch_activations(
 ) -> Tensor:
     """Dense [B, |V|] MLP activations for a packed batch (gradients flow);
     states, token ids and starts that do not align raise ShapeError."""
-    ad._check_offsets(starts, states.data)
+    bounds = ad._check_offsets(starts, states.data)
     scores = ad.log1p_relu(ad.linear(states, cfg.w, cfg.b))
-    num_seqs = len(starts) - 1
-    rows = np.repeat(np.arange(num_seqs), np.diff(starts))
+    num_seqs = len(bounds) - 1
+    rows = np.arange(num_seqs).repeat(np.subtract(bounds[1:], bounds[:-1]))
     return ad.scatter_add_pairs(scores, rows, token_ids, (num_seqs, cfg.vocab_size))
 
 
@@ -205,7 +205,7 @@ def mlm_batch_activations(states: Tensor, starts: np.ndarray, emb: Tensor, cfg: 
         for c0, c1 in pairwise(cuts):
             block = emb.data[c0:c1].T
             for i, (a, b) in enumerate(pairwise(bounds)):
-                np.max(states.data[a:b] @ block, axis=0, out=maxima[i, c0:c1])
+                np.maximum.reduce(states.data[a:b] @ block, 0, out=maxima[i, c0:c1])
         maxima += cfg.b_vocab.data
         pooled = Tensor(maxima)
     return ad.log1p_relu(pooled)

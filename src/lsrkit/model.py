@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbones import Backbone, BackboneConfig, Variant
+from .backbones import Backbone, BackboneConfig, Variant, _NoDraws
 from .errors import ContractError, FormatError
 from .heads import (
     HeadKind,
@@ -34,18 +34,6 @@ from .heads import (
 )
 from .heads import mlm_head, mlp_head  # noqa: F401  perfbench's tracer patches these names here
 from .text import ByteReader, write_output
-
-
-class _NoDraws:
-    """Random-generator stand-in for building a model that a checkpoint fills.
-
-    Each ``normal`` draw is a read-only zero view of the requested shape, so
-    building samples and allocates nothing for the arrays the file replaces.
-    """
-
-    @staticmethod
-    def normal(loc, scale, size):
-        return np.broadcast_to(0.0, size)
 
 
 CHECKPOINT_MAGIC = b"LSRC"

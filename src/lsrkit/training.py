@@ -236,7 +236,8 @@ class Adam:
 
 
 def _mean_density(activations: np.ndarray) -> float:
-    return float((activations > 0.0).sum(axis=1).mean())
+    counts = np.add.reduce(activations > 0.0, 1)  # then ndarray.mean's float64 sum / rows
+    return float(np.add.reduce(counts, 0, np.float64) / len(counts))
 
 
 def train_step(
@@ -283,7 +284,7 @@ def train_step(
 
     sq = 0.0
     for _, p in model.parameters():
-        sq += float((p.grad * p.grad).sum())
+        sq += float(np.add.reduce(p.grad * p.grad, None))
     grad_norm = math.sqrt(sq)
     lr = optimizer.step()
     return StepReport(

@@ -176,6 +176,16 @@ def attention_mask(layout) -> np.ndarray:
     return mask
 
 
+def attention_mask_blocks(layout) -> np.ndarray:
+    """Oracle for ``AttentionLayout.mask``, one sequence's block at a time:
+    every entry hidden, then each sequence's own [n_q, n_kv] block open, or in
+    a causal layout hidden above its diagonal only, as ``~np.tri`` hides."""
+    mask = np.ones((layout.q_starts[-1], layout.kv_starts[-1]), dtype=bool)
+    for q0, q1, k0, k1 in layout.segments():
+        mask[q0:q1, k0:k1] = ~np.tri(q1 - q0, dtype=bool) if layout.causal else False
+    return mask
+
+
 def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
     """Column-wise maxima over contiguous row segments, routed densely.
 

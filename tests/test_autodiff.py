@@ -385,6 +385,27 @@ def attention_layouts(draw):
     return AttentionLayout(np.concatenate([[0], np.cumsum(q_lengths)]), starts)
 
 
+@st.composite
+def mask_layouts(draw):
+    """Open, causal or cross layouts of 1-40 sequences of 1-6 rows, one-row
+    segments common; a cross layout's query lengths are drawn on their own."""
+    count = draw(st.sampled_from([1, 40]) | st.integers(1, 40))
+    rows = st.lists(st.integers(1, 6), min_size=count, max_size=count)
+    starts = np.concatenate([[0], np.cumsum(draw(rows))])
+    kind = draw(st.sampled_from(["open", "causal", "cross"]))
+    if kind != "cross":
+        return AttentionLayout(starts, starts, causal=kind == "causal")
+    return AttentionLayout(np.concatenate([[0], np.cumsum(draw(rows))]), starts)
+
+
+def _assert_mask_is_block_oracle(layout):
+    mask, want = layout.mask, reference.attention_mask_blocks(layout)
+    assert mask.dtype == bool and mask.flags.c_contiguous
+    assert mask.shape == want.shape and mask.tobytes() == want.tobytes()
+    assert layout.visible.tobytes() == (~want).tobytes()
+    assert layout.visible is layout.visible  # built once
+
+
 class TestFusedOps:
     @settings(max_examples=60, deadline=None)
     @given(attention_layouts())
@@ -392,6 +413,21 @@ class TestFusedOps:
         mask, want = layout.mask, reference.attention_mask(layout)
         assert mask.dtype == want.dtype == bool and mask.shape == want.shape
         assert mask.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(mask_layouts())
+    def test_attention_mask_equals_block_oracle(self, layout):
+        _assert_mask_is_block_oracle(layout)
+
+    @pytest.mark.parametrize("kind", ["open", "causal", "cross"])
+    @pytest.mark.parametrize(
+        "lengths", [[1], [7], [1] * 40, [3, 1] * 20], ids=["1x1", "1x7", "40x1", "40-mixed"])
+    def test_attention_mask_edge_layouts_equal_block_oracle(self, lengths, kind):
+        starts = np.concatenate([[0], np.cumsum(lengths)])
+        if kind == "cross":  # one more query row than key rows per sequence
+            _assert_mask_is_block_oracle(AttentionLayout(starts + np.arange(len(starts)), starts))
+        else:
+            _assert_mask_is_block_oracle(AttentionLayout(starts, starts, causal=kind == "causal"))
 
     @pytest.mark.parametrize("num_heads", [1, 2, 8])
     @pytest.mark.parametrize("name", sorted(_LAYOUTS))

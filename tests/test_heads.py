@@ -379,6 +379,26 @@ class TestMalformedOffsets:
                 fn(x, np.array(starts))
 
 
+class TestListOffsets:
+    """Offsets given as a Python list cut the rows as the same offsets in an array do."""
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize("fn", SEGMENTED.values(), ids=SEGMENTED.keys())
+    def test_list_offsets_give_the_bits_of_array_offsets(self, fn, taped):
+        data = np.random.default_rng(33).normal(size=(5, D))
+        results = []
+        for starts in ([0, 2, 3, 5], np.array([0, 2, 3, 5])):
+            x = Tensor(data.copy())
+            with Tape() if taped else contextlib.nullcontext() as tape:
+                out = fn(x, starts)
+                if taped:
+                    g = np.random.default_rng(34).normal(size=out.data.shape)
+                    tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+            results.append((out.data.shape, out.data.tobytes(), taped and x.grad.tobytes()))
+        assert results[0] == results[1]
+        assert results[0][0][0] == 3
+
+
 def assert_blocked_head_is_oracle(vocab, d):
     """Every sequence length from 1 to 128, in one packed batch and alone."""
     rng = np.random.default_rng(vocab + d)
@@ -472,6 +492,21 @@ class TestPoolThenActivate:
             want = _taped_head_bits(_activate_then_pool, states, starts, emb, cfg, g)
             got = _taped_head_bits(mlm_batch_activations, states, starts, emb, cfg, g)
             assert got == want, f"case {case}"
+
+    @pytest.mark.parametrize("kind, pooling, starts", [
+        (HeadKind.MLM_MULTITOKENS, "max", [0, 2, 3, 7]),
+        (HeadKind.MLM_MULTITOKENS, "sum", [0, 2, 3, 7]),
+        (HeadKind.MLM_SINGLETOKEN, "max", list(range(8))),
+    ], ids=["max", "sum", "single-state"])
+    def test_taped_pooled_activations_are_c_ordered(self, kind, pooling, starts):
+        """The loss and the FLOPs regularizer reduce these [B, |V|] rows in
+        memory order: the same values in F order can sum to other bits."""
+        rng = np.random.default_rng(43)
+        emb = Tensor(rng.normal(size=(V, D)))
+        with Tape():
+            acts = mlm_batch_activations(Tensor(rng.normal(size=(7, D))), np.array(starts), emb,
+                                         mlm_cfg(kind, pooling=pooling))
+        assert acts.data.shape == (len(starts) - 1, V) and acts.data.flags.c_contiguous
 
     def test_taped_memory_is_below_four_logit_arrays(self):
         """Activation and its backward touch [B, |V|] values, not [N, |V|]."""

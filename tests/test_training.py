@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -308,6 +310,48 @@ class TestTrainStep:
         report = train_step(model, Adam(model.parameters(), cfg), batch, cfg, 1)
         assert report.lambda_q > 0.0 and report.lambda_d > 0.0
         assert lengths == [entries]
+
+
+# numpy's Python-level wrappers around C routines (ndarray.sum's ``_sum``,
+# np.diff, np.repeat, np.broadcast_to, np.expand_dims, ...): a taped step
+# calls those routines directly, so it enters none of these modules.
+NUMPY_WRAPPER_MODULES = tuple(
+    os.path.join("numpy", *path.split("/"))
+    for path in ("_core/_methods.py", "_core/fromnumeric.py", "lib/_function_base_impl.py",
+                 "lib/_stride_tricks_impl.py", "lib/_shape_base_impl.py")
+)
+
+
+@pytest.mark.parametrize(
+    "variant,head",
+    [
+        (Variant.ENCODER_ONLY, HeadKind.MLP),
+        (Variant.DECODER_MULTITOKENS, HeadKind.MLM_MULTITOKENS),
+        (Variant.ENCDEC_SINGLETOKEN, HeadKind.MLM_SINGLETOKEN),
+        (Variant.ENCDEC_MULTITOKENS, HeadKind.MLM_MULTITOKENS),
+    ],
+)
+def test_taped_step_enters_no_numpy_wrapper(variant, head):
+    """One step of each benchmarked pairing, both FLOPs weights on."""
+    config = BackboneConfig(variant, num_layers=1, d_model=32, num_heads=2, vocab_size=V, max_seq_len=8)
+    model = SparseEncoder.build(config, head)
+    cfg = TrainConfig(total_steps=2, learning_rate=1e-3, batch_size=4, lambda_q=0.5, lambda_d=0.5)
+    optimizer, batch = Adam(model.parameters(), cfg), tiny_batch(np.random.default_rng(9))
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith(NUMPY_WRAPPER_MODULES):
+            caller = frame.f_back
+            entered.append(f"{frame.f_code.co_name} in {frame.f_code.co_filename}, called from "
+                           f"{caller.f_code.co_filename}:{caller.f_lineno}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        train_step(model, optimizer, batch, cfg, 1)
+    finally:
+        sys.setprofile(previous)
+    assert not entered, f"{len(entered)} numpy wrapper frames, the first: {entered[0]}"
 
 
 class LoopAdam:
