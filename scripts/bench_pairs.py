@@ -9,9 +9,12 @@ the parent goes first in the first pair, the change in the second, and so
 on. The last JSON line each run prints is its result. For every end-to-end
 metric that the change's ``BENCHMARK.json`` declares (the file is only
 read), the script prints each side's median and quartiles and in how many
-pairs the change was better, in the metric's declared direction. A run that
-reports ``correct: false``, or prints no result, is listed; a pair without
-both results is left out of the figures.
+pairs the change was better, in the metric's declared direction, and each
+side's failed and attempted operations summed over its runs (a change whose
+failed share grows is worse whatever its timings). A run that reports
+``correct: false`` is listed, and so is one that prints no result, with its
+exit code and the last line of its stderr; a pair without both results is
+left out of the figures.
 """
 
 from __future__ import annotations
@@ -75,15 +78,25 @@ def format_row(row: dict) -> str:
             f"({delta:+.2f}%), change better in {row['wins']}/{row['pairs']}")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The last JSON object ``perfbench/run.py`` prints in ``checkout``, or None."""
+def format_operations(side: str, results: list[dict]) -> str:
+    """A side's failed and attempted operations, summed over its results."""
+    failed = sum(r.get("failed", 0) for r in results)
+    attempted = sum(r.get("attempted", 0) for r in results)
+    share = f"{failed / attempted:.4%}" if attempted else "no operation"
+    return f"{side}: {failed} of {attempted} operations failed ({share}) in {len(results)} runs"
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict | None, str]:
+    """The last JSON object ``perfbench/run.py`` prints in ``checkout``, or
+    None and the run's exit code and last stderr line."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     for line in reversed(done.stdout.splitlines()):
         if line.startswith("{"):
-            return json.loads(line)
-    return None
+            return json.loads(line), ""
+    last = (done.stderr.strip().splitlines() or ["(empty)"])[-1]
+    return None, f"no result, exit code {done.returncode}, stderr: {last}"
 
 
 def main(argv=None) -> int:
@@ -96,18 +109,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     sides = {"parent": args.parent, "change": args.change}
-    pairs, bad = [], []
+    pairs, bad, ran = [], [], {"parent": [], "change": []}
     for i, seed in enumerate(seed_list(args.seeds)):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         results = {}
         for side in order:
-            result = run_once(sides[side], args.workload, seed, args.seconds)
+            result, note = run_once(sides[side], args.workload, seed, args.seconds)
             if result is None or not result.get("correct"):
-                bad.append(f"{side} seed {seed}: " + (
-                    "no result" if result is None else
+                bad.append(f"{side} seed {seed}: " + (note if result is None else
                     f"correct: false ({result.get('failed')} of {result.get('attempted')} failed)"))
+            if result is not None:
+                ran[side].append(result)
             results[side] = result
-            print(f"seed {seed} {side}: " + ("no result" if result is None else json.dumps(
+            print(f"seed {seed} {side}: " + (note if result is None else json.dumps(
                 {k: v["value"] for k, v in result["metrics"].items()})), flush=True)
         if all(results.values()):
             pairs.append(tuple({k: v["value"] for k, v in results[side]["metrics"].items()}
@@ -115,6 +129,8 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}: {len(pairs)} pairs")
     for row in summarize(pairs, spec["end_to_end"]):
         print(format_row(row))
+    for side, results in ran.items():
+        print(format_operations(side, results))
     for line in bad:
         print(f"NOT CORRECT {line}")
     return 1 if bad else 0

@@ -10,9 +10,6 @@ With no active tape operations run as plain numpy forward passes.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -23,19 +20,6 @@ import numpy as np
 from .errors import NumericError, ShapeError, TapeStateError
 
 _ACTIVE_TAPE: "Tape | None" = None
-
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_IN_ITEM = threading.local()  # .active: this thread runs for_each items
-
-
-def _new_pool() -> None:  # threads start on first use: importing lsrkit starts none
-    global _POOL
-    _POOL = ThreadPoolExecutor(_CPUS - 1) if _CPUS > 1 else None
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but no thread of it
-    os.register_at_fork(after_in_child=_new_pool)
 
 
 class Tensor:
@@ -104,30 +88,6 @@ class Tape:
 def recording() -> bool:
     """Whether a :class:`Tape` is active, so operations may record backward rules."""
     return _ACTIVE_TAPE is not None
-
-
-def for_each(fn: Callable, items: Sequence) -> None:
-    """Call ``fn(item)`` for every item, in one contiguous group of items per
-    CPU the process may use: this thread runs the first group, the pool the
-    others. Returns when all are done, re-raising the first exception. A call
-    that writes only its own rows gets the bits of a plain loop. A call made
-    inside an item runs inline, so no pool thread waits on its own pool."""
-    nested = getattr(_IN_ITEM, "active", False)
-    groups = max(1, min(_CPUS, len(items))) if _POOL is not None and not nested else 1
-
-    def run(g):
-        _IN_ITEM.active = True  # stays set in a pool thread, which runs only groups
-        for item in items[len(items) * g // groups : len(items) * (g + 1) // groups]:
-            fn(item)
-
-    futures = [_POOL.submit(run, g) for g in range(1, groups)]
-    try:
-        run(0)
-    finally:
-        _IN_ITEM.active = nested
-        wait(futures)
-    for future in futures:
-        future.result()
 
 
 def _record(out: Tensor, backward: Callable[[np.ndarray], None]) -> Tensor:

@@ -82,10 +82,10 @@ class SparseVector:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise ShapeError(f"from_dense takes one row, not an array of shape {values.shape}")
-        nz = np.flatnonzero(values > 0.0)
+        nz = (values > 0.0).nonzero()[0]
         weights = values[nz]
-        if np.isnan(values).any() or not np.isfinite(weights).all():
-            term = np.flatnonzero(np.isnan(values) | (values == np.inf))[0]
+        if np.logical_or.reduce(np.isnan(values)) or not np.logical_and.reduce(np.isfinite(weights)):
+            term = (np.isnan(values) | (values == np.inf)).nonzero()[0][0]
             raise ContractError(f"weight for term {term} must be finite and >= 0")
         vec = cls()
         vec.entries = dict(zip(nz.tolist(), weights.tolist()))

@@ -13,10 +13,13 @@ its own memory, so neither holds a second copy of the model.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import json
+import os
 import struct
 import typing
+from concurrent.futures import ThreadPoolExecutor, wait
 from itertools import chain
 
 import numpy as np
@@ -39,6 +42,17 @@ from .text import ByteReader, write_output
 CHECKPOINT_MAGIC = b"LSRC"
 CHECKPOINT_VERSION = 1
 _INT_FIELDS = tuple(k for k, t in typing.get_type_hints(BackboneConfig).items() if t is int)
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _new_pool() -> None:  # threads start on first use: importing lsrkit starts none
+    global _POOL
+    _POOL = ThreadPoolExecutor(max(1, _CPUS - 1))  # at one CPU it is never handed work
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but no thread of it
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 class SparseEncoder:
@@ -84,8 +98,13 @@ class SparseEncoder:
     def batch_activations(self, sequences) -> Tensor:
         """Dense [B, |V|] activations for a batch; differentiable under a tape.
 
-        With no tape a checked batch runs as pairs spread over the CPUs: by
-        stable length order, the longest with the shortest, and so on inwards."""
+        With no tape a checked batch of three or more runs as pair units (by
+        stable length order, the longest with the shortest, and so on inwards)
+        cut into one contiguous group per CPU, at most: this thread runs the
+        first, the pool the others, each in a copy of this thread's context.
+        Once all are done the earliest failing unit's error is raised, and a
+        unit writes only its own rows, so errors and bits depend on the batch
+        alone. A unit never forks, so no pool thread waits on the pool."""
         sequences = list(sequences)
         if len(sequences) > 2 and not ad.recording():
             order = np.argsort(self.backbone._pack(sequences)[1], kind="stable").tolist()
@@ -93,10 +112,19 @@ class SparseEncoder:
             units = [sorted({order[i], order[-1 - i]}) for i in range((len(order) + 1) // 2)]
             rows = np.empty((len(sequences), self.head.vocab_size))
 
-            def run(unit):
-                rows[unit] = self.batch_activations([sequences[i] for i in unit]).data
+            def run(group):
+                for unit in group:
+                    rows[unit] = self.batch_activations([sequences[i] for i in unit]).data
 
-            ad.for_each(run, units)
+            n = min(_CPUS, len(units))
+            groups = [units[len(units) * g // n : len(units) * (g + 1) // n] for g in range(n)]
+            futures = [_POOL.submit(contextvars.copy_context().run, run, g) for g in groups[1:]]
+            try:
+                run(groups[0])
+            finally:
+                wait(futures)
+            for future in futures:
+                future.result()
             return Tensor(rows)
         states, starts, token_ids = self.backbone.encode_batch(sequences)
         if self.head.kind == HeadKind.MLP:

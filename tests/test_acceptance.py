@@ -8,6 +8,7 @@ criteria 8 and 9 train in worker processes, one run each.
 
 import math
 import multiprocessing
+import os
 import pathlib
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -144,8 +145,9 @@ def training_job(toy, triplets, variant, head_kind, steps, lam, log_path):
 def run_jobs(jobs):
     """``training_job`` of each argument tuple, one fresh process each, run
     over the process's CPUs in list order (so list the longest first)."""
-    spawn = multiprocessing.get_context("spawn")  # fork would copy ad's thread pool's locks
-    with ProcessPoolExecutor(ad._CPUS, mp_context=spawn) as pool:
+    spawn = multiprocessing.get_context("spawn")  # fork would copy the model's thread pool's locks
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ProcessPoolExecutor(cpus, mp_context=spawn) as pool:
         return list(pool.map(training_job, *zip(*jobs)))
 
 

@@ -4,15 +4,8 @@ import ast
 import contextlib
 import inspect
 import math
-import os
-import signal
-import subprocess
-import sys
-import threading
-import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +18,7 @@ from reference import add_bias, log1p, matmul, softmax_rows
 from lsrkit import autodiff as ad
 from lsrkit.autodiff import AttentionLayout, Tape, Tensor, finite_difference_check
 from lsrkit.cli import _gradcheck_cases
-from lsrkit.errors import FormatError, ShapeError, TapeStateError
+from lsrkit.errors import ShapeError, TapeStateError
 
 GRADCHECK_TOL = 1e-5
 EPS = 1e-6
@@ -84,26 +77,6 @@ def _autodiff_calls() -> set[str]:
             elif isinstance(func, ast.Name) and (func.id in names or file.name == "autodiff.py"):
                 called.add(func.id)
     return called
-
-
-def _for_each_callers() -> list[str]:
-    """Qualified names of the ``src/lsrkit`` functions whose own body (not a
-    function nested in it) calls ``autodiff.for_each``."""
-    callers = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, [*scope, child.name])
-                continue
-            func = child.func if isinstance(child, ast.Call) else None
-            if getattr(func, "attr", getattr(func, "id", None)) == "for_each":
-                callers.append(".".join(scope))
-            visit(child, scope)
-
-    for file in sorted(Path(ad.__file__).parent.glob("*.py")):
-        visit(ast.parse(file.read_text(encoding="utf-8")), [])
-    return callers
 
 
 class TestForwardFixtures:
@@ -886,137 +859,3 @@ class TestInvariants:
         w = Tensor(rng.normal(size=(6, 6)))
         out = softmax_rows(matmul(ad.relu(x), w))
         assert np.isfinite(out.data).all()
-
-
-@pytest.fixture
-def pool_of_three(monkeypatch):
-    """Make ``ad.for_each`` cut work into three groups, whatever the host has."""
-    with ThreadPoolExecutor(2) as pool:
-        monkeypatch.setattr(ad, "_CPUS", 3)
-        monkeypatch.setattr(ad, "_POOL", pool)
-        yield
-
-
-class TestForEach:
-    @pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 17])
-    def test_every_item_runs_exactly_once(self, pool_of_three, count):
-        seen, threads = [], set()
-
-        def visit(item):
-            seen.append(item)
-            threads.add(threading.get_ident())
-
-        ad.for_each(visit, list(range(count)))
-        assert sorted(seen) == list(range(count))
-        assert (len(threads) > 1) == (count > 1)
-
-    def test_serial_without_a_pool(self, monkeypatch):
-        monkeypatch.setattr(ad, "_POOL", None)
-        seen = []
-        ad.for_each(lambda item: seen.append((item, threading.get_ident())), list(range(5)))
-        assert seen == [(i, threading.get_ident()) for i in range(5)]
-
-    def test_worker_error_reaches_the_caller_unchanged(self, pool_of_three):
-        error = FormatError("bad item 7")
-        done = []
-
-        def visit(item):
-            if item == 7:  # in the last group, which a pool thread runs
-                assert threading.current_thread() is not threading.main_thread()
-                raise error
-            done.append(item)
-
-        with pytest.raises(FormatError) as caught:
-            ad.for_each(visit, list(range(9)))
-        assert caught.value is error
-        # the other two groups ran to the end before the error was raised
-        assert sorted(done) == [0, 1, 2, 3, 4, 5, 6]
-
-    def test_many_groups_under_fast_thread_switching(self, monkeypatch):
-        """More groups than cores, switching threads every microsecond: each
-        item is still visited exactly once per call."""
-        hits = np.zeros(500, dtype=np.int64)
-
-        def visit(i):
-            hits[i] += 1
-
-        interval = sys.getswitchinterval()
-        with ThreadPoolExecutor(7) as pool:
-            monkeypatch.setattr(ad, "_CPUS", 8)
-            monkeypatch.setattr(ad, "_POOL", pool)
-            sys.setswitchinterval(1e-6)
-            try:
-                for _ in range(20):
-                    ad.for_each(visit, range(500))
-            finally:
-                sys.setswitchinterval(interval)
-        assert (hits == 20).all()
-
-    def test_call_inside_an_item_runs_inline(self, monkeypatch):
-        """Items of a nested call run in the thread of the item that made it.
-        The pool has a thread for every group of both levels, so a broken
-        rule fails the assertions instead of waiting forever."""
-        outer, inner = {}, {}
-
-        def visit(item):
-            outer[item] = threading.get_ident()
-            ad.for_each(lambda j: inner.setdefault(item, set()).add(threading.get_ident()), range(4))
-
-        with ThreadPoolExecutor(8) as pool:
-            monkeypatch.setattr(ad, "_CPUS", 3)
-            monkeypatch.setattr(ad, "_POOL", pool)
-            ad.for_each(visit, range(3))
-        assert len(set(outer.values())) > 1
-        assert inner == {item: {thread} for item, thread in outer.items()}
-
-    def test_a_failed_call_leaves_this_thread_spreading_work(self, pool_of_three):
-        def fail(item):
-            raise FormatError(f"bad item {item}")
-
-        with pytest.raises(FormatError, match="bad item 0"):
-            ad.for_each(fail, range(3))
-        threads = set()
-        ad.for_each(lambda item: threads.add(threading.get_ident()), range(3))
-        assert len(threads) > 1
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_gets_a_pool_of_its_own(self, pool_of_three):
-        # Slow enough that each group gets a thread of its own; then both
-        # threads wait, idle, for work.
-        ad.for_each(lambda item: time.sleep(0.05), range(3))
-        time.sleep(0.2)
-        pid = os.fork()
-        if pid == 0:
-            # A group that no thread runs would keep the child waiting forever.
-            signal.alarm(10)
-            seen, code = [], 1
-            try:
-                ad.for_each(seen.append, range(6))
-                code = 0 if sorted(seen) == list(range(6)) else 1
-            finally:
-                os._exit(code)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-
-    def test_packed_units_are_the_one_fork_join(self):
-        """No fork-join nests: a second caller must be added here on purpose."""
-        assert _for_each_callers() == ["SparseEncoder.batch_activations"]
-
-    def test_import_and_one_sequence_encode_start_no_thread(self):
-        script = (
-            "import threading\n"
-            "before = threading.active_count()\n"
-            "import lsrkit\n"
-            "from lsrkit.backbones import BackboneConfig, Variant\n"
-            "from lsrkit.heads import HeadKind\n"
-            "imported = threading.active_count()\n"
-            "cfg = BackboneConfig(Variant.ENCDEC_MULTITOKENS, num_layers=1, d_model=8,"
-            " num_heads=2, vocab_size=16, max_seq_len=8)\n"
-            "model = lsrkit.SparseEncoder.build(cfg, HeadKind.MLM_MULTITOKENS)\n"
-            "model.encode([4, 5, 6, 7])\n"
-            "print(before, imported, threading.active_count())\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        before, imported, encoded = map(int, proc.stdout.split())
-        assert before == imported == encoded

@@ -1,5 +1,6 @@
 """The summary of ``scripts/bench_pairs.py``, on fixed numbers; nothing is benchmarked."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +45,29 @@ def test_a_metric_no_pair_reports_has_no_figures():
 def test_seed_ranges_include_both_ends():
     assert bench_pairs.seed_list(["3", "71-74"]) == [3, 71, 72, 73, 74]
     assert bench_pairs.quartiles([2.5]) == (2.5, 2.5, 2.5)
+
+
+def test_operations_are_summed_over_a_sides_runs():
+    runs = [{"failed": 0, "attempted": 400}, {"failed": 3, "attempted": 200}]
+    assert bench_pairs.format_operations("change", runs) == (
+        "change: 3 of 600 operations failed (0.5000%) in 2 runs")
+    assert bench_pairs.format_operations("parent", []) == (
+        "parent: 0 of 0 operations failed (no operation) in 0 runs")
+
+
+def test_a_run_without_a_result_reports_its_exit_code_and_last_stderr_line(monkeypatch):
+    def run(command, **kwargs):
+        return subprocess.CompletedProcess(command, 1, "warming up\n",
+                                           "Traceback (most recent call last):\nKeyError: 'x'\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.run_once(Path("."), "encode-long", 7, 1.0) == (
+        None, "no result, exit code 1, stderr: KeyError: 'x'")
+
+
+def test_a_run_reports_its_last_json_line(monkeypatch):
+    def run(command, **kwargs):
+        return subprocess.CompletedProcess(command, 0, '{"correct": false}\n{"correct": true}\n', "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.run_once(Path("."), "encode-long", 7, 1.0) == ({"correct": True}, "")

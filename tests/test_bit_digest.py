@@ -8,7 +8,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 import bit_digest  # noqa: E402
-from lsrkit import autodiff as ad  # noqa: E402
+from lsrkit import model as model_module  # noqa: E402
 
 # Recorded with the v1 index code, once the digest hashed what load_index
 # reads back rather than the index file's bytes; any change that keeps
@@ -33,8 +33,8 @@ def test_encoding_bits_do_not_depend_on_the_cpu_count(monkeypatch):
 
     default = encoding()
     with ThreadPoolExecutor(2) as pool:
-        monkeypatch.setattr(ad, "_CPUS", 3)
-        monkeypatch.setattr(ad, "_POOL", pool)
+        monkeypatch.setattr(model_module, "_CPUS", 3)
+        monkeypatch.setattr(model_module, "_POOL", pool)
         three_way = encoding()
-    monkeypatch.setattr(ad, "_POOL", None)
+    monkeypatch.setattr(model_module, "_CPUS", 1)
     assert encoding() == three_way == default

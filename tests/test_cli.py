@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import toytask
 from test_index import column_offset, v1_file
 from test_model import drop_field, rewrite_header
-from lsrkit import autodiff as ad
+from lsrkit import model as model_module
 from lsrkit import cli, errors, training
 from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.cli import main
@@ -581,8 +581,8 @@ class TestEncodeCommand:
             emb[1500:] = alternating(1.5e308, emb[1500:].shape)
 
         with ThreadPoolExecutor(2) as pool:
-            monkeypatch.setattr(ad, "_CPUS", cpus)
-            monkeypatch.setattr(ad, "_POOL", pool if cpus > 1 else None)
+            monkeypatch.setattr(model_module, "_CPUS", cpus)
+            monkeypatch.setattr(model_module, "_POOL", pool)
             assert self._encode_poisoned(tmp_path, vocab, poison) == 3
         assert_one_error_line(capsys.readouterr().err, "encode")
         assert not (tmp_path / "x.vec").exists()

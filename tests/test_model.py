@@ -1,12 +1,19 @@
 """SparseEncoder composition and checkpoint round-trip tests."""
 
+import ast
 import hashlib
 import json
 import os
 import signal
 import struct
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +22,7 @@ from hypothesis import strategies as st
 
 from reference import mlp_head_per_position
 from lsrkit import autodiff as ad
+from lsrkit import model as model_module
 from lsrkit.autodiff import Tape, Tensor, finite_difference_check
 from lsrkit.backbones import BackboneConfig, Variant
 from lsrkit.errors import ContractError, FormatError, VocabError
@@ -70,7 +78,7 @@ def _on_three_cpus(model, seqs) -> tuple[int, bytes]:
         code = 1
         try:
             with _CountingPool(2) as pool:
-                ad._CPUS, ad._POOL = 3, pool
+                model_module._CPUS, model_module._POOL = 3, pool
                 acts = model.batch_activations(seqs).data
             with os.fdopen(write, "wb") as out:
                 out.write(struct.pack("<q", pool.submitted) + acts.tobytes())
@@ -268,20 +276,12 @@ class TestComposition:
             model.head.b_vocab.data = np.random.default_rng(2).normal(0.0, 0.05, 16)
         seqs = [(4, 5, 6, 5, 9, 10, 11, 12), (7, 8), (9,), (13, 4, 15), (6, 7, 8, 9, 10)]
         default = model.batch_activations(seqs).data
-
-        class CountingPool(ThreadPoolExecutor):
-            submitted = 0
-
-            def submit(self, *args, **kwargs):
-                self.submitted += 1
-                return super().submit(*args, **kwargs)
-
-        with CountingPool(2) as pool:
-            monkeypatch.setattr(ad, "_CPUS", 3)
-            monkeypatch.setattr(ad, "_POOL", pool)
+        with _CountingPool(2) as pool:
+            monkeypatch.setattr(model_module, "_CPUS", 3)
+            monkeypatch.setattr(model_module, "_POOL", pool)
             three_way = model.batch_activations(seqs).data
         assert pool.submitted > 0
-        monkeypatch.setattr(ad, "_POOL", None)
+        monkeypatch.setattr(model_module, "_CPUS", 1)
         serial = model.batch_activations(seqs).data
         np.testing.assert_array_equal(default, serial)
         np.testing.assert_array_equal(three_way, serial)
@@ -300,7 +300,7 @@ class TestComposition:
         submitted, acts = _on_three_cpus(model, seqs)
         assert submitted == 2
         default = model.batch_activations(seqs).data
-        monkeypatch.setattr(ad, "_POOL", None)
+        monkeypatch.setattr(model_module, "_CPUS", 1)
         serial = model.batch_activations(seqs).data
         assert acts == serial.tobytes() == default.tobytes()
 
@@ -327,7 +327,7 @@ class TestComposition:
         seqs = [rng.integers(4, vocab, size=n).tolist() for n in rng.integers(2, 65, size=count)]
         got, acts = _on_three_cpus(model, seqs)
         assert got == submitted
-        monkeypatch.setattr(ad, "_POOL", None)
+        monkeypatch.setattr(model_module, "_CPUS", 1)
         assert acts == model.batch_activations(seqs).data.tobytes()
 
     def test_untaped_one_sequence_head_memory_is_per_block(self, monkeypatch):
@@ -341,8 +341,8 @@ class TestComposition:
         model = SparseEncoder.build(cfg, HeadKind.MLM_MULTITOKENS)
         seq = np.random.default_rng(8).integers(4, vocab, size=n).tolist()
         with ThreadPoolExecutor(2) as pool:
-            monkeypatch.setattr(ad, "_CPUS", 3)
-            monkeypatch.setattr(ad, "_POOL", pool)
+            monkeypatch.setattr(model_module, "_CPUS", 3)
+            monkeypatch.setattr(model_module, "_POOL", pool)
             model.encode(seq)  # warm up lazily built state
             tracemalloc.start()
             try:
@@ -408,6 +408,192 @@ class TestComposition:
         with Tape():
             taped = mlm_batch_activations(states, starts, model.backbone.tok_emb, model.head)
         assert taped.data.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Make ``batch_activations`` cut its units into three groups, whatever the host has."""
+    with _CountingPool(2) as pool:
+        monkeypatch.setattr(model_module, "_CPUS", 3)
+        monkeypatch.setattr(model_module, "_POOL", pool)
+        yield pool
+
+
+def lengths_one_to_nine(vocab=60):
+    """An encoder-only MLP model and nine sequences of lengths 1-9. Pairing
+    makes unit k of sequences k and 8 - k, unit 4 the lone middle one; three
+    CPUs group the units as [0], [1, 2], [3, 4]."""
+    cfg = BackboneConfig(Variant.ENCODER_ONLY, num_layers=1, d_model=16, num_heads=2,
+                         vocab_size=vocab, max_seq_len=9)
+    seqs = [[4 + (7 * i + j) % (vocab - 5) for j in range(i + 1)] for i in range(9)]
+    return SparseEncoder.build(cfg, HeadKind.MLP), seqs
+
+
+def record_units(model, on_unit):
+    """Route every unit ``batch_activations`` runs through ``on_unit(unit)``,
+    where ``unit`` is the list of the unit's sequences, before running it."""
+    def batch_activations(seqs):
+        seqs = list(seqs)
+        if len(seqs) <= 2:
+            on_unit(seqs)
+        return SparseEncoder.batch_activations(model, seqs)
+
+    model.batch_activations = batch_activations  # the method's own unit calls find it here
+
+
+def _fork_join_callers() -> tuple[list[str], list[str]]:
+    """(qualified names of the ``src/lsrkit`` functions whose own body calls
+    ``_POOL.submit``, files that name ``ThreadPoolExecutor``)."""
+    callers, pool_files = [], []
+
+    def visit(node, scope, file):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, [*scope, child.name], file)
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if isinstance(func, ast.Attribute) and func.attr == "submit" and "_POOL" in (
+                getattr(func.value, "id", None), getattr(func.value, "attr", None)
+            ):
+                callers.append(".".join(scope))
+            named = [getattr(child, "id", None), getattr(child, "attr", None)]
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                named += [alias.name for alias in child.names]
+            if "ThreadPoolExecutor" in named and file not in pool_files:
+                pool_files.append(file)
+            visit(child, scope, file)
+
+    for file in sorted(Path(model_module.__file__).parent.glob("*.py")):
+        visit(ast.parse(file.read_text(encoding="utf-8")), [], file.name)
+    return callers, pool_files
+
+
+class TestForkJoin:
+    """The untaped packed batch's fork-join, the program's only one."""
+
+    def test_packed_units_are_the_one_fork_join(self):
+        """Nothing nests: a second caller must be added here on purpose."""
+        assert _fork_join_callers() == (["SparseEncoder.batch_activations"], ["model.py"])
+
+    @pytest.mark.parametrize("count", [3, 4, 5, 9, 17])
+    def test_every_sequence_runs_once_in_a_unit_of_at_most_two(self, three_cpus, count):
+        model = build()
+        rng = np.random.default_rng(count)
+        seqs = [rng.integers(4, 16, size=n).tolist() for n in rng.integers(1, 9, size=count)]
+        units, threads, index = [], set(), {id(s): i for i, s in enumerate(seqs)}
+
+        def visit(unit):
+            units.append([index[id(s)] for s in unit])
+            threads.add(threading.get_ident())
+
+        record_units(model, visit)
+        acts = model.batch_activations(seqs).data
+        assert sorted(i for unit in units for i in unit) == list(range(count))
+        assert all(len(unit) <= 2 for unit in units)
+        assert len(threads) > 1 and three_cpus.submitted == min(3, len(units)) - 1
+        np.testing.assert_array_equal(acts, SparseEncoder.batch_activations(model, seqs).data)
+
+    @pytest.mark.parametrize(
+        "failing,raised", [({2, 4}, 2), ({0, 4}, 0)], ids=["in-the-pool", "in-this-thread"]
+    )
+    def test_earliest_failing_unit_error_reaches_the_caller(self, three_cpus, failing, raised):
+        """The error of the earliest failing unit is raised unchanged, once
+        every group has run to its end or to its first failure."""
+        model, seqs = lengths_one_to_nine()
+        errors = {k: FormatError(f"bad unit {k}") for k in failing}
+        done = []
+
+        def visit(unit):
+            k = min(len(s) for s in unit) - 1  # unit k holds the sequence of length k + 1
+            if k in errors:
+                in_pool = threading.current_thread() is not threading.main_thread()
+                assert in_pool == (k > 0)
+                raise errors[k]
+            time.sleep(0.02)
+            done.append(k)
+
+        record_units(model, visit)
+        with pytest.raises(FormatError) as caught:
+            model.batch_activations(seqs)
+        assert caught.value is errors[raised]
+        assert sorted(done) == sorted({0, 1, 2, 3, 4} - failing)  # each failure ends its group
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_every_group_runs_under_the_callers_errstate(self, monkeypatch, cpus):
+        """An overflow in the lone middle unit, which a pool thread runs on
+        three CPUs, raises as on one: the pool thread runs in a copy of the
+        caller's context, so under its ``np.errstate``."""
+        model, seqs = lengths_one_to_nine()
+        model.backbone.tok_emb.data[59] = 1.5e308
+        seqs[4][2] = 59  # only the length-5 sequence, row 4, holds id 59
+        with ThreadPoolExecutor(2) as pool:
+            monkeypatch.setattr(model_module, "_CPUS", cpus)
+            monkeypatch.setattr(model_module, "_POOL", pool)
+            with warnings.catch_warnings(record=True) as caught, np.errstate(all="raise"):
+                warnings.simplefilter("always")
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    model.batch_activations(seqs)
+        assert caught == []
+
+    def test_many_groups_under_fast_thread_switching(self, monkeypatch):
+        """More groups than cores, switching threads every microsecond: the
+        bits are still those of one CPU, call after call."""
+        model = build()
+        rng = np.random.default_rng(3)
+        seqs = [rng.integers(4, 16, size=n).tolist() for n in rng.integers(1, 9, size=17)]
+        monkeypatch.setattr(model_module, "_CPUS", 1)
+        serial = model.batch_activations(seqs).data.tobytes()
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(7) as pool:
+            monkeypatch.setattr(model_module, "_CPUS", 8)
+            monkeypatch.setattr(model_module, "_POOL", pool)
+            sys.setswitchinterval(1e-6)
+            try:
+                calls = [model.batch_activations(seqs).data.tobytes() for _ in range(20)]
+            finally:
+                sys.setswitchinterval(interval)
+        assert calls == [serial] * 20
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_pool_of_its_own(self, three_cpus):
+        model, seqs = lengths_one_to_nine()
+        want = model.batch_activations(seqs).data.tobytes()
+        # Units slow enough that each group gets a thread of its own; then
+        # both threads wait, idle, for work.
+        record_units(model, lambda unit: time.sleep(0.02))
+        model.batch_activations(seqs)
+        time.sleep(0.2)
+        del model.batch_activations
+        pid = os.fork()
+        if pid == 0:
+            # A group that no thread runs would keep the child waiting forever.
+            signal.alarm(10)
+            code = 1
+            try:
+                code = 0 if model.batch_activations(seqs).data.tobytes() == want else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_import_and_one_sequence_encode_start_no_thread(self):
+        script = (
+            "import threading\n"
+            "before = threading.active_count()\n"
+            "import lsrkit\n"
+            "from lsrkit.backbones import BackboneConfig, Variant\n"
+            "from lsrkit.heads import HeadKind\n"
+            "imported = threading.active_count()\n"
+            "cfg = BackboneConfig(Variant.ENCDEC_MULTITOKENS, num_layers=1, d_model=8,"
+            " num_heads=2, vocab_size=16, max_seq_len=8)\n"
+            "model = lsrkit.SparseEncoder.build(cfg, HeadKind.MLM_MULTITOKENS)\n"
+            "model.encode([4, 5, 6, 7])\n"
+            "print(before, imported, threading.active_count())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        before, imported, encoded = map(int, proc.stdout.split())
+        assert before == imported == encoded
 
 
 class TestCheckpoint:

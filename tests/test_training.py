@@ -322,7 +322,7 @@ NUMPY_WRAPPER_MODULES = tuple(
 )
 
 
-@pytest.mark.parametrize(
+BENCHMARKED_PAIRINGS = pytest.mark.parametrize(
     "variant,head",
     [
         (Variant.ENCODER_ONLY, HeadKind.MLP),
@@ -331,12 +331,10 @@ NUMPY_WRAPPER_MODULES = tuple(
         (Variant.ENCDEC_MULTITOKENS, HeadKind.MLM_MULTITOKENS),
     ],
 )
-def test_taped_step_enters_no_numpy_wrapper(variant, head):
-    """One step of each benchmarked pairing, both FLOPs weights on."""
-    config = BackboneConfig(variant, num_layers=1, d_model=32, num_heads=2, vocab_size=V, max_seq_len=8)
-    model = SparseEncoder.build(config, head)
-    cfg = TrainConfig(total_steps=2, learning_rate=1e-3, batch_size=4, lambda_q=0.5, lambda_d=0.5)
-    optimizer, batch = Adam(model.parameters(), cfg), tiny_batch(np.random.default_rng(9))
+
+
+def assert_enters_no_numpy_wrapper(call) -> None:
+    """Run ``call()`` and fail naming the first numpy wrapper frame it entered."""
     entered = []
 
     def profile(frame, event, arg):
@@ -348,10 +346,31 @@ def test_taped_step_enters_no_numpy_wrapper(variant, head):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        train_step(model, optimizer, batch, cfg, 1)
+        call()
     finally:
         sys.setprofile(previous)
     assert not entered, f"{len(entered)} numpy wrapper frames, the first: {entered[0]}"
+
+
+def benchmarked_model(variant, head) -> SparseEncoder:
+    config = BackboneConfig(variant, num_layers=1, d_model=32, num_heads=2, vocab_size=V, max_seq_len=8)
+    return SparseEncoder.build(config, head)
+
+
+@BENCHMARKED_PAIRINGS
+def test_taped_step_enters_no_numpy_wrapper(variant, head):
+    """One step of each benchmarked pairing, both FLOPs weights on."""
+    model = benchmarked_model(variant, head)
+    cfg = TrainConfig(total_steps=2, learning_rate=1e-3, batch_size=4, lambda_q=0.5, lambda_d=0.5)
+    optimizer, batch = Adam(model.parameters(), cfg), tiny_batch(np.random.default_rng(9))
+    assert_enters_no_numpy_wrapper(lambda: train_step(model, optimizer, batch, cfg, 1))
+
+
+@BENCHMARKED_PAIRINGS
+def test_untaped_encode_enters_no_numpy_wrapper(variant, head):
+    """One untaped encode of each benchmarked pairing, as the dev pass runs it."""
+    model = benchmarked_model(variant, head)
+    assert_enters_no_numpy_wrapper(lambda: model.encode([4, 9, 5, 17, 6]))
 
 
 class LoopAdam:
