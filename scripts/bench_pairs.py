@@ -11,10 +11,13 @@ metric that the change's ``BENCHMARK.json`` declares (the file is only
 read), the script prints each side's median and quartiles and in how many
 pairs the change was better, in the metric's declared direction, and each
 side's failed and attempted operations summed over its runs (a change whose
-failed share grows is worse whatever its timings). A run that reports
-``correct: false`` is listed, and so is one that prints no result, with its
-exit code and the last line of its stderr; a pair without both results is
-left out of the figures.
+failed share grows is worse whatever its timings), and each side's
+``src_lines`` from the ``settings`` line every run prints first. One
+``SETTINGS DIFFER`` line names the host settings (python, numpy, BLAS,
+``OPENBLAS_NUM_THREADS``, CPU count) in which the sides' runs differ.
+A run that reports ``correct: false`` is listed, and so is one that
+prints no result, with its exit code and the last line of its stderr; a
+pair without both results is left out of the figures.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+HOST_SETTINGS = ("python", "numpy", "blas", "OPENBLAS_NUM_THREADS", "nproc")
 
 
 def seed_list(tokens: list[str]) -> list[int]:
@@ -86,17 +91,36 @@ def format_operations(side: str, results: list[dict]) -> str:
     return f"{side}: {failed} of {attempted} operations failed ({share}) in {len(results)} runs"
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict | None, str]:
+def format_settings(settings: dict[str, list[dict]]) -> list[str]:
+    """Each side's ``src_lines`` over its runs' settings records, then one
+    ``SETTINGS DIFFER`` line if the sides ran under other host settings."""
+    def values(side, key):
+        return "/".join(sorted({str(record.get(key)) for record in settings[side]}))
+
+    lines = [f"{side}: src_lines {values(side, 'src_lines')}" for side in settings]
+    differ = [f"{key} {values('parent', key)} vs {values('change', key)}"
+              for key in HOST_SETTINGS if values("parent", key) != values("change", key)]
+    if differ:
+        lines.append("SETTINGS DIFFER: " + "; ".join(differ))
+    return lines
+
+
+def run_once(checkout: Path, workload: str, seed: int,
+             seconds: float) -> tuple[dict | None, dict, str]:
     """The last JSON object ``perfbench/run.py`` prints in ``checkout``, or
-    None and the run's exit code and last stderr line."""
+    None and the run's exit code and last stderr line; and the record of its
+    ``settings`` line, or {} if it printed none."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
-    for line in reversed(done.stdout.splitlines()):
+    lines = done.stdout.splitlines()
+    settings = next((json.loads(line.partition(" ")[2]) for line in lines
+                     if line.startswith("settings {")), {})
+    for line in reversed(lines):
         if line.startswith("{"):
-            return json.loads(line), ""
+            return json.loads(line), settings, ""
     last = (done.stderr.strip().splitlines() or ["(empty)"])[-1]
-    return None, f"no result, exit code {done.returncode}, stderr: {last}"
+    return None, settings, f"no result, exit code {done.returncode}, stderr: {last}"
 
 
 def main(argv=None) -> int:
@@ -109,12 +133,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     sides = {"parent": args.parent, "change": args.change}
-    pairs, bad, ran = [], [], {"parent": [], "change": []}
+    pairs, bad = [], []
+    ran, settings = {"parent": [], "change": []}, {"parent": [], "change": []}
     for i, seed in enumerate(seed_list(args.seeds)):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         results = {}
         for side in order:
-            result, note = run_once(sides[side], args.workload, seed, args.seconds)
+            result, record, note = run_once(sides[side], args.workload, seed, args.seconds)
+            settings[side].append(record)
             if result is None or not result.get("correct"):
                 bad.append(f"{side} seed {seed}: " + (note if result is None else
                     f"correct: false ({result.get('failed')} of {result.get('attempted')} failed)"))
@@ -131,6 +157,8 @@ def main(argv=None) -> int:
         print(format_row(row))
     for side, results in ran.items():
         print(format_operations(side, results))
+    for line in format_settings(settings):
+        print(line)
     for line in bad:
         print(f"NOT CORRECT {line}")
     return 1 if bad else 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Callable, Sequence
 
 import numpy as np
@@ -214,56 +214,43 @@ class AttentionLayout:
     Sequence s owns query rows ``q_starts[s]:q_starts[s + 1]`` and key/value
     rows ``kv_starts[s]:kv_starts[s + 1]``; a causal layout (self-attention,
     so both offsets are equal) also hides each row's later positions. The
-    first taped ``attention`` call builds its dense ``mask`` and ``visible``.
+    first taped ``attention`` call builds its dense ``visible``.
     """
 
     q_starts: np.ndarray
     kv_starts: np.ndarray
     causal: bool = False
 
-    def segments(self):
-        """(q0, q1, kv0, kv1) row bounds of each sequence, as Python ints."""
-        return zip(
-            self.q_starts[:-1].tolist(), self.q_starts[1:].tolist(),
-            self.kv_starts[:-1].tolist(), self.kv_starts[1:].tolist(),
-        )
-
-    @cached_property
-    def mask(self) -> np.ndarray:
-        """[Nq, Nkv], True where a query row may not see a key row: a row of another
-        sequence or, if causal, a later row (a sequence's rows run in position order)."""
-        q, kv = (np.arange(len(s) - 1).repeat(s[1:] - s[:-1])  # each row's sequence
-                 for s in (self.q_starts, self.kv_starts))
-        mask = q[:, None] != kv
-        if self.causal:
-            mask |= np.arange(len(q))[:, None] < np.arange(len(q))
-        return mask
-
     @cached_property
     def visible(self) -> np.ndarray:
-        """``~mask``: True where a query row sees a key row."""
-        return ~self.mask
+        """[Nq, Nkv], True where a query row sees a key row: a row of its own
+        sequence and, if causal, not a later one (a sequence's rows run in position order)."""
+        q, kv = (np.arange(len(s) - 1).repeat(np.subtract(s[1:], s[:-1]))  # each row's sequence
+                 for s in (self.q_starts, self.kv_starts))
+        visible = q[:, None] == kv
+        if self.causal:
+            visible &= np.arange(len(q))[:, None] >= np.arange(len(q))
+        return visible
 
     @cached_property
-    def causal_block(self) -> np.ndarray:
-        """Causal ``mask`` of the longest sequence, True above the diagonal;
-        a sequence of n rows takes its top-left [n, n] block."""
-        rows = np.arange(np.maximum.reduce(self.q_starts[1:] - self.q_starts[:-1]))
-        return rows[:, None] < rows
+    def causal_visible(self) -> np.ndarray:
+        """Causal ``visible`` of the longest sequence, True on and below the
+        diagonal; a sequence of n rows takes its top-left [n, n] block."""
+        s = self.q_starts
+        rows = np.arange(np.maximum.reduce(np.subtract(s[1:], s[:-1])))
+        return rows[:, None] >= rows
 
 
-def _softmax(z: np.ndarray, scale: float, mask: np.ndarray | None, visible=None) -> np.ndarray:
+def _softmax(z: np.ndarray, scale: float, visible=True) -> np.ndarray:
     """Softmax over the last axis of ``z * scale``, computed in ``z``. Where
-    ``mask`` (broadcast against ``z``) is True an entry is hidden: it takes no
-    part in its row's max and gets weight +0.0 without a call to exp.
-    A caller that holds ``~mask`` passes it as ``visible``."""
+    ``visible`` (broadcast against ``z``) is False an entry is hidden: it takes
+    no part in its row's max and gets weight +0.0 without a call to exp.
+    ``True``, every entry visible, runs numpy's unmasked loops."""
     z *= scale
-    if visible is None:
-        visible = True if mask is None else ~mask  # where=True runs numpy's unmasked loops
     z -= np.maximum.reduce(z, -1, keepdims=True, where=visible, initial=-np.inf)
     np.exp(z, out=z, where=visible)
-    if mask is not None:
-        np.copyto(z, 0.0, where=mask)
+    if visible is not True:  # in place: a second [H, N, N] buffer costs more than this pass
+        np.copyto(z, 0.0, where=~visible)
     return np.divide(z, np.add.reduce(z, -1, keepdims=True), out=z, where=visible)
 
 
@@ -283,7 +270,7 @@ def attention(
     calls and the bits equal that composition where no hidden score nears
     its row's max.
 
-    Under a tape it runs once over the whole batch with ``layout.mask`` and
+    Under a tape it runs once over the whole batch with ``layout.visible`` and
     records one entry with a hand-written backward. With no tape it loops
     over the sequences, masking only causal segments, and builds no N x N
     array; on one sequence both paths give the same bits. A hidden key gets
@@ -312,19 +299,19 @@ def attention(
     def merge(a):  # [H, N, d_head] -> [N, d] in C order, as bias-gradient row sums need
         return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], d)
 
-    def weights(q, k, mask, visible=None):  # softmax over keys of the scaled, masked scores
-        return _softmax(np.matmul(q, k.transpose(0, 2, 1)), scale, mask, visible)
+    def weights(q, k, visible):  # softmax over keys of the scaled, masked scores
+        return _softmax(np.matmul(q, k.transpose(0, 2, 1)), scale, visible)
 
     if not recording():
         ctx = np.empty((nq, d))
-        for q0, q1, k0, k1 in layout.segments():
-            mask = layout.causal_block[: q1 - q0, : q1 - q0] if layout.causal else None
-            p = weights(split(qp.data[q0:q1]), split(kp.data[k0:k1]), mask)
+        for (q0, q1), (k0, k1) in zip(pairwise(q_bounds), pairwise(kv_bounds)):
+            visible = layout.causal_visible[: q1 - q0, : q1 - q0] if layout.causal else True
+            p = weights(split(qp.data[q0:q1]), split(kp.data[k0:k1]), visible)
             ctx[q0:q1] = merge(np.matmul(p, split(vp.data[k0:k1])))
         return Tensor(ctx)
 
     q, k, v = split(qp.data), split(kp.data), split(vp.data)
-    p = weights(q, k, layout.mask, layout.visible)
+    p = weights(q, k, layout.visible)
     out = Tensor(merge(np.matmul(p, v)))
 
     def backward(g):
@@ -469,7 +456,7 @@ def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
     """
     bounds = _check_offsets(starts, x.data)
     data = x.data
-    rows = np.array([data[a:b].argmax(axis=0) + a for a, b in zip(bounds[:-1], bounds[1:])])
+    rows = np.array([data[a:b].argmax(axis=0) + a for a, b in pairwise(bounds)])
     cols = np.arange(data.shape[1])
     out = Tensor(data[rows, cols])
 

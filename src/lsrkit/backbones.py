@@ -16,7 +16,7 @@ Batches are packed: sequences are concatenated row-wise, and an
 Each attention call is three ``linear`` projections, one ``autodiff.attention``
 over the layout and the output ``linear``; under a recording Tape that is
 five tape entries. ``attention`` keeps sequences apart with the layout's
-dense block-diagonal mask under a tape; without one it loops over sequences.
+dense ``visible`` under a tape; without one it loops over sequences.
 With no tape, ``SparseEncoder.batch_activations`` spreads a batch over the
 process's CPUs as whole units of two sequences, each one packed forward.
 """
@@ -119,49 +119,37 @@ class MultiHeadAttention:
         return ad.linear(ctx, self.wo, self.bo)
 
 
-class _LayerNorm:
-    def __init__(self, d_model: int, rng, params: list, prefix: str):
-        self.gain = _param(params, f"{prefix}.gain", _constant(rng, d_model, 1.0))
-        self.bias = _param(params, f"{prefix}.bias", _constant(rng, d_model, 0.0))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias)
-
-
-class _FeedForward:
-    def __init__(self, d_model: int, rng, params: list, prefix: str):
-        d_ff = 4 * d_model
-        self.w1 = _param(params, f"{prefix}.w1", _normal(rng, (d_model, d_ff)))
-        self.b1 = _param(params, f"{prefix}.b1", _constant(rng, d_ff, 0.0))
-        self.w2 = _param(params, f"{prefix}.w2", _normal(rng, (d_ff, d_model)))
-        self.b2 = _param(params, f"{prefix}.b2", _constant(rng, d_model, 0.0))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        h = ad.relu(ad.linear(x, self.w1, self.b1))
-        return ad.linear(h, self.w2, self.b2)
+def _norm(params: list, rng, d_model: int, prefix: str) -> tuple[Tensor, Tensor]:
+    """A layer norm's ``{prefix}.gain`` and ``{prefix}.bias``."""
+    return (_param(params, f"{prefix}.gain", _constant(rng, d_model, 1.0)),
+            _param(params, f"{prefix}.bias", _constant(rng, d_model, 0.0)))
 
 
 class _Block:
     """Pre-LN transformer block: self-attention, optional cross-attention, FFN."""
 
     def __init__(self, d_model, num_heads, rng, params, prefix, cross: bool):
-        self.ln1 = _LayerNorm(d_model, rng, params, f"{prefix}.ln1")
+        self.ln1 = _norm(params, rng, d_model, f"{prefix}.ln1")
         self.attn = MultiHeadAttention(d_model, num_heads, rng, params, f"{prefix}.attn")
         self.cross_attn = None
         if cross:
-            self.ln_cross = _LayerNorm(d_model, rng, params, f"{prefix}.ln_cross")
+            self.ln_cross = _norm(params, rng, d_model, f"{prefix}.ln_cross")
             self.cross_attn = MultiHeadAttention(d_model, num_heads, rng, params, f"{prefix}.cross")
-        self.ln2 = _LayerNorm(d_model, rng, params, f"{prefix}.ln2")
-        self.ffn = _FeedForward(d_model, rng, params, f"{prefix}.ffn")
+        self.ln2 = _norm(params, rng, d_model, f"{prefix}.ln2")
+        d_ff = 4 * d_model
+        self.w1 = _param(params, f"{prefix}.ffn.w1", _normal(rng, (d_model, d_ff)))
+        self.b1 = _param(params, f"{prefix}.ffn.b1", _constant(rng, d_ff, 0.0))
+        self.w2 = _param(params, f"{prefix}.ffn.w2", _normal(rng, (d_ff, d_model)))
+        self.b2 = _param(params, f"{prefix}.ffn.b2", _constant(rng, d_model, 0.0))
 
     def __call__(self, x, self_layout, memory=None, cross_layout=None):
-        a = self.ln1(x)
+        a = ad.layer_norm(x, *self.ln1)
         x = ad.add(x, self.attn(a, a, self_layout))
         if self.cross_attn is not None:
-            c = self.ln_cross(x)
+            c = ad.layer_norm(x, *self.ln_cross)
             x = ad.add(x, self.cross_attn(c, memory, cross_layout))
-        f = self.ln2(x)
-        return ad.add(x, self.ffn(f))
+        h = ad.relu(ad.linear(ad.layer_norm(x, *self.ln2), self.w1, self.b1))
+        return ad.add(x, ad.linear(h, self.w2, self.b2))
 
 
 class _Stack:
@@ -175,14 +163,14 @@ class _Stack:
             _Block(d, config.num_heads, rng, params, f"{prefix}.{i}", cross)
             for i in range(config.num_layers)
         ]
-        self.ln_f = _LayerNorm(d, rng, params, f"{prefix}.ln_f")
+        self.ln_f = _norm(params, rng, d, f"{prefix}.ln_f")
 
     def __call__(self, tok_emb, ids, pos, layout, memory=None, cross=None):
         """Embed ``ids`` at positions ``pos``, then run the blocks and ``ln_f``."""
         x = ad.add(ad.gather_rows(tok_emb, ids), ad.gather_rows(self.pos, pos))
         for block in self.blocks:
             x = block(x, layout, memory=memory, cross_layout=cross)
-        return self.ln_f(x)
+        return ad.layer_norm(x, *self.ln_f)
 
 
 class Backbone:

@@ -159,7 +159,7 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 
 def attention_mask(layout) -> np.ndarray:
-    """Oracle for ``AttentionLayout.mask``, one entry at a time: query row i
+    """Oracle for ``~AttentionLayout.visible``, one entry at a time: query row i
     may see key row j (False) when both belong to one sequence and, in a
     causal layout, j's place in that sequence is at most i's."""
     q_starts, kv_starts = layout.q_starts.tolist(), layout.kv_starts.tolist()
@@ -177,11 +177,12 @@ def attention_mask(layout) -> np.ndarray:
 
 
 def attention_mask_blocks(layout) -> np.ndarray:
-    """Oracle for ``AttentionLayout.mask``, one sequence's block at a time:
+    """Oracle for ``~AttentionLayout.visible``, one sequence's block at a time:
     every entry hidden, then each sequence's own [n_q, n_kv] block open, or in
     a causal layout hidden above its diagonal only, as ``~np.tri`` hides."""
     mask = np.ones((layout.q_starts[-1], layout.kv_starts[-1]), dtype=bool)
-    for q0, q1, k0, k1 in layout.segments():
+    bounds = (pairwise(np.asarray(s).tolist()) for s in (layout.q_starts, layout.kv_starts))
+    for (q0, q1), (k0, k1) in zip(*bounds):
         mask[q0:q1, k0:k1] = ~np.tri(q1 - q0, dtype=bool) if layout.causal else False
     return mask
 

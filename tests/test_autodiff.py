@@ -372,18 +372,17 @@ def mask_layouts(draw):
 
 
 def _assert_mask_is_block_oracle(layout):
-    mask, want = layout.mask, reference.attention_mask_blocks(layout)
-    assert mask.dtype == bool and mask.flags.c_contiguous
-    assert mask.shape == want.shape and mask.tobytes() == want.tobytes()
-    assert layout.visible.tobytes() == (~want).tobytes()
-    assert layout.visible is layout.visible  # built once
+    visible, mask = layout.visible, reference.attention_mask_blocks(layout)
+    assert visible.dtype == bool and visible.flags.c_contiguous
+    assert visible.shape == mask.shape and (~visible).tobytes() == mask.tobytes()
+    assert layout.visible is visible  # built once
 
 
 class TestFusedOps:
     @settings(max_examples=60, deadline=None)
     @given(attention_layouts())
     def test_attention_mask_equals_elementwise_oracle(self, layout):
-        mask, want = layout.mask, reference.attention_mask(layout)
+        mask, want = ~layout.visible, reference.attention_mask(layout)
         assert mask.dtype == want.dtype == bool and mask.shape == want.shape
         assert mask.tobytes() == want.tobytes()
 
@@ -416,7 +415,7 @@ class TestFusedOps:
             with Tape() as tape:
                 out = ad.attention(*ts, num_heads, layout)
                 tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
-            expected = _per_head_attention(q, k, v, num_heads, _additive(layout.mask), scale, g)
+            expected = _per_head_attention(q, k, v, num_heads, _additive(~layout.visible), scale, g)
             for got, want in zip([out.data] + [t.grad for t in ts], expected):
                 np.testing.assert_array_equal(got, want)
                 # bias gradients sum these over rows, in another order if not C-ordered
@@ -436,6 +435,22 @@ class TestFusedOps:
                 q[a:b], k[a:b], v[a:b], num_heads, mask, scale, np.zeros((b - a, 4))
             )
             np.testing.assert_array_equal(out.data[a:b], want)
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["open", "causal"])
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    def test_list_offsets_give_the_bits_of_array_offsets(self, taped, causal):
+        """Offsets given as Python lists, which the segment ops accept too."""
+        rng = np.random.default_rng(35)
+        q, k, v, g = (rng.normal(size=(5, 4)) for _ in range(4))
+        results = []
+        for starts in ([0, 2, 5], np.array([0, 2, 5])):
+            ts = [Tensor(a) for a in (q, k, v)]
+            with Tape() if taped else contextlib.nullcontext() as tape:
+                out = ad.attention(*ts, 2, AttentionLayout(starts, starts, causal))
+                if taped:
+                    tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in ts if taped])
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize(
         "q_starts, kv_starts, causal",
@@ -559,13 +574,14 @@ class TestSoftmaxSkip:
     @pytest.mark.parametrize("mask", ["none", "packed", "causal"])
     @pytest.mark.parametrize("name", ["nan", "inf", "shifted", "near_cut", "subnormal"])
     def test_weights_equal_full_exp_composition_bitwise(self, name, mask, scale):
-        mask = None if mask == "none" else _LAYOUTS[mask].mask
+        visible = True if mask == "none" else _LAYOUTS[mask].visible
+        mask = None if mask == "none" else ~visible
         additive = None if mask is None else _additive(mask)
         rng = np.random.default_rng(sum(map(ord, name)))
         for _ in range(5):
             z = _skip_cases(rng, (3, 30, 30), name) / scale  # a power of two: exact
             with np.errstate(invalid="ignore"):  # inf - inf, in both
-                got = ad._softmax(z.copy(), scale, mask)
+                got = ad._softmax(z.copy(), scale, visible)
                 want = np.stack([softmax_rows(Tensor(zh * scale), additive).data for zh in z])
             if mask is not None:  # hidden weights are +0.0; a NaN row's too
                 assert not got[:, mask].any() and not np.signbit(got[:, mask]).any()
@@ -574,6 +590,16 @@ class TestSoftmaxSkip:
                 got, want = got[~leaky], np.where(mask, 0.0, want)[~leaky]
             np.testing.assert_array_equal(got, want)  # NaN where NaN, bit for bit elsewhere
             assert got.tobytes() == np.where(np.isnan(want), got, want).tobytes()
+
+    def test_softmax_is_computed_in_the_scores(self):
+        """The softmax writes into its input, hiding entries or not, so
+        attention holds one [H, n, n] array of scores and weights, not two."""
+        z = np.random.default_rng(34).normal(size=(2, 5, 5))
+        want = ad._softmax(z.copy(), 0.5, np.ones((5, 5), dtype=bool))
+        got = ad._softmax(z, 0.5)
+        assert got is z and got.tobytes() == want.tobytes()
+        causal = z.copy()
+        assert ad._softmax(causal, 0.5, np.tri(5, dtype=bool)) is causal
 
     def test_exp_is_exactly_plus_zero_below_the_cut(self):
         """The platform assumption behind hiding entries as +0.0: if this
@@ -636,7 +662,7 @@ class TestSoftmaxSkip:
         layout = _LAYOUTS["packed"]
         z = np.zeros((1, 30, 30))
         z[0, 0, :13] = -2e9
-        p = ad._softmax(z, 1.0, layout.mask)
+        p = ad._softmax(z, 1.0, layout.visible)
         np.testing.assert_array_equal(p[0, 0], [1.0 / 13] * 13 + [0.0] * 17)
         q, k, v = np.zeros((30, 4)), np.zeros((30, 4)), np.random.default_rng(33).normal(size=(30, 4))
         q[0, 0], k[:13, 0] = -4e9, 1.0  # scale 1/2 with one head of width 4

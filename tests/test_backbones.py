@@ -107,11 +107,11 @@ class TestAttention:
 
     def test_layout_mask_is_block_diagonal_and_causal(self):
         starts = np.array([0, 2, 3])
-        causal = ~AttentionLayout(starts, starts, causal=True).mask
+        causal = AttentionLayout(starts, starts, causal=True).visible
         np.testing.assert_array_equal(
             causal, [[True, False, False], [True, True, False], [False, False, True]]
         )
-        cross = ~AttentionLayout(np.array([0, 1, 2]), starts).mask
+        cross = AttentionLayout(np.array([0, 1, 2]), starts).visible
         np.testing.assert_array_equal(cross, [[True, True, False], [False, False, True]])
 
 

@@ -62,7 +62,7 @@ def test_a_run_without_a_result_reports_its_exit_code_and_last_stderr_line(monke
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
     assert bench_pairs.run_once(Path("."), "encode-long", 7, 1.0) == (
-        None, "no result, exit code 1, stderr: KeyError: 'x'")
+        None, {}, "no result, exit code 1, stderr: KeyError: 'x'")
 
 
 def test_a_run_reports_its_last_json_line(monkeypatch):
@@ -70,4 +70,38 @@ def test_a_run_reports_its_last_json_line(monkeypatch):
         return subprocess.CompletedProcess(command, 0, '{"correct": false}\n{"correct": true}\n', "")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
-    assert bench_pairs.run_once(Path("."), "encode-long", 7, 1.0) == ({"correct": True}, "")
+    assert bench_pairs.run_once(Path("."), "encode-long", 7, 1.0) == ({"correct": True}, {}, "")
+
+
+HOST = {"python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.31",
+        "OPENBLAS_NUM_THREADS": "1", "nproc": 2}
+
+
+def test_a_run_reports_its_settings_line_even_without_a_result(monkeypatch):
+    stdout = 'settings {"src_lines": 2640, "nproc": 2}\nsettings of no JSON\n'
+
+    def run(command, **kwargs):
+        return subprocess.CompletedProcess(command, 1, stdout, "KeyError: 'x'\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.run_once(Path("."), "encode-long", 7, 1.0) == (
+        None, {"src_lines": 2640, "nproc": 2}, "no result, exit code 1, stderr: KeyError: 'x'")
+
+
+def test_summary_quotes_each_sides_src_lines_and_no_difference_on_one_host():
+    settings = {"parent": [{**HOST, "src_lines": 2666}] * 2,
+                "change": [{**HOST, "src_lines": 2640}] * 2}
+    assert bench_pairs.format_settings(settings) == [
+        "parent: src_lines 2666", "change: src_lines 2640"]
+
+
+def test_host_settings_that_differ_are_named_on_one_line():
+    settings = {"parent": [{**HOST, "src_lines": 2666}, {**HOST, "src_lines": 2666, "nproc": 4}],
+                "change": [{**HOST, "numpy": "2.4.5", "src_lines": 2640}, {}]}
+    assert bench_pairs.format_settings(settings) == [
+        "parent: src_lines 2666",
+        "change: src_lines 2640/None",
+        "SETTINGS DIFFER: python 3.11.7 vs 3.11.7/None; numpy 2.4.6 vs 2.4.5/None; "
+        "blas scipy-openblas 0.3.31 vs None/scipy-openblas 0.3.31; "
+        "OPENBLAS_NUM_THREADS 1 vs 1/None; nproc 2/4 vs 2/None",
+    ]
