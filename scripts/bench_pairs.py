@@ -9,10 +9,13 @@ the parent goes first in the first pair, the change in the second, and so
 on. The last JSON line each run prints is its result. For every end-to-end
 metric that the change's ``BENCHMARK.json`` declares (the file is only
 read), the script prints each side's median and quartiles and in how many
-pairs the change was better, in the metric's declared direction, and each
-side's failed and attempted operations summed over its runs (a change whose
-failed share grows is worse whatever its timings), and each side's
-``src_lines`` from the ``settings`` line every run prints first. One
+pairs the change was better, in the metric's declared direction, then
+whether the claim rule holds: the change better in at least 9/10 of the
+pairs, and its median better than the parent's by more than the distance
+between the parent's quartiles. It also prints each side's failed and
+attempted operations summed over its runs (a change whose failed share
+grows is worse whatever its timings), and each side's ``src_lines`` from
+the ``settings`` line every run prints first. One
 ``SETTINGS DIFFER`` line names the host settings (python, numpy, BLAS,
 ``OPENBLAS_NUM_THREADS``, CPU count) in which the sides' runs differ.
 A run that reports ``correct: false`` is listed, and so is one that
@@ -81,6 +84,22 @@ def format_row(row: dict) -> str:
     return (f"{row['name']} ({row['unit']}, {row['better']} is better): "
             f"parent {p2:.6g} [{p1:.6g}, {p3:.6g}] -> change {c2:.6g} [{c1:.6g}, {c3:.6g}] "
             f"({delta:+.2f}%), change better in {row['wins']}/{row['pairs']}")
+
+
+def format_claim(row: dict) -> str:
+    """Whether a row meets the claim rule: the change better in at least nine
+    tenths of the pairs (ties count for neither side), and the medians apart,
+    in the metric's better direction, by more than the parent's quartile
+    distance."""
+    if not row["pairs"]:
+        return "  claim rule does not hold: no pair"
+    (p1, p2, p3), (_, c2, _) = row["parent"], row["change"]
+    gain = p2 - c2 if row["better"] == "lower" else c2 - p2
+    enough_wins, beyond_spread = 10 * row["wins"] >= 9 * row["pairs"], gain > p3 - p1
+    return (f"  claim rule {'holds' if enough_wins and beyond_spread else 'does not hold'}: "
+            f"better in {row['wins']}/{row['pairs']} pairs ({'' if enough_wins else 'not '}"
+            f"at least 9/10), median gain {gain:.6g} {'>' if beyond_spread else '<='} "
+            f"parent quartile distance {p3 - p1:.6g}")
 
 
 def format_operations(side: str, results: list[dict]) -> str:
@@ -155,6 +174,7 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}: {len(pairs)} pairs")
     for row in summarize(pairs, spec["end_to_end"]):
         print(format_row(row))
+        print(format_claim(row))
     for side, results in ran.items():
         print(format_operations(side, results))
     for line in format_settings(settings):

@@ -10,6 +10,7 @@ With no active tape operations run as plain numpy forward passes.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, pairwise
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError, TapeStateError
 
-_ACTIVE_TAPE: "Tape | None" = None
+_TAPE: ContextVar["Tape | None"] = ContextVar("lsrkit_tape", default=None)
 
 
 class Tensor:
@@ -48,22 +49,20 @@ class Tape:
     Use as a context manager; operations executed inside record their
     backward rules in order. ``backward`` replays them strictly in
     reverse. A tape can run backward once; build a new tape per step.
+    The active tape is a context variable: each thread, and each context,
+    records only into the tape it opened itself.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._done = False
-        self._prev: Tape | None = None
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE_TAPE
-        self._prev = _ACTIVE_TAPE
-        _ACTIVE_TAPE = self
+        self._token = _TAPE.set(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._prev
+        _TAPE.reset(self._token)
         return False
 
     def __len__(self) -> int:
@@ -87,11 +86,11 @@ class Tape:
 
 def recording() -> bool:
     """Whether a :class:`Tape` is active, so operations may record backward rules."""
-    return _ACTIVE_TAPE is not None
+    return _TAPE.get() is not None
 
 
 def _record(out: Tensor, backward: Callable[[np.ndarray], None]) -> Tensor:
-    tape = _ACTIVE_TAPE
+    tape = _TAPE.get()
     if tape is not None:
         tape._entries.append((out, backward))
     return out

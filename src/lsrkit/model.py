@@ -19,7 +19,7 @@ import json
 import os
 import struct
 import typing
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 
 import numpy as np
@@ -43,16 +43,6 @@ CHECKPOINT_MAGIC = b"LSRC"
 CHECKPOINT_VERSION = 1
 _INT_FIELDS = tuple(k for k, t in typing.get_type_hints(BackboneConfig).items() if t is int)
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _new_pool() -> None:  # threads start on first use: importing lsrkit starts none
-    global _POOL
-    _POOL = ThreadPoolExecutor(max(1, _CPUS - 1))  # at one CPU it is never handed work
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but no thread of it
-    os.register_at_fork(after_in_child=_new_pool)
 
 
 class SparseEncoder:
@@ -101,10 +91,11 @@ class SparseEncoder:
         With no tape a checked batch of three or more runs as pair units (by
         stable length order, the longest with the shortest, and so on inwards)
         cut into one contiguous group per CPU, at most: this thread runs the
-        first, the pool the others, each in a copy of this thread's context.
-        Once all are done the earliest failing unit's error is raised, and a
-        unit writes only its own rows, so errors and bits depend on the batch
-        alone. A unit never forks, so no pool thread waits on the pool."""
+        first, an executor opened for this call the others, each in a copy of
+        this thread's context. Threads start only for those groups and end
+        with the call. Once all are done the earliest failing unit's error is
+        raised, and a unit writes only its own rows, so errors and bits depend
+        on the batch alone. A unit of at most two sequences never forks."""
         sequences = list(sequences)
         if len(sequences) > 2 and not ad.recording():
             order = np.argsort(self.backbone._pack(sequences)[1], kind="stable").tolist()
@@ -118,11 +109,9 @@ class SparseEncoder:
 
             n = min(_CPUS, len(units))
             groups = [units[len(units) * g // n : len(units) * (g + 1) // n] for g in range(n)]
-            futures = [_POOL.submit(contextvars.copy_context().run, run, g) for g in groups[1:]]
-            try:
+            with ThreadPoolExecutor(max(1, n - 1)) as pool:  # exiting joins every group
+                futures = [pool.submit(contextvars.copy_context().run, run, g) for g in groups[1:]]
                 run(groups[0])
-            finally:
-                wait(futures)
             for future in futures:
                 future.result()
             return Tensor(rows)

@@ -2,8 +2,13 @@
 
 import ast
 import contextlib
+import contextvars
 import inspect
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -851,6 +856,17 @@ class TestInvariants:
             assert ad.recording()
         assert not ad.recording()
 
+    def test_a_copied_context_sees_its_callers_tape(self):
+        """How a fork-join group, run in a copy of its caller's context,
+        sees the caller's tape state in another thread."""
+        seen = []
+        with Tape():
+            context = contextvars.copy_context()
+            worker = threading.Thread(target=context.run, args=(lambda: seen.append(ad.recording()),))
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive() and seen == [True]
+
     def test_segment_max_outside_tape_matches_taped_and_records_nothing(self):
         rng = np.random.default_rng(7)
         # small integers, so every segment has ties for the argmax rule
@@ -885,3 +901,101 @@ class TestInvariants:
         w = Tensor(rng.normal(size=(6, 6)))
         out = softmax_rows(matmul(ad.relu(x), w))
         assert np.isfinite(out.data).all()
+
+
+def _in_threads(*targets, timeout=10.0) -> None:
+    """Run each target in a thread of its own; every join is bounded."""
+    threads = [threading.Thread(target=t) for t in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=timeout)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestTapeThreads:
+    """The active tape belongs to the thread, and the context, that opened it."""
+
+    def test_each_thread_records_only_into_its_own_tape(self):
+        both_open, tapes, outs = threading.Barrier(2, timeout=10), {}, {}
+
+        def record(name, ops):
+            x = Tensor(np.arange(3.0))
+            with Tape() as tape:
+                both_open.wait()
+                outs[name] = [id(ad.relu(x)) for _ in range(ops)]
+                both_open.wait()
+            tapes[name] = tape
+
+        _in_threads(lambda: record("a", 3), lambda: record("b", 5))
+        for name in "ab":
+            assert [id(out) for out, _ in tapes[name]._entries] == outs[name]
+        assert not ad.recording()
+
+    def test_no_thread_records_after_interleaved_exits(self):
+        """Thread a opens its tape, b opens one, a closes, b closes."""
+        turn, after = threading.Barrier(2, timeout=10), {}
+
+        def a():
+            with Tape():
+                turn.wait()  # 1: a's tape open
+                turn.wait()  # 2: b's tape open
+            turn.wait()  # 3: a's tape closed
+            turn.wait()  # 4: b's tape closed
+            after["a"] = ad.recording()
+
+        def b():
+            turn.wait()
+            with Tape():
+                turn.wait()
+                turn.wait()
+            turn.wait()
+            after["b"] = ad.recording()
+
+        _in_threads(a, b)
+        assert after == {"a": False, "b": False}
+        assert not ad.recording()
+
+    def test_a_thread_without_a_tape_records_nothing(self):
+        seen, x = [], Tensor(np.arange(3.0))
+
+        def untaped():
+            seen.append(ad.recording())
+            ad.relu(x)
+
+        with Tape() as tape:
+            _in_threads(untaped)
+            assert ad.recording()
+        assert seen == [False] and len(tape) == 0
+
+    def test_many_threads_under_fast_switching_keep_their_entries(self):
+        """More threads than CPUs, switching every microsecond, each opening
+        tape after tape until about half a second has passed: every tape
+        holds exactly the entries its own thread recorded, and none stays
+        active."""
+        count = (os.cpu_count() or 1) + 2
+        deadline = time.monotonic() + 0.5
+        wrong, runs = [], []
+
+        def stress(seed):
+            rng = np.random.default_rng(seed)
+            x = Tensor(rng.normal(size=4))
+            while True:  # at least once, however late the thread starts
+                ops = int(rng.integers(1, 8))
+                with Tape() as tape:
+                    outs = [id(ad.relu(x)) for _ in range(ops)]
+                    inside = ad.recording()
+                if [id(out) for out, _ in tape._entries] != outs or not inside or ad.recording():
+                    wrong.append(seed)
+                runs.append(seed)
+                if time.monotonic() >= deadline:
+                    break
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _in_threads(*[lambda seed=seed: stress(seed) for seed in range(count)], timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [] and set(runs) == set(range(count))
+        assert not ad.recording()

@@ -42,6 +42,30 @@ def test_a_metric_no_pair_reports_has_no_figures():
     assert bench_pairs.format_row(row) == "setup_s: no pair reported it"
 
 
+def test_claim_rule_needs_nine_tenths_of_pairs_and_a_gain_beyond_the_parents_spread():
+    """Parent quartiles 122.5 and 167.5 are 45 apart. Nine of ten pairs
+    won with a median gain of exactly 45 is no claim; 46 is one; a median
+    gain of 46 won in eight of ten pairs is none."""
+    parent = [100.0, 110.0, 120.0, 130.0, 140.0, 150.0, 160.0, 170.0, 180.0, 190.0]
+
+    def claim(gain, lost, better="higher"):
+        change = [90.0] * lost + [p + gain for p in parent[lost:]]
+        sign = 1.0 if better == "higher" else -1.0
+        pairs = [({"m": sign * p}, {"m": sign * c}) for p, c in zip(parent, change)]
+        (row,) = bench_pairs.summarize(pairs, [{"name": "m", "unit": "1/s", "better": better}])
+        return bench_pairs.format_claim(row)
+
+    assert claim(45.0, 1) == ("  claim rule does not hold: better in 9/10 pairs (at least 9/10), "
+                              "median gain 45 <= parent quartile distance 45")
+    assert claim(46.0, 1) == ("  claim rule holds: better in 9/10 pairs (at least 9/10), "
+                              "median gain 46 > parent quartile distance 45")
+    assert claim(46.0, 1, better="lower") == claim(46.0, 1)
+    assert claim(46.0, 2).startswith(
+        "  claim rule does not hold: better in 8/10 pairs (not at least 9/10), median gain 46 >")
+    (empty,) = bench_pairs.summarize([], METRICS[:1])
+    assert bench_pairs.format_claim(empty) == "  claim rule does not hold: no pair"
+
+
 def test_seed_ranges_include_both_ends():
     assert bench_pairs.seed_list(["3", "71-74"]) == [3, 71, 72, 73, 74]
     assert bench_pairs.quartiles([2.5]) == (2.5, 2.5, 2.5)

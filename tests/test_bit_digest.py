@@ -2,7 +2,6 @@
 
 import hashlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -32,9 +31,7 @@ def test_encoding_bits_do_not_depend_on_the_cpu_count(monkeypatch):
         return h.hexdigest()
 
     default = encoding()
-    with ThreadPoolExecutor(2) as pool:
-        monkeypatch.setattr(model_module, "_CPUS", 3)
-        monkeypatch.setattr(model_module, "_POOL", pool)
-        three_way = encoding()
+    monkeypatch.setattr(model_module, "_CPUS", 3)
+    three_way = encoding()
     monkeypatch.setattr(model_module, "_CPUS", 1)
     assert encoding() == three_way == default

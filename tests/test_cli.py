@@ -16,7 +16,6 @@ import struct
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -580,10 +579,8 @@ class TestEncodeCommand:
             emb = params["backbone.tok_emb"].data
             emb[1500:] = alternating(1.5e308, emb[1500:].shape)
 
-        with ThreadPoolExecutor(2) as pool:
-            monkeypatch.setattr(model_module, "_CPUS", cpus)
-            monkeypatch.setattr(model_module, "_POOL", pool)
-            assert self._encode_poisoned(tmp_path, vocab, poison) == 3
+        monkeypatch.setattr(model_module, "_CPUS", cpus)
+        assert self._encode_poisoned(tmp_path, vocab, poison) == 3
         assert_one_error_line(capsys.readouterr().err, "encode")
         assert not (tmp_path / "x.vec").exists()
 

@@ -58,39 +58,27 @@ def build(variant=Variant.ENCDEC_MULTITOKENS, head=HeadKind.MLM_MULTITOKENS, see
     return SparseEncoder.build(cfg, head)
 
 
-class _CountingPool(ThreadPoolExecutor):
-    submitted = 0
+def count_submissions(monkeypatch) -> list:
+    """Make every executor ``batch_activations`` opens append each group it
+    hands to a thread to the returned list."""
+    submitted = []
 
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
+    class Counting(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "ThreadPoolExecutor", Counting)
+    return submitted
 
 
-def _on_three_cpus(model, seqs) -> tuple[int, bytes]:
-    """(pool submissions, activation bytes) of one untaped
-    ``batch_activations`` call with three CPUs and a counting pool, run in a
-    forked child. A pool thread that waits on its own pool would wait
-    forever; the alarm ends the child then."""
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        signal.alarm(10)
-        code = 1
-        try:
-            with _CountingPool(2) as pool:
-                model_module._CPUS, model_module._POOL = 3, pool
-                acts = model.batch_activations(seqs).data
-            with os.fdopen(write, "wb") as out:
-                out.write(struct.pack("<q", pool.submitted) + acts.tobytes())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    with os.fdopen(read, "rb") as pipe:
-        sent = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    return struct.unpack_from("<q", sent)[0], sent[8:]
+def _on_three_cpus(monkeypatch, model, seqs) -> tuple[int, bytes]:
+    """(groups handed to a thread, activation bytes) of one untaped
+    ``batch_activations`` call with three CPUs."""
+    submitted = count_submissions(monkeypatch)
+    monkeypatch.setattr(model_module, "_CPUS", 3)
+    acts = model.batch_activations(seqs).data.tobytes()
+    return len(submitted), acts
 
 
 def rewrite_header(path, mutate):
@@ -276,35 +264,32 @@ class TestComposition:
             model.head.b_vocab.data = np.random.default_rng(2).normal(0.0, 0.05, 16)
         seqs = [(4, 5, 6, 5, 9, 10, 11, 12), (7, 8), (9,), (13, 4, 15), (6, 7, 8, 9, 10)]
         default = model.batch_activations(seqs).data
-        with _CountingPool(2) as pool:
-            monkeypatch.setattr(model_module, "_CPUS", 3)
-            monkeypatch.setattr(model_module, "_POOL", pool)
-            three_way = model.batch_activations(seqs).data
-        assert pool.submitted > 0
+        submitted = count_submissions(monkeypatch)
+        monkeypatch.setattr(model_module, "_CPUS", 3)
+        three_way = model.batch_activations(seqs).data
+        assert submitted
         monkeypatch.setattr(model_module, "_CPUS", 1)
         serial = model.batch_activations(seqs).data
         np.testing.assert_array_equal(default, serial)
         np.testing.assert_array_equal(three_way, serial)
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.parametrize("variant,head", VALID_PAIRS)
     def test_untaped_packed_batch_forks_and_joins_once(self, monkeypatch, variant, head):
         """Nine sequences make four pairs and a lone middle one: with three
-        CPUs one call hands two of the five units to the pool and gives the
-        bits of the serial run and of the default pool."""
+        CPUs one call hands two of the five units to threads and gives the
+        bits of the serial run and of the process's own CPU count."""
         model = build(variant, head, layers=2)
         if head != HeadKind.MLP:
             model.head.b_vocab.data = np.random.default_rng(2).normal(0.0, 0.05, 16)
         seqs = [(4, 5, 6, 5, 9, 10, 11, 12), (7,), (9, 10), (13, 4, 15), (6, 7, 8, 9, 10),
                 (11,), (5, 5, 6), (12, 13, 14, 15), (8, 9)]
-        submitted, acts = _on_three_cpus(model, seqs)
-        assert submitted == 2
         default = model.batch_activations(seqs).data
+        submitted, acts = _on_three_cpus(monkeypatch, model, seqs)
+        assert submitted == 2
         monkeypatch.setattr(model_module, "_CPUS", 1)
         serial = model.batch_activations(seqs).data
         assert acts == serial.tobytes() == default.tobytes()
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.parametrize(
         "vocab,count,submitted",
         [
@@ -314,7 +299,7 @@ class TestComposition:
         ],
     )
     def test_only_pair_units_use_the_pool(self, monkeypatch, vocab, count, submitted):
-        """With three CPUs a one-sequence encode hands nothing to the pool,
+        """With three CPUs a one-sequence encode hands nothing to a thread,
         whether |V| = 5,000 makes four vocabulary blocks or |V| = 154 one. A
         packed batch of nine hands out two of its five units and no head
         block: the head scores its blocks in the calling thread."""
@@ -325,7 +310,7 @@ class TestComposition:
         model = SparseEncoder.build(cfg, HeadKind.MLM_MULTITOKENS)
         rng = np.random.default_rng(7)
         seqs = [rng.integers(4, vocab, size=n).tolist() for n in rng.integers(2, 65, size=count)]
-        got, acts = _on_three_cpus(model, seqs)
+        got, acts = _on_three_cpus(monkeypatch, model, seqs)
         assert got == submitted
         monkeypatch.setattr(model_module, "_CPUS", 1)
         assert acts == model.batch_activations(seqs).data.tobytes()
@@ -340,16 +325,14 @@ class TestComposition:
         )
         model = SparseEncoder.build(cfg, HeadKind.MLM_MULTITOKENS)
         seq = np.random.default_rng(8).integers(4, vocab, size=n).tolist()
-        with ThreadPoolExecutor(2) as pool:
-            monkeypatch.setattr(model_module, "_CPUS", 3)
-            monkeypatch.setattr(model_module, "_POOL", pool)
-            model.encode(seq)  # warm up lazily built state
-            tracemalloc.start()
-            try:
-                model.encode(seq)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        monkeypatch.setattr(model_module, "_CPUS", 3)
+        model.encode(seq)  # warm up lazily built state
+        tracemalloc.start()
+        try:
+            model.encode(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < n * vocab * 8 / 6.5
 
     def test_first_bad_sequence_in_batch_order_raises(self):
@@ -412,11 +395,11 @@ class TestComposition:
 
 @pytest.fixture
 def three_cpus(monkeypatch):
-    """Make ``batch_activations`` cut its units into three groups, whatever the host has."""
-    with _CountingPool(2) as pool:
-        monkeypatch.setattr(model_module, "_CPUS", 3)
-        monkeypatch.setattr(model_module, "_POOL", pool)
-        yield pool
+    """Make ``batch_activations`` cut its units into three groups, whatever
+    the host has; the list of groups handed to a thread."""
+    submitted = count_submissions(monkeypatch)
+    monkeypatch.setattr(model_module, "_CPUS", 3)
+    return submitted
 
 
 def lengths_one_to_nine(vocab=60):
@@ -441,31 +424,45 @@ def record_units(model, on_unit):
     model.batch_activations = batch_activations  # the method's own unit calls find it here
 
 
+def _src_trees() -> list[tuple[str, ast.Module]]:
+    """(file name, syntax tree) of every module under ``src/lsrkit``."""
+    return [(file.name, ast.parse(file.read_text(encoding="utf-8")))
+            for file in sorted(Path(model_module.__file__).parent.glob("*.py"))]
+
+
 def _fork_join_callers() -> tuple[list[str], list[str]]:
-    """(qualified names of the ``src/lsrkit`` functions whose own body calls
-    ``_POOL.submit``, files that name ``ThreadPoolExecutor``)."""
-    callers, pool_files = [], []
+    """(qualified names of the ``src/lsrkit`` functions whose own body names
+    ``ThreadPoolExecutor``, files that import it)."""
+    callers, importers = [], []
 
     def visit(node, scope, file):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, [*scope, child.name], file)
                 continue
-            func = child.func if isinstance(child, ast.Call) else None
-            if isinstance(func, ast.Attribute) and func.attr == "submit" and "_POOL" in (
-                getattr(func.value, "id", None), getattr(func.value, "attr", None)
-            ):
-                callers.append(".".join(scope))
-            named = [getattr(child, "id", None), getattr(child, "attr", None)]
             if isinstance(child, (ast.Import, ast.ImportFrom)):
-                named += [alias.name for alias in child.names]
-            if "ThreadPoolExecutor" in named and file not in pool_files:
-                pool_files.append(file)
+                if "ThreadPoolExecutor" in [alias.name for alias in child.names]:
+                    importers.append(file)
+            elif "ThreadPoolExecutor" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                callers.append(".".join(scope))
             visit(child, scope, file)
 
-    for file in sorted(Path(model_module.__file__).parent.glob("*.py")):
-        visit(ast.parse(file.read_text(encoding="utf-8")), [], file.name)
-    return callers, pool_files
+    for file, tree in _src_trees():
+        visit(tree, [], file)
+    return callers, importers
+
+
+def test_no_module_holds_process_wide_mutable_state():
+    """No ``global`` statement rebinds a module's name at run time, and no
+    at-fork hook rebuilds state a forked child inherits."""
+    found = []
+    for file, tree in _src_trees():
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            called = getattr(func, "attr", None) or getattr(func, "id", None)
+            if isinstance(node, ast.Global) or called == "register_at_fork":
+                found.append(f"{file}:{node.lineno}")
+    assert found == []
 
 
 class TestForkJoin:
@@ -490,7 +487,7 @@ class TestForkJoin:
         acts = model.batch_activations(seqs).data
         assert sorted(i for unit in units for i in unit) == list(range(count))
         assert all(len(unit) <= 2 for unit in units)
-        assert len(threads) > 1 and three_cpus.submitted == min(3, len(units)) - 1
+        assert len(threads) > 1 and len(three_cpus) == min(3, len(units)) - 1
         np.testing.assert_array_equal(acts, SparseEncoder.batch_activations(model, seqs).data)
 
     @pytest.mark.parametrize(
@@ -520,19 +517,17 @@ class TestForkJoin:
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_every_group_runs_under_the_callers_errstate(self, monkeypatch, cpus):
-        """An overflow in the lone middle unit, which a pool thread runs on
-        three CPUs, raises as on one: the pool thread runs in a copy of the
+        """An overflow in the lone middle unit, which another thread runs on
+        three CPUs, raises as on one: that thread runs in a copy of the
         caller's context, so under its ``np.errstate``."""
         model, seqs = lengths_one_to_nine()
         model.backbone.tok_emb.data[59] = 1.5e308
         seqs[4][2] = 59  # only the length-5 sequence, row 4, holds id 59
-        with ThreadPoolExecutor(2) as pool:
-            monkeypatch.setattr(model_module, "_CPUS", cpus)
-            monkeypatch.setattr(model_module, "_POOL", pool)
-            with warnings.catch_warnings(record=True) as caught, np.errstate(all="raise"):
-                warnings.simplefilter("always")
-                with pytest.raises(FloatingPointError, match="overflow"):
-                    model.batch_activations(seqs)
+        monkeypatch.setattr(model_module, "_CPUS", cpus)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="raise"):
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                model.batch_activations(seqs)
         assert caught == []
 
     def test_many_groups_under_fast_thread_switching(self, monkeypatch):
@@ -544,26 +539,28 @@ class TestForkJoin:
         monkeypatch.setattr(model_module, "_CPUS", 1)
         serial = model.batch_activations(seqs).data.tobytes()
         interval = sys.getswitchinterval()
-        with ThreadPoolExecutor(7) as pool:
-            monkeypatch.setattr(model_module, "_CPUS", 8)
-            monkeypatch.setattr(model_module, "_POOL", pool)
-            sys.setswitchinterval(1e-6)
-            try:
-                calls = [model.batch_activations(seqs).data.tobytes() for _ in range(20)]
-            finally:
-                sys.setswitchinterval(interval)
+        monkeypatch.setattr(model_module, "_CPUS", 8)
+        sys.setswitchinterval(1e-6)
+        try:
+            calls = [model.batch_activations(seqs).data.tobytes() for _ in range(20)]
+        finally:
+            sys.setswitchinterval(interval)
         assert calls == [serial] * 20
 
+    def test_threads_live_only_while_a_packed_batch_runs(self, three_cpus):
+        model, seqs = lengths_one_to_nine()
+        seen = set()
+        record_units(model, lambda unit: seen.add(threading.current_thread()))
+        model.batch_activations(seqs)
+        assert threading.main_thread() in seen and len(seen) > 1
+        assert not any(thread.is_alive() for thread in seen - {threading.main_thread()})
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_gets_a_pool_of_its_own(self, three_cpus):
+    def test_forked_child_runs_a_packed_batch(self, three_cpus):
+        """A child forked after a packed batch ran on three CPUs runs one
+        too, with the same bits."""
         model, seqs = lengths_one_to_nine()
         want = model.batch_activations(seqs).data.tobytes()
-        # Units slow enough that each group gets a thread of its own; then
-        # both threads wait, idle, for work.
-        record_units(model, lambda unit: time.sleep(0.02))
-        model.batch_activations(seqs)
-        time.sleep(0.2)
-        del model.batch_activations
         pid = os.fork()
         if pid == 0:
             # A group that no thread runs would keep the child waiting forever.
